@@ -15,7 +15,6 @@ from .interval_sets import (
 from .numerics import (
     ChebPoly,
     LPProblem,
-    MonicPoly,
     cheb_T,
     cheb_T_deriv,
     cheb_lp_problem,

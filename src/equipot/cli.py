@@ -228,7 +228,8 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _load_set(spec: str) -> IntervalSet:
+def _load_set(cfg: RunConfig) -> IntervalSet:
+    spec = cfg.set_spec
     text = spec.strip()
     if not text.startswith("{"):
         try:
@@ -236,7 +237,7 @@ def _load_set(spec: str) -> IntervalSet:
                 text = fh.read()
         except OSError as exc:
             raise SetSpecError(f"cannot read set spec file {spec!r}: {exc}") from exc
-    return from_spec(text)
+    return from_spec(text, cfg.numerics)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +324,7 @@ def config_from_args(argv: Sequence[str]) -> RunConfig:
 
 
 def _run_density(cfg: RunConfig) -> int:
-    K = _load_set(cfg.set_spec)
+    K = _load_set(cfg)
     E = equilibrium.solve_equilibrium(K, cfg.numerics)
     rows = equilibrium.density_table(E, cfg.points, cfg.numerics)
     if cfg.format == "csv":
@@ -340,7 +341,7 @@ def _run_density(cfg: RunConfig) -> int:
 
 
 def _run_omega(cfg: RunConfig) -> int:
-    K = _load_set(cfg.set_spec)
+    K = _load_set(cfg)
     E = equilibrium.solve_equilibrium(K, cfg.numerics)
     val = equilibrium.omega_factor(E, cfg.a)
     if cfg.format == "csv":
@@ -351,7 +352,7 @@ def _run_omega(cfg: RunConfig) -> int:
 
 
 def _run_capacity(cfg: RunConfig) -> int:
-    K = _load_set(cfg.set_spec)
+    K = _load_set(cfg)
     E = equilibrium.solve_equilibrium(K, cfg.numerics)
     rec = equilibrium.to_record(E)
     if abs(E.mass - 1.0) > 1e-9:
@@ -364,7 +365,7 @@ def _run_capacity(cfg: RunConfig) -> int:
 
 
 def _run_green(cfg: RunConfig) -> int:
-    K = _load_set(cfg.set_spec)
+    K = _load_set(cfg)
     E = equilibrium.solve_equilibrium(K, cfg.numerics)
     g = equilibrium.green(E, cfg.z, cfg.numerics)
     if g < -1e-9:
@@ -399,7 +400,7 @@ def _run_balayage(cfg: RunConfig) -> int:
 
 
 def _run_markov(cfg: RunConfig) -> int:
-    K = _load_set(cfg.set_spec)
+    K = _load_set(cfg)
     study = extremal.markov_study(K, cfg.a, cfg.degrees, cfg.numerics)
     rows = extremal.study_rows(study)
     if cfg.dump_witness:
@@ -472,7 +473,7 @@ def _run_schur_counterexample(cfg: RunConfig) -> int:
 
 
 def _run_converge(cfg: RunConfig) -> int:
-    K = _load_set(cfg.set_spec)
+    K = _load_set(cfg)
     ctx = check_interval_condition(K, cfg.a, cfg.rho)
     table = equilibrium.outer_convergence_study(K, ctx, cfg.m_values, cfg.numerics)
     if cfg.format == "csv":

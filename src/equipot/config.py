@@ -35,8 +35,11 @@ class NumericsConfig:
     solve_pivot_floor: float = 1e-300
 
     # LP relaxations of sup-norm extremal problems.
-    lp_grid_per_degree: int = 32        # constraint points per interval: 32*(degree+1)
-    lp_validation_factor: int = 4       # validation grid is this much finer
+    # The exchange loop's working set is seeded with lp_grid_per_degree*(degree+1)
+    # arccos-spaced points per interval; the witness is validated on a grid
+    # lp_validation_factor times finer, 128*(degree+1) points by default.
+    lp_grid_per_degree: int = 4
+    lp_validation_factor: int = 32
     lp_feasibility_tol: float = 1e-10
     lp_gap_tol: float = 1e-9
     lp_exchange_tol: float = 1e-9       # accepted witness overshoot above 1

@@ -39,12 +39,11 @@ import math
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as _nppoly
 
 from .config import DEFAULTS, NumericsConfig
 from .errors import NumericsError, SetSpecError
 from .interval_sets import EndpointContext, IntervalSet, outer_approx
-from .numerics import MonicPoly, _gauss_cheb_adaptive, chebyshev_expand
+from .numerics import _gauss_cheb_adaptive, chebyshev_expand
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,11 +67,10 @@ class ComponentTable:
 
 @dataclasses.dataclass(frozen=True)
 class EquilibriumData:
-    """A solved set: gap polynomial (as roots and in monic form), Robin
-    constant, capacity, total density mass, and per-component tables."""
+    """A solved set: roots of the gap polynomial, Robin constant, capacity,
+    total density mass, and per-component tables."""
 
     set: IntervalSet
-    q: MonicPoly
     roots: tuple[float, ...]
     robin: float
     cap: float
@@ -197,14 +195,13 @@ def solve_equilibrium(K: IntervalSet, cfg: NumericsConfig = DEFAULTS) -> Equilib
         raise SetSpecError("equilibrium needs all intervals non-degenerate; widen() first")
     roots = _solve_gap_roots(K, cfg)
     _verify_gap_conditions(K, roots, cfg)
-    q = MonicPoly(tuple(float(c) for c in _nppoly.polyfromroots(roots)[:-1]))
     tables = _component_tables(K, roots, cfg)
     mass = float(sum(tab.mass for tab in tables))
     probes = _robin_probes(K, cfg.potential_probe_count)
     robin = float(np.mean([_potential_from_tables(tables, x) for x in probes]))
     cap = math.exp(-robin)
     return EquilibriumData(
-        set=K, q=q, roots=tuple(float(r) for r in roots), robin=robin, cap=cap,
+        set=K, roots=tuple(float(r) for r in roots), robin=robin, cap=cap,
         mass=mass, tables=tables,
     )
 
@@ -480,10 +477,15 @@ def outer_convergence_study(
 
 
 def to_record(E: EquilibriumData, a: float | None = None) -> dict:
-    """JSON-ready record {set, q_coeffs, cap, robin, mass[, omega]}."""
+    """JSON-ready record {set, roots, cap, robin, mass[, omega]}.
+
+    ``roots`` are the gap-polynomial roots, one per bounded gap; q itself is
+    their monic product (see ``q_value``), whose monomial coefficients are
+    numerically meaningless beyond a few dozen gaps.
+    """
     rec = {
         "set": {"intervals": [[l, r] for l, r in E.set.intervals]},
-        "q_coeffs": list(E.q.coeffs) + [1.0],
+        "roots": list(E.roots),
         "cap": E.cap,
         "robin": E.robin,
         "mass": E.mass,

@@ -17,10 +17,18 @@ polynomial basis explodes in the gaps - Chebyshev coefficients of the hull
 grow like exp(n * g_K inside the gap) and are unusable in double precision
 beyond degree ~40 - while equilibrium-distributed nodal values keep every
 constraint row bounded by a small Lebesgue constant at all tested degrees.
-The constraint grid is arccos-spaced per component (32*(n+1) points by
-default); the exchange loop appends the witness's true local maxima until
-the overshoot is below tolerance, and the witness is finally renormalised
-by its refined sup-norm so the reported value is a certified lower bound.
+
+The LP is solved on a small working set, not on a dense grid, in the manner
+of the barycentric Remez exchange (Pachon & Trefethen, BIT 49, 2009): by
+Caratheodory the optimum rests on at most n + 1 active points.  The set is
+seeded with an arccos-spaced grid of 4*(n+1) points per component; each
+exchange round appends the witness's refined local maxima that overshoot,
+so the set only grows and the LP value falls monotonically until the
+overshoot is below tolerance.  Two certificates stay independent of the
+working set: the witness is validated on an arccos grid of 128*(n+1) points
+per component (one doubling of both grids is allowed), and it is finally
+renormalised by its refined sup-norm, so the reported value is a certified
+lower bound.
 """
 
 from __future__ import annotations
@@ -162,30 +170,34 @@ def _arccos_grid(K: IntervalSet, per_component: int) -> np.ndarray:
 
 def _refined_maxima(
     evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: int, per_degree: int = 16
-) -> list[tuple[float, float]]:
-    """Local maxima of |P| on K, polished by two parabola stages in angle."""
-    out = []
-    for (u, v) in K.intervals:
-        mid, half = (u + v) / 2.0, (v - u) / 2.0
-        theta = np.linspace(0.0, np.pi, per_degree * (n + 1))
-        vals = np.abs(evalP(mid + half * np.cos(theta)))
-        isloc = np.r_[True, vals[1:] >= vals[:-1]] & np.r_[vals[:-1] >= vals[1:], True]
-        for j in np.nonzero(isloc)[0]:
-            t0, h = theta[j], theta[1] - theta[0]
-            for _ in range(3):
-                tt = np.clip(np.array([t0 - h, t0, t0 + h]), 0.0, np.pi)
-                vv = np.abs(evalP(mid + half * np.cos(tt)))
-                curv = vv[0] - 2.0 * vv[1] + vv[2]
-                if curv < -1e-300:
-                    t0 = float(np.clip(tt[1] + 0.5 * h * (vv[0] - vv[2]) / curv, 0.0, np.pi))
-                h /= 8.0
-            x = float(mid + half * math.cos(t0))
-            out.append((x, float(np.abs(evalP(np.array([x])))[0])))
-    return out
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local maxima (x, |P(x)|) of |P| on K, polished by three parabola stages in angle.
 
-
-def _sup_norm(evalP, K: IntervalSet, n: int) -> float:
-    return max(v for _, v in _refined_maxima(evalP, K, n))
+    Each stage evaluates P once, at the three probe angles of every maximum
+    of every component together.
+    """
+    u, v = np.asarray(K.intervals).T
+    mid, half = (u + v) / 2.0, (v - u) / 2.0
+    theta = np.linspace(0.0, np.pi, per_degree * (n + 1))
+    h = theta[1] - theta[0]
+    vals = np.abs(evalP((mid[:, None] + half[:, None] * np.cos(theta)).ravel()))
+    vals = vals.reshape(K.m, len(theta))
+    edge = np.ones((K.m, 1), dtype=bool)
+    isloc = np.hstack([edge, vals[:, 1:] >= vals[:, :-1]]) & np.hstack(
+        [vals[:, :-1] >= vals[:, 1:], edge]
+    )
+    comp, j = np.nonzero(isloc)
+    mid, half, t0 = mid[comp], half[comp], theta[j]
+    for _ in range(3):
+        tt = np.clip(t0[:, None] + np.array([-h, 0.0, h]), 0.0, np.pi)
+        vv = np.abs(evalP((mid[:, None] + half[:, None] * np.cos(tt)).ravel())).reshape(-1, 3)
+        curv = vv[:, 0] - 2.0 * vv[:, 1] + vv[:, 2]
+        step = curv < -1e-300
+        vertex = tt[:, 1] + 0.5 * h * (vv[:, 0] - vv[:, 2]) / np.where(step, curv, -1.0)
+        t0 = np.where(step, np.clip(vertex, 0.0, np.pi), t0)
+        h /= 8.0
+    x = mid + half * np.cos(t0)
+    return x, np.abs(evalP(x))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +212,10 @@ class ExtremalResult:
     bound for the continuum optimum; ``ratio`` = value / degree**2.  The
     witness is exposed both as hull-interval Chebyshev coefficients (for
     export; lossy on unions at high degree) and through ``evaluate``, the
-    numerically reliable barycentric form.
+    numerically reliable barycentric form.  ``overshoot`` is the worst
+    |P| - 1 on K of the exchange loop's final witness before renormalisation;
+    above ``lp_exchange_tol`` it shows that the loop stalled, ran out of new
+    points or hit its round cap.
     """
 
     degree: int
@@ -212,6 +227,7 @@ class ExtremalResult:
     node_values: np.ndarray = dataclasses.field(repr=False)
     exchange_rounds: int = 0
     grid_doubled: bool = False
+    overshoot: float = 0.0
 
     def evaluate(self, x):
         w = _bary_weights(self.nodes)
@@ -234,39 +250,44 @@ class MarkovStudy:
 
 def _solve_once(
     K: IntervalSet,
-    a: float,
     n: int,
     nodes: np.ndarray,
     w: np.ndarray,
-    objective_point: float,
+    objective: np.ndarray,
     grid: np.ndarray,
     cfg: NumericsConfig,
-) -> tuple[np.ndarray, float, np.ndarray, int]:
-    """Grid LP plus exchange; returns (node values, objective, points, rounds)."""
-    sep = 1e-13 * (K.max - K.min)
-    pts = grid[np.min(np.abs(grid[:, None] - nodes[None, :]), axis=1) > sep]
-    d = _deriv_row(nodes, w, objective_point)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Working-set LP plus exchange, seeded with ``grid``.
 
-    def solve(points: np.ndarray):
+    Returns (node values, then x and |P(x)| at the refined maxima of that
+    witness, rounds).
+    """
+    sep = 1e-13 * (K.max - K.min)
+
+    def apart(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        return x[np.min(np.abs(x[:, None] - pts[None, :]), axis=1) > sep]
+
+    def solve(points: np.ndarray) -> np.ndarray:
         problem = LPProblem(
-            objective=d,
+            objective=objective,
             constraint_points=points,
             rows=_lagrange_rows(points, nodes, w),
             bound=1.0,
             var_bound=1.0,
         )
-        value, y, active = lp_maximize(problem, cfg)
-        return y, value, active
+        return lp_maximize(problem, cfg)[1]
 
-    vals, obj, active = solve(pts)
+    def maxima(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _refined_maxima(lambda x: _lagrange_rows(x, nodes, w) @ vals, K, n)
+
+    pts = apart(grid, nodes)
+    vals = solve(pts)
     rounds = 0
     best_worst = np.inf
     stall = 0
-    for _ in range(cfg.lp_exchange_rounds):
-        rounds += 1
-        evalP = lambda x, v=vals: _lagrange_rows(x, nodes, w) @ v
-        maxima = _refined_maxima(evalP, K, n)
-        worst = max(v for _, v in maxima)
+    for rounds in range(1, cfg.lp_exchange_rounds + 1):
+        xs, ms = maxima(vals)
+        worst = float(np.max(ms))
         if worst <= 1.0 + cfg.lp_exchange_tol:
             break
         # progress may be non-monotone; give up only after three stalled rounds
@@ -276,16 +297,14 @@ def _solve_once(
             stall += 1
             if stall >= 3:
                 break
-        new = np.array([x for x, v in maxima if v > 1.0 + 1e-12])
-        if len(new):
-            new = new[np.min(np.abs(new[:, None] - nodes[None, :]), axis=1) > sep]
-        if len(new):
-            new = new[np.min(np.abs(new[:, None] - pts[None, :]), axis=1) > sep]
+        new = apart(apart(xs[ms > 1.0 + 1e-12], nodes), pts)
         if len(new) == 0:
             break
         pts = np.sort(np.concatenate([pts, new]))
-        vals, obj, active = solve(pts)
-    return vals, obj, active, rounds
+        vals = solve(pts)
+    else:
+        xs, ms = maxima(vals)  # the round cap was hit after a fresh solve
+    return vals, xs, ms, rounds
 
 
 def markov_extremal(
@@ -308,46 +327,40 @@ def markov_extremal(
     E = _solved(K, cfg)
     nodes = _interpolation_nodes(E, n)
     w = _bary_weights(nodes)
-    obj_pt = a if objective_point is None else float(objective_point)
+    d = _deriv_row(nodes, w, a if objective_point is None else float(objective_point))
 
+    # seed grid and validation grid; one doubling of both allowed before giving up
     per = cfg.lp_grid_per_degree * (n + 1)
-    grid = _arccos_grid(K, per)
-    vals, obj, active, rounds = _solve_once(K, a, n, nodes, w, obj_pt, grid, cfg)
-    evalP = lambda x, v=vals: _lagrange_rows(x, nodes, w) @ v
+    for doubling in (1, 2):
+        vals, xs, ms, rounds = _solve_once(
+            K, n, nodes, w, d, _arccos_grid(K, doubling * per), cfg
+        )
+        vgrid = _arccos_grid(K, doubling * cfg.lp_validation_factor * per)
+        if np.max(np.abs(_lagrange_rows(vgrid, nodes, w) @ vals)) <= 1.0 + 1e-6:
+            break
+    else:
+        raise NumericsError(
+            f"witness validation failed after one grid refinement at degree {n}"
+        )
 
-    # spec'd validation: 4x grid, one doubling allowed before giving up
-    doubled = False
-    vgrid = _arccos_grid(K, cfg.lp_validation_factor * per)
-    if np.max(np.abs(evalP(vgrid))) > 1.0 + 1e-6:
-        doubled = True
-        grid = _arccos_grid(K, 2 * per)
-        vals, obj, active, rounds = _solve_once(K, a, n, nodes, w, obj_pt, grid, cfg)
-        evalP = lambda x, v=vals: _lagrange_rows(x, nodes, w) @ v
-        vgrid = _arccos_grid(K, 2 * cfg.lp_validation_factor * per)
-        if np.max(np.abs(evalP(vgrid))) > 1.0 + 1e-6:
-            raise NumericsError(
-                f"witness validation failed after one grid refinement at degree {n}"
-            )
-
-    S = _sup_norm(evalP, K, n)
+    # the final witness's maxima give both its sup-norm and its oscillation set
+    S = float(np.max(ms))
     if not math.isfinite(S) or S <= 0:
         raise NumericsError(f"degenerate witness norm {S} at degree {n}")
     vals = vals / S
-    value = abs(float(_deriv_row(nodes, w, obj_pt) @ vals))
+    value = abs(float(d @ vals))
     witness = _fit_hull_cheb(K, n, lambda x: _lagrange_rows(x, nodes, w) @ vals)
-    # the oscillation set of the normalised witness, not raw grid hits
-    maxima = _refined_maxima(lambda x, v=vals: _lagrange_rows(x, nodes, w) @ v, K, n)
-    active = np.array(sorted(x for x, val in maxima if val >= 1.0 - 1e-9))
     return ExtremalResult(
         degree=n,
         value=value,
         ratio=value / n**2,
         witness=witness,
-        active_points=np.asarray(active),
+        active_points=np.sort(xs[ms / S >= 1.0 - 1e-9]),
         nodes=nodes,
         node_values=vals,
         exchange_rounds=rounds,
-        grid_doubled=doubled,
+        grid_doubled=doubling == 2,
+        overshoot=S - 1.0,
     )
 
 
@@ -410,7 +423,8 @@ def derivative_norm_probe(
 
 
 def _poly_norm_on_set(P, K: IntervalSet, n: int) -> float:
-    return _sup_norm(lambda x: np.asarray(P(x), dtype=float), K, max(n, 1))
+    _, moduli = _refined_maxima(lambda x: np.asarray(P(x), dtype=float), K, max(n, 1))
+    return float(np.max(moduli))
 
 
 def bernstein_audit(

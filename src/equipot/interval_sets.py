@@ -15,7 +15,7 @@ import json
 import math
 from typing import Iterable, Sequence
 
-from .config import DEFAULTS
+from .config import DEFAULTS, NumericsConfig
 from .errors import SetSpecError
 
 
@@ -199,20 +199,21 @@ def outer_approx(K: IntervalSet, ctx: EndpointContext, m: int) -> IntervalSet:
     return IntervalSet(tuple(intervals))
 
 
-def cantor_set(level: int, ratio: float = 1.0 / 3.0) -> IntervalSet:
+def cantor_set(
+    level: int, ratio: float = 1.0 / 3.0, cfg: NumericsConfig = DEFAULTS
+) -> IntervalSet:
     """Level-``level`` prefractal of the [0, 1] Cantor construction.
 
     Each interval of length L is replaced by its two end subintervals of
-    length ratio*L; the result has 2**level intervals.
+    length ratio*L; the result has 2**level intervals.  Levels above
+    ``cfg.cantor_level_cap`` are rejected.
     """
     if not 0 < ratio < 0.5:
         raise SetSpecError(f"cantor ratio must lie in (0, 1/2), got {ratio}")
     if level < 0:
         raise SetSpecError(f"cantor level must be >= 0, got {level}")
-    if level > DEFAULTS.cantor_level_cap:
-        raise SetSpecError(
-            f"cantor level {level} exceeds the cap {DEFAULTS.cantor_level_cap}"
-        )
+    if level > cfg.cantor_level_cap:
+        raise SetSpecError(f"cantor level {level} exceeds the cap {cfg.cantor_level_cap}")
     intervals = [(0.0, 1.0)]
     for _ in range(level):
         nxt = []
@@ -249,11 +250,12 @@ def widen(K: IntervalSet, eps: float) -> IntervalSet:
     return normalize(pairs)
 
 
-def from_spec(spec: str | dict) -> IntervalSet:
+def from_spec(spec: str | dict, cfg: NumericsConfig = DEFAULTS) -> IntervalSet:
     """Build a set from its JSON specification.
 
     Accepted forms: ``{"intervals": [[l, r], ...]}`` and
-    ``{"cantor": {"level": n, "ratio": r}}`` (ratio defaults to 1/3).
+    ``{"cantor": {"level": n, "ratio": r}}`` (ratio defaults to 1/3; the
+    level is capped by ``cfg.cantor_level_cap``).
     """
     if isinstance(spec, str):
         try:
@@ -271,5 +273,5 @@ def from_spec(spec: str | dict) -> IntervalSet:
         c = spec["cantor"]
         if not isinstance(c, dict) or "level" not in c:
             raise SetSpecError("'cantor' needs at least a 'level' field")
-        return cantor_set(int(c["level"]), float(c.get("ratio", 1.0 / 3.0)))
+        return cantor_set(int(c["level"]), float(c.get("ratio", 1.0 / 3.0)), cfg)
     raise SetSpecError("set spec needs an 'intervals' or 'cantor' field")

@@ -6,8 +6,7 @@ Four independent facilities live here:
   singularities exactly at both interval endpoints, with adaptive node
   doubling.  ``integrate_endpoint_singular(f, u, v)`` computes
   int_u^v f(t) / sqrt((t-u)(v-t)) dt for a smooth factor f.
-* Polynomial containers: ``MonicPoly`` (monomial, leading coefficient 1,
-  Horner evaluation) and ``ChebPoly`` (Chebyshev coefficients over a
+* A polynomial container, ``ChebPoly`` (Chebyshev coefficients over a
   reference interval, Clenshaw evaluation), plus the classical first-kind
   Chebyshev evaluators ``cheb_T`` / ``cheb_T_deriv`` valid on all of R.
 * A dense linear solver with partial pivoting and one step of iterative
@@ -167,24 +166,6 @@ def cheb_T_deriv(n: int, x):
         prev, cur = cur, 2.0 * x * cur - prev
     out = n * cur
     return out if x.ndim else float(out)
-
-
-@dataclasses.dataclass(frozen=True)
-class MonicPoly:
-    """t**d + sum_i coeffs[i] * t**i with d = len(coeffs); degree 0 is the constant 1."""
-
-    coeffs: tuple[float, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        acc = np.ones_like(t)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc if t.ndim else float(acc)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -351,31 +332,27 @@ def lp_maximize(
     """Solve the finite sup-norm LP; returns (value, coefficients, active points).
 
     Active points are those where the witness modulus reaches
-    bound * (1 - 1e-9).  HiGHS is run at tight feasibility tolerances; on a
-    solver failure the ladder retries with the default tolerances, without
-    presolve, and finally on 2x / 4x subsampled constraint sets (the caller's
-    outer refinement loop restores any accuracy lost to subsampling).
+    bound * (1 - 1e-9).  HiGHS sees the objective scaled to max-modulus 1,
+    since its dual feasibility tolerance is absolute.  It is run at tight
+    feasibility tolerances; on a solver failure the ladder retries with the
+    default tolerances and then without presolve.
     """
     d = np.asarray(problem.objective, dtype=float)
     nvar = len(d)
+    scale = float(np.max(np.abs(d))) or 1.0
     vb = problem.var_bound
     bounds = [(None, None)] * nvar if vb is None else [(-vb, vb)] * nvar
+    A_ub = np.vstack([problem.rows, -problem.rows])
+    b_ub = np.full(len(A_ub), problem.bound)
     attempts = [
-        (1, {"primal_feasibility_tolerance": cfg.lp_feasibility_tol,
-             "dual_feasibility_tolerance": cfg.lp_feasibility_tol}),
-        (1, {}),
-        (1, {"presolve": False}),
-        (2, {}),
-        (4, {}),
+        {"primal_feasibility_tolerance": cfg.lp_feasibility_tol,
+         "dual_feasibility_tolerance": cfg.lp_feasibility_tol},
+        {},
+        {"presolve": False},
     ]
-    last = None
-    for stride, options in attempts:
-        rows = problem.rows[::stride]
-        A_ub = np.vstack([rows, -rows])
-        b_ub = np.full(2 * len(rows), problem.bound)
-        res = linprog(-d, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
+    for options in attempts:
+        res = linprog(-d / scale, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
                       method="highs", options=options)
-        last = res
         if res.status == 0:
             break
         if res.status == 3:
@@ -383,7 +360,7 @@ def lp_maximize(
                 "unbounded LP relaxation: constraint grid too sparse for the degree"
             )
     else:
-        raise NumericsError(f"LP solver failed: status {last.status} ({last.message})")
+        raise NumericsError(f"LP solver failed: status {res.status} ({res.message})")
     y = np.asarray(res.x, dtype=float)
     value = float(d @ y)
     # duality gap audit from the HiGHS marginals, when present; the dual of
@@ -397,7 +374,7 @@ def lp_maximize(
             if low is not None and upp is not None:
                 dual_min += float(upp.marginals @ np.full(nvar, vb))
                 dual_min += float(low.marginals @ np.full(nvar, -vb))
-        gap = abs(float(res.fun) - dual_min)
+        gap = abs(float(res.fun) - dual_min) * scale
         if gap > cfg.lp_gap_tol * max(1.0, abs(value)):
             raise NumericsError(
                 f"LP duality gap {gap:.3e} exceeds {cfg.lp_gap_tol} relative"

@@ -54,6 +54,8 @@ class TestCommands:
         rec = json.loads(out)
         assert rec["cap"] == pytest.approx(math.sqrt(0.75) / 2, abs=1e-10)
         assert rec["mass"] == pytest.approx(1.0, abs=1e-9)
+        assert rec["roots"] == [pytest.approx(0.0, abs=1e-13)]
+        assert "q_coeffs" not in rec
 
     def test_green(self, capsys):
         code, out, _ = run_cli(
@@ -191,6 +193,14 @@ class TestExitCodes:
         )
         assert code == 4
         assert json.loads(err)["error"] == "invariant"
+
+    def test_cantor_level_cap_override(self, capsys, monkeypatch):
+        monkeypatch.setenv("EQUIPOT_CONFIG", '{"cantor_level_cap": 3}')
+        code, _, err = run_cli(
+            ["capacity", "--set", '{"cantor":{"level":4,"ratio":0.3333333333333333}}'], capsys
+        )
+        assert code == 2
+        assert "exceeds the cap 3" in json.loads(err)["message"]
 
     def test_bad_config_env(self, capsys, monkeypatch):
         monkeypatch.setenv("EQUIPOT_CONFIG", '{"nonsense_key": 1}')

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from equipot.config import DEFAULTS
+from equipot.extremal import _refined_maxima
 from equipot import (
     ChebPoly,
     IntervalSet,
@@ -19,6 +22,34 @@ from equipot import (
 UNIT = IntervalSet(((-1.0, 1.0),))
 SYM2 = IntervalSet(((-1.0, -0.5), (0.5, 1.0)))
 WIDE = IntervalSet(((-2.0, 1.0),))
+
+# A three-interval set on which a dense-grid exchange stalled 4.0e-8 short
+# of the exact value at degree 24 (an inverse image of a scaled T_3, with
+# the value known in closed form).
+STALL3 = IntervalSet((
+    (4.8422185492259695, 5.027806096813277),
+    (5.713331410216814, 6.084506505391428),
+    (6.770031818794964, 6.955619366382272),
+))
+STALL3_A = 5.027806096813277
+STALL3_VALUE = 495.10042754509817
+
+
+def cheb_image(c, N, j):
+    """K = (c T_N)^{-1}[-1, 1] for c > 1, the right endpoint a of its
+    (j+1)-th component from the right, and |P'(a)| for P = c T_N.
+
+    With x = cos(theta) the components are N theta in [k pi + phi,
+    (k+1) pi - phi], phi = arccos(1/c), and
+    |P'(cos theta)| = c N |sin(N theta)| / sin(theta).
+    """
+    phi = math.acos(1.0 / c)
+    K = IntervalSet(tuple(sorted(
+        (math.cos(((k + 1) * math.pi - phi) / N), math.cos((k * math.pi + phi) / N))
+        for k in range(N)
+    )))
+    theta = (j * math.pi + phi) / N
+    return K, math.cos(theta), c * N * math.sin(phi) / math.sin(theta)
 
 
 class TestMarkovExtremal:
@@ -69,6 +100,63 @@ class TestMarkovExtremal:
     def test_requires_right_endpoint(self):
         with pytest.raises(SetSpecError):
             markov_extremal(UNIT, 0.3, 5)
+
+    @pytest.mark.parametrize(
+        "c,N,j,k", [(1.5, 1, 0, 16), (1.5, 2, 1, 8), (2.0, 3, 1, 6), (1.3, 4, 2, 5), (1.7, 4, 0, 5)]
+    )
+    def test_inverse_image_oracle(self, c, N, j, k):
+        # T_k o (c T_N) is extremal at degree kN, with value k^2 |P'(a)|
+        K, a, dP = cheb_image(c, N, j)
+        r = markov_extremal(K, a, k * N)
+        assert r.value == pytest.approx(k * k * dP, rel=1e-9)
+        assert r.value <= k * k * dP * (1.0 + 1e-12)
+
+    def test_no_stall_on_three_intervals(self):
+        r = markov_extremal(STALL3, STALL3_A, 24)
+        assert r.value == pytest.approx(STALL3_VALUE, rel=1e-9)
+        assert r.overshoot <= DEFAULTS.lp_exchange_tol
+        assert not r.grid_doubled
+
+    def test_overshoot_reports_an_unfinished_loop(self):
+        capped = dataclasses.replace(DEFAULTS, lp_exchange_rounds=2)
+        r = markov_extremal(STALL3, STALL3_A, 24, capped)
+        assert r.exchange_rounds == 2
+        assert r.overshoot > DEFAULTS.lp_exchange_tol
+        # renormalised by its refined sup-norm, the value stays a lower bound
+        assert r.value < STALL3_VALUE * (1.0 - 0.5 * r.overshoot)
+
+
+def _refined_maxima_loop(evalP, K, n, per_degree=16):
+    """One maximum at a time: the reference for the batched polish."""
+    out = []
+    for (u, v) in K.intervals:
+        mid, half = (u + v) / 2.0, (v - u) / 2.0
+        theta = np.linspace(0.0, np.pi, per_degree * (n + 1))
+        vals = np.abs(evalP(mid + half * np.cos(theta)))
+        isloc = np.r_[True, vals[1:] >= vals[:-1]] & np.r_[vals[:-1] >= vals[1:], True]
+        for j in np.nonzero(isloc)[0]:
+            t0, h = theta[j], theta[1] - theta[0]
+            for _ in range(3):
+                tt = np.clip(np.array([t0 - h, t0, t0 + h]), 0.0, np.pi)
+                vv = np.abs(evalP(mid + half * np.cos(tt)))
+                curv = vv[0] - 2.0 * vv[1] + vv[2]
+                if curv < -1e-300:
+                    t0 = float(np.clip(tt[1] + 0.5 * h * (vv[0] - vv[2]) / curv, 0.0, np.pi))
+                h /= 8.0
+            x = mid + half * math.cos(t0)
+            out.append((x, float(np.abs(evalP(np.array([x])))[0])))
+    return out
+
+
+class TestRefinedMaxima:
+    @pytest.mark.parametrize("K,n", [(UNIT, 9), (SYM2, 16), (STALL3, 24)])
+    def test_batched_polish_matches_loop(self, K, n):
+        r = markov_extremal(K, K.max, n)
+        xs, ms = _refined_maxima(r.evaluate, K, n)
+        want = _refined_maxima_loop(r.evaluate, K, n)
+        assert len(xs) == len(want)
+        assert np.allclose(xs, [x for x, _ in want], rtol=0.0, atol=1e-9 * (K.max - K.min))
+        assert np.allclose(ms, [m for _, m in want], rtol=1e-13, atol=0.0)
 
 
 class TestMarkovStudy:

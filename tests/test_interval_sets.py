@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from equipot.config import DEFAULTS
 from equipot import (
     IntervalSet,
     SetSpecError,
@@ -156,6 +158,14 @@ class TestCantor:
     def test_rejects(self, bad):
         with pytest.raises(SetSpecError):
             cantor_set(*bad)
+
+    def test_level_cap_from_config(self):
+        cfg = dataclasses.replace(DEFAULTS, cantor_level_cap=3)
+        assert cantor_set(3, 1 / 3, cfg).m == 8
+        with pytest.raises(SetSpecError, match="cap 3"):
+            cantor_set(4, 1 / 3, cfg)
+        with pytest.raises(SetSpecError, match="cap 3"):
+            from_spec({"cantor": {"level": 4}}, cfg)
 
 
 class TestSubsetAndWiden:

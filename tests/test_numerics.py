@@ -6,7 +6,6 @@ import pytest
 from equipot import (
     ChebPoly,
     LPProblem,
-    MonicPoly,
     NumericsError,
     SetSpecError,
     cheb_T,
@@ -105,14 +104,6 @@ class TestChebT:
 
 
 class TestPolys:
-    def test_monic_degree0(self):
-        p = MonicPoly(())
-        assert p.degree == 0 and p(3.7) == 1.0
-
-    def test_monic_horner(self):
-        p = MonicPoly((2.0, -3.0))  # t^2 - 3t + 2 = (t-1)(t-2)
-        assert p(1.0) == 0.0 and p(2.0) == 0.0 and p(0.0) == 2.0
-
     def test_cheb_eval_matches_numpy(self):
         rng = np.random.default_rng(2)
         coeffs = tuple(rng.standard_normal(8))
