@@ -17,11 +17,9 @@ from .numerics import (
     LPProblem,
     cheb_T,
     cheb_T_deriv,
-    cheb_lp_problem,
     chebyshev_expand,
     integrate_endpoint_singular,
     lp_maximize,
-    solve_dense,
 )
 from .equilibrium import (
     BalayageQuery,

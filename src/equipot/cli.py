@@ -43,7 +43,6 @@ class RunConfig:
     set_spec: str | None = None
     dump_witness: str | None = None
     a: float | None = None
-    rho: float | None = None
     z: float | None = None
     x: float | None = None
     b: float | None = None
@@ -278,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--degrees", required=True, help="e.g. 5,10 or 10..60:x2")
     sp.add_argument("--dump-witness", dest="dump_witness", default=None,
-                    help="also write witness Chebyshev coefficients as JSON")
+                    help="also write each witness as JSON: its interpolation "
+                         "nodes and its values there (barycentric form)")
 
     sp = sub.add_parser("schur-witness", help="witness audit on the quadratic family")
     add_common(sp, with_set=False)
@@ -306,7 +306,7 @@ def config_from_args(argv: Sequence[str]) -> RunConfig:
         output=getattr(ns, "out", None),
         format=getattr(ns, "format", "json"),
     )
-    for field in ("a", "rho", "z", "x", "b", "t", "n", "alpha", "eta", "h_a",
+    for field in ("a", "z", "x", "b", "t", "n", "alpha", "eta", "h_a",
                   "points", "dump_witness"):
         if hasattr(ns, field) and getattr(ns, field) is not None:
             kwargs[field] = getattr(ns, field)
@@ -405,8 +405,7 @@ def _run_markov(cfg: RunConfig) -> int:
     rows = extremal.study_rows(study)
     if cfg.dump_witness:
         dump = {
-            str(r.degree): {"ref_interval": list(r.witness.ref_interval),
-                            "coeffs": list(r.witness.coeffs)}
+            str(r.degree): {"nodes": r.nodes.tolist(), "values": r.node_values.tolist()}
             for r in study.rows
         }
         _write_atomic(cfg.dump_witness, to_json(dump))
@@ -474,7 +473,7 @@ def _run_schur_counterexample(cfg: RunConfig) -> int:
 
 def _run_converge(cfg: RunConfig) -> int:
     K = _load_set(cfg)
-    ctx = check_interval_condition(K, cfg.a, cfg.rho)
+    ctx = check_interval_condition(K, cfg.a)
     table = equilibrium.outer_convergence_study(K, ctx, cfg.m_values, cfg.numerics)
     if cfg.format == "csv":
         _deliver(to_csv(("m", "omega"), table), cfg)

@@ -30,10 +30,6 @@ class NumericsConfig:
     expand_max_nodes: int = 1 << 13
     expand_tail_tol: float = 1e-14
 
-    # Dense linear solve: residual contract and singularity cutoff.
-    solve_residual_tol: float = 1e-10
-    solve_pivot_floor: float = 1e-300
-
     # LP relaxations of sup-norm extremal problems.
     # The exchange loop's working set is seeded with lp_grid_per_degree*(degree+1)
     # arccos-spaced points per interval; the witness is validated on a grid

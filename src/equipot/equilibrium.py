@@ -98,18 +98,16 @@ class BalayageQuery:
 # gap polynomial
 
 
-def _log_dist_sum(t: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """sum_j log|t - points_j|, vectorised over t."""
-    if len(points) == 0:
-        return np.zeros_like(t)
-    return np.sum(np.log(np.abs(t[:, None] - points[None, :])), axis=1)
+def _log_weight(t: np.ndarray, roots: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """sum_k log|t - roots_k| - 1/2 sum_j log|t - ends_j|, vectorised over t.
 
-
-def _q_abs(roots: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """|q(t)| = exp(sum log|t - root|); 1 when there are no roots."""
-    if len(roots) == 0:
-        return np.ones_like(t)
-    return np.exp(_log_dist_sum(t, roots))
+    The log of pi * w(t) when ``roots`` are the gap-polynomial roots and
+    ``ends`` all endpoints; with some of either left out, the log of the
+    factor that multiplies the omitted ones.  Either array may be empty.
+    """
+    t = t[:, None]
+    return (np.sum(np.log(np.abs(t - roots)), axis=1)
+            - 0.5 * np.sum(np.log(np.abs(t - ends)), axis=1))
 
 
 def _q_sign(roots: np.ndarray, t: float) -> int:
@@ -117,13 +115,41 @@ def _q_sign(roots: np.ndarray, t: float) -> int:
     return -1 if (np.sum(roots > t) % 2) else 1
 
 
+def _gap_mean(
+    gap: tuple[float, float],
+    other_roots: np.ndarray,
+    other_ends: np.ndarray,
+    cfg: NumericsConfig,
+) -> float:
+    """Weighted gap mean int_gap t |R| W / int_gap |R| W.
+
+    R is the product over ``other_roots`` and W the weight over
+    ``other_ends``, the endpoints that do not bound the gap.  With the other
+    roots frozen, the mean is the root that meets the gap's vanishing
+    condition.
+    """
+    g0, g1 = gap
+    # fixed rescaling so the adaptive quadrature sees one function
+    shift = _log_weight(np.array([(g0 + g1) / 2.0]), other_roots, other_ends)[0]
+
+    def f(t):
+        g = np.exp(_log_weight(t, other_roots, other_ends) - shift)
+        return np.vstack([t * g, g])
+
+    moments = _gauss_cheb_adaptive(f, g0, g1, cfg)
+    return float(moments[0] / moments[1])
+
+
+def _gap_others(K: IntervalSet) -> list[np.ndarray]:
+    """Per gap, the endpoints of K that do not bound it."""
+    ends = np.asarray(K.endpoints())
+    return [ends[(ends != g0) & (ends != g1)] for g0, g1 in K.gaps()]
+
+
 def _solve_gap_roots(K: IntervalSet, cfg: NumericsConfig) -> np.ndarray:
     """Fixed-point sweeps for the gap roots; one root per bounded gap."""
     gaps = K.gaps()
-    d = len(gaps)
-    if d == 0:
-        return np.empty(0)
-    ends = np.asarray(K.endpoints())
+    others = _gap_others(K)
     lam = np.array([(g0 + g1) / 2.0 for g0, g1 in gaps])
     lengths = np.array([g1 - g0 for g0, g1 in gaps])
     max_sweeps = 300
@@ -131,24 +157,8 @@ def _solve_gap_roots(K: IntervalSet, cfg: NumericsConfig) -> np.ndarray:
     prev_delta = np.inf
     for _ in range(max_sweeps):
         delta = 0.0
-        for k, (g0, g1) in enumerate(gaps):
-            others = ends[(ends != g0) & (ends != g1)]
-            lam_rest = np.delete(lam, k)
-            tmid = (g0 + g1) / 2.0
-            # fixed rescaling so the adaptive quadrature sees one function
-            shift = float(
-                np.sum(np.log(np.abs(tmid - lam_rest))) if len(lam_rest) else 0.0
-            ) - 0.5 * float(np.sum(np.log(np.abs(tmid - others))))
-
-            def f(t, _others=others, _rest=lam_rest, _shift=shift):
-                logs = -0.5 * _log_dist_sum(t, _others)
-                if len(_rest):
-                    logs = logs + _log_dist_sum(t, _rest)
-                g = np.exp(logs - _shift)
-                return np.vstack([t * g, g])
-
-            moments = _gauss_cheb_adaptive(f, g0, g1, cfg)
-            new = float(moments[0] / moments[1])
+        for k, gap in enumerate(gaps):
+            new = _gap_mean(gap, np.delete(lam, k), others[k], cfg)
             delta = max(delta, abs(new - lam[k]) / lengths[k])
             lam[k] = new
         if delta < floor_tol or delta >= prev_delta:
@@ -167,24 +177,9 @@ def _verify_gap_conditions(
     Equivalent to the vanishing of int_gap q W (divide by the constant-sign
     cofactor); stated this way the integrands stay smooth.
     """
-    ends = np.asarray(K.endpoints())
-    for k, (g0, g1) in enumerate(K.gaps()):
-        others = ends[(ends != g0) & (ends != g1)]
-        lam_rest = np.delete(roots, k)
-        tmid = (g0 + g1) / 2.0
-        shift = float(
-            np.sum(np.log(np.abs(tmid - lam_rest))) if len(lam_rest) else 0.0
-        ) - 0.5 * float(np.sum(np.log(np.abs(tmid - others))))
-
-        def f(t, _others=others, _rest=lam_rest, _shift=shift):
-            logs = -0.5 * _log_dist_sum(t, _others)
-            if len(_rest):
-                logs = logs + _log_dist_sum(t, _rest)
-            g = np.exp(logs - _shift)
-            return np.vstack([t * g, g])
-
-        moments = _gauss_cheb_adaptive(f, g0, g1, cfg)
-        resid = abs(float(moments[0] / moments[1]) - roots[k]) / (g1 - g0)
+    for k, ((g0, g1), others) in enumerate(zip(K.gaps(), _gap_others(K))):
+        mean = _gap_mean((g0, g1), np.delete(roots, k), others, cfg)
+        resid = abs(mean - roots[k]) / (g1 - g0)
         if resid > 5e-10:
             raise NumericsError(f"gap condition residual {resid:.2e} in gap {k}")
 
@@ -216,11 +211,7 @@ def _component_tables(
         others = ends[(ends != u) & (ends != v)]
 
         def G(s, _others=others, _mid=mid, _half=half):
-            t = _mid + _half * s
-            logs = -_log_dist_sum(t, _others) * 0.5
-            if len(roots):
-                logs = logs + _log_dist_sum(t, np.asarray(roots))
-            return np.exp(logs) / (np.pi * _half)
+            return np.exp(_log_weight(_mid + _half * s, roots, _others)) / (np.pi * _half)
 
         coeffs = chebyshev_expand(G, -1.0, 1.0, cfg)
         tables.append(
@@ -251,25 +242,26 @@ def _robin_probes(K: IntervalSet, count: int) -> list[float]:
 def q_value(E: EquilibriumData, t: float) -> float:
     """Signed gap-polynomial value, stable at any degree."""
     r = np.asarray(E.roots)
-    return _q_sign(r, t) * float(_q_abs(r, np.array([t]))[0])
+    return _q_sign(r, t) * float(np.exp(_log_weight(np.array([t]), r, np.empty(0))[0]))
 
 
 def density(E: EquilibriumData, t: float, cfg: NumericsConfig = DEFAULTS):
-    """Equilibrium density w(t) strictly inside a component of the set."""
+    """Equilibrium density w(t) strictly inside a component of the set.
+
+    ``t`` may be a scalar or an array of points, evaluated together.
+    """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     ends = np.asarray(E.set.endpoints())
-    roots = np.asarray(E.roots)
-    out = np.empty_like(t_arr)
-    for i, ti in enumerate(t_arr):
-        if not E.set.contains(ti) or np.min(np.abs(ends - ti)) <= cfg.density_edge_guard:
-            raise SetSpecError(
-                f"density undefined at {ti}: not strictly inside a component "
-                f"(guard {cfg.density_edge_guard})"
-            )
-        logw = -0.5 * float(_log_dist_sum(np.array([ti]), ends)[0])
-        if len(roots):
-            logw += float(_log_dist_sum(np.array([ti]), roots)[0])
-        out[i] = math.exp(logw) / math.pi
+    # t lies in a component iff an odd number of endpoints are <= t
+    outside = np.searchsorted(ends, t_arr, side="right") % 2 == 0
+    near = np.min(np.abs(t_arr[:, None] - ends), axis=1) <= cfg.density_edge_guard
+    bad = outside | near
+    if np.any(bad):
+        raise SetSpecError(
+            f"density undefined at {t_arr[np.argmax(bad)]}: not strictly inside a "
+            f"component (guard {cfg.density_edge_guard})"
+        )
+    out = np.exp(_log_weight(t_arr, np.asarray(E.roots), ends)) / np.pi
     return out if np.ndim(t) else float(out[0])
 
 
@@ -282,10 +274,7 @@ def omega_factor(E: EquilibriumData, a: float) -> float:
     others = ends[ends != a]
     if len(others) != len(ends) - 1:
         raise SetSpecError("degenerate interval at the distinguished endpoint")
-    roots = np.asarray(E.roots)
-    logw = -0.5 * float(_log_dist_sum(np.array([a]), others)[0])
-    if len(roots):
-        logw += float(_log_dist_sum(np.array([a]), roots)[0])
+    logw = float(_log_weight(np.array([a]), np.asarray(E.roots), others)[0])
     return math.exp(logw) / math.pi
 
 
@@ -407,10 +396,7 @@ def decomposition_residual(
         )
 
     def w_smooth(x, excluded):
-        logs = -0.5 * _log_dist_sum(x, ends[~np.isin(ends, excluded)])
-        if len(roots):
-            logs = logs + _log_dist_sum(x, roots)
-        return np.exp(logs) / np.pi
+        return np.exp(_log_weight(x, roots, ends[~np.isin(ends, excluded)])) / np.pi
 
     for j, (u, v) in enumerate(E.set.intervals):
         if j == home:
@@ -500,9 +486,8 @@ def density_table(
 ) -> list[tuple[float, float]]:
     """(t, w(t)) rows on interior arccos-spaced grids, one block per component."""
     rows = []
+    theta = np.linspace(0.0, np.pi, points_per_component + 2)[1:-1]
     for (u, v) in E.set.intervals:
-        mid, half = (u + v) / 2.0, (v - u) / 2.0
-        theta = np.linspace(0.0, np.pi, points_per_component + 2)[1:-1]
-        for t in mid + half * np.cos(theta[::-1]):
-            rows.append((float(t), density(E, float(t), cfg)))
+        ts = (u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta[::-1])
+        rows.extend(zip(ts.tolist(), density(E, ts, cfg).tolist()))
     return rows

@@ -17,6 +17,7 @@ polynomial basis explodes in the gaps - Chebyshev coefficients of the hull
 grow like exp(n * g_K inside the gap) and are unusable in double precision
 beyond degree ~40 - while equilibrium-distributed nodal values keep every
 constraint row bounded by a small Lebesgue constant at all tested degrees.
+Each result carries its witness in this one form, nodes plus nodal values.
 
 The LP is solved on a small working set, not on a dense grid, in the manner
 of the barycentric Remez exchange (Pachon & Trefethen, BIT 49, 2009): by
@@ -34,7 +35,6 @@ lower bound.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Callable, Sequence
 
@@ -45,11 +45,6 @@ from .equilibrium import ComponentTable, EquilibriumData, density, green, omega_
 from .errors import NumericsError, SetSpecError
 from .interval_sets import IntervalSet, check_interval_condition
 from .numerics import ChebPoly, LPProblem, lp_maximize
-
-
-@functools.lru_cache(maxsize=64)
-def _solved(K: IntervalSet, cfg: NumericsConfig = DEFAULTS) -> EquilibriumData:
-    return solve_equilibrium(K, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +205,18 @@ class ExtremalResult:
 
     ``value`` is |P'(a)| of the final normalised witness, a certified lower
     bound for the continuum optimum; ``ratio`` = value / degree**2.  The
-    witness is exposed both as hull-interval Chebyshev coefficients (for
-    export; lossy on unions at high degree) and through ``evaluate``, the
-    numerically reliable barycentric form.  ``overshoot`` is the worst
-    |P| - 1 on K of the exchange loop's final witness before renormalisation;
-    above ``lp_exchange_tol`` it shows that the loop stalled, ran out of new
-    points or hit its round cap.
+    witness is its values ``node_values`` at the interpolation ``nodes``;
+    ``evaluate`` applies the barycentric formula to them (Berrut &
+    Trefethen, SIAM Rev. 46, 2004), which stays accurate on unions at high
+    degree, where coefficients in a global basis of the hull do not.
+    ``overshoot`` is the worst |P| - 1 on K of the exchange loop's final
+    witness before renormalisation; above ``lp_exchange_tol`` it shows that
+    the loop stalled, ran out of new points or hit its round cap.
     """
 
     degree: int
     value: float
     ratio: float
-    witness: ChebPoly
     active_points: np.ndarray
     nodes: np.ndarray = dataclasses.field(repr=False)
     node_values: np.ndarray = dataclasses.field(repr=False)
@@ -308,23 +303,25 @@ def _solve_once(
 
 
 def markov_extremal(
-    K: IntervalSet,
+    E: EquilibriumData,
     a: float,
     n: int,
     cfg: NumericsConfig = DEFAULTS,
     objective_point: float | None = None,
 ) -> ExtremalResult:
-    """Solve max |P'(a)| over degree <= n with |P| <= 1 on K.
+    """Solve max |P'(a)| over degree <= n with |P| <= 1 on K = E.set.
 
-    The objective maximises P'(a) directly; by the P -> -P symmetry of the
-    feasible set this equals the maximum of |P'(a)|.  ``objective_point``
-    moves the derivative functional off the distinguished endpoint (used by
-    the norm-equivalence probe); constraints are unchanged.
+    ``E`` is the solved equilibrium of K, which places the interpolation
+    nodes.  The objective maximises P'(a) directly; by the P -> -P symmetry
+    of the feasible set this equals the maximum of |P'(a)|.
+    ``objective_point`` moves the derivative functional off the
+    distinguished endpoint (used by the norm-equivalence probe); constraints
+    are unchanged.
     """
     if not 1 <= n <= cfg.markov_degree_cap:
         raise SetSpecError(f"degree must lie in [1, {cfg.markov_degree_cap}], got {n}")
+    K = E.set
     check_interval_condition(K, a)
-    E = _solved(K, cfg)
     nodes = _interpolation_nodes(E, n)
     w = _bary_weights(nodes)
     d = _deriv_row(nodes, w, a if objective_point is None else float(objective_point))
@@ -349,12 +346,10 @@ def markov_extremal(
         raise NumericsError(f"degenerate witness norm {S} at degree {n}")
     vals = vals / S
     value = abs(float(d @ vals))
-    witness = _fit_hull_cheb(K, n, lambda x: _lagrange_rows(x, nodes, w) @ vals)
     return ExtremalResult(
         degree=n,
         value=value,
         ratio=value / n**2,
-        witness=witness,
         active_points=np.sort(xs[ms / S >= 1.0 - 1e-9]),
         nodes=nodes,
         node_values=vals,
@@ -362,23 +357,6 @@ def markov_extremal(
         grid_doubled=doubling == 2,
         overshoot=S - 1.0,
     )
-
-
-def _fit_hull_cheb(K: IntervalSet, n: int, evalP) -> ChebPoly:
-    """Chebyshev coefficients over [min K, max K] by interpolation.
-
-    Faithful for single intervals; on unions the coefficients grow like the
-    witness's gap excursion and are export-only beyond moderate degree.
-    """
-    lo, hi = K.min, K.max
-    theta = (2.0 * np.arange(1, n + 2) - 1.0) * np.pi / (2.0 * (n + 1))
-    s = np.cos(theta)
-    x = (lo + hi) / 2.0 + (hi - lo) / 2.0 * s
-    vals = np.asarray(evalP(x), dtype=float)
-    k = np.arange(n + 1)
-    c = (2.0 / (n + 1)) * np.cos(np.outer(k, theta)) @ vals
-    c[0] *= 0.5
-    return ChebPoly((lo, hi), tuple(float(x) for x in c))
 
 
 def markov_study(
@@ -391,9 +369,9 @@ def markov_study(
     degs = [int(n) for n in degrees]
     if any(n2 <= n1 for n1, n2 in zip(degs, degs[1:])):
         raise SetSpecError("degrees must be strictly increasing")
-    E = _solved(K, cfg)
+    E = solve_equilibrium(K, cfg)
     limit = 2.0 * math.pi**2 * omega_factor(E, a) ** 2
-    rows = tuple(markov_extremal(K, a, n, cfg) for n in degs)
+    rows = tuple(markov_extremal(E, a, n, cfg) for n in degs)
     flagged = tuple(r.degree for r in rows if r.ratio > limit * 1.02)
     return MarkovStudy(set=K, a=a, rows=rows, limit_constant=limit, flagged=flagged)
 
@@ -410,10 +388,11 @@ def derivative_norm_probe(
     ctx = check_interval_condition(K, a)
     theta = np.linspace(0.0, np.pi, grid_points)
     probes = a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta)
-    at_a = markov_extremal(K, a, n, cfg).value
+    E = solve_equilibrium(K, cfg)
+    at_a = markov_extremal(E, a, n, cfg).value
     best = 0.0
     for x in probes:
-        r = markov_extremal(K, a, n, cfg, objective_point=float(x))
+        r = markov_extremal(E, a, n, cfg, objective_point=float(x))
         best = max(best, r.value)
     return at_a, best
 

@@ -1,6 +1,6 @@
 """Shared numeric kernels.
 
-Four independent facilities live here:
+Three independent facilities live here:
 
 * Gauss-Chebyshev quadrature for integrands with inverse-square-root
   singularities exactly at both interval endpoints, with adaptive node
@@ -9,8 +9,6 @@ Four independent facilities live here:
 * A polynomial container, ``ChebPoly`` (Chebyshev coefficients over a
   reference interval, Clenshaw evaluation), plus the classical first-kind
   Chebyshev evaluators ``cheb_T`` / ``cheb_T_deriv`` valid on all of R.
-* A dense linear solver with partial pivoting and one step of iterative
-  refinement, with an explicit residual contract.
 * A linear-program kernel for sup-norm-constrained polynomial extremal
   problems: maximise a linear functional of the coefficient vector subject
   to |P(x_i)| <= bound on a finite point set.  Solved by HiGHS with a
@@ -21,11 +19,9 @@ Four independent facilities live here:
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linprog
 
 from .config import DEFAULTS, NumericsConfig
@@ -225,52 +221,6 @@ class ChebPoly:
         d *= 2.0 / (beta - alpha)
         return ChebPoly(self.ref_interval, tuple(d))
 
-    def deriv_at(self, x) -> float:
-        return self.deriv()(x)
-
-
-# ---------------------------------------------------------------------------
-# dense linear solve
-
-
-def solve_dense(
-    A: np.ndarray, b: np.ndarray, cfg: NumericsConfig = DEFAULTS
-) -> np.ndarray:
-    """Solve A x = b by pivoted LU plus one step of iterative refinement.
-
-    Contract: the returned x satisfies
-    ||A x - b||_inf <= tol * (||A||_inf ||x||_inf + ||b||_inf) with
-    tol = 1e-10.  Raises on numerically singular input.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise SetSpecError(f"solve_dense needs a square matrix, got {A.shape}")
-    if b.shape[0] != A.shape[0]:
-        raise SetSpecError(f"dimension mismatch: A {A.shape} vs b {b.shape}")
-    scale = np.max(np.abs(A))
-    if scale == 0.0:
-        raise NumericsError("numerically singular matrix (all zero)")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(A)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericsError(f"numerically singular matrix: {exc}") from exc
-    if np.min(np.abs(np.diag(lu))) <= cfg.solve_pivot_floor * scale:
-        raise NumericsError("numerically singular matrix (pivot underflow)")
-    x = scipy.linalg.lu_solve((lu, piv), b)
-    x = x + scipy.linalg.lu_solve((lu, piv), b - A @ x)  # one refinement step
-    resid = np.max(np.abs(A @ x - b))
-    bound = cfg.solve_residual_tol * (
-        np.max(np.abs(A)) * max(np.max(np.abs(x)), 1e-300) + np.max(np.abs(b))
-    )
-    if resid > bound:
-        raise NumericsError(
-            f"linear solve residual {resid:.3e} exceeds contract bound {bound:.3e}"
-        )
-    return x
-
 
 # ---------------------------------------------------------------------------
 # LP kernel
@@ -305,25 +255,6 @@ class LPProblem:
             )
         if self.bound <= 0:
             raise SetSpecError(f"bound must be positive, got {self.bound}")
-
-
-def cheb_lp_problem(
-    degree: int,
-    ref_interval: tuple[float, float],
-    objective_point: float,
-    constraint_points: Sequence[float],
-    bound: float = 1.0,
-) -> LPProblem:
-    """LPProblem for max P'(objective_point) in the Chebyshev basis of ref_interval."""
-    pts = np.asarray(constraint_points, dtype=float)
-    alpha, beta = ref_interval
-    s = (2.0 * pts - (alpha + beta)) / (beta - alpha)
-    rows = np.polynomial.chebyshev.chebvander(s, degree)
-    obj = np.empty(degree + 1)
-    for k in range(degree + 1):
-        unit = ChebPoly(ref_interval, tuple(1.0 if i == k else 0.0 for i in range(k + 1)))
-        obj[k] = unit.deriv_at(objective_point)
-    return LPProblem(objective=obj, constraint_points=pts, rows=rows, bound=bound)
 
 
 def lp_maximize(

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from equipot import cli
@@ -250,16 +251,31 @@ class TestSvg:
 
 class TestExports:
     def test_markov_witness_dump(self, tmp_path, capsys):
+        # read back through scipy's barycentric interpolator, independent of equipot's
+        from scipy.interpolate import BarycentricInterpolator
+
         path = tmp_path / "witness.json"
         code, _, _ = run_cli(
             ["markov", "--set", '{"intervals":[[-1,1]]}', "--a", "1",
              "--degrees", "5", "--dump-witness", str(path)], capsys
         )
         assert code == 0
-        dump = json.loads(path.read_text())
-        coeffs = dump["5"]["coeffs"]
-        assert len(coeffs) == 6
-        assert coeffs[5] == pytest.approx(1.0, abs=1e-6)  # T_5 recovered
+        dump = json.loads(path.read_text())["5"]
+        P = BarycentricInterpolator(dump["nodes"], dump["values"])
+        xs = np.linspace(-1.0, 1.0, 200)
+        assert np.max(np.abs(P(xs) - np.cos(5 * np.arccos(xs)))) < 1e-9  # T_5
+
+        code, out, _ = run_cli(
+            ["markov", "--set", '{"intervals":[[-1,-0.4],[0.2,1]]}', "--a", "1",
+             "--degrees", "40", "--format", "csv", "--dump-witness", str(path)], capsys
+        )
+        assert code == 0
+        value = float(out.strip().splitlines()[1].split(",")[1])
+        dump = json.loads(path.read_text())["40"]
+        P = BarycentricInterpolator(dump["nodes"], dump["values"])
+        xs = np.concatenate([np.linspace(-1.0, -0.4, 2000), np.linspace(0.2, 1.0, 2000)])
+        assert np.max(np.abs(P(xs))) <= 1.0 + 1e-6
+        assert abs(float(P.derivative(1.0))) == pytest.approx(value, rel=1e-8)
 
     def test_schur_witness_csv_table(self, capsys):
         code, out, _ = run_cli(

@@ -94,6 +94,23 @@ class TestDensity:
         with pytest.raises(SetSpecError):
             density(E_sym2, 1.0 - 1e-13)
 
+    @pytest.mark.parametrize("bad", [0.0, 1.0 - 1e-13, -0.5, 2.0, -1.5, np.nan])
+    def test_array_rejects_any_bad_point(self, E_sym2, bad):
+        with pytest.raises(SetSpecError):
+            density(E_sym2, np.array([0.8, bad, -0.7]))
+
+    def test_array_matches_pointwise_product(self):
+        # w(t) = |q(t)| / (pi sqrt(prod |t - e_j|)), one point at a time, no logs
+        E = solve_equilibrium(IntervalSet(((-3.0, -2.0), (-1.0, -0.4), (0.2, 1.0), (1.5, 3.0))))
+        ends = E.set.endpoints()
+        ts = np.concatenate([np.linspace(u + 1e-3, v - 1e-3, 40) for u, v in E.set.intervals])
+        want = [
+            math.prod(abs(t - r) for r in E.roots)
+            / (math.pi * math.sqrt(math.prod(abs(t - e) for e in ends)))
+            for t in ts
+        ]
+        assert np.allclose(density(E, ts), want, rtol=1e-13, atol=0.0)
+
 
 class TestOmega:
     def test_paper_constant_wide_interval(self, E_wide):

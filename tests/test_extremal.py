@@ -16,6 +16,7 @@ from equipot import (
     derivative_norm_probe,
     markov_extremal,
     markov_study,
+    solve_equilibrium,
     study_rows,
 )
 
@@ -53,53 +54,52 @@ def cheb_image(c, N, j):
 
 
 class TestMarkovExtremal:
-    def test_degree1_unit(self):
-        r = markov_extremal(UNIT, 1.0, 1)
+    def test_degree1_unit(self, E_unit):
+        r = markov_extremal(E_unit, 1.0, 1)
         assert r.value == pytest.approx(1.0, abs=1e-9)
 
-    def test_degree1_two_intervals(self):
+    def test_degree1_two_intervals(self, E_sym2):
         # +-1 and +-1/2 in K force |c0| + |c1| <= 1, so P(x) = x is optimal
-        r = markov_extremal(SYM2, 1.0, 1)
+        r = markov_extremal(E_sym2, 1.0, 1)
         assert r.value == pytest.approx(1.0, abs=1e-9)
 
-    def test_degree5_chebyshev(self):
-        r = markov_extremal(UNIT, 1.0, 5)
+    def test_degree5_chebyshev(self, E_unit):
+        r = markov_extremal(E_unit, 1.0, 5)
         assert r.value == pytest.approx(25.0, rel=1e-9)
         assert r.ratio == pytest.approx(1.0, rel=1e-9)
 
-    def test_chebyshev_recovery_coefficientwise(self):
-        r = markov_extremal(UNIT, 1.0, 7)
-        want = np.zeros(8)
-        want[7] = 1.0
-        assert np.max(np.abs(np.asarray(r.witness.coeffs) - want)) < 1e-6
+    def test_chebyshev_recovery_coefficientwise(self, E_unit):
+        r = markov_extremal(E_unit, 1.0, 7)
+        xs = np.linspace(-1.0, 1.0, 200)
+        assert np.max(np.abs(r.evaluate(xs) - cheb_T(7, xs))) < 1e-9
 
-    def test_active_points_are_extrema(self):
-        r = markov_extremal(UNIT, 1.0, 5)
+    def test_active_points_are_extrema(self, E_unit):
+        r = markov_extremal(E_unit, 1.0, 5)
         want = np.sort(np.cos(np.arange(6) * np.pi / 5))
         assert np.allclose(np.sort(r.active_points), want, atol=1e-9)
 
     def test_witness_feasible_on_validation_grid(self):
         for K, n in ((UNIT, 12), (SYM2, 16)):
-            r = markov_extremal(K, 1.0, n)
+            r = markov_extremal(solve_equilibrium(K), 1.0, n)
             for (u, v) in K.intervals:
                 xs = (u + v) / 2 + (v - u) / 2 * np.cos(np.linspace(0, np.pi, 4 * 32 * (n + 1)))
                 assert np.max(np.abs(r.evaluate(xs))) <= 1.0 + 1e-6
 
-    def test_value_equals_witness_derivative(self):
-        r = markov_extremal(SYM2, 1.0, 8)
+    def test_value_equals_witness_derivative(self, E_sym2):
+        r = markov_extremal(E_sym2, 1.0, 8)
         h = 1e-7
         fd = (r.evaluate(1.0) - r.evaluate(1.0 - h)) / h
         assert abs(fd) == pytest.approx(r.value, rel=1e-5)
 
-    def test_degree_cap(self):
+    def test_degree_cap(self, E_unit):
         with pytest.raises(SetSpecError):
-            markov_extremal(UNIT, 1.0, 121)
+            markov_extremal(E_unit, 1.0, 121)
         with pytest.raises(SetSpecError):
-            markov_extremal(UNIT, 1.0, 0)
+            markov_extremal(E_unit, 1.0, 0)
 
-    def test_requires_right_endpoint(self):
+    def test_requires_right_endpoint(self, E_unit):
         with pytest.raises(SetSpecError):
-            markov_extremal(UNIT, 0.3, 5)
+            markov_extremal(E_unit, 0.3, 5)
 
     @pytest.mark.parametrize(
         "c,N,j,k", [(1.5, 1, 0, 16), (1.5, 2, 1, 8), (2.0, 3, 1, 6), (1.3, 4, 2, 5), (1.7, 4, 0, 5)]
@@ -107,19 +107,19 @@ class TestMarkovExtremal:
     def test_inverse_image_oracle(self, c, N, j, k):
         # T_k o (c T_N) is extremal at degree kN, with value k^2 |P'(a)|
         K, a, dP = cheb_image(c, N, j)
-        r = markov_extremal(K, a, k * N)
+        r = markov_extremal(solve_equilibrium(K), a, k * N)
         assert r.value == pytest.approx(k * k * dP, rel=1e-9)
         assert r.value <= k * k * dP * (1.0 + 1e-12)
 
     def test_no_stall_on_three_intervals(self):
-        r = markov_extremal(STALL3, STALL3_A, 24)
+        r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24)
         assert r.value == pytest.approx(STALL3_VALUE, rel=1e-9)
         assert r.overshoot <= DEFAULTS.lp_exchange_tol
         assert not r.grid_doubled
 
     def test_overshoot_reports_an_unfinished_loop(self):
         capped = dataclasses.replace(DEFAULTS, lp_exchange_rounds=2)
-        r = markov_extremal(STALL3, STALL3_A, 24, capped)
+        r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24, capped)
         assert r.exchange_rounds == 2
         assert r.overshoot > DEFAULTS.lp_exchange_tol
         # renormalised by its refined sup-norm, the value stays a lower bound
@@ -151,7 +151,7 @@ def _refined_maxima_loop(evalP, K, n, per_degree=16):
 class TestRefinedMaxima:
     @pytest.mark.parametrize("K,n", [(UNIT, 9), (SYM2, 16), (STALL3, 24)])
     def test_batched_polish_matches_loop(self, K, n):
-        r = markov_extremal(K, K.max, n)
+        r = markov_extremal(solve_equilibrium(K), K.max, n)
         xs, ms = _refined_maxima(r.evaluate, K, n)
         want = _refined_maxima_loop(r.evaluate, K, n)
         assert len(xs) == len(want)

@@ -10,11 +10,9 @@ from equipot import (
     SetSpecError,
     cheb_T,
     cheb_T_deriv,
-    cheb_lp_problem,
     chebyshev_expand,
     integrate_endpoint_singular,
     lp_maximize,
-    solve_dense,
 )
 
 
@@ -125,48 +123,26 @@ class TestPolys:
         assert p(2.0) == pytest.approx(97.0, rel=1e-14)
 
 
-class TestSolveDense:
-    def test_identity(self):
-        assert np.allclose(solve_dense(np.eye(3), np.array([1.0, 2, 3])), [1, 2, 3])
-
-    def test_diagonal(self):
-        got = solve_dense(np.array([[2.0, 0], [0, 4.0]]), np.array([2.0, 8.0]))
-        assert np.allclose(got, [1.0, 2.0])
-
-    def test_hilbert_row_sums(self):
-        H = np.array([[1 / (i + j + 1) for j in range(3)] for i in range(3)])
-        got = solve_dense(H, H.sum(axis=1))
-        assert np.allclose(got, 1.0, atol=1e-12)
-
-    def test_residual_contract(self):
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((12, 12))
-        b = rng.standard_normal(12)
-        x = solve_dense(A, b)
-        resid = np.max(np.abs(A @ x - b))
-        bound = 1e-10 * (np.max(np.abs(A)) * np.max(np.abs(x)) + np.max(np.abs(b)))
-        assert resid <= bound
-
-    def test_singular(self):
-        with pytest.raises(NumericsError):
-            solve_dense(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(SetSpecError):
-            solve_dense(np.eye(3), np.ones(2))
+def cheb_lp(degree, objective_point, points):
+    """LPProblem for max P'(objective_point) over Chebyshev coefficients on [-1, 1]."""
+    C = np.polynomial.chebyshev
+    pts = np.asarray(points, dtype=float)
+    # column k of chebder(I) is the derivative of T_k
+    objective = C.chebval(objective_point, C.chebder(np.eye(degree + 1)))
+    return LPProblem(objective=objective, constraint_points=pts,
+                     rows=C.chebvander(pts, degree))
 
 
 class TestLP:
     def test_degree1_three_points(self):
-        prob = cheb_lp_problem(1, (-1.0, 1.0), 1.0, [-1.0, 0.0, 1.0])
+        prob = cheb_lp(1, 1.0, [-1.0, 0.0, 1.0])
         value, coeffs, active = lp_maximize(prob)
         assert value == pytest.approx(1.0, abs=1e-9)
         assert coeffs == pytest.approx([0.0, 1.0], abs=1e-9)  # P(x) = x
         assert set(np.round(active, 12)) == {-1.0, 1.0}
 
     def test_degree0(self):
-        prob = cheb_lp_problem(0, (-1.0, 1.0), 0.0, [-1.0, 1.0])
-        # derivative objective of a constant is 0; use a value objective instead
+        # the derivative objective of a constant is 0; use a value objective instead
         prob = LPProblem(
             objective=np.array([1.0]),
             constraint_points=np.array([-1.0, 1.0]),
@@ -178,24 +154,24 @@ class TestLP:
 
     def test_degree5_markov_value(self):
         pts = np.cos(np.linspace(0, np.pi, 2000))
-        prob = cheb_lp_problem(5, (-1.0, 1.0), 1.0, pts)
+        prob = cheb_lp(5, 1.0, pts)
         value, coeffs, _ = lp_maximize(prob)
         assert value == pytest.approx(25.0, rel=2e-4)  # finite-grid relaxation
         assert coeffs[5] == pytest.approx(1.0, abs=1e-3)  # witness close to T_5
 
     def test_grid_too_sparse(self):
         with pytest.raises(SetSpecError):
-            cheb_lp_problem(5, (-1.0, 1.0), 1.0, [-1.0, 0.0, 1.0])
+            cheb_lp(5, 1.0, [-1.0, 0.0, 1.0])
 
     def test_value_monotone_under_refinement(self):
         coarse = np.cos(np.linspace(0, np.pi, 40))
         fine = np.cos(np.linspace(0, np.pi, 400))
-        v_coarse, _, _ = lp_maximize(cheb_lp_problem(5, (-1.0, 1.0), 1.0, coarse))
-        v_fine, _, _ = lp_maximize(cheb_lp_problem(5, (-1.0, 1.0), 1.0, fine))
+        v_coarse, _, _ = lp_maximize(cheb_lp(5, 1.0, coarse))
+        v_fine, _, _ = lp_maximize(cheb_lp(5, 1.0, fine))
         assert v_fine <= v_coarse + 1e-9
 
     def test_witness_feasible(self):
         pts = np.cos(np.linspace(0, np.pi, 300))
-        prob = cheb_lp_problem(7, (-1.0, 1.0), 1.0, pts)
+        prob = cheb_lp(7, 1.0, pts)
         _, coeffs, _ = lp_maximize(prob)
         assert np.max(np.abs(prob.rows @ coeffs)) <= 1.0 + 1e-9
