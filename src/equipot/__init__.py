@@ -15,7 +15,6 @@ from .interval_sets import (
 from .numerics import (
     ChebPoly,
     LPProblem,
-    cheb_T,
     cheb_T_deriv,
     chebyshev_expand,
     integrate_endpoint_singular,

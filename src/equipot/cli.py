@@ -3,26 +3,27 @@
 Commands: density, omega, capacity, green, balayage, markov, schur-witness,
 schur-counterexample, converge.  Set specifications are inline JSON or a
 path to a JSON file; sweeps use ``a..b`` (arithmetic, step 1) or ``a..b:x2``
-(geometric).  Output formats: json (default), csv, svg.  Numbers are
-serialised with 17 significant digits so binary64 values round-trip; output
-files are written atomically (temp + rename) and byte-identical runs follow
-from identical configs.
+(geometric).  Output formats, declared per command in ``_COMMANDS``: json
+(default) for every command, csv for all but green and schur-counterexample,
+svg for density, markov and converge; any other format is a parse error.
+Numbers are serialised with 17 significant digits so binary64 values
+round-trip; output files are written atomically (temp + rename) and
+byte-identical runs follow from identical configs.
 
-Exit codes: 0 success, 2 input/parse errors, 3 numeric failures, 4 violated
-run invariants; errors emit a one-line machine-readable JSON record on
-stderr.
+Exit codes: 0 success, 2 input/parse errors (argument errors included), 3
+numeric failures, 4 violated run invariants, after the output is written;
+errors emit a one-line machine-readable JSON record on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 import tempfile
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,28 +36,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_INVARIANT = 4
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    command: str
-    set_spec: str | None = None
-    dump_witness: str | None = None
-    a: float | None = None
-    z: float | None = None
-    x: float | None = None
-    b: float | None = None
-    t: float | None = None
-    degrees: tuple[int, ...] = ()
-    m_values: tuple[int, ...] = ()
-    n: int | None = None
-    alpha: float = 0.5
-    eta: float = 0.05
-    h_a: float = 1.0
-    points: int = 200
-    output: str | None = None
-    format: str = "json"
-    numerics: NumericsConfig = dataclasses.field(default_factory=load_config)
 
 
 # ---------------------------------------------------------------------------
@@ -80,20 +59,18 @@ def to_json(obj) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, want: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / want))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if span / (step * mult) <= want:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
+    # count whole steps: a running float sum stalls when step < ulp(lo) / 2
     ticks = []
-    v = first
-    while v <= hi + 1e-12 * span:
-        ticks.append(round(v / step) * step)
-        v += step
+    k = math.ceil(lo / step)
+    while k * step <= hi + 1e-12 * span:
+        ticks.append(k * step)
+        k += 1
     return ticks
 
 
@@ -172,18 +149,15 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _deliver(text: str, cfg: RunConfig) -> None:
-    if cfg.output:
-        _write_atomic(cfg.output, text)
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -192,43 +166,40 @@ def _deliver(text: str, cfg: RunConfig) -> None:
 
 def parse_int_list(text: str) -> tuple[int, ...]:
     """Comma-separated items; each an int, ``a..b`` or ``a..b:x2`` sweep."""
+
+    def to_int(s: str, msg: str) -> int:
+        try:
+            return int(s)
+        except ValueError as exc:
+            raise SetSpecError(msg) from exc
+
     out: list[int] = []
     for item in text.split(","):
         item = item.strip()
-        if ".." in item:
-            lohi, _, suffix = item.partition(":")
-            lo_s, _, hi_s = lohi.partition("..")
-            try:
-                lo, hi = int(lo_s), int(hi_s)
-            except ValueError as exc:
-                raise SetSpecError(f"bad range {item!r}") from exc
-            if suffix:
-                if not suffix.startswith("x"):
-                    raise SetSpecError(f"bad sweep suffix in {item!r} (want e.g. ':x2')")
-                try:
-                    factor = int(suffix[1:])
-                except ValueError as exc:
-                    raise SetSpecError(f"bad sweep factor in {item!r}") from exc
-                if factor < 2:
-                    raise SetSpecError(f"geometric factor must be >= 2 in {item!r}")
-                v = lo
-                while v <= hi:
-                    out.append(v)
-                    v *= factor
-            else:
-                out.extend(range(lo, hi + 1))
-        else:
-            try:
-                out.append(int(item))
-            except ValueError as exc:
-                raise SetSpecError(f"bad integer {item!r}") from exc
+        if ".." not in item:
+            out.append(to_int(item, f"bad integer {item!r}"))
+            continue
+        lohi, _, suffix = item.partition(":")
+        lo_s, _, hi_s = lohi.partition("..")
+        lo, hi = (to_int(s, f"bad range {item!r}") for s in (lo_s, hi_s))
+        if not suffix:
+            out.extend(range(lo, hi + 1))
+            continue
+        if not suffix.startswith("x"):
+            raise SetSpecError(f"bad sweep suffix in {item!r} (want e.g. ':x2')")
+        factor = to_int(suffix[1:], f"bad sweep factor in {item!r}")
+        if factor < 2:
+            raise SetSpecError(f"geometric factor must be >= 2 in {item!r}")
+        v = lo
+        while v <= hi:
+            out.append(v)
+            v *= factor
     if not out:
         raise SetSpecError("empty integer list")
     return tuple(out)
 
 
-def _load_set(cfg: RunConfig) -> IntervalSet:
-    spec = cfg.set_spec
+def _load_set(spec: str, cfg: NumericsConfig) -> IntervalSet:
     text = spec.strip()
     if not text.startswith("{"):
         try:
@@ -236,276 +207,253 @@ def _load_set(cfg: RunConfig) -> IntervalSet:
                 text = fh.read()
         except OSError as exc:
             raise SetSpecError(f"cannot read set spec file {spec!r}: {exc}") from exc
-    return from_spec(text, cfg.numerics)
+    return from_spec(text, cfg)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises SetSpecError (exit 2, JSON record); subparsers share the class."""
+
+    def error(self, message: str):
+        raise SetSpecError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="equipot", description=__doc__.splitlines()[0])
+    p = _Parser(prog="equipot", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_set=True):
+    def add(name, help, with_set=True):
+        sp = sub.add_parser(name, help=help)
         if with_set:
             sp.add_argument("--set", required=True, help="inline JSON or path")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        sp.add_argument("--format", default="json", choices=["json", "csv", "svg"])
+        sp.add_argument("--format", default="json", choices=_COMMANDS[name][1])
+        return sp
 
-    sp = sub.add_parser("density", help="density table over interior grids")
-    add_common(sp)
+    sp = add("density", "density table over interior grids")
     sp.add_argument("--points", type=int, default=200, help="points per component")
 
-    sp = sub.add_parser("omega", help="edge factor at a right endpoint")
-    add_common(sp)
+    sp = add("omega", "edge factor at a right endpoint")
     sp.add_argument("--a", type=float, required=True)
 
-    sp = sub.add_parser("capacity", help="capacity and Robin constant")
-    add_common(sp)
+    add("capacity", "capacity and Robin constant")
 
-    sp = sub.add_parser("green", help="Green's function at a point")
-    add_common(sp)
+    sp = add("green", "Green's function at a point")
     sp.add_argument("--z", type=float, required=True)
 
-    sp = sub.add_parser("balayage", help="point-mass balayage kernel onto [b, a]")
-    add_common(sp, with_set=False)
+    sp = add("balayage", "point-mass balayage kernel onto [b, a]", with_set=False)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--t", type=float, default=None, help="density point (default: table)")
     sp.add_argument("--points", type=int, default=200)
 
-    sp = sub.add_parser("markov", help="extremal derivative study per degree")
-    add_common(sp)
+    sp = add("markov", "extremal derivative study per degree")
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--degrees", required=True, help="e.g. 5,10 or 10..60:x2")
     sp.add_argument("--dump-witness", dest="dump_witness", default=None,
                     help="also write each witness as JSON: its interpolation "
                          "nodes and its values there (barycentric form)")
 
-    sp = sub.add_parser("schur-witness", help="witness audit on the quadratic family")
-    add_common(sp, with_set=False)
+    sp = add("schur-witness", "witness audit on the quadratic family", with_set=False)
     sp.add_argument("--alpha", type=float, default=0.5)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--eta", type=float, default=0.05)
     sp.add_argument("--h-a", dest="h_a", type=float, default=1.0)
     sp.add_argument("--points", type=int, default=2000, help="csv table size")
 
-    sp = sub.add_parser("schur-counterexample", help="audit of the global-hypothesis failure")
-    add_common(sp, with_set=False)
+    sp = add("schur-counterexample", "audit of the global-hypothesis failure", with_set=False)
     sp.add_argument("--n", type=int, required=True)
 
-    sp = sub.add_parser("converge", help="edge factor along the outer filtration")
-    add_common(sp)
+    sp = add("converge", "edge factor along the outer filtration")
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--m", dest="m_values", required=True, help="e.g. 2..64:x2")
     return p
-
-
-def config_from_args(argv: Sequence[str]) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    kwargs = dict(
-        command=ns.command,
-        output=getattr(ns, "out", None),
-        format=getattr(ns, "format", "json"),
-    )
-    for field in ("a", "z", "x", "b", "t", "n", "alpha", "eta", "h_a",
-                  "points", "dump_witness"):
-        if hasattr(ns, field) and getattr(ns, field) is not None:
-            kwargs[field] = getattr(ns, field)
-    if hasattr(ns, "set"):
-        kwargs["set_spec"] = ns.set
-    if hasattr(ns, "degrees"):
-        kwargs["degrees"] = parse_int_list(ns.degrees)
-    if hasattr(ns, "m_values"):
-        kwargs["m_values"] = parse_int_list(ns.m_values)
-    return RunConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
 # command implementations
 
 
-def _run_density(cfg: RunConfig) -> int:
-    K = _load_set(cfg)
-    E = equilibrium.solve_equilibrium(K, cfg.numerics)
-    rows = equilibrium.density_table(E, cfg.points, cfg.numerics)
-    if cfg.format == "csv":
-        _deliver(to_csv(("t", "density"), rows), cfg)
-    elif cfg.format == "svg":
-        series = []
-        for j, (u, v) in enumerate(K.intervals):
-            block = [(t, w) for t, w in rows if u < t < v]
-            series.append((f"component {j}", [t for t, _ in block], [w for _, w in block]))
-        _deliver(emit_svg(series, axes=("t", "density")), cfg)
-    else:
-        _deliver(to_json({"rows": [[t, w] for t, w in rows]}), cfg)
-    return EXIT_OK
+class Output(NamedTuple):
+    """What a command computed.  Each format is built by its own callable, so
+    a run does no work for a format nobody asked for."""
+
+    record: Callable[[], object]                                   # json
+    table: Callable[[], tuple[Sequence[str], Sequence]] | None = None  # csv: header, rows
+    plot: Callable[[], tuple[list, tuple[str, str]]] | None = None     # svg: series, axes
+    violation: str | None = None    # a broken run invariant, reported after delivery
 
 
-def _run_omega(cfg: RunConfig) -> int:
-    K = _load_set(cfg)
-    E = equilibrium.solve_equilibrium(K, cfg.numerics)
-    val = equilibrium.omega_factor(E, cfg.a)
-    if cfg.format == "csv":
-        _deliver(to_csv(("a", "omega"), [(cfg.a, val)]), cfg)
-    else:
-        _deliver(to_json({"a": cfg.a, "omega": val}), cfg)
-    return EXIT_OK
+def _density(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
+    K = _load_set(ns.set, cfg)
+    E = equilibrium.solve_equilibrium(K, cfg)
+    rows = equilibrium.density_table(E, ns.points, cfg)
+
+    def plot():
+        # density_table gives one equal block of rows per component, in order
+        blocks = np.array(rows).reshape(len(K.intervals), -1, 2)
+        series = [(f"component {j}", b[:, 0], b[:, 1]) for j, b in enumerate(blocks)]
+        return series, ("t", "density")
+
+    return Output(record=lambda: {"rows": rows},
+                  table=lambda: (("t", "density"), rows), plot=plot)
 
 
-def _run_capacity(cfg: RunConfig) -> int:
-    K = _load_set(cfg)
-    E = equilibrium.solve_equilibrium(K, cfg.numerics)
-    rec = equilibrium.to_record(E)
-    if abs(E.mass - 1.0) > 1e-9:
-        raise InvariantViolation(f"density mass {E.mass} deviates from 1 beyond 1e-9")
-    if cfg.format == "csv":
-        _deliver(to_csv(("cap", "robin", "mass"), [(E.cap, E.robin, E.mass)]), cfg)
-    else:
-        _deliver(to_json(rec), cfg)
-    return EXIT_OK
+def _omega(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
+    K = _load_set(ns.set, cfg)
+    E = equilibrium.solve_equilibrium(K, cfg)
+    val = equilibrium.omega_factor(E, ns.a)
+    return Output(record=lambda: {"a": ns.a, "omega": val},
+                  table=lambda: (("a", "omega"), [(ns.a, val)]))
 
 
-def _run_green(cfg: RunConfig) -> int:
-    K = _load_set(cfg)
-    E = equilibrium.solve_equilibrium(K, cfg.numerics)
-    g = equilibrium.green(E, cfg.z, cfg.numerics)
-    if g < -1e-9:
-        raise InvariantViolation(f"negative Green value {g} at {cfg.z}")
-    _deliver(to_json({"z": cfg.z, "green": g}), cfg)
-    return EXIT_OK
+def _capacity(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
+    K = _load_set(ns.set, cfg)
+    E = equilibrium.solve_equilibrium(K, cfg)
+    violation = (f"density mass {E.mass} deviates from 1 beyond 1e-9"
+                 if abs(E.mass - 1.0) > 1e-9 else None)
+    return Output(record=lambda: equilibrium.to_record(E),
+                  table=lambda: (("cap", "robin", "mass"), [(E.cap, E.robin, E.mass)]),
+                  violation=violation)
 
 
-def _run_balayage(cfg: RunConfig) -> int:
-    qy = equilibrium.BalayageQuery(x=cfg.x, b=cfg.b, a=cfg.a)
-    mass = equilibrium.balayage_mass(qy, cfg.numerics)
+def _green(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
+    K = _load_set(ns.set, cfg)
+    E = equilibrium.solve_equilibrium(K, cfg)
+    g = equilibrium.green(E, ns.z, cfg)
+    violation = f"negative Green value {g} at {ns.z}" if g < -1e-9 else None
+    return Output(record=lambda: {"z": ns.z, "green": g}, violation=violation)
+
+
+def _balayage(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
+    qy = equilibrium.BalayageQuery(x=ns.x, b=ns.b, a=ns.a)
+    mass = equilibrium.balayage_mass(qy, cfg)
     limit = equilibrium.balayage_edge_limit(qy)
-    if abs(mass - 1.0) > 1e-9:
-        raise InvariantViolation(f"balayage mass {mass} deviates from 1 beyond 1e-9")
-    if cfg.t is not None:
-        rec = {
-            "x": cfg.x, "b": cfg.b, "a": cfg.a, "t": cfg.t,
-            "density": equilibrium.balayage_density(qy, cfg.t),
-            "mass": mass, "edge_limit": limit,
-        }
-        _deliver(to_json(rec), cfg)
-        return EXIT_OK
-    theta = np.linspace(0.0, np.pi, cfg.points + 2)[1:-1]
-    ts = (cfg.b + cfg.a) / 2.0 + (cfg.a - cfg.b) / 2.0 * np.cos(theta[::-1])
-    rows = [(float(t), float(equilibrium.balayage_density(qy, float(t)))) for t in ts]
-    if cfg.format == "csv":
-        _deliver(to_csv(("t", "balayage_density"), rows), cfg)
+    violation = (f"balayage mass {mass} deviates from 1 beyond 1e-9"
+                 if abs(mass - 1.0) > 1e-9 else None)
+    if ns.t is None:
+        theta = np.linspace(0.0, np.pi, ns.points + 2)[1:-1]
+        ts = (ns.b + ns.a) / 2.0 + (ns.a - ns.b) / 2.0 * np.cos(theta[::-1])
     else:
-        _deliver(to_json({"mass": mass, "edge_limit": limit,
-                          "rows": [[t, v] for t, v in rows]}), cfg)
-    return EXIT_OK
+        ts = np.array([ns.t])
+    rows = list(zip(ts.tolist(), equilibrium.balayage_density(qy, ts).tolist()))
+    record = {"mass": mass, "edge_limit": limit, "rows": rows}
+    if ns.t is not None:
+        record = {"x": ns.x, "b": ns.b, "a": ns.a, "t": ns.t, "density": rows[0][1],
+                  "mass": mass, "edge_limit": limit}
+    return Output(record=lambda: record, table=lambda: (("t", "balayage_density"), rows),
+                  violation=violation)
 
 
-def _run_markov(cfg: RunConfig) -> int:
-    K = _load_set(cfg)
-    study = extremal.markov_study(K, cfg.a, cfg.degrees, cfg.numerics)
+def _markov(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
+    K = _load_set(ns.set, cfg)
+    study = extremal.markov_study(K, ns.a, parse_int_list(ns.degrees), cfg)
     rows = extremal.study_rows(study)
-    if cfg.dump_witness:
+    if ns.dump_witness:
         dump = {
             str(r.degree): {"nodes": r.nodes.tolist(), "values": r.node_values.tolist()}
             for r in study.rows
         }
-        _write_atomic(cfg.dump_witness, to_json(dump))
-    if cfg.format == "csv":
-        _deliver(to_csv(("degree", "value", "ratio", "limit_constant"), rows), cfg)
-    elif cfg.format == "svg":
-        degs = [r.degree for r in study.rows]
-        series = [
-            ("ratio", [float(d) for d in degs], [r.ratio for r in study.rows]),
-            ("limit", [float(degs[0]), float(degs[-1])],
-             [study.limit_constant, study.limit_constant]),
-        ]
-        _deliver(emit_svg(series, axes=("degree", "value / degree^2")), cfg)
-    else:
-        _deliver(to_json({
-            "a": cfg.a,
-            "limit_constant": study.limit_constant,
-            "rows": [
-                {"degree": d, "value": v, "ratio": r, "limit_constant": lc}
-                for d, v, r, lc in rows
-            ],
+        _write_atomic(ns.dump_witness, to_json(dump))
+    lc = study.limit_constant
+
+    def plot():
+        degs = [float(r.degree) for r in study.rows]
+        series = [("ratio", degs, [r.ratio for r in study.rows]),
+                  ("limit", [degs[0], degs[-1]], [lc, lc])]
+        return series, ("degree", "value / degree^2")
+
+    violation = (f"ratio exceeds limit envelope at degrees {list(study.flagged)}"
+                 if study.flagged else None)
+    return Output(
+        record=lambda: {
+            "a": ns.a,
+            "limit_constant": lc,
+            "rows": [{"degree": d, "value": v, "ratio": r, "limit_constant": c}
+                     for d, v, r, c in rows],
             "flagged_degrees": list(study.flagged),
-        }), cfg)
-    if study.flagged:
-        raise InvariantViolation(
-            f"ratio exceeds limit envelope at degrees {list(study.flagged)}"
-        )
-    return EXIT_OK
+        },
+        table=lambda: (("degree", "value", "ratio", "limit_constant"), rows),
+        plot=plot, violation=violation)
 
 
-def _run_schur_witness(cfg: RunConfig) -> int:
-    imap = schur.quadratic_inverse_image(cfg.alpha)
-    wit = schur.build_witness(imap, cfg.h_a, cfg.n, cfg.eta)
-    report = schur.audit_witness(wit, cfg=cfg.numerics)
-    if cfg.format == "csv":
+def _schur_witness(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
+    imap = schur.quadratic_inverse_image(ns.alpha)
+    wit = schur.build_witness(imap, ns.h_a, ns.n, ns.eta)
+    report = schur.audit_witness(wit, cfg=cfg)
+
+    def table():
         # witness evaluation table on the run-up interval: x, P(x), h/sqrt(a-x)
-        K = imap.target_set
-        ctx = check_interval_condition(K, imap.a)
-        theta = np.linspace(0.0, np.pi, cfg.points + 1)[1:]
-        xs = imap.a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta)
-        rows = [(float(x), float(wit(float(x))),
-                 cfg.h_a / math.sqrt(imap.a - float(x))) for x in xs[::-1]]
-        _deliver(to_csv(("x", "witness", "local_bound"), rows), cfg)
-    else:
-        rec = {"alpha": cfg.alpha, "n": cfg.n, "eta": cfg.eta, "h_a": cfg.h_a,
-               "m": wit.m, "witness_degree": wit.degree, "value_at_a": wit.value_at_a,
-               "report": report.to_dict()}
-        _deliver(to_json(rec), cfg)
+        ctx = check_interval_condition(imap.target_set, imap.a)
+        theta = np.linspace(0.0, np.pi, ns.points + 1)[1:]
+        xs = (imap.a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta))[::-1]
+        bound = ns.h_a / np.sqrt(imap.a - xs)
+        return ("x", "witness", "local_bound"), list(zip(xs.tolist(), wit(xs).tolist(),
+                                                         bound.tolist()))
+
+    violation = None if report.local_ok else "witness violates its own local hypothesis"
+    return Output(record=lambda: {"alpha": ns.alpha, "n": ns.n, "eta": ns.eta, "h_a": ns.h_a,
+                                  "m": wit.m, "witness_degree": wit.degree,
+                                  "value_at_a": wit.value_at_a, "report": report.to_dict()},
+                  table=table, violation=violation)
+
+
+def _schur_counterexample(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
+    report = schur.counterexample_demo(ns.n, cfg)
+    violation = None
     if not report.local_ok:
-        raise InvariantViolation("witness violates its own local hypothesis")
-    return EXIT_OK
+        violation = "counterexample should satisfy the local hypothesis"
+    elif report.point_ratio <= 1.0:
+        violation = f"counterexample point ratio {report.point_ratio} should exceed 1"
+    return Output(record=lambda: {"n": ns.n, "report": report.to_dict()}, violation=violation)
 
 
-def _run_schur_counterexample(cfg: RunConfig) -> int:
-    report = schur.counterexample_demo(cfg.n, cfg.numerics)
-    _deliver(to_json({"n": cfg.n, "report": report.to_dict()}), cfg)
-    if not report.local_ok:
-        raise InvariantViolation("counterexample should satisfy the local hypothesis")
-    if report.point_ratio <= 1.0:
-        raise InvariantViolation(
-            f"counterexample point ratio {report.point_ratio} should exceed 1"
-        )
-    return EXIT_OK
+def _converge(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
+    K = _load_set(ns.set, cfg)
+    ctx = check_interval_condition(K, ns.a)
+    table = equilibrium.outer_convergence_study(K, ctx, parse_int_list(ns.m_values), cfg)
+    drops = [f"omega not nondecreasing along the filtration: m={m1}:{v1} > m={m2}:{v2}"
+             for (m1, v1), (m2, v2) in zip(table, table[1:]) if v2 < v1 - 1e-9]
+    return Output(
+        record=lambda: {"a": ns.a, "rows": table},
+        table=lambda: (("m", "omega"), table),
+        plot=lambda: ([("omega", [float(m) for m, _ in table], [v for _, v in table])],
+                      ("m", "omega")),
+        violation=next(iter(drops), None))
 
 
-def _run_converge(cfg: RunConfig) -> int:
-    K = _load_set(cfg)
-    ctx = check_interval_condition(K, cfg.a)
-    table = equilibrium.outer_convergence_study(K, ctx, cfg.m_values, cfg.numerics)
-    if cfg.format == "csv":
-        _deliver(to_csv(("m", "omega"), table), cfg)
-    elif cfg.format == "svg":
-        _deliver(emit_svg([("omega", [float(m) for m, _ in table], [v for _, v in table])],
-                          axes=("m", "omega")), cfg)
-    else:
-        _deliver(to_json({"a": cfg.a, "rows": [[m, v] for m, v in table]}), cfg)
-    for (m1, v1), (m2, v2) in zip(table, table[1:]):
-        if v2 < v1 - 1e-9:
-            raise InvariantViolation(
-                f"omega not nondecreasing along the filtration: m={m1}:{v1} > m={m2}:{v2}"
-            )
-    return EXIT_OK
-
-
+# command: (implementation, formats it renders)
 _COMMANDS = {
-    "density": _run_density,
-    "omega": _run_omega,
-    "capacity": _run_capacity,
-    "green": _run_green,
-    "balayage": _run_balayage,
-    "markov": _run_markov,
-    "schur-witness": _run_schur_witness,
-    "schur-counterexample": _run_schur_counterexample,
-    "converge": _run_converge,
+    "density": (_density, ("json", "csv", "svg")),
+    "omega": (_omega, ("json", "csv")),
+    "capacity": (_capacity, ("json", "csv")),
+    "green": (_green, ("json",)),
+    "balayage": (_balayage, ("json", "csv")),
+    "markov": (_markov, ("json", "csv", "svg")),
+    "schur-witness": (_schur_witness, ("json", "csv")),
+    "schur-counterexample": (_schur_counterexample, ("json",)),
+    "converge": (_converge, ("json", "csv", "svg")),
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch a RunConfig; returns the exit status, artifacts on disk."""
-    return _COMMANDS[cfg.command](cfg)
+def run(ns: argparse.Namespace, cfg: NumericsConfig) -> int:
+    """Run a parsed command, deliver the requested format to ``--out`` or
+    stdout, then raise InvariantViolation if the result broke a run invariant."""
+    out = _COMMANDS[ns.command][0](ns, cfg)
+    if ns.format == "csv":
+        text = to_csv(*out.table())
+    elif ns.format == "svg":
+        series, axes = out.plot()
+        text = emit_svg(series, axes=axes)
+    else:
+        text = to_json(out.record())
+    if ns.out:
+        _write_atomic(ns.out, text)
+    else:
+        sys.stdout.write(text)
+    if out.violation:
+        raise InvariantViolation(out.violation)
+    return EXIT_OK
 
 
 def _error_record(kind: str, exc: Exception) -> str:
@@ -513,10 +461,8 @@ def _error_record(kind: str, exc: Exception) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = config_from_args(argv)
-        return run(cfg)
+        return run(build_parser().parse_args(argv), load_config())
     except (SetSpecError, json.JSONDecodeError) as exc:
         print(_error_record("parse", exc), file=sys.stderr)
         return EXIT_PARSE

@@ -7,8 +7,8 @@ Three independent facilities live here:
   doubling.  ``integrate_endpoint_singular(f, u, v)`` computes
   int_u^v f(t) / sqrt((t-u)(v-t)) dt for a smooth factor f.
 * A polynomial container, ``ChebPoly`` (Chebyshev coefficients over a
-  reference interval, Clenshaw evaluation), plus the classical first-kind
-  Chebyshev evaluators ``cheb_T`` / ``cheb_T_deriv`` valid on all of R.
+  reference interval, Clenshaw evaluation), plus the derivative of the
+  first-kind Chebyshev polynomial, ``cheb_T_deriv``, valid on all of R.
 * A linear-program kernel for sup-norm-constrained polynomial extremal
   problems: maximise a linear functional of the coefficient vector subject
   to |P(x_i)| <= bound on a finite point set.  Solved by HiGHS with a
@@ -134,19 +134,6 @@ def chebyshev_expand(
 
 # ---------------------------------------------------------------------------
 # polynomial containers
-
-
-def cheb_T(n: int, x):
-    """First-kind Chebyshev value T_n(x) by three-term recurrence, any real x."""
-    if n < 0:
-        raise SetSpecError(f"cheb_T needs n >= 0, got {n}")
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x) if x.ndim else 1.0
-    prev, cur = np.ones_like(x), x.copy()
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur if x.ndim else float(cur)
 
 
 def cheb_T_deriv(n: int, x):
@@ -294,22 +281,16 @@ def lp_maximize(
         raise NumericsError(f"LP solver failed: status {res.status} ({res.message})")
     y = np.asarray(res.x, dtype=float)
     value = float(d @ y)
-    # duality gap audit from the HiGHS marginals, when present; the dual of
-    # the minimisation is b_ub . lam + u . mu_up + l . mu_low
-    marg = getattr(getattr(res, "ineqlin", None), "marginals", None)
-    if marg is not None and len(marg) == len(b_ub):
-        dual_min = float(b_ub @ marg)
-        if vb is not None:
-            low = getattr(res, "lower", None)
-            upp = getattr(res, "upper", None)
-            if low is not None and upp is not None:
-                dual_min += float(upp.marginals @ np.full(nvar, vb))
-                dual_min += float(low.marginals @ np.full(nvar, -vb))
-        gap = abs(float(res.fun) - dual_min) * scale
-        if gap > cfg.lp_gap_tol * max(1.0, abs(value)):
-            raise NumericsError(
-                f"LP duality gap {gap:.3e} exceeds {cfg.lp_gap_tol} relative"
-            )
+    # duality gap audit from the HiGHS marginals; the dual of the
+    # minimisation is b_ub . lam + u . mu_up + l . mu_low
+    dual_min = float(b_ub @ res.ineqlin.marginals)
+    if vb is not None:
+        dual_min += vb * float(np.sum(res.upper.marginals) - np.sum(res.lower.marginals))
+    gap = abs(float(res.fun) - dual_min) * scale
+    if gap > cfg.lp_gap_tol * max(1.0, abs(value)):
+        raise NumericsError(
+            f"LP duality gap {gap:.3e} exceeds {cfg.lp_gap_tol} relative"
+        )
     moduli = np.abs(problem.rows @ y)
     active = problem.constraint_points[moduli >= problem.bound * (1.0 - 1e-9)]
     return value, y, active

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -75,6 +77,13 @@ class TestCommands:
         rec = json.loads(out)
         assert rec["density"] == pytest.approx(math.sqrt(3) / (2 * math.pi), rel=1e-12)
         assert rec["mass"] == pytest.approx(1.0, abs=1e-9)
+        # in csv, the one-row table
+        code, out, _ = run_cli(
+            ["balayage", "--x", "2", "--b", "-1", "--a", "1", "--t", "0", "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        assert out == f"t,balayage_density\n0,{cli.fmt(rec['density'])}\n"
 
     def test_schur_counterexample(self, capsys):
         code, out, _ = run_cli(["schur-counterexample", "--n", "50"], capsys)
@@ -182,18 +191,27 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["error"] == "numeric"
 
-    def test_invariant_violation_exit_4(self, capsys, monkeypatch):
+    def test_invariant_violation_exit_4(self, tmp_path, capsys, monkeypatch):
         # a 2-node quadrature that instantly "converges" breaks the
         # balayage unit-mass audit
         monkeypatch.setenv(
             "EQUIPOT_CONFIG",
             '{"quad_min_nodes": 2, "quad_max_nodes": 4, "quad_rel_tol": 1.0}',
         )
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             ["balayage", "--x", "2", "--b", "-1", "--a", "1", "--t", "0"], capsys
         )
         assert code == 4
         assert json.loads(err)["error"] == "invariant"
+        # the output is written before the exit
+        assert abs(json.loads(out)["mass"] - 1.0) > 1e-9
+        out_path = tmp_path / "bal.csv"
+        code, out, _ = run_cli(
+            ["balayage", "--x", "2", "--b", "-1", "--a", "1", "--points", "10",
+             "--format", "csv", "--out", str(out_path)], capsys
+        )
+        assert (code, out) == (4, "")
+        assert len(out_path.read_text().splitlines()) == 11
 
     def test_cantor_level_cap_override(self, capsys, monkeypatch):
         monkeypatch.setenv("EQUIPOT_CONFIG", '{"cantor_level_cap": 3}')
@@ -240,6 +258,11 @@ class TestSvg:
         b = cli.emit_svg([("r", [0, 1, 2], [5.0, 3.0, 4.0])], axes=("x", "y"))
         assert a == b
 
+    def test_span_of_two_ulps(self):
+        # Markov ratios on [-1, 1] differ in the last bits; the tick loop must end
+        svg = cli.emit_svg([("r", [5.0, 6.0], [1.0000000000000007, 1.0000000000000002])])
+        assert svg.count("<polyline") == 1
+
     def test_rejects_empty(self):
         from equipot import SetSpecError
 
@@ -277,6 +300,32 @@ class TestExports:
         assert np.max(np.abs(P(xs))) <= 1.0 + 1e-6
         assert abs(float(P.derivative(1.0))) == pytest.approx(value, rel=1e-8)
 
+    def test_tables_match_per_point_evaluation(self, capsys):
+        # both tables are built by one array call; per point they give the same bytes
+        from equipot import BalayageQuery, balayage_density, schur
+
+        code, out, _ = run_cli(
+            ["schur-witness", "--n", "200", "--alpha", "0.3", "--h-a", "1.7",
+             "--points", "60", "--format", "csv"], capsys
+        )
+        assert code == 0
+        imap = schur.quadratic_inverse_image(0.3)
+        wit = schur.build_witness(imap, 1.7, 200, 0.05)
+        for line in out.strip().splitlines()[1:]:
+            x, p, bound = line.split(",")
+            assert p == cli.fmt(float(wit(float(x))))
+            assert bound == cli.fmt(1.7 / math.sqrt(imap.a - float(x)))
+
+        code, out, _ = run_cli(
+            ["balayage", "--x", "2", "--b", "-1", "--a", "1", "--points", "60",
+             "--format", "csv"], capsys
+        )
+        assert code == 0
+        qy = BalayageQuery(x=2.0, b=-1.0, a=1.0)
+        for line in out.strip().splitlines()[1:]:
+            t, v = line.split(",")
+            assert v == cli.fmt(balayage_density(qy, float(t)))
+
     def test_schur_witness_csv_table(self, capsys):
         code, out, _ = run_cli(
             ["schur-witness", "--n", "400", "--alpha", "0.5",
@@ -289,3 +338,87 @@ class TestExports:
         for line in lines[1:]:
             x, p, bound = (float(v) for v in line.split(","))
             assert abs(p) <= bound + 1e-9  # the local hypothesis on the table
+
+
+class TestFormatMatrix:
+    TWO = '{"intervals":[[-1,-0.5],[0.5,1]]}'
+    ARGS = {
+        "density": ["--set", TWO, "--points", "20"],
+        "omega": ["--set", TWO, "--a", "1"],
+        "capacity": ["--set", TWO],
+        "green": ["--set", TWO, "--z", "2"],
+        "balayage": ["--x", "2", "--b", "-1", "--a", "1", "--points", "20"],
+        "markov": ["--set", '{"intervals":[[-1,1]]}', "--a", "1", "--degrees", "5,6"],
+        "schur-witness": ["--n", "100", "--points", "50"],
+        "schur-counterexample": ["--n", "50"],
+        "converge": ["--set", '{"cantor":{"level":3,"ratio":0.3333333333333333}}',
+                     "--a", "1", "--m", "2..8:x2"],
+    }
+    # the CSV header of each command that renders csv
+    CSV = {
+        "density": "t,density",
+        "omega": "a,omega",
+        "capacity": "cap,robin,mass",
+        "balayage": "t,balayage_density",
+        "markov": "degree,value,ratio,limit_constant",
+        "schur-witness": "x,witness,local_bound",
+        "converge": "m,omega",
+    }
+    SVG = ("density", "markov", "converge")
+    PAIRS = [(c, f) for c in ARGS for f in ("json", "csv", "svg")]
+
+    @pytest.mark.parametrize("command,fmt", PAIRS, ids=[f"{c}-{f}" for c, f in PAIRS])
+    def test_pair(self, command, fmt, capsys):
+        code, out, err = run_cli([command, *self.ARGS[command], "--format", fmt], capsys)
+        offered = fmt == "json" or (fmt == "csv" and command in self.CSV) or (
+            fmt == "svg" and command in self.SVG)
+        if not offered:
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == "parse"
+            assert "--format" in json.loads(err)["message"]
+            return
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            json.loads(out)
+        elif fmt == "csv":
+            assert out.splitlines()[0] == self.CSV[command]
+        else:
+            assert out.startswith("<svg")
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("argv", [
+        ["markov", "--set", '{"intervals":[[-1,1]]}', "--degrees", "5"],        # no --a
+        ["density", "--set", '{"intervals":[[-1,1]]}', "--format", "xml"],
+        ["omega", "--set", '{"intervals":[[-1,1]]}', "--a", "one"],
+        [],                                                                      # no command
+    ], ids=["missing-required", "unoffered-format", "bad-float", "no-command"])
+    def test_json_parse_record(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        rec = json.loads(err)
+        assert rec["error"] == "parse" and rec["type"] == "SetSpecError"
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["markov", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            assert "usage: equipot" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+def test_output_file_mode_follows_umask(tmp_path, capsys, umask, mode):
+    out_path, dump_path = tmp_path / "out.json", tmp_path / "witness.json"
+    old = os.umask(umask)
+    try:
+        code, _, _ = run_cli(
+            ["markov", "--set", '{"intervals":[[-1,1]]}', "--a", "1", "--degrees", "5",
+             "--out", str(out_path), "--dump-witness", str(dump_path)], capsys
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(out_path.stat().st_mode) == mode
+    assert stat.S_IMODE(dump_path.stat().st_mode) == mode
+

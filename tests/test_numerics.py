@@ -8,7 +8,6 @@ from equipot import (
     LPProblem,
     NumericsError,
     SetSpecError,
-    cheb_T,
     cheb_T_deriv,
     chebyshev_expand,
     integrate_endpoint_singular,
@@ -74,25 +73,9 @@ class TestChebyshevExpand:
 
 
 class TestChebT:
-    def test_angle_identity(self):
-        assert cheb_T(3, 0.5) == pytest.approx(-1.0, abs=1e-15)
-
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 60])
     def test_endpoint_derivative(self, n):
         assert cheb_T_deriv(n, 1.0) == pytest.approx(n * n, rel=1e-13)
-
-    def test_outside_recurrence_value(self):
-        # 1, 2, 7, 26, 97 at x = 2
-        assert cheb_T(4, 2.0) == 97.0
-
-    def test_recurrence_identity(self):
-        rng = np.random.default_rng(5)
-        xs = rng.uniform(-2, 2, 25)
-        for n in (1, 7, 50, 199):
-            lhs = cheb_T(n + 1, xs)
-            rhs = 2 * xs * cheb_T(n, xs) - cheb_T(n - 1, xs)
-            scale = np.maximum(1.0, np.abs(lhs))
-            assert np.max(np.abs(lhs - rhs) / scale) < 1e-12
 
     def test_deriv_interior(self):
         for n in (3, 4, 9, 10):
@@ -175,3 +158,26 @@ class TestLP:
         prob = cheb_lp(7, 1.0, pts)
         _, coeffs, _ = lp_maximize(prob)
         assert np.max(np.abs(prob.rows @ coeffs)) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("box", [False, True], ids=["rows-active", "box-active"])
+    def test_duality_gap_audit(self, monkeypatch, box):
+        from equipot import numerics
+
+        if box:
+            # |y| <= 0.5 binds before the rows do, so only the box marginals are nonzero
+            prob = LPProblem(objective=np.array([1.0]), constraint_points=np.array([-1.0, 1.0]),
+                             rows=np.ones((2, 1)), var_bound=0.5)
+        else:
+            prob = cheb_lp(5, 1.0, np.cos(np.linspace(0, np.pi, 200)))
+        assert lp_maximize(prob)[0] > 0.0  # the audit passes on the real marginals
+        real = numerics.linprog
+
+        def doubled_marginals(*args, **kwargs):
+            res = real(*args, **kwargs)
+            for part in (res.ineqlin, res.lower, res.upper):
+                part.marginals = 2.0 * part.marginals
+            return res
+
+        monkeypatch.setattr(numerics, "linprog", doubled_marginals)
+        with pytest.raises(NumericsError, match="duality gap"):
+            lp_maximize(prob)
