@@ -13,11 +13,9 @@ from .interval_sets import (
     widen,
 )
 from .numerics import (
-    ChebPoly,
     LPProblem,
     cheb_T_deriv,
     chebyshev_expand,
-    integrate_endpoint_singular,
     lp_maximize,
 )
 from .equilibrium import (
@@ -26,7 +24,6 @@ from .equilibrium import (
     balayage_density,
     balayage_edge_limit,
     balayage_mass,
-    capacity,
     decomposition_residual,
     density,
     density_table,

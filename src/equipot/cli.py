@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import equilibrium, extremal, schur
-from .config import NumericsConfig, load_config
+from .config import NumericsConfig, load_config, read_json_text
 from .errors import EquipotError, InvariantViolation, NumericsError, SetSpecError
 from .interval_sets import IntervalSet, check_interval_condition, from_spec
 
@@ -199,15 +199,18 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _load_set(spec: str, cfg: NumericsConfig) -> IntervalSet:
-    text = spec.strip()
-    if not text.startswith("{"):
-        try:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SetSpecError(f"cannot read set spec file {spec!r}: {exc}") from exc
-    return from_spec(text, cfg)
+    return from_spec(read_json_text(spec, "set spec"), cfg)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = add("density", "density table over interior grids")
-    sp.add_argument("--points", type=int, default=200, help="points per component")
+    sp.add_argument("--points", type=_positive_int, default=200, help="points per component")
 
     sp = add("omega", "edge factor at a right endpoint")
     sp.add_argument("--a", type=float, required=True)
@@ -245,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--t", type=float, default=None, help="density point (default: table)")
-    sp.add_argument("--points", type=int, default=200)
+    sp.add_argument("--points", type=_positive_int, default=200)
 
     sp = add("markov", "extremal derivative study per degree")
     sp.add_argument("--a", type=float, required=True)
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--eta", type=float, default=0.05)
     sp.add_argument("--h-a", dest="h_a", type=float, default=1.0)
-    sp.add_argument("--points", type=int, default=2000, help="csv table size")
+    sp.add_argument("--points", type=_positive_int, default=2000, help="csv table size")
 
     sp = add("schur-counterexample", "audit of the global-hypothesis failure", with_set=False)
     sp.add_argument("--n", type=int, required=True)

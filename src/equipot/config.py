@@ -53,6 +53,19 @@ DEFAULTS = NumericsConfig()
 ENV_VAR = "EQUIPOT_CONFIG"
 
 
+def read_json_text(raw: str, what: str) -> str:
+    """``raw`` itself when it is inline JSON (starts with ``{``), else the
+    contents of the file it names; ``what`` names the input in errors."""
+    text = raw.strip()
+    if text.startswith("{"):
+        return text
+    try:
+        with open(text, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SetSpecError(f"cannot read {what} file {text!r}: {exc}") from exc
+
+
 def load_config(env: dict[str, str] | None = None) -> NumericsConfig:
     """Return DEFAULTS with any overrides taken from ``EQUIPOT_CONFIG``.
 
@@ -63,15 +76,8 @@ def load_config(env: dict[str, str] | None = None) -> NumericsConfig:
     raw = env.get(ENV_VAR)
     if not raw:
         return DEFAULTS
-    text = raw.strip()
-    if not text.startswith("{"):
-        try:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SetSpecError(f"cannot read {ENV_VAR} file {text!r}: {exc}") from exc
     try:
-        overrides = json.loads(text)
+        overrides = json.loads(read_json_text(raw, ENV_VAR))
     except json.JSONDecodeError as exc:
         raise SetSpecError(f"invalid JSON in {ENV_VAR}: {exc}") from exc
     if not isinstance(overrides, dict):

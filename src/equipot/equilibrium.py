@@ -313,11 +313,6 @@ def equilibrium_potential(E: EquilibriumData, x: float) -> float:
     return _potential_from_tables(E.tables, x)
 
 
-def capacity(E: EquilibriumData) -> float:
-    """Logarithmic capacity exp(-Robin constant)."""
-    return E.cap
-
-
 def green(E: EquilibriumData, z: float, cfg: NumericsConfig = DEFAULTS) -> float:
     """Green's function with pole at infinity, g(z) = -U(z) - log cap, real z.
 

@@ -39,12 +39,13 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 
 from .config import DEFAULTS, NumericsConfig
 from .equilibrium import ComponentTable, EquilibriumData, density, green, omega_factor, solve_equilibrium
 from .errors import NumericsError, SetSpecError
 from .interval_sets import IntervalSet, check_interval_condition
-from .numerics import ChebPoly, LPProblem, lp_maximize
+from .numerics import LPProblem, lp_maximize
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +264,7 @@ def _solve_once(
         return x[np.min(np.abs(x[:, None] - pts[None, :]), axis=1) > sep]
 
     def solve(points: np.ndarray) -> np.ndarray:
-        problem = LPProblem(
-            objective=objective,
-            constraint_points=points,
-            rows=_lagrange_rows(points, nodes, w),
-            bound=1.0,
-            var_bound=1.0,
-        )
-        return lp_maximize(problem, cfg)[1]
+        return lp_maximize(LPProblem(objective, _lagrange_rows(points, nodes, w)), cfg)[1]
 
     def maxima(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _refined_maxima(lambda x: _lagrange_rows(x, nodes, w) @ vals, K, n)
@@ -408,13 +402,13 @@ def _poly_norm_on_set(P, K: IntervalSet, n: int) -> float:
 
 def bernstein_audit(
     E: EquilibriumData,
-    P: ChebPoly,
+    P: Chebyshev,
     probes: Sequence[float],
     cfg: NumericsConfig = DEFAULTS,
 ) -> float:
     """max over probes of |P'(x)| / (n pi w(x) ||P||_K); at most 1 for true
     polynomials of degree n (the interior derivative bound)."""
-    n = P.degree
+    n = P.degree()
     if n == 0:
         return 0.0
     norm = _poly_norm_on_set(P, E.set, n)
@@ -428,14 +422,14 @@ def bernstein_audit(
 
 def bernstein_walsh_audit(
     E: EquilibriumData,
-    P: ChebPoly,
+    P: Chebyshev,
     z: float,
     cfg: NumericsConfig = DEFAULTS,
 ) -> float:
     """|P(z)| / (||P||_K exp(n g(z))) for z outside the set; at most 1."""
     if E.set.contains(z):
         raise SetSpecError(f"audit point {z} must lie outside the set")
-    n = P.degree
+    n = P.degree()
     norm = _poly_norm_on_set(P, E.set, n)
     return abs(P(z)) / (norm * math.exp(n * green(E, z, cfg)))
 

@@ -30,6 +30,7 @@ import math
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 from numpy.polynomial import chebyshev as _npcheb
 from numpy.polynomial import polynomial as _nppoly
 
@@ -37,7 +38,7 @@ from .config import DEFAULTS, NumericsConfig
 from .equilibrium import EquilibriumData, omega_factor, solve_equilibrium
 from .errors import SetSpecError
 from .interval_sets import EndpointContext, IntervalSet, check_interval_condition
-from .numerics import ChebPoly, cheb_T_deriv
+from .numerics import cheb_T_deriv
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,10 +46,9 @@ class InverseImageMap:
     """A polynomial T_N with T_N^{-1}[-1, 1] equal to ``target_set``."""
 
     N: int
-    T: ChebPoly
+    T: Chebyshev
     target_set: IntervalSet
     a: float
-    alpha: float | None = None
 
     def __call__(self, x):
         return self.T(x)
@@ -61,7 +61,7 @@ def affine_inverse_image(u: float, v: float) -> InverseImageMap:
     """N = 1 family: the affine map of [u, v] onto [-1, 1]."""
     if not u < v:
         raise SetSpecError(f"affine map needs u < v, got [{u}, {v}]")
-    T = ChebPoly((u, v), (0.0, 1.0))
+    T = Chebyshev((0.0, 1.0), domain=(u, v))
     return InverseImageMap(N=1, T=T, target_set=IntervalSet(((u, v),)), a=v)
 
 
@@ -75,9 +75,9 @@ def quadratic_inverse_image(alpha: float) -> InverseImageMap:
         raise SetSpecError(f"alpha must lie in (0, 1), got {alpha}")
     denom = 1.0 - alpha * alpha
     # in the Chebyshev basis of [-1, 1]: 2x^2 = T_2 + 1
-    T = ChebPoly((-1.0, 1.0), (-alpha * alpha / denom, 0.0, 1.0 / denom))
+    T = Chebyshev((-alpha * alpha / denom, 0.0, 1.0 / denom))
     target = IntervalSet(((-1.0, -alpha), (alpha, 1.0)))
-    return InverseImageMap(N=2, T=T, target_set=target, a=1.0, alpha=alpha)
+    return InverseImageMap(N=2, T=T, target_set=target, a=1.0)
 
 
 def h_poly(m: int, w):
@@ -87,7 +87,7 @@ def h_poly(m: int, w):
     return cheb_T_deriv(m + 1, w) / (m + 1)
 
 
-def peaking_poly(K: IntervalSet, a: float, d: int) -> ChebPoly:
+def peaking_poly(K: IntervalSet, a: float, d: int) -> Chebyshev:
     """U(x) = ((x - c)/(a - c))**d with c the midpoint of [min K, a].
 
     U(a) = 1 and |U| <= 1 on K (a must be max K); the decay away from a is
@@ -106,7 +106,7 @@ def peaking_poly(K: IntervalSet, a: float, d: int) -> ChebPoly:
     # ((x - c)/(a - c))^d is linear in the frame variable s: expand and convert
     lin = np.array([(mid - c) / (a - c), half / (a - c)])
     mono = _nppoly.polypow(lin, d)
-    return ChebPoly((lo, hi), tuple(float(x) for x in _npcheb.poly2cheb(mono)))
+    return Chebyshev(_npcheb.poly2cheb(mono), domain=(lo, hi))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,7 +118,7 @@ class SchurWitness:
     eta: float
     h_a: float
     map: InverseImageMap
-    peak: ChebPoly
+    peak: Chebyshev
 
     @property
     def scale(self) -> float:
@@ -126,7 +126,7 @@ class SchurWitness:
 
     @property
     def degree(self) -> int:
-        return self.map.N * self.m + self.peak.degree
+        return self.map.N * self.m + self.peak.degree()
 
     @property
     def value_at_a(self) -> float:

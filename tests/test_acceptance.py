@@ -6,10 +6,10 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 
 from equipot import (
     BalayageQuery,
-    ChebPoly,
     IntervalSet,
     balayage_density,
     balayage_edge_limit,
@@ -18,7 +18,6 @@ from equipot import (
     bernstein_walsh_audit,
     build_witness,
     cantor_set,
-    capacity,
     check_interval_condition,
     counterexample_demo,
     decomposition_residual,
@@ -117,8 +116,8 @@ TEST_SETS = (
 def test_c05_capacity_and_constancy():
     E1 = solve_equilibrium(TEST_SETS[0])
     E2 = solve_equilibrium(TEST_SETS[1])
-    assert abs(capacity(E1) - 0.5) <= 1e-8
-    assert abs(capacity(E2) - 0.75) <= 1e-8
+    assert abs(E1.cap - 0.5) <= 1e-8
+    assert abs(E2.cap - 0.75) <= 1e-8
     worst = 0.0
     for K in TEST_SETS:
         E = solve_equilibrium(K)
@@ -230,7 +229,7 @@ def test_c12_bernstein_audits():
             probes.extend(mid + half * np.cos(np.linspace(0.05, 0.95, 100 // K.m) * np.pi))
         z_out = K.max + 1.0
         for _ in range(100):
-            P = ChebPoly((K.min, K.max), tuple(rng.standard_normal(21)))
+            P = Chebyshev(rng.standard_normal(21), domain=(K.min, K.max))
             worst_b = max(worst_b, bernstein_audit(E, P, probes))
             worst_w = max(worst_w, bernstein_walsh_audit(E, P, z_out))
     assert worst_b <= 1.001

@@ -399,6 +399,33 @@ class TestArgumentErrors:
         rec = json.loads(err)
         assert rec["error"] == "parse" and rec["type"] == "SetSpecError"
 
+    POINTS = {
+        "density": ["density", "--set", '{"intervals":[[-1,1]]}'],
+        "balayage": ["balayage", "--x", "2", "--b", "-1", "--a", "1"],
+        "schur-witness": ["schur-witness", "--n", "100", "--format", "csv"],
+    }
+
+    @pytest.mark.parametrize("points", ["-3", "0"])
+    @pytest.mark.parametrize("command", sorted(POINTS))
+    def test_points_must_be_positive(self, command, points, capsys):
+        code, out, err = run_cli([*self.POINTS[command], "--points", points], capsys)
+        assert (code, out) == (2, "")
+        rec = json.loads(err)
+        assert rec["error"] == "parse" and "--points" in rec["message"]
+
+    @pytest.mark.parametrize("use_env", [False, True], ids=["set-spec", "config"])
+    def test_unreadable_json_file_named(self, tmp_path, use_env, capsys, monkeypatch):
+        missing = str(tmp_path / "missing.json")
+        spec = '{"intervals":[[-1,1]]}'
+        if use_env:
+            monkeypatch.setenv("EQUIPOT_CONFIG", missing)
+        else:
+            spec = missing
+        code, out, err = run_cli(["capacity", "--set", spec], capsys)
+        assert (code, out) == (2, "")
+        want = "EQUIPOT_CONFIG file" if use_env else "set spec file"
+        assert f"cannot read {want} {missing!r}" in json.loads(err)["message"]
+
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["markov", "--help"]):
             with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,6 @@ from equipot import (
     balayage_edge_limit,
     balayage_mass,
     cantor_set,
-    capacity,
     check_interval_condition,
     decomposition_residual,
     density,
@@ -135,8 +134,8 @@ class TestOmega:
 
 class TestPotentialCapacityGreen:
     def test_classical_capacities(self, E_unit, E_wide):
-        assert capacity(E_unit) == pytest.approx(0.5, abs=1e-8)
-        assert capacity(E_wide) == pytest.approx(0.75, abs=1e-8)
+        assert E_unit.cap == pytest.approx(0.5, abs=1e-8)
+        assert E_wide.cap == pytest.approx(0.75, abs=1e-8)
 
     def test_unit_interval_potential_is_log2(self, E_unit):
         for x in (-0.9, -0.3, 0.0, 0.5, 0.99):
@@ -145,7 +144,7 @@ class TestPotentialCapacityGreen:
     def test_two_interval_robin_closed_form(self, E_sym2):
         # cap([-1,-a] u [a,1]) = sqrt(1-a^2)/2
         assert E_sym2.robin == pytest.approx(SYM2_ROBIN, abs=1e-12)
-        assert capacity(E_sym2) == pytest.approx(math.sqrt(0.75) / 2, abs=1e-12)
+        assert E_sym2.cap == pytest.approx(math.sqrt(0.75) / 2, abs=1e-12)
 
     def test_two_interval_potential_oracles(self, E_sym2):
         assert equilibrium_potential(E_sym2, 2.0) == pytest.approx(SYM2_U2, abs=1e-12)
@@ -183,7 +182,7 @@ class TestPotentialCapacityGreen:
     def test_green_asymptotics(self, E_sym2, E_asym2):
         for E in (E_sym2, E_asym2):
             z = 1e6
-            want = math.log(abs(z)) - math.log(capacity(E))
+            want = math.log(abs(z)) - math.log(E.cap)
             assert green(E, z) == pytest.approx(want, abs=1e-5)
 
 

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 
 from equipot.config import DEFAULTS
 from equipot.extremal import _refined_maxima
 from equipot import (
-    ChebPoly,
     IntervalSet,
     SetSpecError,
     bernstein_audit,
@@ -192,13 +192,13 @@ class TestMarkovStudy:
 class TestBernsteinAudit:
     def test_chebyshev_at_center(self, E_unit):
         for n in (3, 7, 8):
-            P = ChebPoly((-1.0, 1.0), tuple(1.0 if k == n else 0.0 for k in range(n + 1)))
+            P = Chebyshev.basis(n)
             ratio = bernstein_audit(E_unit, P, [0.0])
             assert ratio == pytest.approx(abs(math.sin(n * math.pi / 2)), abs=1e-9)
             assert ratio <= 1.0 + 1e-9
 
     def test_constant_is_zero(self, E_unit):
-        assert bernstein_audit(E_unit, ChebPoly((-1.0, 1.0), (1.0,)), [0.3]) == 0.0
+        assert bernstein_audit(E_unit, Chebyshev((1.0,)), [0.3]) == 0.0
 
     def test_random_normalized(self, E_sym2):
         rng = np.random.default_rng(31)
@@ -207,7 +207,7 @@ class TestBernsteinAudit:
             probes.extend((u + v) / 2 + (v - u) / 2 * np.cos(np.linspace(0.1, 0.9, 10) * np.pi))
         worst = 0.0
         for _ in range(20):
-            P = ChebPoly((-1.0, 1.0), tuple(rng.standard_normal(21)))
+            P = Chebyshev(rng.standard_normal(21))
             worst = max(worst, bernstein_audit(E_sym2, P, probes))
         assert worst <= 1.001
 
@@ -215,7 +215,7 @@ class TestBernsteinAudit:
 class TestBernsteinWalshAudit:
     def test_chebyshev_outside(self, E_unit):
         n = 6
-        P = ChebPoly((-1.0, 1.0), tuple(1.0 if k == n else 0.0 for k in range(n + 1)))
+        P = Chebyshev.basis(n)
         ratio = bernstein_walsh_audit(E_unit, P, 2.0)
         want = np.polynomial.chebyshev.chebval(2.0, [0.0] * n + [1.0]) / (2 + math.sqrt(3)) ** n
         assert ratio == pytest.approx(want, rel=1e-7)
@@ -223,7 +223,7 @@ class TestBernsteinWalshAudit:
 
     def test_padded_constant(self, E_unit):
         n = 5
-        P = ChebPoly((-1.0, 1.0), (1.0,) + (0.0,) * n)  # constant of nominal degree 5
+        P = Chebyshev((1.0,) + (0.0,) * n)  # constant of nominal degree 5
         from equipot import green
 
         ratio = bernstein_walsh_audit(E_unit, P, 3.0)
@@ -233,13 +233,13 @@ class TestBernsteinWalshAudit:
         rng = np.random.default_rng(13)
         worst = 0.0
         for _ in range(20):
-            P = ChebPoly((-2.0, 1.0), tuple(rng.standard_normal(11)))
+            P = Chebyshev(rng.standard_normal(11), domain=(-2.0, 1.0))
             worst = max(worst, bernstein_walsh_audit(E_wide, P, 2.0))
         assert worst <= 1.001
 
     def test_rejects_point_in_set(self, E_unit):
         with pytest.raises(SetSpecError):
-            bernstein_walsh_audit(E_unit, ChebPoly((-1.0, 1.0), (1.0, 1.0)), 0.5)
+            bernstein_walsh_audit(E_unit, Chebyshev((1.0, 1.0)), 0.5)
 
 
 @pytest.mark.slow

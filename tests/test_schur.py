@@ -104,7 +104,7 @@ class TestWitness:
         imap = quadratic_inverse_image(0.5)
         wit = build_witness(imap, 1.0, 400, 0.05)
         want = 191 * math.sqrt(2 * 16 / 3) / 1.05**2
-        # T(1) carries a 1-ulp rounding that the steep H_m amplifies to ~3e-12
+        # a 1-ulp rounding of T(1) would be amplified by the steep H_m to ~3e-12
         assert abs(wit(1.0)) == pytest.approx(want, rel=1e-9)
         assert wit.value_at_a == pytest.approx(want, rel=1e-12)
 
