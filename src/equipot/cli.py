@@ -3,9 +3,10 @@
 Commands: density, omega, capacity, green, balayage, markov, schur-witness,
 schur-counterexample, converge.  Set specifications are inline JSON or a
 path to a JSON file; sweeps use ``a..b`` (arithmetic, step 1) or ``a..b:x2``
-(geometric).  Output formats, declared per command in ``_COMMANDS``: json
-(default) for every command, csv for all but green and schur-counterexample,
-svg for density, markov and converge; any other format is a parse error.
+(geometric, starting at 1 or above).  Output formats, declared per command
+in ``_COMMANDS``: json (default) for every command, csv for all but green
+and schur-counterexample, svg for density, markov and converge; any other
+format is a parse error.
 Numbers are serialised with 17 significant digits so binary64 values
 round-trip; output files are written atomically (temp + rename) and
 byte-identical runs follow from identical configs.
@@ -165,7 +166,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
-    """Comma-separated items; each an int, ``a..b`` or ``a..b:x2`` sweep."""
+    """Comma-separated items; each an int, ``a..b`` or ``a..b:x2`` sweep
+    (a geometric sweep must start at 1 or above, or it would never end)."""
 
     def to_int(s: str, msg: str) -> int:
         try:
@@ -190,6 +192,8 @@ def parse_int_list(text: str) -> tuple[int, ...]:
         factor = to_int(suffix[1:], f"bad sweep factor in {item!r}")
         if factor < 2:
             raise SetSpecError(f"geometric factor must be >= 2 in {item!r}")
+        if lo < 1:
+            raise SetSpecError(f"geometric sweep must start at 1 or above in {item!r}")
         v = lo
         while v <= hi:
             out.append(v)
@@ -290,7 +294,7 @@ class Output(NamedTuple):
 def _density(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
     K = _load_set(ns.set, cfg)
     E = equilibrium.solve_equilibrium(K, cfg)
-    rows = equilibrium.density_table(E, ns.points, cfg)
+    rows = equilibrium.density_table(E, ns.points)
 
     def plot():
         # density_table gives one equal block of rows per component, in order
@@ -323,7 +327,7 @@ def _capacity(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
 def _green(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
     K = _load_set(ns.set, cfg)
     E = equilibrium.solve_equilibrium(K, cfg)
-    g = equilibrium.green(E, ns.z, cfg)
+    g = equilibrium.green(E, ns.z)
     violation = f"negative Green value {g} at {ns.z}" if g < -1e-9 else None
     return Output(record=lambda: {"z": ns.z, "green": g}, violation=violation)
 

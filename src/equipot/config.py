@@ -1,16 +1,21 @@
 """Central numeric configuration.
 
-One frozen record holds every node count, tolerance and iteration cap used
-by the numeric kernels, so behaviour is reproducible and overridable from a
-single place.  The CLI honours the ``EQUIPOT_CONFIG`` environment variable:
-a JSON object (inline or a path to a file) whose keys override the defaults
-below.
+A setting is a field of ``NumericsConfig`` only if a caller moves it: the
+quadrature's node range and tolerance (starving them is how the numeric and
+invariant failure paths are reached), the exchange loop's round cap, and
+the two input-size limits users raise, the Cantor level and the Markov
+degree.  Every other node count, tolerance and iteration cap is a named
+constant beside its one reader.  The CLI honours the ``EQUIPOT_CONFIG``
+environment variable: a JSON object (inline or a path to a file) whose keys
+override the defaults below; an unknown key, or a value of the wrong type
+or range, is refused.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 
 from .errors import SetSpecError
@@ -24,28 +29,31 @@ class NumericsConfig:
     quad_max_nodes: int = 1 << 16
     quad_rel_tol: float = 1e-13
 
-    # Chebyshev expansion of smooth per-component factors: doubled until the
-    # trailing quarter of coefficients is negligible relative to the largest.
-    expand_min_nodes: int = 64
-    expand_max_nodes: int = 1 << 13
-    expand_tail_tol: float = 1e-14
-
-    # LP relaxations of sup-norm extremal problems.
-    # The exchange loop's working set is seeded with lp_grid_per_degree*(degree+1)
-    # arccos-spaced points per interval; the witness is validated on a grid
-    # lp_validation_factor times finer, 128*(degree+1) points by default.
-    lp_grid_per_degree: int = 4
-    lp_validation_factor: int = 32
-    lp_feasibility_tol: float = 1e-10
-    lp_gap_tol: float = 1e-9
-    lp_exchange_tol: float = 1e-9       # accepted witness overshoot above 1
+    # Rounds of the extremal probe's exchange loop.
     lp_exchange_rounds: int = 30
 
-    # Misc caps and guards.
-    density_edge_guard: float = 1e-12   # density undefined this close to an endpoint
+    # Input-size limits.
     cantor_level_cap: int = 12
     markov_degree_cap: int = 120
-    potential_probe_count: int = 5
+
+    def __post_init__(self) -> None:
+        # counts are ints (never bools) at or above their floor; quad_min_nodes
+        # is checked before it serves as the floor of quad_max_nodes
+        floors = {"quad_min_nodes": 1, "quad_max_nodes": self.quad_min_nodes,
+                  "lp_exchange_rounds": 0, "cantor_level_cap": 0, "markov_degree_cap": 0}
+        for name, floor in floors.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < floor:
+                raise SetSpecError(
+                    f"config field {name!r} must be an integer >= {floor}, got {value!r}"
+                )
+        tol = self.quad_rel_tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not (
+            math.isfinite(tol) and tol > 0
+        ):
+            raise SetSpecError(
+                f"config field 'quad_rel_tol' must be a finite number > 0, got {tol!r}"
+            )
 
 
 DEFAULTS = NumericsConfig()
@@ -70,7 +78,7 @@ def load_config(env: dict[str, str] | None = None) -> NumericsConfig:
     """Return DEFAULTS with any overrides taken from ``EQUIPOT_CONFIG``.
 
     The variable may hold inline JSON (``{"quad_rel_tol": 1e-12}``) or the
-    path of a JSON file.  Unknown keys are rejected.
+    path of a JSON file.  Unknown keys and out-of-range values are rejected.
     """
     env = os.environ if env is None else env
     raw = env.get(ENV_VAR)
@@ -86,4 +94,7 @@ def load_config(env: dict[str, str] | None = None) -> NumericsConfig:
     bad = set(overrides) - known
     if bad:
         raise SetSpecError(f"unknown config keys in {ENV_VAR}: {sorted(bad)}")
-    return dataclasses.replace(DEFAULTS, **overrides)
+    try:
+        return dataclasses.replace(DEFAULTS, **overrides)
+    except SetSpecError as exc:
+        raise SetSpecError(f"bad value in {ENV_VAR}: {exc}") from exc

@@ -45,6 +45,12 @@ from .errors import NumericsError, SetSpecError
 from .interval_sets import EndpointContext, IntervalSet, outer_approx
 from .numerics import _gauss_cheb_adaptive, chebyshev_expand
 
+# density is undefined within this fraction of its component's half-length
+# of an endpoint
+DENSITY_EDGE_GUARD = 1e-12
+# interior points at which the Robin constant is read off the potential
+ROBIN_PROBE_COUNT = 5
+
 
 @dataclasses.dataclass(frozen=True)
 class ComponentTable:
@@ -190,9 +196,9 @@ def solve_equilibrium(K: IntervalSet, cfg: NumericsConfig = DEFAULTS) -> Equilib
         raise SetSpecError("equilibrium needs all intervals non-degenerate; widen() first")
     roots = _solve_gap_roots(K, cfg)
     _verify_gap_conditions(K, roots, cfg)
-    tables = _component_tables(K, roots, cfg)
+    tables = _component_tables(K, roots)
     mass = float(sum(tab.mass for tab in tables))
-    probes = _robin_probes(K, cfg.potential_probe_count)
+    probes = _robin_probes(K)
     robin = float(np.mean([_potential_from_tables(tables, x) for x in probes]))
     cap = math.exp(-robin)
     return EquilibriumData(
@@ -201,9 +207,7 @@ def solve_equilibrium(K: IntervalSet, cfg: NumericsConfig = DEFAULTS) -> Equilib
     )
 
 
-def _component_tables(
-    K: IntervalSet, roots: np.ndarray, cfg: NumericsConfig
-) -> tuple[ComponentTable, ...]:
+def _component_tables(K: IntervalSet, roots: np.ndarray) -> tuple[ComponentTable, ...]:
     ends = np.asarray(K.endpoints())
     tables = []
     for (u, v) in K.intervals:
@@ -213,26 +217,26 @@ def _component_tables(
         def G(s, _others=others, _mid=mid, _half=half):
             return np.exp(_log_weight(_mid + _half * s, roots, _others)) / (np.pi * _half)
 
-        coeffs = chebyshev_expand(G, -1.0, 1.0, cfg)
+        coeffs = chebyshev_expand(G, -1.0, 1.0)
         tables.append(
             ComponentTable(mid=mid, half=half, coeffs=tuple(float(x) for x in coeffs))
         )
     return tuple(tables)
 
 
-def _robin_probes(K: IntervalSet, count: int) -> list[float]:
-    """Deterministic interior probe points spread over the set."""
-    if K.m >= count:
-        idx = np.unique(np.round(np.linspace(0, K.m - 1, count)).astype(int))
+def _robin_probes(K: IntervalSet) -> list[float]:
+    """ROBIN_PROBE_COUNT deterministic interior points spread over the set."""
+    if K.m >= ROBIN_PROBE_COUNT:
+        idx = np.unique(np.round(np.linspace(0, K.m - 1, ROBIN_PROBE_COUNT)).astype(int))
         return [(K.intervals[j][0] + K.intervals[j][1]) / 2.0 for j in idx]
     probes = [(u + v) / 2.0 for u, v in K.intervals]
     widest = max(range(K.m), key=lambda j: K.intervals[j][1] - K.intervals[j][0])
     u, v = K.intervals[widest]
     mid, half = (u + v) / 2.0, (v - u) / 2.0
-    extra = count - K.m
+    extra = ROBIN_PROBE_COUNT - K.m
     angles = np.pi * np.arange(1, extra + 1) / (extra + 2)
     probes.extend(mid + half * 0.8 * np.cos(angles))
-    return probes[:count]
+    return probes[:ROBIN_PROBE_COUNT]
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +249,26 @@ def q_value(E: EquilibriumData, t: float) -> float:
     return _q_sign(r, t) * float(np.exp(_log_weight(np.array([t]), r, np.empty(0))[0]))
 
 
-def density(E: EquilibriumData, t: float, cfg: NumericsConfig = DEFAULTS):
+def density(E: EquilibriumData, t: float):
     """Equilibrium density w(t) strictly inside a component of the set.
 
-    ``t`` may be a scalar or an array of points, evaluated together.
+    ``t`` may be a scalar or an array of points, evaluated together.  Points
+    within DENSITY_EDGE_GUARD times their component's half-length of an
+    endpoint are refused, so the guard scales with the set.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     ends = np.asarray(E.set.endpoints())
     # t lies in a component iff an odd number of endpoints are <= t
-    outside = np.searchsorted(ends, t_arr, side="right") % 2 == 0
-    near = np.min(np.abs(t_arr[:, None] - ends), axis=1) <= cfg.density_edge_guard
+    above = np.searchsorted(ends, t_arr, side="right")
+    outside = above % 2 == 0
+    j = 2 * np.clip((above - 1) // 2, 0, E.set.m - 1)
+    u, v = ends[j], ends[j + 1]
+    near = np.minimum(t_arr - u, v - t_arr) <= DENSITY_EDGE_GUARD * (v - u) / 2.0
     bad = outside | near
     if np.any(bad):
         raise SetSpecError(
             f"density undefined at {t_arr[np.argmax(bad)]}: not strictly inside a "
-            f"component (guard {cfg.density_edge_guard})"
+            f"component (guard {DENSITY_EDGE_GUARD} of its half-length)"
         )
     out = np.exp(_log_weight(t_arr, np.asarray(E.roots), ends)) / np.pi
     return out if np.ndim(t) else float(out[0])
@@ -313,7 +322,7 @@ def equilibrium_potential(E: EquilibriumData, x: float) -> float:
     return _potential_from_tables(E.tables, x)
 
 
-def green(E: EquilibriumData, z: float, cfg: NumericsConfig = DEFAULTS) -> float:
+def green(E: EquilibriumData, z: float) -> float:
     """Green's function with pole at infinity, g(z) = -U(z) - log cap, real z.
 
     Clamped to exactly 0 when z lies in the set and the computed value is
@@ -375,7 +384,7 @@ def decomposition_residual(
     b = a - rho
     if not (b < t < a):
         raise SetSpecError(f"probe {t} must lie in (a - rho, a) = ({b}, {a})")
-    lhs = density(E, t, cfg)
+    lhs = density(E, t)
     interval_term = 1.0 / (np.pi * math.sqrt((t - b) * (a - t)))
 
     ends = np.asarray(E.set.endpoints())
@@ -421,7 +430,6 @@ def edge_limit_profile(
     E: EquilibriumData,
     a: float,
     offsets: Sequence[float],
-    cfg: NumericsConfig = DEFAULTS,
 ) -> list[tuple[float, float]]:
     """Table of (delta, w(a - delta) * sqrt(delta)) for empirical rate checks."""
     offs = [float(d) for d in offsets]
@@ -435,7 +443,7 @@ def edge_limit_profile(
         raise SetSpecError(f"{a} is not the right endpoint of its component")
     if offs[0] >= hv - hu:
         raise SetSpecError("largest offset leaves the component interval")
-    return [(d, density(E, a - d, cfg) * math.sqrt(d)) for d in offs]
+    return [(d, density(E, a - d) * math.sqrt(d)) for d in offs]
 
 
 def outer_convergence_study(
@@ -477,12 +485,12 @@ def to_record(E: EquilibriumData, a: float | None = None) -> dict:
 
 
 def density_table(
-    E: EquilibriumData, points_per_component: int = 200, cfg: NumericsConfig = DEFAULTS
+    E: EquilibriumData, points_per_component: int = 200
 ) -> list[tuple[float, float]]:
     """(t, w(t)) rows on interior arccos-spaced grids, one block per component."""
     rows = []
     theta = np.linspace(0.0, np.pi, points_per_component + 2)[1:-1]
     for (u, v) in E.set.intervals:
         ts = (u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta[::-1])
-        rows.extend(zip(ts.tolist(), density(E, ts, cfg).tolist()))
+        rows.extend(zip(ts.tolist(), density(E, ts).tolist()))
     return rows

@@ -47,6 +47,13 @@ from .errors import NumericsError, SetSpecError
 from .interval_sets import IntervalSet, check_interval_condition
 from .numerics import LPProblem, lp_maximize
 
+# arccos-spaced points per component and per unit of n + 1: the exchange
+# loop's seed grid and the witness's validation grid
+SEED_PER_DEGREE = 4
+VALIDATION_PER_DEGREE = 128
+# accepted overshoot of the exchange loop's witness above 1
+EXCHANGE_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # interpolation nodes at equilibrium quantiles
@@ -211,7 +218,7 @@ class ExtremalResult:
     Trefethen, SIAM Rev. 46, 2004), which stays accurate on unions at high
     degree, where coefficients in a global basis of the hull do not.
     ``overshoot`` is the worst |P| - 1 on K of the exchange loop's final
-    witness before renormalisation; above ``lp_exchange_tol`` it shows that
+    witness before renormalisation; above ``EXCHANGE_TOL`` it shows that
     the loop stalled, ran out of new points or hit its round cap.
     """
 
@@ -264,7 +271,7 @@ def _solve_once(
         return x[np.min(np.abs(x[:, None] - pts[None, :]), axis=1) > sep]
 
     def solve(points: np.ndarray) -> np.ndarray:
-        return lp_maximize(LPProblem(objective, _lagrange_rows(points, nodes, w)), cfg)[1]
+        return lp_maximize(LPProblem(objective, _lagrange_rows(points, nodes, w)))[1]
 
     def maxima(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _refined_maxima(lambda x: _lagrange_rows(x, nodes, w) @ vals, K, n)
@@ -277,7 +284,7 @@ def _solve_once(
     for rounds in range(1, cfg.lp_exchange_rounds + 1):
         xs, ms = maxima(vals)
         worst = float(np.max(ms))
-        if worst <= 1.0 + cfg.lp_exchange_tol:
+        if worst <= 1.0 + EXCHANGE_TOL:
             break
         # progress may be non-monotone; give up only after three stalled rounds
         if worst < best_worst:
@@ -321,12 +328,10 @@ def markov_extremal(
     d = _deriv_row(nodes, w, a if objective_point is None else float(objective_point))
 
     # seed grid and validation grid; one doubling of both allowed before giving up
-    per = cfg.lp_grid_per_degree * (n + 1)
     for doubling in (1, 2):
-        vals, xs, ms, rounds = _solve_once(
-            K, n, nodes, w, d, _arccos_grid(K, doubling * per), cfg
-        )
-        vgrid = _arccos_grid(K, doubling * cfg.lp_validation_factor * per)
+        seed = _arccos_grid(K, doubling * SEED_PER_DEGREE * (n + 1))
+        vals, xs, ms, rounds = _solve_once(K, n, nodes, w, d, seed, cfg)
+        vgrid = _arccos_grid(K, doubling * VALIDATION_PER_DEGREE * (n + 1))
         if np.max(np.abs(_lagrange_rows(vgrid, nodes, w) @ vals)) <= 1.0 + 1e-6:
             break
     else:
@@ -404,7 +409,6 @@ def bernstein_audit(
     E: EquilibriumData,
     P: Chebyshev,
     probes: Sequence[float],
-    cfg: NumericsConfig = DEFAULTS,
 ) -> float:
     """max over probes of |P'(x)| / (n pi w(x) ||P||_K); at most 1 for true
     polynomials of degree n (the interior derivative bound)."""
@@ -415,7 +419,7 @@ def bernstein_audit(
     dP = P.deriv()
     worst = 0.0
     for x in probes:
-        wx = density(E, float(x), cfg)
+        wx = density(E, float(x))
         worst = max(worst, abs(dP(float(x))) / (n * math.pi * wx * norm))
     return worst
 
@@ -424,14 +428,13 @@ def bernstein_walsh_audit(
     E: EquilibriumData,
     P: Chebyshev,
     z: float,
-    cfg: NumericsConfig = DEFAULTS,
 ) -> float:
     """|P(z)| / (||P||_K exp(n g(z))) for z outside the set; at most 1."""
     if E.set.contains(z):
         raise SetSpecError(f"audit point {z} must lie outside the set")
     n = P.degree()
     norm = _poly_norm_on_set(P, E.set, n)
-    return abs(P(z)) / (norm * math.exp(n * green(E, z, cfg)))
+    return abs(P(z)) / (norm * math.exp(n * green(E, z)))
 
 
 # ---------------------------------------------------------------------------

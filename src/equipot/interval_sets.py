@@ -250,6 +250,11 @@ def widen(K: IntervalSet, eps: float) -> IntervalSet:
     return normalize(pairs)
 
 
+def _is_number(x) -> bool:
+    """A JSON number: int or float, but not bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def from_spec(spec: str | dict, cfg: NumericsConfig = DEFAULTS) -> IntervalSet:
     """Build a set from its JSON specification.
 
@@ -266,12 +271,20 @@ def from_spec(spec: str | dict, cfg: NumericsConfig = DEFAULTS) -> IntervalSet:
         raise SetSpecError("set spec must be a JSON object")
     if "intervals" in spec:
         ivs = spec["intervals"]
-        if not isinstance(ivs, list) or any(len(p) != 2 for p in ivs):
-            raise SetSpecError("'intervals' must be a list of [left, right] pairs")
+        if not isinstance(ivs, list) or not all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_number, p))
+            for p in ivs
+        ):
+            raise SetSpecError("'intervals' must be a list of [left, right] pairs of numbers")
         return normalize(ivs)
     if "cantor" in spec:
         c = spec["cantor"]
         if not isinstance(c, dict) or "level" not in c:
             raise SetSpecError("'cantor' needs at least a 'level' field")
-        return cantor_set(int(c["level"]), float(c.get("ratio", 1.0 / 3.0)), cfg)
+        level, ratio = c["level"], c.get("ratio", 1.0 / 3.0)
+        if type(level) is not int:
+            raise SetSpecError(f"'cantor' field 'level' must be an integer, got {level!r}")
+        if not _is_number(ratio):
+            raise SetSpecError(f"'cantor' field 'ratio' must be a number, got {ratio!r}")
+        return cantor_set(level, float(ratio), cfg)
     raise SetSpecError("set spec needs an 'intervals' or 'cantor' field")

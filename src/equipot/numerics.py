@@ -72,6 +72,12 @@ def _gauss_cheb_adaptive(
     )
 
 
+# Chebyshev expansion: node range and the relative size of a negligible tail
+EXPAND_MIN_NODES = 64
+EXPAND_MAX_NODES = 1 << 13
+EXPAND_TAIL_TOL = 1e-14
+
+
 def _truncate_coeffs(c: np.ndarray, threshold: float) -> np.ndarray:
     keep = np.nonzero(np.abs(c) > threshold)[0]
     return c[: keep[-1] + 1] if len(keep) else c[:1]
@@ -81,7 +87,6 @@ def chebyshev_expand(
     f: Callable[[np.ndarray], np.ndarray],
     u: float,
     v: float,
-    cfg: NumericsConfig = DEFAULTS,
 ) -> np.ndarray:
     """Chebyshev coefficients of a smooth f on [u, v], adaptively truncated.
 
@@ -95,7 +100,7 @@ def chebyshev_expand(
     if not v > u:
         raise SetSpecError(f"expansion interval needs u < v, got [{u}, {v}]")
     mid, half = (u + v) / 2.0, (v - u) / 2.0
-    N = cfg.expand_min_nodes
+    N = EXPAND_MIN_NODES
     best: tuple[np.ndarray, float] | None = None
     while True:
         theta = (2.0 * np.arange(1, N + 1) - 1.0) * np.pi / (2.0 * N)
@@ -108,16 +113,16 @@ def chebyshev_expand(
         if scale == 0.0:
             return np.zeros(1)
         tail = np.max(np.abs(c[-max(N // 4, 1):]))
-        if tail <= cfg.expand_tail_tol * scale:
-            return _truncate_coeffs(c, cfg.expand_tail_tol * scale)
+        if tail <= EXPAND_TAIL_TOL * scale:
+            return _truncate_coeffs(c, EXPAND_TAIL_TOL * scale)
         if best is not None and tail >= 0.5 * best[1]:
             cb, tb = (c, tail) if tail < best[1] else best
-            return _truncate_coeffs(cb, max(cfg.expand_tail_tol * scale, 2.0 * tb))
+            return _truncate_coeffs(cb, max(EXPAND_TAIL_TOL * scale, 2.0 * tb))
         best = (c, tail)
-        if N >= cfg.expand_max_nodes:
+        if N >= EXPAND_MAX_NODES:
             raise NumericsError(
                 f"Chebyshev expansion on [{u}, {v}] did not resolve at "
-                f"{cfg.expand_max_nodes} nodes (tail {tail:.3e} vs scale {scale:.3e})"
+                f"{EXPAND_MAX_NODES} nodes (tail {tail:.3e} vs scale {scale:.3e})"
             )
         N *= 2
 
@@ -158,9 +163,13 @@ class LPProblem:
     rows: np.ndarray
 
 
-def lp_maximize(
-    problem: LPProblem, cfg: NumericsConfig = DEFAULTS
-) -> tuple[float, np.ndarray]:
+# HiGHS feasibility tolerance of the first attempt; accepted duality gap,
+# relative to max(1, |value|)
+LP_FEASIBILITY_TOL = 1e-10
+LP_GAP_TOL = 1e-9
+
+
+def lp_maximize(problem: LPProblem) -> tuple[float, np.ndarray]:
     """Solve the finite sup-norm LP; returns (value, maximiser).
 
     HiGHS sees the objective scaled to max-modulus 1, since its dual
@@ -174,8 +183,8 @@ def lp_maximize(
     A_ub = np.vstack([problem.rows, -problem.rows])
     b_ub = np.full(len(A_ub), 1.0)
     attempts = [
-        {"primal_feasibility_tolerance": cfg.lp_feasibility_tol,
-         "dual_feasibility_tolerance": cfg.lp_feasibility_tol},
+        {"primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
+         "dual_feasibility_tolerance": LP_FEASIBILITY_TOL},
         {},
         {"presolve": False},
     ]
@@ -193,8 +202,8 @@ def lp_maximize(
     dual_min = float(b_ub @ res.ineqlin.marginals)
     dual_min += float(np.sum(res.upper.marginals) - np.sum(res.lower.marginals))
     gap = abs(float(res.fun) - dual_min) * scale
-    if gap > cfg.lp_gap_tol * max(1.0, abs(value)):
+    if gap > LP_GAP_TOL * max(1.0, abs(value)):
         raise NumericsError(
-            f"LP duality gap {gap:.3e} exceeds {cfg.lp_gap_tol} relative"
+            f"LP duality gap {gap:.3e} exceeds {LP_GAP_TOL} relative"
         )
     return value, y

@@ -239,7 +239,7 @@ class TestRangeParsing:
     def test_mixed_commas(self):
         assert cli.parse_int_list("1,4..6,10") == (1, 4, 5, 6, 10)
 
-    @pytest.mark.parametrize("bad", ["", "a", "1..b", "2..8:y2", "2..8:x1"])
+    @pytest.mark.parametrize("bad", ["", "a", "1..b", "2..8:y2", "2..8:x1", "0..8:x2", "-1..8:x2"])
     def test_rejects(self, bad):
         from equipot import SetSpecError
 
@@ -412,6 +412,29 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         rec = json.loads(err)
         assert rec["error"] == "parse" and "--points" in rec["message"]
+
+    @pytest.mark.parametrize("spec,field", [
+        ('{"intervals":[[0,"x"]]}', "intervals"),
+        ('{"intervals":[[0,null]]}', "intervals"),
+        ('{"intervals":[5]}', "intervals"),
+        ('{"cantor":{"level":"x"}}', "level"),
+        ('{"cantor":{"level":3,"ratio":null}}', "ratio"),
+    ], ids=["string-endpoint", "null-endpoint", "bare-number", "string-level", "null-ratio"])
+    def test_malformed_set_spec(self, spec, field, capsys):
+        code, out, err = run_cli(["capacity", "--set", spec], capsys)
+        assert (code, out) == (2, "")
+        rec = json.loads(err)
+        assert rec["error"] == "parse" and rec["type"] == "SetSpecError"
+        assert f"'{field}'" in rec["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["markov", "--set", '{"intervals":[[-1,1]]}', "--a", "1", "--degrees", "0..8:x2"],
+        ["converge", "--set", '{"intervals":[[-1,1]]}', "--a", "1", "--m=-1..64:x2"],
+    ], ids=["zero-start", "negative-start"])
+    def test_geometric_sweep_start_below_one(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "start at 1 or above" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("use_env", [False, True], ids=["set-spec", "config"])
     def test_unreadable_json_file_named(self, tmp_path, use_env, capsys, monkeypatch):

@@ -93,6 +93,14 @@ class TestDensity:
         with pytest.raises(SetSpecError):
             density(E_sym2, 1.0 - 1e-13)
 
+    def test_guard_scales_with_the_set(self):
+        # w_{cK}(c t) = w_K(t) / c: the edge guard must shrink with the set
+        E1 = solve_equilibrium(IntervalSet(((0.0, 1.0),)))
+        Ec = solve_equilibrium(IntervalSet(((0.0, 1e-12),)))
+        ts = np.array([t for t, _ in density_table(E1, 50)])
+        got = density(Ec, 1e-12 * ts)
+        assert np.allclose(got, 1e12 * density(E1, ts), rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0 - 1e-13, -0.5, 2.0, -1.5, np.nan])
     def test_array_rejects_any_bad_point(self, E_sym2, bad):
         with pytest.raises(SetSpecError):

@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial import Chebyshev
 
 from equipot.config import DEFAULTS
-from equipot.extremal import _refined_maxima
+from equipot.extremal import EXCHANGE_TOL, _refined_maxima
 from equipot import (
     IntervalSet,
     SetSpecError,
@@ -113,14 +113,14 @@ class TestMarkovExtremal:
     def test_no_stall_on_three_intervals(self):
         r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24)
         assert r.value == pytest.approx(STALL3_VALUE, rel=1e-9)
-        assert r.overshoot <= DEFAULTS.lp_exchange_tol
+        assert r.overshoot <= EXCHANGE_TOL
         assert not r.grid_doubled
 
     def test_overshoot_reports_an_unfinished_loop(self):
         capped = dataclasses.replace(DEFAULTS, lp_exchange_rounds=2)
         r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24, capped)
         assert r.exchange_rounds == 2
-        assert r.overshoot > DEFAULTS.lp_exchange_tol
+        assert r.overshoot > EXCHANGE_TOL
         # renormalised by its refined sup-norm, the value stays a lower bound
         assert r.value < STALL3_VALUE * (1.0 - 0.5 * r.overshoot)
 
