@@ -5,8 +5,10 @@ Four kernels live here, each with a caller in the library:
 * ``_gauss_cheb_adaptive(f, u, v)``: Gauss-Chebyshev sums of
   int_u^v f(t) / sqrt((t-u)(v-t)) dt for smooth f (the inverse-square-root
   endpoint singularities are absorbed by the weight), with node doubling
-  until successive estimates agree.  The equilibrium solver's gap and
-  Robin integrals use it.
+  until successive estimates agree.  The gap-condition verifier of the
+  equilibrium solver, ``balayage_mass`` and ``decomposition_residual``
+  use it; the gap roots themselves come from a batched pass on the same
+  nodes, and the Robin constant from the component tables.
 * ``chebyshev_expand(f, u, v)``: adaptively truncated Chebyshev
   coefficients of a smooth f on [u, v], for the per-component density
   factors.

@@ -182,6 +182,16 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_balayage_non_finite_source_exit_2(self, x, capsys):
+        code, out, err = run_cli(
+            ["balayage", f"--x={x}", "--b", "-1", "--a", "1", "--t", "0"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        rec = json.loads(err)
+        assert rec["error"] == "parse" and "finite" in rec["message"]
+
     def test_numeric_error_exit_3(self, capsys, monkeypatch):
         # starve the quadrature so it cannot converge
         monkeypatch.setenv("EQUIPOT_CONFIG", '{"quad_max_nodes": 64}')

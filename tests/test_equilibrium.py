@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from equipot import (
     solve_equilibrium,
     to_record,
 )
+from equipot import equilibrium
 from equipot.equilibrium import q_value
 from conftest import random_interval_set
 
@@ -67,6 +69,82 @@ class TestSolve:
             for (g0, g1), lam in zip(K.gaps(), E.roots):
                 assert g0 < lam < g1
                 assert q_value(E, g0) * q_value(E, g1) < 0
+
+
+def cheb_image_roots(c, N, alpha, beta):
+    """alpha (c T_N)^{-1}[-1, 1] + beta and its exact gap roots.
+
+    The equilibrium density of P^{-1}[-1, 1] is |P'| / (N pi sqrt(1 - P^2)),
+    so q is proportional to T_N' and the gap roots are the critical points
+    alpha cos(k pi / N) + beta, k = 1 ... N - 1.  Components are
+    N theta in [k pi + phi, (k+1) pi - phi] with x = cos(theta) and
+    phi = arccos(1/c).
+    """
+    phi = math.acos(1.0 / c)
+    K = IntervalSet(tuple(sorted(
+        tuple(sorted((alpha * math.cos(((k + 1) * math.pi - phi) / N) + beta,
+                      alpha * math.cos((k * math.pi + phi) / N) + beta)))
+        for k in range(N)
+    )))
+    roots = np.sort([alpha * math.cos(k * math.pi / N) + beta for k in range(1, N)])
+    return K, roots
+
+
+class TestGapRootSolver:
+    @pytest.mark.parametrize("N,c", [(2, 1.5), (17, 3.0), (96, 1.2), (128, 2.0)])
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (-2.5, 0.5), (3.0, -10.0), (-0.7, 3.0)])
+    def test_critical_points_of_T_N(self, N, c, alpha, beta):
+        K, want = cheb_image_roots(c, N, alpha, beta)
+        got = np.asarray(solve_equilibrium(K).roots)
+        lengths = np.array([g1 - g0 for g0, g1 in K.gaps()])
+        # 1e-12 of the gap, plus two binary64 spacings of the frame: a gap of
+        # 1e-4 at |beta| = 3 (N = 128) is only 2e11 spacings long, so the
+        # rounded endpoints already move its root by about one spacing
+        tol = 1e-12 * lengths + 2 * np.spacing(abs(alpha) + abs(beta))
+        assert np.all(np.abs(got - want) <= tol), np.max(np.abs(got - want) / lengths)
+
+    def test_cantor_roots_symmetric(self):
+        r = np.asarray(solve_equilibrium(cantor_set(8)).roots)
+        assert len(r) == 255
+        assert np.max(np.abs(r + r[::-1] - 1.0)) <= 1e-12
+
+    def test_quadratic_convergence(self, monkeypatch):
+        steps = []
+        step = equilibrium._newton_gap_step
+
+        def logged(groups, lam, lo, hi):
+            new = step(groups, lam, lo, hi)
+            steps.append(float(np.max(np.abs(new - lam) / (hi - lo))))
+            return new
+
+        monkeypatch.setattr(equilibrium, "_newton_gap_step", logged)
+        solve_equilibrium(cantor_set(6))
+        assert 2 <= len(steps) <= 7
+        # each step at least squares the previous one's size, down to rounding
+        assert all(b <= max(10 * a * a, 1e-12) for a, b in zip(steps, steps[1:]))
+
+    # peak traced memory of one solve on a 128-component set; an unchunked
+    # gap pass holds (127 gaps x 128 nodes x 127 roots) doubles, about 16 MB
+    # per temporary
+    MEMORY_BUDGET = 8 << 20
+
+    @staticmethod
+    def _peak_bytes(K):
+        tracemalloc.start()
+        try:
+            solve_equilibrium(K)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_bounded(self):
+        K, _ = cheb_image_roots(2.0, 128, 1.0, 0.0)
+        assert self._peak_bytes(K) < self.MEMORY_BUDGET
+
+    def test_memory_budget_catches_an_unchunked_pass(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "GAP_CHUNK", 1 << 40)
+        K, _ = cheb_image_roots(2.0, 128, 1.0, 0.0)
+        assert self._peak_bytes(K) > self.MEMORY_BUDGET
 
 
 class TestDensity:
@@ -235,6 +313,14 @@ class TestBalayage:
             BalayageQuery(x=0.5, b=-1.0, a=1.0)
         with pytest.raises(SetSpecError):
             balayage_density(BalayageQuery(x=2.0, b=-1.0, a=1.0), 1.5)
+
+    @pytest.mark.parametrize("x,b,a", [
+        (math.nan, -1.0, 1.0), (math.inf, -1.0, 1.0), (-math.inf, -1.0, 1.0),
+        (2.0, -math.inf, 1.0), (2.0, -1.0, math.nan),
+    ])
+    def test_rejects_non_finite(self, x, b, a):
+        with pytest.raises(SetSpecError, match="finite"):
+            BalayageQuery(x=x, b=b, a=a)
 
 
 class TestDecomposition:
