@@ -21,8 +21,16 @@ Gauss-Chebyshev node count, and it replaces any Newton component that
 leaves its gap.  The Newton passes solve H = 0 with the Jacobian
 dH_k/dlambda_k = -int g_k and dH_k/dlambda_j = -int (t - lambda_k) g_k /
 (t - lambda_j), all gaps in one chunked pass; they converge quadratically
-(four or five passes at 256 intervals).  An independent adaptive
-quadrature per gap then verifies every condition.
+(four or five passes at 256 intervals).
+
+The endpoint factor of g_k does not depend on the roots: the first pass
+forms it for all gaps of a doubling level at once, and the Newton passes
+reuse it at the node counts that pass settled.  The verifier recomputes
+every gap mean at the final roots from scratch, in one batched doubling
+of its own (its own node counts, rows scaled at the gap midpoints), and
+refuses a root more than 5e-10 of its gap away from its mean.  Both gap
+doublings are one call of ``_gauss_cheb_adaptive`` over all gaps, and the
+component tables one call of ``chebyshev_expand`` over all components.
 
 Products over roots and endpoints are accumulated in log space, so density
 and gap-polynomial values stay well scaled at any number of components;
@@ -117,6 +125,43 @@ class BalayageQuery:
 # gap polynomial
 
 
+def _q_sign(roots: np.ndarray, t: float) -> int:
+    """Sign of q(t) from the parity of the roots above t."""
+    return -1 if (np.sum(roots > t) % 2) else 1
+
+
+# elements in one (rows x nodes x columns) temporary of a batched pass
+GAP_CHUNK = 1 << 16
+
+
+def _blocks(rows: int, n: int, cols: int):
+    """(row slice, node slice) blocks of about GAP_CHUNK / cols nodes each."""
+    cols = max(cols, 1)
+    per_row = max(1, GAP_CHUNK // max(n * cols, 1))
+    per_node = max(1, min(n, GAP_CHUNK // cols))
+    for a in range(0, rows, per_row):
+        for b in range(0, n, per_node):
+            yield slice(a, a + per_row), slice(b, b + per_node)
+
+
+def _diff_blocks(t: np.ndarray, cols: np.ndarray, own: np.ndarray):
+    """(row slice, node slice, t - cols_j) over t (rows x nodes) in blocks of
+    about GAP_CHUNK elements, with 1 in the columns own[r] of row r."""
+    for rs, ns in _blocks(t.shape[0], t.shape[1], cols.size):
+        d = t[rs, ns, None] - cols
+        d[np.arange(d.shape[0])[:, None], :, own[rs]] = 1.0
+        yield rs, ns, d
+
+
+def _log_dist(t: np.ndarray, cols: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """sum_j log|t - cols_j| at every entry of t, leaving out the columns
+    own[r] of row r; in place, block by block."""
+    out = np.empty(t.shape)
+    for rs, ns, d in _diff_blocks(t, cols, own):
+        out[rs, ns] = np.sum(np.log(np.abs(d, out=d), out=d), axis=2)
+    return out
+
+
 def _log_weight(t: np.ndarray, roots: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """sum_k log|t - roots_k| - 1/2 sum_j log|t - ends_j|, vectorised over t.
 
@@ -124,60 +169,20 @@ def _log_weight(t: np.ndarray, roots: np.ndarray, ends: np.ndarray) -> np.ndarra
     ``ends`` all endpoints; with some of either left out, the log of the
     factor that multiplies the omitted ones.  Either array may be empty.
     """
-    t = t[:, None]
-    return (np.sum(np.log(np.abs(t - roots)), axis=1)
-            - 0.5 * np.sum(np.log(np.abs(t - ends)), axis=1))
-
-
-def _q_sign(roots: np.ndarray, t: float) -> int:
-    """Sign of q(t) from the parity of the roots above t."""
-    return -1 if (np.sum(roots > t) % 2) else 1
-
-
-def _gap_mean(
-    gap: tuple[float, float],
-    other_roots: np.ndarray,
-    other_ends: np.ndarray,
-    cfg: NumericsConfig,
-) -> float:
-    """Weighted gap mean int_gap t |R| W / int_gap |R| W.
-
-    R is the product over ``other_roots`` and W the weight over
-    ``other_ends``, the endpoints that do not bound the gap.  With the other
-    roots frozen, the mean is the root that meets the gap's vanishing
-    condition.
-    """
-    g0, g1 = gap
-    # fixed rescaling so the adaptive quadrature sees one function
-    shift = _log_weight(np.array([(g0 + g1) / 2.0]), other_roots, other_ends)[0]
-
-    def f(t):
-        g = np.exp(_log_weight(t, other_roots, other_ends) - shift)
-        return np.vstack([t * g, g])
-
-    moments = _gauss_cheb_adaptive(f, g0, g1, cfg)
-    return float(moments[0] / moments[1])
-
-
-def _gap_others(K: IntervalSet) -> list[np.ndarray]:
-    """Per gap, the endpoints of K that do not bound it."""
-    ends = np.asarray(K.endpoints())
-    return [ends[(ends != g0) & (ends != g1)] for g0, g1 in K.gaps()]
-
-
-# elements in one (gaps x nodes x roots) temporary of a batched gap pass
-GAP_CHUNK = 1 << 16
+    t, none = t[None], np.empty((1, 0), dtype=int)
+    return (_log_dist(t, roots, none) - 0.5 * _log_dist(t, ends, none))[0]
 
 
 @dataclasses.dataclass(frozen=True)
 class _GapNodes:
-    """Gauss-Chebyshev nodes of the gaps that share one node count.
+    """Gauss-Chebyshev nodes of a set of gaps that share one node count.
 
     ``ends_lw`` is -1/2 sum log|t - e| over the endpoints that do not bound
-    the node's gap; it does not depend on the roots, so it is formed once.
+    the node's gap; it does not depend on the roots, so the Newton passes
+    reuse the one formed by the first pass.
     """
 
-    idx: np.ndarray      # (g,) gap indices
+    idx: np.ndarray      # (g,) gap indices, increasing
     t: np.ndarray        # (g, n) nodes
     ends_lw: np.ndarray  # (g, n)
 
@@ -185,103 +190,73 @@ class _GapNodes:
         return _GapNodes(self.idx[keep], self.t[keep], self.ends_lw[keep])
 
 
-def _gap_nodes(gaps: np.ndarray, others: list[np.ndarray], idx: np.ndarray, n: int) -> _GapNodes:
-    """The n nodes of ``_gauss_cheb_adaptive`` on each gap in ``idx``."""
-    theta = (2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2.0 * n)
+def _gap_nodes(gaps: np.ndarray, ends: np.ndarray, idx: np.ndarray, s: np.ndarray) -> _GapNodes:
+    """The reference nodes s in [-1, 1] mapped onto each gap in ``idx``; gap
+    k lies between ends[2k + 1] and ends[2k + 2]."""
     g0, g1 = gaps[idx, 0, None], gaps[idx, 1, None]
-    t = (g0 + g1) / 2.0 + (g1 - g0) / 2.0 * np.cos(theta)
-    ends_lw = np.empty_like(t)
-    for r, k in enumerate(idx):
-        step = max(1, GAP_CHUNK // others[k].size)
-        for b in range(0, n, step):
-            ends_lw[r, b:b + step] = _log_weight(t[r, b:b + step], np.empty(0), others[k])
-    return _GapNodes(idx, t, ends_lw)
+    t = (g0 + g1) / 2.0 + (g1 - g0) / 2.0 * s
+    own = np.stack([2 * idx + 1, 2 * idx + 2], axis=1)
+    return _GapNodes(idx, t, -0.5 * _log_dist(t, ends, own))
 
 
-def _gap_blocks(nodes: _GapNodes, G: int):
-    """(gap slice, node slice) blocks of about GAP_CHUNK / G nodes each."""
-    g_count, n = nodes.t.shape
-    per_gap = max(1, GAP_CHUNK // (n * G))
-    per_node = min(n, max(1, GAP_CHUNK // G))
-    for a in range(0, g_count, per_gap):
-        for b in range(0, n, per_node):
-            yield slice(a, a + per_gap), slice(b, b + per_node)
+def _gap_log_weight(nodes: _GapNodes, lam: np.ndarray) -> np.ndarray:
+    """log g_k at the nodes: g_k = |R_k| W, R_k the product over all roots
+    but the k-th and W the weight over all endpoints but the gap's own."""
+    return nodes.ends_lw + _log_dist(nodes.t, lam, nodes.idx[:, None])
 
 
-def _root_diffs(nodes: _GapNodes, lam: np.ndarray, gs: slice, ns: slice) -> np.ndarray:
-    """t - lam_j on one block, with 1 in the column of each gap's own root."""
-    d = nodes.t[gs, ns, None] - lam
-    d[np.arange(d.shape[0]), :, nodes.idx[gs]] = 1.0
-    return d
-
-
-def _gap_pass(nodes: _GapNodes, lam: np.ndarray, shift: np.ndarray | None = None,
-              jac: bool = False):
-    """One batched Gauss-Chebyshev pass over the gaps in ``nodes``.
-
-    With g_k = |R_k| W the weight of ``_gap_mean`` (all roots but the k-th,
-    all endpoints but the gap's own) and each row scaled by exp(-shift_k),
-    returns per gap shift_k (by default the row's largest log g), the
-    moments M0 = int g and M1 = int t g, the residual H = int (t - lam_k) g
-    and, with ``jac``, the Jacobian rows dH_k/dlam_j: -M0_k on the diagonal
-    and -int (t - lam_k) g / (t - lam_j) off it.
-    """
-    G = lam.size
-    lw = nodes.ends_lw.copy()
-    for gs, ns in _gap_blocks(nodes, G):
-        d = _root_diffs(nodes, lam, gs, ns)
-        lw[gs, ns] += np.sum(np.log(np.abs(d, out=d), out=d), axis=2)
-    if shift is None:
-        shift = lw.max(axis=1)
-    g = np.exp(lw - shift[:, None]) * (np.pi / nodes.t.shape[1])
-    ug = (nodes.t - lam[nodes.idx, None]) * g
-    m0, m1, h = g.sum(axis=1), (nodes.t * g).sum(axis=1), ug.sum(axis=1)
-    J = None
-    if jac:
-        J = np.zeros((len(nodes.idx), G))
-        for gs, ns in _gap_blocks(nodes, G):
-            d = _root_diffs(nodes, lam, gs, ns)
-            J[gs] -= np.matmul(ug[gs, ns][:, None, :], np.reciprocal(d, out=d))[:, 0, :]
-        J[np.arange(len(nodes.idx)), nodes.idx] = -m0
-    return shift, m0, m1, h, J
-
-
-def _first_gap_pass(
-    K: IntervalSet, lam: np.ndarray, cfg: NumericsConfig
+def _gap_means(
+    K: IntervalSet, lam: np.ndarray, shift: np.ndarray | None, cfg: NumericsConfig
 ) -> tuple[list[_GapNodes], np.ndarray]:
-    """Weighted gap means at ``lam``, fixing each gap's node count.
+    """Weighted gap means M1/M0 = int t g / int g at ``lam``, all gaps in one
+    ``_gauss_cheb_adaptive`` doubling with its stopping rule per gap.
 
-    Counts double from quad_min_nodes under the stopping rule of
-    ``_gauss_cheb_adaptive`` on (M1, M0), all unsettled gaps together, each
-    level's rows scaled as at the first level.  Returns the settled nodes,
-    grouped by count, and the means M1/M0.
+    Rows are scaled by exp(-shift), or when ``shift`` is None by their
+    largest log g at the first level.  Returns the nodes each gap settled
+    at, grouped by count, and the means.
     """
     gaps = np.asarray(K.gaps()).reshape(-1, 2)
-    others = _gap_others(K)
-    todo = np.arange(len(gaps))
-    groups: list[_GapNodes] = []
-    mean = np.empty(len(gaps))
-    n, shift, prev = cfg.quad_min_nodes, None, None
-    while todo.size:
-        if n > cfg.quad_max_nodes:
-            g0, g1 = gaps[todo[0]]
-            raise NumericsError(
-                f"gap quadrature on [{g0}, {g1}] did not converge at "
-                f"{cfg.quad_max_nodes} nodes ({todo.size} gaps unsettled)"
-            )
-        nodes = _gap_nodes(gaps, others, todo, n)
-        shift, m0, m1, _, _ = _gap_pass(nodes, lam, shift)
-        est = np.stack([m1, m0], axis=1)
-        if prev is not None:
-            scale = np.maximum(np.abs(est).max(axis=1), np.abs(prev).max(axis=1))
-            done = np.abs(est - prev).max(axis=1) <= cfg.quad_rel_tol * scale
-            if done.any():
-                groups.append(nodes.subset(done))
-            mean[todo[done]] = m1[done] / m0[done]
-            todo, est, shift = todo[~done], est[~done], shift[~done]
-        prev = est
-        n *= 2
-    return groups, mean
+    ends = np.asarray(K.endpoints())
+    levels: list[_GapNodes] = []
+
+    def moments(s, rows):
+        nonlocal shift
+        nodes = _gap_nodes(gaps, ends, rows, s)
+        levels.append(nodes)
+        lw = _gap_log_weight(nodes, lam)
+        if shift is None:
+            shift = lw.max(axis=1)
+        g = np.exp(lw - shift[rows, None])
+        return np.stack([nodes.t * g, g], axis=1)
+
+    try:
+        m1, m0 = _gauss_cheb_adaptive(moments, -1.0, 1.0, cfg, count=len(gaps)).T
+    except NumericsError:
+        open_gaps = levels[-1].idx
+        g0, g1 = gaps[open_gaps[0]]
+        raise NumericsError(
+            f"gap quadrature on [{g0}, {g1}] did not converge at "
+            f"{cfg.quad_max_nodes} nodes ({open_gaps.size} gaps unsettled)"
+        ) from None
+    # a gap settles at the last level that samples it
+    groups = [a.subset(~np.isin(a.idx, b.idx)) for a, b in zip(levels, levels[1:])]
+    return [nodes for nodes in groups + levels[-1:] if nodes.idx.size], m1 / m0
+
+
+def _newton_rows(nodes: _GapNodes, lam: np.ndarray):
+    """One batched Gauss-Chebyshev pass over the gaps in ``nodes``, rows
+    scaled at their largest log g: per gap M0 = int g, the residual H = int
+    (t - lam_k) g and the Jacobian rows dH_k/dlam_j, -M0_k on the diagonal
+    and -int (t - lam_k) g / (t - lam_j) off it."""
+    lw = _gap_log_weight(nodes, lam)
+    g = np.exp(lw - lw.max(axis=1, keepdims=True)) * (np.pi / nodes.t.shape[1])
+    ug = (nodes.t - lam[nodes.idx, None]) * g
+    m0, h = g.sum(axis=1), ug.sum(axis=1)
+    J = np.zeros((len(nodes.idx), lam.size))
+    for gs, ns, d in _diff_blocks(nodes.t, lam, nodes.idx[:, None]):
+        J[gs] -= np.matmul(ug[gs, ns][:, None, :], np.reciprocal(d, out=d))[:, 0, :]
+    J[np.arange(len(nodes.idx)), nodes.idx] = -m0
+    return m0, h, J
 
 
 def _newton_gap_step(
@@ -292,8 +267,7 @@ def _newton_gap_step(
     G = lam.size
     H, M0, J = np.empty(G), np.empty(G), np.empty((G, G))
     for nodes in groups:
-        _, m0, _, h, rows = _gap_pass(nodes, lam, jac=True)
-        H[nodes.idx], M0[nodes.idx], J[nodes.idx] = h, m0, rows
+        M0[nodes.idx], H[nodes.idx], J[nodes.idx] = _newton_rows(nodes, lam)
     mean = lam + H / M0
     try:
         new = lam - np.linalg.solve(J, H)
@@ -311,7 +285,8 @@ def _solve_gap_roots(K: IntervalSet, cfg: NumericsConfig) -> np.ndarray:
     lam = (lo + hi) / 2.0
     if not lam.size:
         return lam
-    groups, new = _first_gap_pass(K, lam, cfg)
+    # the first pass, a mean step from the midpoints, fixes the node counts
+    groups, new = _gap_means(K, lam, None, cfg)
     max_passes = 300
     floor_tol = 1e-13
     prev_delta = np.inf
@@ -327,19 +302,25 @@ def _solve_gap_roots(K: IntervalSet, cfg: NumericsConfig) -> np.ndarray:
     )
 
 
-def _verify_gap_conditions(
-    K: IntervalSet, roots: np.ndarray, cfg: NumericsConfig
-) -> None:
+def _verify_gap_conditions(K: IntervalSet, roots: np.ndarray, cfg: NumericsConfig) -> None:
     """Residual audit: each root must be the weighted gap mean it defines.
 
     Equivalent to the vanishing of int_gap q W (divide by the constant-sign
-    cofactor); stated this way the integrands stay smooth.
+    cofactor); stated this way the integrands stay smooth.  The means come
+    from a fresh doubling at the final roots, rows scaled at the gap
+    midpoints, independent of the Newton passes.
     """
-    for k, ((g0, g1), others) in enumerate(zip(K.gaps(), _gap_others(K))):
-        mean = _gap_mean((g0, g1), np.delete(roots, k), others, cfg)
-        resid = abs(mean - roots[k]) / (g1 - g0)
-        if resid > 5e-10:
-            raise NumericsError(f"gap condition residual {resid:.2e} in gap {k}")
+    if not roots.size:
+        return
+    gaps = np.asarray(K.gaps()).reshape(-1, 2)
+    ends = np.asarray(K.endpoints())
+    idx = np.arange(len(gaps))
+    mid = _gap_nodes(gaps, ends, idx, np.zeros(1))
+    _, mean = _gap_means(K, roots, _gap_log_weight(mid, roots)[:, 0], cfg)
+    resid = np.abs(mean - roots) / (gaps[:, 1] - gaps[:, 0])
+    k = int(np.argmax(resid))
+    if not resid[k] <= 5e-10:
+        raise NumericsError(f"gap condition residual {resid[k]:.2e} in gap {k}")
 
 
 def solve_equilibrium(K: IntervalSet, cfg: NumericsConfig = DEFAULTS) -> EquilibriumData:
@@ -350,8 +331,7 @@ def solve_equilibrium(K: IntervalSet, cfg: NumericsConfig = DEFAULTS) -> Equilib
     _verify_gap_conditions(K, roots, cfg)
     tables = _component_tables(K, roots)
     mass = float(sum(tab.mass for tab in tables))
-    probes = _robin_probes(K)
-    robin = float(np.mean([_potential_from_tables(tables, x) for x in probes]))
+    robin = float(np.mean(_potential_from_tables(tables, np.asarray(_robin_probes(K)))))
     cap = math.exp(-robin)
     return EquilibriumData(
         set=K, roots=tuple(float(r) for r in roots), robin=robin, cap=cap,
@@ -360,20 +340,23 @@ def solve_equilibrium(K: IntervalSet, cfg: NumericsConfig = DEFAULTS) -> Equilib
 
 
 def _component_tables(K: IntervalSet, roots: np.ndarray) -> tuple[ComponentTable, ...]:
+    """Every component's table from one batched expansion: at each doubling
+    level the still-open components are sampled together, block by block."""
     ends = np.asarray(K.endpoints())
-    tables = []
-    for (u, v) in K.intervals:
-        mid, half = (u + v) / 2.0, (v - u) / 2.0
-        others = ends[(ends != u) & (ends != v)]
+    mid, half = (ends[::2] + ends[1::2]) / 2.0, (ends[1::2] - ends[::2]) / 2.0
+    own = np.arange(2 * K.m).reshape(-1, 2)
+    no_root = np.empty((K.m, 0), dtype=int)
 
-        def G(s, _others=others, _mid=mid, _half=half):
-            return np.exp(_log_weight(_mid + _half * s, roots, _others)) / (np.pi * _half)
+    def G(s, rows):
+        t = mid[rows, None] + half[rows, None] * s
+        lw = _log_dist(t, roots, no_root[rows]) - 0.5 * _log_dist(t, ends, own[rows])
+        return np.exp(lw) / (np.pi * half[rows, None])
 
-        coeffs = chebyshev_expand(G, -1.0, 1.0)
-        tables.append(
-            ComponentTable(mid=mid, half=half, coeffs=tuple(float(x) for x in coeffs))
-        )
-    return tuple(tables)
+    coeffs = chebyshev_expand(G, -1.0, 1.0, count=K.m)
+    return tuple(
+        ComponentTable(mid=float(a), half=float(h), coeffs=tuple(c.tolist()))
+        for a, h, c in zip(mid, half, coeffs)
+    )
 
 
 def _robin_probes(K: IntervalSet) -> list[float]:
@@ -439,39 +422,38 @@ def omega_factor(E: EquilibriumData, a: float) -> float:
     return math.exp(logw) / math.pi
 
 
-def _phi_terms(xi: float, nterms: int) -> tuple[float, np.ndarray]:
-    """Closed forms of (1/pi) int log(1/|xi - s|) T_k(s)/sqrt(1-s^2) ds.
+def _potential_from_tables(tables: Sequence[ComponentTable], x) -> np.ndarray:
+    """U at the points x (any shape) from the component tables.
 
-    Inside [-1, 1]: log 2 for k = 0 and T_k(xi)/k for k >= 1; outside, with
-    zeta = |xi| + sqrt(xi^2 - 1): log 2 - log zeta and sign(xi)^k zeta^-k /k.
+    With xi = (x - mid)/half, component j adds half pi sum_k c_k phi_k(xi)
+    plus c_0 half pi log(1/half), where phi_k(xi) = (1/pi) int log(1/|xi -
+    s|) T_k(s)/sqrt(1-s^2) ds has the closed forms log 2 (k = 0) and
+    T_k(xi)/k inside [-1, 1], and, with zeta = |xi| + sqrt(xi^2 - 1),
+    log 2 - log zeta and sign(xi)^k zeta^-k / k outside.  All components go
+    in one zero-padded (components x terms) coefficient matrix.
     """
-    ks = np.arange(1, nterms) if nterms > 1 else np.empty(0)
-    if abs(xi) <= 1.0:
-        theta = math.acos(min(1.0, max(-1.0, xi)))
-        return math.log(2.0), (np.cos(ks * theta) / ks if len(ks) else ks)
-    lz = math.log(abs(xi) + math.sqrt(xi * xi - 1.0))
-    signs = np.ones(len(ks)) if xi > 0 else (-1.0) ** ks
-    return math.log(2.0) - lz, (signs * np.exp(-ks * lz) / ks if len(ks) else ks)
-
-
-def _potential_from_tables(tables: Sequence[ComponentTable], x: float) -> float:
-    total = 0.0
-    for tab in tables:
-        xi = (x - tab.mid) / tab.half
-        c = np.asarray(tab.coeffs)
-        phi0, phik = _phi_terms(xi, len(c))
-        series = c[0] * (phi0 + math.log(1.0 / tab.half))
-        if len(c) > 1:
-            series += float(c[1:] @ phik)
-        total += tab.half * math.pi * series
-    return total
+    C = np.zeros((len(tables), max(len(tab.coeffs) for tab in tables)))
+    for j, tab in enumerate(tables):
+        C[j, :len(tab.coeffs)] = tab.coeffs
+    mid = np.array([tab.mid for tab in tables])
+    half = np.array([tab.half for tab in tables])
+    xi = (np.asarray(x, dtype=float)[..., None] - mid) / half
+    inside = np.abs(xi) <= 1.0
+    a = np.where(inside, 1.0, np.abs(xi))
+    lz = np.log(a + np.sqrt(a * a - 1.0))
+    k = np.arange(1, C.shape[1])
+    theta = np.arccos(np.clip(xi, -1.0, 1.0))[..., None]
+    sign = np.where((xi[..., None] < 0) & (k % 2 == 1), -1.0, 1.0)
+    phik = np.where(inside[..., None], np.cos(k * theta), sign * np.exp(-k * lz[..., None])) / k
+    series = C[:, 0] * (math.log(2.0) - lz - np.log(half)) + np.sum(C[:, 1:] * phik, axis=-1)
+    return np.sum(half * math.pi * series, axis=-1)
 
 
 def equilibrium_potential(E: EquilibriumData, x: float) -> float:
     """Logarithmic potential U(x) = int log(1/|x - t|) dnu(t), any real x."""
     if not math.isfinite(x):
         raise SetSpecError(f"potential needs finite x, got {x}")
-    return _potential_from_tables(E.tables, x)
+    return float(_potential_from_tables(E.tables, x))
 
 
 def green(E: EquilibriumData, z: float) -> float:

@@ -2,16 +2,18 @@
 
 Four kernels live here, each with a caller in the library:
 
-* ``_gauss_cheb_adaptive(f, u, v)``: Gauss-Chebyshev sums of
+* ``_gauss_cheb_adaptive(f, u, v[, cfg, count])``: Gauss-Chebyshev sums of
   int_u^v f(t) / sqrt((t-u)(v-t)) dt for smooth f (the inverse-square-root
   endpoint singularities are absorbed by the weight), with node doubling
-  until successive estimates agree.  The gap-condition verifier of the
-  equilibrium solver, ``balayage_mass`` and ``decomposition_residual``
-  use it; the gap roots themselves come from a batched pass on the same
-  nodes, and the Robin constant from the component tables.
-* ``chebyshev_expand(f, u, v)``: adaptively truncated Chebyshev
-  coefficients of a smooth f on [u, v], for the per-component density
-  factors.
+  until successive estimates agree; with ``count``, of that many integrands
+  at once, each stopping by its own estimates.  ``balayage_mass`` and
+  ``decomposition_residual`` integrate one function; the equilibrium
+  solver's first gap pass and gap verifier each integrate the moments of
+  all gaps in one call, mapped onto [-1, 1].
+* ``chebyshev_expand(f, u, v[, count])``: adaptively truncated Chebyshev
+  coefficients of a smooth f on [u, v]; with ``count``, of that many
+  functions at once, as the equilibrium solver expands the density factors
+  of all components together.
 * ``cheb_T_deriv(n, x)``: T_n'(x) = n U_{n-1}(x) by the second-kind
   recurrence, valid on all of R; the Schur witnesses are built from it.
   Chebyshev series themselves are ``numpy.polynomial.Chebyshev``.
@@ -28,6 +30,7 @@ import dataclasses
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 from scipy.optimize import linprog
 
 from .config import DEFAULTS, NumericsConfig
@@ -38,10 +41,11 @@ from .errors import NumericsError, SetSpecError
 
 
 def _gauss_cheb_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
     u: float,
     v: float,
     cfg: NumericsConfig = DEFAULTS,
+    count: int | None = None,
 ) -> np.ndarray:
     """int_u^v f(t)/sqrt((t-u)(v-t)) dt by Gauss-Chebyshev sums.
 
@@ -50,27 +54,46 @@ def _gauss_cheb_adaptive(
     until the sup-change between successive estimates falls below
     quad_rel_tol relative to the largest component magnitude; the sum is
     exact for polynomial f of degree < 2N at N nodes.
+
+    With ``count``, ``count`` integrands are summed together and the result
+    has one leading row per integrand: f(t, rows) gives those numbered
+    ``rows`` (indices into range(count)) at the nodes t as a (len(rows),
+    N) or (len(rows), k, N) array, and each integrand stops doubling by the
+    rule above on its own components.
     """
     if not v > u:
         raise SetSpecError(f"integration interval needs u < v, got [{u}, {v}]")
+    single = count is None
+    if single:
+        one, count = f, 1
+
+        def f(t, rows):
+            return np.asarray(one(t), dtype=float)[None]
+
     mid, half = (u + v) / 2.0, (v - u) / 2.0
+    todo = np.arange(count)
+    out = prev = None
     N = cfg.quad_min_nodes
-    prev = None
     while N <= cfg.quad_max_nodes:
         theta = (2.0 * np.arange(1, N + 1) - 1.0) * np.pi / (2.0 * N)
         t = mid + half * np.cos(theta)
-        vals = np.asarray(f(t), dtype=float)
-        est = vals.sum(axis=-1) * (np.pi / N)
+        est = np.asarray(f(t, todo), dtype=float).sum(axis=-1) * (np.pi / N)
         if prev is not None:
-            scale = max(np.max(np.abs(est)), np.max(np.abs(prev)))
-            if scale == 0.0 or np.max(np.abs(est - prev)) <= cfg.quad_rel_tol * scale:
-                return est
+            axes = tuple(range(1, est.ndim))
+            scale = np.maximum(np.abs(est).max(axis=axes), np.abs(prev).max(axis=axes))
+            done = (scale == 0.0) | (np.abs(est - prev).max(axis=axes) <= cfg.quad_rel_tol * scale)
+            out[todo[done]] = est[done]
+            todo, est = todo[~done], est[~done]
+            if not todo.size:
+                return out[0] if single else out
+        else:
+            out = np.empty((count,) + est.shape[1:])
         prev = est
         N *= 2
+    which = "" if single else f" of integrand {todo[0]}"
     raise NumericsError(
-        f"endpoint-singular quadrature on [{u}, {v}] did not converge at "
-        f"{cfg.quad_max_nodes} nodes; last two estimates "
-        f"{np.atleast_1d(prev)[:4]} vs {np.atleast_1d(est)[:4]}"
+        f"endpoint-singular quadrature{which} on [{u}, {v}] did not converge at "
+        f"{cfg.quad_max_nodes} nodes; last estimate {np.ravel(est[0])[:4]}"
     )
 
 
@@ -82,14 +105,15 @@ EXPAND_TAIL_TOL = 1e-14
 
 def _truncate_coeffs(c: np.ndarray, threshold: float) -> np.ndarray:
     keep = np.nonzero(np.abs(c) > threshold)[0]
-    return c[: keep[-1] + 1] if len(keep) else c[:1]
+    return c[: keep[-1] + 1].copy() if len(keep) else c[:1].copy()
 
 
 def chebyshev_expand(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
     u: float,
     v: float,
-) -> np.ndarray:
+    count: int | None = None,
+):
     """Chebyshev coefficients of a smooth f on [u, v], adaptively truncated.
 
     Interpolates at first-kind nodes, doubling the count until the trailing
@@ -98,34 +122,55 @@ def chebyshev_expand(
     floor of the sampled values (the floor itself grows like sqrt(N)); the
     level with the smaller tail is then accepted.  Trailing coefficients
     below the accepted floor are dropped.
+
+    With ``count``, ``count`` functions are expanded together and a list of
+    their coefficient arrays is returned: f(t, rows) gives the functions
+    numbered ``rows`` (indices into range(count)) at the nodes t as a
+    (len(rows), len(t)) array, and each function stops doubling by its own
+    rule.
     """
     if not v > u:
         raise SetSpecError(f"expansion interval needs u < v, got [{u}, {v}]")
+    single = count is None
+    if single:
+        one, count = f, 1
+
+        def f(t, rows):
+            return np.reshape(one(t), (1, -1))
+
     mid, half = (u + v) / 2.0, (v - u) / 2.0
+    out: list = [None] * count
+    todo = np.arange(count)
+    best_c, best_tail = None, None
     N = EXPAND_MIN_NODES
-    best: tuple[np.ndarray, float] | None = None
     while True:
         theta = (2.0 * np.arange(1, N + 1) - 1.0) * np.pi / (2.0 * N)
-        vals = np.asarray(f(mid + half * np.cos(theta)), dtype=float)
+        vals = np.asarray(f(mid + half * np.cos(theta), todo), dtype=float)
         # discrete cosine transform at first-kind nodes
-        k = np.arange(N)
-        c = (2.0 / N) * np.cos(np.outer(k, theta)) @ vals
-        c[0] *= 0.5
-        scale = np.max(np.abs(c))
-        if scale == 0.0:
-            return np.zeros(1)
-        tail = np.max(np.abs(c[-max(N // 4, 1):]))
-        if tail <= EXPAND_TAIL_TOL * scale:
-            return _truncate_coeffs(c, EXPAND_TAIL_TOL * scale)
-        if best is not None and tail >= 0.5 * best[1]:
-            cb, tb = (c, tail) if tail < best[1] else best
-            return _truncate_coeffs(cb, max(EXPAND_TAIL_TOL * scale, 2.0 * tb))
-        best = (c, tail)
+        c = scipy.fft.dct(vals, type=2, axis=1) / N
+        c[:, 0] *= 0.5
+        scale = np.max(np.abs(c), axis=1)
+        tail = np.max(np.abs(c[:, -max(N // 4, 1):]), axis=1)
+        # a zero function ends here too, as one zero coefficient
+        done = tail <= EXPAND_TAIL_TOL * scale
+        for r in np.flatnonzero(done):
+            out[todo[r]] = _truncate_coeffs(c[r], EXPAND_TAIL_TOL * scale[r])
+        if best_tail is not None:
+            floor = ~done & (tail >= 0.5 * best_tail)
+            for r in np.flatnonzero(floor):
+                cb, tb = (c[r], tail[r]) if tail[r] < best_tail[r] else (best_c[r], best_tail[r])
+                out[todo[r]] = _truncate_coeffs(cb, max(EXPAND_TAIL_TOL * scale[r], 2.0 * tb))
+            done |= floor
+        if done.all():
+            return out[0] if single else out
         if N >= EXPAND_MAX_NODES:
+            r = np.flatnonzero(~done)[0]
+            which = "" if single else f" of function {todo[r]}"
             raise NumericsError(
-                f"Chebyshev expansion on [{u}, {v}] did not resolve at "
-                f"{EXPAND_MAX_NODES} nodes (tail {tail:.3e} vs scale {scale:.3e})"
+                f"Chebyshev expansion{which} on [{u}, {v}] did not resolve at "
+                f"{EXPAND_MAX_NODES} nodes (tail {tail[r]:.3e} vs scale {scale[r]:.3e})"
             )
+        todo, best_c, best_tail = todo[~done], c[~done], tail[~done]
         N *= 2
 
 

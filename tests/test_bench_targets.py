@@ -35,6 +35,7 @@ TRACED_OPS = [
     ["markov", "--set", '{"intervals":[[-1,1]]}', "--a", "1", "--degrees", "5"],
     ["density", "--set", '{"intervals":[[-1,-0.5],[0.5,1]]}', "--points", "20"],
     ["schur-witness", "--n", "100", "--points", "50", "--format", "csv"],
+    ["capacity", "--set", '{"cantor":{"level":3,"ratio":0.3}}'],
 ]
 
 
@@ -55,4 +56,5 @@ def test_tracer_reads_every_count(capsys):
     metrics = tracer.metrics(len(TRACED_OPS), op_s)
     assert len(metrics) == 24, sorted(metrics)
     assert metrics["numerics.lp.rows"] > 0
+    assert metrics["numerics.expand.nodes"] > 0
     assert metrics["extremal.exchange_rounds"] > 0

@@ -7,6 +7,7 @@ import pytest
 from equipot import (
     BalayageQuery,
     IntervalSet,
+    NumericsError,
     SetSpecError,
     balayage_density,
     balayage_edge_limit,
@@ -108,6 +109,14 @@ class TestGapRootSolver:
         assert len(r) == 255
         assert np.max(np.abs(r + r[::-1] - 1.0)) <= 1e-12
 
+    def test_unconverged_gap_quadrature_names_the_gap(self):
+        from equipot.config import NumericsConfig
+
+        K = IntervalSet(((0.0, 1.0), (1.5, 1.6), (3.0, 4.0)))
+        cfg = NumericsConfig(quad_min_nodes=2, quad_max_nodes=4)
+        with pytest.raises(NumericsError, match=r"gap quadrature on \[1\.0, 1\.5\] .* 4 nodes"):
+            solve_equilibrium(K, cfg)
+
     def test_quadratic_convergence(self, monkeypatch):
         steps = []
         step = equilibrium._newton_gap_step
@@ -145,6 +154,128 @@ class TestGapRootSolver:
         monkeypatch.setattr(equilibrium, "GAP_CHUNK", 1 << 40)
         K, _ = cheb_image_roots(2.0, 128, 1.0, 0.0)
         assert self._peak_bytes(K) > self.MEMORY_BUDGET
+
+
+class TestGapVerifier:
+    """The verifier must catch a root that misses its gap condition, and
+    name the gap, whatever the solver returned."""
+
+    SETS = {
+        "cantor5": lambda: cantor_set(5),
+        "cheb40": lambda: cheb_image_roots(1.5, 40, 1.0, 3.0)[0],
+    }
+
+    @staticmethod
+    def _returning(monkeypatch, move):
+        solve = equilibrium._solve_gap_roots
+
+        def patched(K, cfg):
+            return move(K, solve(K, cfg).copy())
+
+        monkeypatch.setattr(equilibrium, "_solve_gap_roots", patched)
+
+    @pytest.mark.parametrize("name", sorted(SETS))
+    @pytest.mark.parametrize("where", [0, 0.5, 1])
+    def test_moved_root_is_named(self, monkeypatch, name, where):
+        K = self.SETS[name]()
+        k = int(round(where * (K.m - 2)))
+
+        def move(K, roots):
+            g0, g1 = K.gaps()[k]
+            roots[k] += 1e-7 * (g1 - g0)
+            return roots
+
+        self._returning(monkeypatch, move)
+        with pytest.raises(NumericsError, match=rf"in gap {k}$"):
+            solve_equilibrium(K)
+
+    def test_true_roots_pass(self, monkeypatch):
+        solve_equilibrium(self.SETS["cantor5"]())
+        K, exact = cheb_image_roots(1.5, 40, 1.0, 3.0)
+        self._returning(monkeypatch, lambda K, roots: exact)
+        assert solve_equilibrium(K).roots == tuple(exact)
+
+
+def per_component_potential(E, x):
+    """U(x) and the sum of |terms|, one component at a time by the closed
+    forms of (1/pi) int log(1/|xi - s|) T_k(s) / sqrt(1 - s^2) ds."""
+    terms = []
+    for tab in E.tables:
+        xi = (x - tab.mid) / tab.half
+        c = np.asarray(tab.coeffs)
+        ks = np.arange(1, len(c))
+        if abs(xi) <= 1.0:
+            phi0, phik = math.log(2.0), np.cos(ks * math.acos(xi)) / ks
+        else:
+            lz = math.log(abs(xi) + math.sqrt(xi * xi - 1.0))
+            phi0 = math.log(2.0) - lz
+            phik = np.sign(xi) ** ks * np.exp(-ks * lz) / ks
+        terms.append(tab.half * math.pi * (c[0] * (phi0 + math.log(1.0 / tab.half)) + c[1:] @ phik))
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+
+class TestBatchedStages:
+    """The batched potential and component tables against the same sums
+    and expansions formed one component at a time."""
+
+    SETS = {
+        "cantor6": lambda: cantor_set(6),
+        "three": lambda: IntervalSet(((-3.0, -2.0), (-1.0, 0.5), (2.0, 2.25))),
+        "cheb96": lambda: cheb_image_roots(1.5, 96, -2.5, 7.0)[0],
+    }
+
+    @staticmethod
+    def _points(K):
+        (u, v), (g0, g1) = K.intervals[K.m // 2], K.gaps()[K.m // 2 - 1]
+        hull = K.max - K.min
+        return [u + 0.3 * (v - u), g0 + 0.4 * (g1 - g0), K.min - 0.2 * hull, K.max + 3.0 * hull]
+
+    @pytest.mark.parametrize("name", ["cantor6", "three"])
+    def test_potential_is_the_per_component_sum(self, name):
+        K = self.SETS[name]()
+        E = solve_equilibrium(K)
+        probes = [per_component_potential(E, x) for x in equilibrium._robin_probes(K)]
+        robin = float(np.mean([u for u, _ in probes]))
+        assert abs(E.robin - robin) <= 1e-14 * max(s for _, s in probes)
+        inside, gap, left, right = self._points(K)
+        for x in (inside, gap, left, right):
+            want, scale = per_component_potential(E, x)
+            assert abs(equilibrium_potential(E, x) - want) <= 1e-14 * scale
+            if x != inside:
+                assert abs(green(E, x) - (robin - want)) <= 1e-14 * max(scale, abs(robin))
+        assert green(E, inside) == 0.0
+
+    @pytest.mark.parametrize("name", ["cantor6", "cheb96"])
+    def test_tables_match_one_at_a_time(self, name):
+        from equipot.equilibrium import _log_weight
+        from equipot.numerics import chebyshev_expand
+
+        K = self.SETS[name]()
+        E = solve_equilibrium(K)
+        roots, ends = np.asarray(E.roots), np.asarray(K.endpoints())
+        for (u, v), tab in zip(K.intervals, E.tables):
+            mid, half = (u + v) / 2.0, (v - u) / 2.0
+            others = ends[(ends != u) & (ends != v)]
+            want = chebyshev_expand(
+                lambda s: np.exp(_log_weight(mid + half * s, roots, others)) / (np.pi * half),
+                -1.0, 1.0)
+            got = np.asarray(tab.coeffs)
+            n = max(len(got), len(want))
+            diff = np.pad(got, (0, n - len(got))) - np.pad(want, (0, n - len(want)))
+            assert np.max(np.abs(diff)) <= 1e-13 * abs(want[0])
+            assert abs(tab.mass - half * math.pi * want[0]) <= 1e-14
+
+    # peak traced memory of one Cantor level-8 solve; an unchunked level of
+    # the tables alone holds (256 components x 64 nodes x 767 columns)
+    # doubles, about 100 MB
+    MEMORY_BUDGET = 32 << 20
+
+    def test_memory_bounded(self):
+        assert TestGapRootSolver._peak_bytes(cantor_set(8)) < self.MEMORY_BUDGET
+
+    def test_memory_budget_catches_unchunked_passes(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "GAP_CHUNK", 1 << 40)
+        assert TestGapRootSolver._peak_bytes(cantor_set(8)) > self.MEMORY_BUDGET
 
 
 class TestDensity:

@@ -61,6 +61,36 @@ class TestQuadrature:
         with pytest.raises(NumericsError):
             quad(lambda t: np.abs(t) ** 0.1, -1, 1)
 
+    INTEGRANDS = (
+        lambda t: np.vstack([t**8, np.ones_like(t)]),
+        lambda t: np.vstack([np.exp(t), np.cos(40.0 * t)]),
+        lambda t: np.zeros((2, len(t))),
+    )
+
+    def test_batch_is_each_integrand_alone(self):
+        seen = []
+
+        def f(t, rows):
+            seen.append((len(t), tuple(rows)))
+            return np.stack([self.INTEGRANDS[r](t) for r in rows])
+
+        got = _gauss_cheb_adaptive(f, -2.0, 3.0, count=len(self.INTEGRANDS))
+        assert got.shape == (3, 2)
+        for g, one in zip(got, self.INTEGRANDS):
+            assert np.array_equal(g, _gauss_cheb_adaptive(one, -2.0, 3.0))
+        # an integrand is sampled until it settles, and not after: only the
+        # oscillating one needs more than the first two levels
+        assert [rows for _, rows in seen[:2]] == [(0, 1, 2)] * 2
+        assert all(rows == (1,) for _, rows in seen[2:]) and len(seen) > 2
+        assert [n for n, _ in seen] == [64 << j for j in range(len(seen))]
+
+    def test_batch_names_the_unconverged_integrand(self):
+        def f(t, rows):
+            return np.vstack([np.exp(t), np.abs(t) ** 0.1])[rows]
+
+        with pytest.raises(NumericsError, match="of integrand 1 on"):
+            _gauss_cheb_adaptive(f, -1.0, 1.0, count=2)
+
 
 class TestChebyshevExpand:
     def test_exact_low_degree(self):
@@ -73,6 +103,36 @@ class TestChebyshevExpand:
         s = np.linspace(-1, 1, 101)
         got = np.polynomial.chebyshev.chebval(s, c)
         assert np.max(np.abs(got - 1.0 / (1.0 + 25.0 * s * s))) < 1e-11
+
+    FUNCTIONS = (
+        lambda s: 2.0 * s * s,
+        lambda s: 1.0 / (1.0 + 25.0 * s * s),
+        lambda s: 0.0 * s,
+        lambda s: np.exp(3.0 * s),
+    )
+
+    def test_batch_is_each_function_alone(self):
+        seen = []
+
+        def f(t, rows):
+            seen.append((len(t), tuple(rows)))
+            return np.vstack([self.FUNCTIONS[r](t) for r in rows])
+
+        got = chebyshev_expand(f, -2.0, 3.0, count=len(self.FUNCTIONS))
+        for g, one in zip(got, self.FUNCTIONS):
+            want = chebyshev_expand(one, -2.0, 3.0)
+            assert len(g) == len(want)
+            assert np.allclose(g, want, rtol=0.0, atol=1e-15 * np.max(np.abs(want)))
+        # a function is sampled until it settles, and not after: only the
+        # Runge function needs more than the first 64 nodes
+        assert seen == [(64 << j, (0, 1, 2, 3) if j == 0 else (1,)) for j in range(len(seen))]
+
+    def test_batch_names_the_unresolved_function(self):
+        def f(t, rows):
+            return np.vstack([np.exp(t), np.abs(t)])[rows]
+
+        with pytest.raises(NumericsError, match="function 1 on"):
+            chebyshev_expand(f, -1.0, 1.0, count=2)
 
 
 class TestChebT:
