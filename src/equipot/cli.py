@@ -7,9 +7,10 @@ path to a JSON file; sweeps use ``a..b`` (arithmetic, step 1) or ``a..b:x2``
 in ``_COMMANDS``: json (default) for every command, csv for all but green
 and schur-counterexample, svg for density, markov and converge; any other
 format is a parse error.
-Numbers are serialised with 17 significant digits so binary64 values
-round-trip; output files are written atomically (temp + rename) and
-byte-identical runs follow from identical configs.
+Numbers round-trip binary64: csv has 17 significant digits, and json is
+``json.dumps(record, indent=2, sort_keys=True)``.  Output files are
+written atomically (temp + rename), and byte-identical runs follow from
+identical configs.
 
 Exit codes: 0 success, 2 input/parse errors (argument errors included), 3
 numeric failures, 4 violated run invariants, after the output is written;
@@ -56,7 +57,31 @@ def to_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def to_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return _indented(obj, "") + "\n"
+
+
+def _indented(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) starting at indentation ``pad``.
+
+    The indenting encoder is pure Python, so a numeric table (non-empty rows
+    of int or float) goes through the compact C encoder and is re-indented
+    by string replacement: no number token contains ", " or "], [".
+    """
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        if (all(isinstance(row, (list, tuple)) and row for row in obj)
+                and {type(v) for row in obj for v in row} <= {int, float}):
+            cells = json.dumps(obj)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{inner}  ")
+            cells = cells.replace(", ", f",\n{inner}  ")
+            return f"[\n{inner}[\n{inner}  {cells}\n{inner}]\n{pad}]"
+        items = [_indented(v, inner) for v in obj]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        items = [f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in sorted(obj.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    # scalars, empty containers, and dicts whose keys json itself must coerce
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def _nice_ticks(lo: float, hi: float, want: int = 5) -> list[float]:

@@ -14,9 +14,13 @@ Four kernels live here, each with a caller in the library:
   coefficients of a smooth f on [u, v]; with ``count``, of that many
   functions at once, as the equilibrium solver expands the density factors
   of all components together.
-* ``cheb_T_deriv(n, x)``: T_n'(x) = n U_{n-1}(x) by the second-kind
-  recurrence, valid on all of R; the Schur witnesses are built from it.
-  Chebyshev series themselves are ``numpy.polynomial.Chebyshev``.
+* ``_cheb_u(m, p, q)``: the second-kind Chebyshev polynomial U_m(w), given
+  w through p = c (1 - w) and q = c (1 + w) for a common c > 0, in angle
+  form: O(1) per point, and accurate near w = +-1 when the caller forms the
+  two factors without cancellation.  The Schur witnesses evaluate
+  H_m = U_m through it, and ``cheb_T_deriv(n, x)`` = n U_{n-1}(x) on all of
+  R is its public face.  Chebyshev series themselves are
+  ``numpy.polynomial.Chebyshev``.
 * ``lp_maximize(LPProblem(objective, rows))``: max objective . y subject to
   |rows . y| <= 1 and |y_j| <= 1, the nodal-value LP of the extremal
   probe, solved by HiGHS with a deterministic tolerance ladder and a
@@ -175,22 +179,56 @@ def chebyshev_expand(
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev derivative
+# second-kind Chebyshev polynomials
+
+
+def _cheb_u(m: int, p, q):
+    """U_m(w) from p = c (1 - w) and q = c (1 + w), for any common c > 0.
+
+    U_m(-w) = (-1)^m U_m(w) folds every point onto w >= 0 (p <= q).  On
+    [0, 1], w = cos(theta) with tan(theta/2) = sqrt(p/q), so theta comes
+    from the factored distance to w = 1, never from 1 - w, and U_m =
+    sin((m+1) theta)/sin(theta).  Beyond 1 (p < 0), w = cosh(phi) with
+    e^phi - 1 = 2 sqrt(-p) (sqrt(-p) + sqrt(q))/(p + q), a sum of positive
+    terms over p + q = 2c (tanh(phi/2) = sqrt(-p/q) would lose m eps |w| to
+    the rounding of the ratio), and U_m = sinh((m+1) phi)/sinh(phi) is
+    formed as e^{m phi} (1 - e^{-2(m+1) phi})/(1 - e^{-2 phi}), which
+    overflows to +-inf, not to inf - inf.  Both limits at w = 1 are m + 1.
+    Each point costs O(1) whatever m.
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    out = np.ones(lo.shape)
+    if m > 0:
+        inside = lo >= 0.0
+        beyond = ~inside  # nan lands here and stays nan
+        th = 2.0 * np.arctan2(np.sqrt(lo[inside]), np.sqrt(hi[inside]))
+        with np.errstate(invalid="ignore"):
+            out[inside] = np.where(th == 0.0, m + 1.0, np.sin((m + 1) * th) / np.sin(th))
+        s, t, two_c = np.sqrt(-lo[beyond]), np.sqrt(hi[beyond]), lo[beyond] + hi[beyond]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # two_c > 0 in exact arithmetic; if rounding cancels it, phi = inf
+            phi = np.log1p(2.0 * s * (s + t) / np.maximum(two_c, 0.0))
+            u = np.exp(m * phi) * np.expm1(-2.0 * (m + 1) * phi) / np.expm1(-2.0 * phi)
+        out[beyond] = np.where(phi == 0.0, m + 1.0, u)
+        if m % 2:
+            out[q < p] *= -1.0
+    return out if out.ndim else float(out)
 
 
 def cheb_T_deriv(n: int, x):
-    """Derivative T_n'(x) = n * U_{n-1}(x) via the second-kind recurrence."""
+    """Derivative T_n'(x) = n U_{n-1}(x), in O(1) per point.
+
+    Beyond [-1, 1] the accuracy rests on the rounded 1 - x and 1 + x still
+    summing to about 2: it degrades as |x| nears 2**53, and from 2**54 on
+    the value is +-inf for n > 1.
+    """
     if n < 0:
         raise SetSpecError(f"cheb_T_deriv needs n >= 0, got {n}")
     x = np.asarray(x, dtype=float)
     if n == 0:
         return np.zeros_like(x) if x.ndim else 0.0
-    # U_{n-1}: U_0 = 1, U_1 = 2x
-    prev, cur = np.zeros_like(x), np.ones_like(x)
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    out = n * cur
-    return out if x.ndim else float(out)
+    return n * _cheb_u(n - 1, 1.0 - x, 1.0 + x)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,19 @@ K* = T_N^{-1}[-1, 1]:
 
     P_n(x) = h(a) * H_m(T_N(x)) * U_d(x) * sqrt(2 |T_N'(a)|) / (1 + eta)^2,
 
-with H_m = T_{m+1}' / (m+1) (the classical extremal family with
+with H_m = T_{m+1}' / (m+1) = U_m (the classical extremal family with
 |H_m(+-1)| = m + 1), m = floor((n - sqrt n)/N), and U_d a peaking
 polynomial of degree d = floor(sqrt n) equal to 1 at a.  Two closed-form
 inverse-image families ship: the affine map of a single interval (N = 1)
 and the symmetric quadratic family T_2(x) = (2x^2 - 1 - alpha^2)/(1 -
 alpha^2) with T_2^{-1}[-1, 1] = [-1, -alpha] u [alpha, 1] (N = 2).
 
-``counterexample_demo`` audits T_{n+1}'/(n+1) on [-2, 1]: it satisfies the
+H_m(T_N(x)) is evaluated in angle form, U_m(cos t) = sin((m+1) t)/sin t,
+with t taken from 1 -+ T_N in factored form, (v - x, x - u) for the affine
+map and ((1 - x)(1 + x), (x - alpha)(x + alpha)) for the quadratic one, so
+T_N(x) is never rounded near +-1, where H_m is steepest.
+
+``counterexample_demo`` audits H_n = T_{n+1}'/(n+1) on [-2, 1]: it satisfies the
 local hypothesis with h(x) = 1/sqrt(1+x) but violates the global one, and
 its endpoint value n + 1 exceeds the bound's threshold - showing the global
 hypothesis cannot be dropped.
@@ -38,17 +43,19 @@ from .config import DEFAULTS, NumericsConfig
 from .equilibrium import EquilibriumData, omega_factor, solve_equilibrium
 from .errors import SetSpecError
 from .interval_sets import EndpointContext, IntervalSet, check_interval_condition
-from .numerics import cheb_T_deriv
+from .numerics import _cheb_u
 
 
 @dataclasses.dataclass(frozen=True)
 class InverseImageMap:
-    """A polynomial T_N with T_N^{-1}[-1, 1] equal to ``target_set``."""
+    """T_N with T_N^{-1}[-1, 1] equal to ``target_set``; ``factors(x)`` is
+    c (1 - T_N(x)), c (1 + T_N(x)) for a c > 0, as products of distances."""
 
     N: int
     T: Chebyshev
     target_set: IntervalSet
     a: float
+    factors: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def __call__(self, x):
         return self.T(x)
@@ -62,7 +69,8 @@ def affine_inverse_image(u: float, v: float) -> InverseImageMap:
     if not u < v:
         raise SetSpecError(f"affine map needs u < v, got [{u}, {v}]")
     T = Chebyshev((0.0, 1.0), domain=(u, v))
-    return InverseImageMap(N=1, T=T, target_set=IntervalSet(((u, v),)), a=v)
+    return InverseImageMap(N=1, T=T, target_set=IntervalSet(((u, v),)), a=v,
+                           factors=lambda x: (v - x, x - u))
 
 
 def quadratic_inverse_image(alpha: float) -> InverseImageMap:
@@ -77,14 +85,16 @@ def quadratic_inverse_image(alpha: float) -> InverseImageMap:
     # in the Chebyshev basis of [-1, 1]: 2x^2 = T_2 + 1
     T = Chebyshev((-alpha * alpha / denom, 0.0, 1.0 / denom))
     target = IntervalSet(((-1.0, -alpha), (alpha, 1.0)))
-    return InverseImageMap(N=2, T=T, target_set=target, a=1.0)
+    return InverseImageMap(N=2, T=T, target_set=target, a=1.0, factors=lambda x: (
+        (1.0 - x) * (1.0 + x), (x - alpha) * (x + alpha)))
 
 
 def h_poly(m: int, w):
-    """H_m(w) = T_{m+1}'(w)/(m+1); |H_m(+-1)| = m + 1 and |H_m| <= 1/sqrt(1-w^2) inside."""
+    """H_m(w) = T_{m+1}'(w)/(m+1) = U_m(w); |H_m(+-1)| = m + 1, |H_m| <= 1/sqrt(1-w^2) inside."""
     if m < 0:
         raise SetSpecError(f"h_poly needs m >= 0, got {m}")
-    return cheb_T_deriv(m + 1, w) / (m + 1)
+    w = np.asarray(w, dtype=float)
+    return _cheb_u(m, 1.0 - w, 1.0 + w)
 
 
 def peaking_poly(K: IntervalSet, a: float, d: int) -> Chebyshev:
@@ -105,8 +115,7 @@ def peaking_poly(K: IntervalSet, a: float, d: int) -> Chebyshev:
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     # ((x - c)/(a - c))^d is linear in the frame variable s: expand and convert
     lin = np.array([(mid - c) / (a - c), half / (a - c)])
-    mono = _nppoly.polypow(lin, d)
-    return Chebyshev(_npcheb.poly2cheb(mono), domain=(lo, hi))
+    return Chebyshev(_npcheb.poly2cheb(_nppoly.polypow(lin, d)), domain=(lo, hi))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,13 +142,10 @@ class SchurWitness:
         return self.h_a * (self.m + 1) * self.scale
 
     def __call__(self, x):
-        w = self.map(x)
-        return self.h_a * h_poly(self.m, w) * self.peak(x) * self.scale
+        return self.h_a * _cheb_u(self.m, *self.map.factors(x)) * self.peak(x) * self.scale
 
 
-def build_witness(
-    map: InverseImageMap, h_a: float, n: int, eta: float
-) -> SchurWitness:
+def build_witness(map: InverseImageMap, h_a: float, n: int, eta: float) -> SchurWitness:
     """Assemble the witness for degree budget n and headroom parameter eta."""
     if n < 16:
         raise SetSpecError(f"witness needs n >= 16, got {n}")
@@ -198,22 +204,18 @@ def audit_bound(
     hx = np.array([h(float(x)) for x in xs])
     if np.any(hx <= 0.0):
         raise SetSpecError("h must be positive on [a - rho, a]")
-    local_vals = Px * np.sqrt(a - xs) / hx
-    local_margin = float(np.max(local_vals)) if len(xs) else 0.0
+    local_margin = float(np.max(Px * np.sqrt(a - xs) / hx, initial=0.0))
     local_ok = local_margin <= 1.0 + 1e-9
 
     per = 64 * (n + 1)
-    sup = 0.0
-    for (u, v) in K.intervals:
-        th = np.linspace(0.0, np.pi, per)
-        vals = np.abs(np.asarray(P((u + v) / 2.0 + (v - u) / 2.0 * np.cos(th)), dtype=float))
-        sup = max(sup, float(np.max(vals)))
+    cos = np.cos(np.linspace(0.0, np.pi, per))
+    sup = max(float(np.max(np.abs(P((u + v) / 2.0 + (v - u) / 2.0 * cos))))
+              for (u, v) in K.intervals)
     growth = sup ** (1.0 / n) if sup > 0 else 0.0
 
     threshold = n * 2.0 * math.pi * h(a) * omega_factor(E, a)
-    runup = np.concatenate([xs, [a]])
-    runup_sup = float(np.max(np.abs(np.asarray(P(runup), dtype=float))))
     point = abs(float(np.asarray(P(np.array([a])), dtype=float)[0]))
+    runup_sup = max(float(np.max(Px, initial=0.0)), point)
     return AuditReport(
         n=n,
         local_ok=bool(local_ok),
@@ -253,10 +255,7 @@ def counterexample_demo(n: int, cfg: NumericsConfig = DEFAULTS) -> AuditReport:
     ctx = check_interval_condition(K, 1.0, rho=1.0)
     E = solve_equilibrium(K, cfg)
 
-    def P(x):
-        return cheb_T_deriv(n + 1, x) / (n + 1)
-
     def h(x: float) -> float:
         return 1.0 / math.sqrt(1.0 + x)
 
-    return audit_bound(P, h, K, ctx, n, E)
+    return audit_bound(lambda x: h_poly(n, x), h, K, ctx, n, E)

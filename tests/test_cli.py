@@ -396,6 +396,38 @@ class TestFormatMatrix:
             assert out.startswith("<svg")
 
 
+class TestJsonEncoding:
+    """to_json equals json.dumps(obj, indent=2, sort_keys=True) + newline, byte
+    for byte, though numeric tables take the compact C encoder."""
+
+    @staticmethod
+    def reference(obj):
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command", list(TestFormatMatrix.ARGS))
+    def test_every_command_record(self, command):
+        ns = cli.build_parser().parse_args([command, *TestFormatMatrix.ARGS[command]])
+        rec = cli._COMMANDS[command][0](ns, cli.load_config()).record()
+        assert cli.to_json(rec) == self.reference(rec)
+
+    def test_synthetic_record(self):
+        inf = math.inf
+        rec = {
+            "table": [[math.nan, inf, -inf], (-0.0, 5e-324, 1e308), [1, -2, 3.5]],
+            "bool_row": [[1.0, True], [2.0, False]],
+            "empty_row": [[1.0], []],
+            "ragged": [(0.25,), [1, 2, 3, 4], [1e-300, -7]],
+            "nested": [{"b": [[1, 2]], "a": None}, [[0.5]], [], {}],
+            "tuple_pairs": ((1, 2), (3, 4)),
+            "vector": [0.1, 2, -inf],
+            "none": None, "empty": [], "dict": {}, "flag": True, "count": 7,
+            "text": "Ω(K, a) \"q\" \\ \n\t\u0001 ☃",
+        }
+        assert cli.to_json(rec) == self.reference(rec)
+        for part in rec.values():
+            assert cli.to_json(part) == self.reference(part)
+
+
 class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
         ["markov", "--set", '{"intervals":[[-1,1]]}', "--degrees", "5"],        # no --a

@@ -147,6 +147,63 @@ class TestChebT:
             )
 
 
+def exact_T_deriv(n, x):
+    """T_n'(x) = n U_{n-1}(x) at the binary64 value x, to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x = mpmath.mpf(float(x))
+        if abs(x) == 1:
+            return mpmath.mpf(n * n) * mpmath.sign(x) ** (n - 1)
+        if abs(x) < 1:
+            t = mpmath.acos(x)
+            return n * mpmath.sin(n * t) / mpmath.sin(t)
+        f = mpmath.acosh(abs(x))
+        return n * mpmath.sign(x) ** (n - 1) * mpmath.sinh(n * f) / mpmath.sinh(f)
+
+
+class TestChebTOracle:
+    """The angle-form kernel against 50-digit values at the float inputs."""
+
+    NS = [1, 2, 5, 51, 401, 1601]
+    NEAR = 1.0 - 10.0 ** -np.arange(3, 16)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_inside_error_within_n_squared_eps(self, n):
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 201), self.NEAR, -self.NEAR, [1.0, -1.0]])
+        got = cheb_T_deriv(n, xs)
+        err = max(abs(float(g - exact_T_deriv(n, x))) for g, x in zip(got, xs))
+        assert err <= 1e-15 * n * n
+
+    @pytest.mark.parametrize("n", NS)
+    def test_outside_relative_error(self, n):
+        d = np.concatenate([10.0 ** -np.arange(2, 16), np.linspace(1e-3, 1e-2, 10)])
+        xs = np.concatenate([1.0 + d, -1.0 - d])
+        got = cheb_T_deriv(n, xs)
+        want = [exact_T_deriv(n, x) for x in xs]
+        rel = max(abs(float((g - e) / e)) for g, e in zip(got, want))
+        assert rel <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 50])
+    def test_far_outside_relative_error(self, n):
+        xs = [2.0, -10.0, 1e4, 1e8, -1e12] if n < 50 else [2.0, -10.0, 1e4]
+        got = cheb_T_deriv(n, xs)
+        rel = max(abs(float((g - e) / e)) for g, e in zip(got, (exact_T_deriv(n, x) for x in xs)))
+        assert rel <= 1e-13
+
+    def test_overflow_is_signed_infinity(self):
+        # U_999(1.5) ~ 1e417: the recurrence used to end in inf - inf = nan
+        assert cheb_T_deriv(1000, 1.5) == math.inf
+        assert cheb_T_deriv(1000, -1.5) == -math.inf
+        assert cheb_T_deriv(1001, -1.5) == math.inf
+
+    def test_scalar_list_and_zero_degree(self):
+        assert isinstance(cheb_T_deriv(7, 0.3), float)
+        got = cheb_T_deriv(3, [0.5, 2.0])
+        assert got.tolist() == pytest.approx([0.0, 45.0], rel=1e-14, abs=1e-14)
+        assert cheb_T_deriv(0, 0.3) == 0.0
+        assert math.isnan(cheb_T_deriv(4, math.nan))
+
+
 def nodal_lp(nodes, points, at=1.0):
     """LPProblem for max P'(at) over the values of P at ``nodes``, with the
     constraint rows the Lagrange basis at ``points``."""

@@ -18,6 +18,7 @@ from equipot import (
     quadratic_inverse_image,
     solve_equilibrium,
 )
+from equipot.numerics import _cheb_u
 
 
 class TestInverseImages:
@@ -104,7 +105,8 @@ class TestWitness:
         imap = quadratic_inverse_image(0.5)
         wit = build_witness(imap, 1.0, 400, 0.05)
         want = 191 * math.sqrt(2 * 16 / 3) / 1.05**2
-        # a 1-ulp rounding of T(1) would be amplified by the steep H_m to ~3e-12
+        # H_m(T(1)) is exactly m + 1 (the factored 1 - T(1) is 0); the loose
+        # tolerance dates from a rounded T(1), which the steep H_m amplified
         assert abs(wit(1.0)) == pytest.approx(want, rel=1e-9)
         assert wit.value_at_a == pytest.approx(want, rel=1e-12)
 
@@ -113,6 +115,33 @@ class TestWitness:
         imap = quadratic_inverse_image(0.3)
         wit = build_witness(imap, 2.0, n, 0.1)
         assert wit.degree <= n
+
+    @pytest.mark.parametrize("imap,T", [
+        (quadratic_inverse_image(0.5), lambda x: (8 * x * x - 5) / 3),
+        (affine_inverse_image(-2.0, 1.0), lambda x: (2 * x + 1) / 3),
+    ], ids=["quadratic", "affine"])
+    def test_h_factor_matches_mpmath(self, imap, T):
+        """H_m(T(x)) as the witness evaluates it, against 50 digits at the
+        float x, log-spaced toward both ends of every component."""
+        mpmath = pytest.importorskip("mpmath")
+        wit = build_witness(imap, 1.0, 400, 0.05)
+        m = wit.m
+        xs = []
+        for (u, v) in imap.target_set.intervals:
+            xs += [v - (v - u) * np.logspace(-16, 0, 400), u + (v - u) * np.logspace(-16, 0, 200)]
+        xs = np.clip(np.concatenate(xs), imap.target_set.min, imap.target_set.max)
+        got = _cheb_u(m, *imap.factors(xs))
+        assert np.array_equal(wit(xs), wit.h_a * got * wit.peak(xs) * wit.scale)
+        with mpmath.workdps(50):
+            def exact(x):
+                w = T(mpmath.mpf(float(x)))
+                if abs(w) == 1:
+                    return (m + 1) * w**m
+                t = mpmath.acos(w)
+                return mpmath.sin((m + 1) * t) / mpmath.sin(t)
+
+            err = max(abs(float(g - exact(x))) for g, x in zip(got, xs))
+        assert err <= 1e-14 * (m + 1)
 
     def test_rejects_bad_parameters(self):
         imap = quadratic_inverse_image(0.5)
