@@ -20,6 +20,7 @@ errors emit a one-line machine-readable JSON record on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -249,7 +250,10 @@ class _Parser(argparse.ArgumentParser):
         raise SetSpecError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process: a build takes milliseconds,
+    and parsing leaves no state in it."""
     p = _Parser(prog="equipot", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -24,10 +24,13 @@ of the barycentric Remez exchange (Pachon & Trefethen, BIT 49, 2009): by
 Caratheodory the optimum rests on at most n + 1 active points.  The set is
 seeded with an arccos-spaced grid of 4*(n+1) points per component; each
 exchange round appends the witness's refined local maxima that overshoot,
-so the set only grows and the LP value falls monotonically until the
-overshoot is below tolerance.  Two certificates stay independent of the
-working set: the witness is validated on an arccos grid of 128*(n+1) points
-per component (one doubling of both grids is allowed), and it is finally
+in order, so the set only grows and the LP value falls monotonically until
+the overshoot is below tolerance.  Only the new points' Lagrange rows are
+formed, and HiGHS re-solves one model per probe warm from its last basis
+with those rows added.  The witness itself is evaluated matrix-free by the
+barycentric formula.  Two certificates stay independent of the working
+set: the witness is validated on an arccos grid of 128*(n+1) points per
+component (one doubling of both grids is allowed), and it is finally
 renormalised by its refined sup-norm, so the reported value is a certified
 lower bound.
 """
@@ -130,7 +133,7 @@ def _bary_weights(nodes: np.ndarray) -> np.ndarray:
 
 
 def _lagrange_rows(x: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Matrix of Lagrange basis values l_j(x_i); exact unit rows at nodes."""
+    """Matrix of Lagrange basis values l_j(x_i), the LP rows; exact unit rows at nodes."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     diff = x[:, None] - nodes[None, :]
     hit = np.abs(diff) < 1e-15
@@ -141,6 +144,33 @@ def _lagrange_rows(x: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarra
         rows[~anyhit] = q[~anyhit] / q[~anyhit].sum(axis=1, keepdims=True)
     rows[anyhit] = hit[anyhit].astype(float)
     return rows
+
+
+# points per block of the matrix-free barycentric evaluation
+BARY_CHUNK = 2048
+
+
+def _bary_eval(x, nodes: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """P(x) = sum_j w_j v_j/(x - x_j) / sum_j w_j/(x - x_j), P = v_j at a node.
+
+    The second barycentric formula, formed BARY_CHUNK points at a time, so
+    no Lagrange matrix of all the points is ever held.  ``nodes`` ascend; a
+    point within 1e-15 of a node takes that node's value exactly.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    j = np.searchsorted(nodes, x).clip(1, len(nodes) - 1)
+    j -= x - nodes[j - 1] < nodes[j] - x  # the nearest node
+    hit = np.abs(x - nodes[j]) < 1e-15
+    weights = np.column_stack([w * values, w])
+    out = np.empty(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(0, len(x), BARY_CHUNK):
+            q = np.subtract.outer(x[s:s + BARY_CHUNK], nodes)
+            np.divide(1.0, q, out=q)
+            num, den = (q @ weights).T
+            out[s:s + BARY_CHUNK] = num / den
+    out[hit] = values[j[hit]]
+    return out
 
 
 def _deriv_row(nodes: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
@@ -213,10 +243,10 @@ class ExtremalResult:
 
     ``value`` is |P'(a)| of the final normalised witness, a certified lower
     bound for the continuum optimum; ``ratio`` = value / degree**2.  The
-    witness is its values ``node_values`` at the interpolation ``nodes``;
-    ``evaluate`` applies the barycentric formula to them (Berrut &
-    Trefethen, SIAM Rev. 46, 2004), which stays accurate on unions at high
-    degree, where coefficients in a global basis of the hull do not.
+    witness is its values ``node_values`` at the ascending interpolation
+    ``nodes``; ``evaluate`` applies the barycentric formula to them (Berrut
+    & Trefethen, SIAM Rev. 46, 2004), which stays accurate on unions at
+    high degree, where coefficients in a global basis of the hull do not.
     ``overshoot`` is the worst |P| - 1 on K of the exchange loop's final
     witness before renormalisation; above ``EXCHANGE_TOL`` it shows that
     the loop stalled, ran out of new points or hit its round cap.
@@ -233,8 +263,7 @@ class ExtremalResult:
     overshoot: float = 0.0
 
     def evaluate(self, x):
-        w = _bary_weights(self.nodes)
-        out = _lagrange_rows(np.atleast_1d(x), self.nodes, w) @ self.node_values
+        out = _bary_eval(x, self.nodes, _bary_weights(self.nodes), self.node_values)
         return out if np.ndim(x) else float(out[0])
 
 
@@ -262,22 +291,22 @@ def _solve_once(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Working-set LP plus exchange, seeded with ``grid``.
 
-    Returns (node values, then x and |P(x)| at the refined maxima of that
-    witness, rounds).
+    Each round's new points are appended to the working set in order, so
+    every LP after the first has its predecessor's rows as leading rows and
+    is re-solved warm from its basis.  Returns (node values, then x and
+    |P(x)| at the refined maxima of that witness, rounds).
     """
     sep = 1e-13 * (K.max - K.min)
 
     def apart(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return x[np.min(np.abs(x[:, None] - pts[None, :]), axis=1) > sep]
 
-    def solve(points: np.ndarray) -> np.ndarray:
-        return lp_maximize(LPProblem(objective, _lagrange_rows(points, nodes, w)))[1]
-
     def maxima(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _refined_maxima(lambda x: _lagrange_rows(x, nodes, w) @ vals, K, n)
+        return _refined_maxima(lambda x: _bary_eval(x, nodes, w, vals), K, n)
 
     pts = apart(grid, nodes)
-    vals = solve(pts)
+    prob = LPProblem(objective, _lagrange_rows(pts, nodes, w))
+    vals = lp_maximize(prob)[1]
     rounds = 0
     best_worst = np.inf
     stall = 0
@@ -296,8 +325,9 @@ def _solve_once(
         new = apart(apart(xs[ms > 1.0 + 1e-12], nodes), pts)
         if len(new) == 0:
             break
-        pts = np.sort(np.concatenate([pts, new]))
-        vals = solve(pts)
+        pts = np.concatenate([pts, new])
+        prob = LPProblem(objective, np.vstack([prob.rows, _lagrange_rows(new, nodes, w)]), base=prob)
+        vals = lp_maximize(prob)[1]
     else:
         xs, ms = maxima(vals)  # the round cap was hit after a fresh solve
     return vals, xs, ms, rounds
@@ -332,7 +362,7 @@ def markov_extremal(
         seed = _arccos_grid(K, doubling * SEED_PER_DEGREE * (n + 1))
         vals, xs, ms, rounds = _solve_once(K, n, nodes, w, d, seed, cfg)
         vgrid = _arccos_grid(K, doubling * VALIDATION_PER_DEGREE * (n + 1))
-        if np.max(np.abs(_lagrange_rows(vgrid, nodes, w) @ vals)) <= 1.0 + 1e-6:
+        if np.max(np.abs(_bary_eval(vgrid, nodes, w, vals))) <= 1.0 + 1e-6:
             break
     else:
         raise NumericsError(

@@ -21,11 +21,13 @@ Four kernels live here, each with a caller in the library:
   H_m = U_m through it, and ``cheb_T_deriv(n, x)`` = n U_{n-1}(x) on all of
   R is its public face.  Chebyshev series themselves are
   ``numpy.polynomial.Chebyshev``.
-* ``lp_maximize(LPProblem(objective, rows))``: max objective . y subject to
-  |rows . y| <= 1 and |y_j| <= 1, the nodal-value LP of the extremal
-  probe, solved by HiGHS with a deterministic tolerance ladder and a
-  duality-gap audit; the caller drives semi-infinite refinement by adding
-  rows.
+* ``lp_maximize(LPProblem(objective, rows[, base]))``: max objective . y
+  subject to |rows . y| <= 1 and |y_j| <= 1, the nodal-value LP of the
+  extremal probe, each row one ranged HiGHS row -1 <= rows . y <= 1, with
+  a deterministic three-rung ladder and a duality-gap audit.  The caller
+  drives semi-infinite refinement by appending rows: a problem whose
+  ``base`` is the previous one of its probe takes over that problem's
+  HiGHS model, adds only the new rows and re-solves from the last basis.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Callable
 import numpy as np
 import scipy.fft
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .config import DEFAULTS, NumericsConfig
 from .errors import NumericsError, SetSpecError
@@ -242,51 +245,107 @@ class LPProblem:
     In the extremal probe y holds the values of P at its interpolation
     nodes and ``rows`` the Lagrange basis at the working-set points, so the
     box bounds say |P| <= 1 at the nodes and every variable is bounded.
+    ``base``, if given, is an earlier problem of the same probe whose rows
+    are the leading rows of this one; ``lp_maximize`` then hands base's
+    HiGHS model on to this problem instead of building a fresh one.
     """
 
     objective: np.ndarray
     rows: np.ndarray
+    base: LPProblem | None = None
+    # the solved HiGHS model, held until a later problem takes it as its base
+    _model: list = dataclasses.field(default_factory=list, init=False, repr=False, compare=False)
 
 
-# HiGHS feasibility tolerance of the first attempt; accepted duality gap,
+# HiGHS options of the first rung: tight feasibility tolerances, and no
+# presolve, which on these dense rows takes longer than the cold solve it
+# precedes (a warm re-solve skips it anyway); accepted duality gap,
 # relative to max(1, |value|)
 LP_FEASIBILITY_TOL = 1e-10
 LP_GAP_TOL = 1e-9
+_WARM_OPTIONS = {"primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
+                 "dual_feasibility_tolerance": LP_FEASIBILITY_TOL,
+                 "presolve": "off"}
+
+
+def _add_rows(h: _Highs, rows: np.ndarray) -> None:
+    """Append dense rows to the model as ranged rows -1 <= row . y <= 1."""
+    k, n = rows.shape
+    if k:
+        h.addRows(k, np.full(k, -1.0), np.full(k, 1.0), k * n,
+                  np.arange(0, k * n, n, dtype=np.int32),
+                  np.tile(np.arange(n, dtype=np.int32), k), rows.ravel())
+
+
+def _highs_rung(problem: LPProblem, cost: np.ndarray, rows: np.ndarray, warm: bool):
+    """Solve on a HiGHS model; returns (y, duals), or None when HiGHS ends
+    in any status but optimal.
+
+    ``warm``: base's model with the new rows appended (a fresh one when
+    there is no base, it holds no model or its rows do not lead) at tight
+    tolerances, kept for a later problem when it solves; otherwise a fresh
+    model at the default tolerances.
+    """
+    base = problem.base
+    h = None
+    if warm and base is not None and base._model:
+        h = base._model.pop()
+        if not np.array_equal(base.rows, rows[:len(base.rows)]):
+            h = None
+    if h is None:
+        h = _Highs()
+        h.setOptionValue("output_flag", False)
+        for key, val in (_WARM_OPTIONS if warm else {}).items():
+            h.setOptionValue(key, val)
+        h.addVars(len(cost), np.full(len(cost), -1.0), np.full(len(cost), 1.0))
+    h.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
+    _add_rows(h, rows[h.getNumRow():])
+    h.run()
+    if h.getModelStatus() != HighsModelStatus.kOptimal:
+        return None
+    if warm:
+        problem._model.append(h)
+    sol = h.getSolution()
+    return np.array(sol.col_value), np.concatenate([sol.row_dual, sol.col_dual])
+
+
+def _linprog_rung(cost: np.ndarray, rows: np.ndarray):
+    """Solve with scipy's public ``linprog``, each row stacked twice as
+    rows . y <= 1 and -rows . y <= 1, without presolve; None on failure."""
+    res = linprog(cost, A_ub=np.vstack([rows, -rows]), b_ub=np.ones(2 * len(rows)),
+                  bounds=[(-1.0, 1.0)] * len(cost), method="highs",
+                  options={"presolve": False})
+    if res.status != 0:
+        return None
+    return np.asarray(res.x, dtype=float), np.concatenate(
+        [res.ineqlin.marginals, res.upper.marginals, res.lower.marginals])
 
 
 def lp_maximize(problem: LPProblem) -> tuple[float, np.ndarray]:
     """Solve the finite sup-norm LP; returns (value, maximiser).
 
     HiGHS sees the objective scaled to max-modulus 1, since its dual
-    feasibility tolerance is absolute.  It is run at tight feasibility
-    tolerances; on a solver failure the ladder retries with the default
-    tolerances and then without presolve.
+    feasibility tolerance is absolute.  The ladder's first rung runs the
+    model handed on from ``problem.base`` (a fresh one without it) at tight
+    feasibility tolerances, re-solving warm from its last basis; on a
+    solver failure it retries on a fresh model at the default tolerances,
+    then with ``linprog`` without presolve.
     """
     d = np.asarray(problem.objective, dtype=float)
     scale = float(np.max(np.abs(d))) or 1.0
-    bounds = [(-1.0, 1.0)] * len(d)
-    A_ub = np.vstack([problem.rows, -problem.rows])
-    b_ub = np.full(len(A_ub), 1.0)
-    attempts = [
-        {"primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
-         "dual_feasibility_tolerance": LP_FEASIBILITY_TOL},
-        {},
-        {"presolve": False},
-    ]
-    for options in attempts:
-        res = linprog(-d / scale, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
-                      method="highs", options=options)
-        if res.status == 0:
-            break
-    else:
-        raise NumericsError(f"LP solver failed: status {res.status} ({res.message})")
-    y = np.asarray(res.x, dtype=float)
+    cost = -d / scale
+    rows = np.ascontiguousarray(problem.rows, dtype=float)
+    out = (_highs_rung(problem, cost, rows, warm=True)
+           or _highs_rung(problem, cost, rows, warm=False)
+           or _linprog_rung(cost, rows))
+    if out is None:
+        raise NumericsError("LP solver failed on every rung of the ladder")
+    y, duals = out
     value = float(d @ y)
-    # duality gap audit from the HiGHS marginals; the dual of the
-    # minimisation is b_ub . lam + u . mu_up + l . mu_low, with u = -l = 1
-    dual_min = float(b_ub @ res.ineqlin.marginals)
-    dual_min += float(np.sum(res.upper.marginals) - np.sum(res.lower.marginals))
-    gap = abs(float(res.fun) - dual_min) * scale
+    # duality gap audit: with every row and variable bounded by -1 and 1,
+    # the dual objective of the minimisation is -sum |dual|, whichever
+    # bound each multiplier belongs to
+    gap = abs(float(cost @ y) + float(np.sum(np.abs(duals)))) * scale
     if gap > LP_GAP_TOL * max(1.0, abs(value)):
         raise NumericsError(
             f"LP duality gap {gap:.3e} exceeds {LP_GAP_TOL} relative"

@@ -491,6 +491,29 @@ class TestArgumentErrors:
         want = "EQUIPOT_CONFIG file" if use_env else "set spec file"
         assert f"cannot read {want} {missing!r}" in json.loads(err)["message"]
 
+    def test_cached_parser_parses_each_call_afresh(self, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda ns, cfg: seen.append(vars(ns)) or 0)
+        spec = '{"intervals":[[-1,1]]}'
+        codes = [cli.main(argv) for argv in (
+            ["density", "--set", spec, "--points", "3", "--format", "csv", "--out", "t.csv"],
+            ["density", "--set", spec],
+            ["markov", "--set", spec, "--a", "1", "--degrees", "5"],
+            ["omega", "--set", spec, "--a", "one"],
+            ["density", "--set", spec],
+        )]
+        assert codes == [0, 0, 0, 2, 0]
+        assert json.loads(capsys.readouterr().err)["error"] == "parse"
+        density = {"command": "density", "set": spec, "points": 200, "format": "json", "out": None}
+        assert seen == [
+            {**density, "points": 3, "format": "csv", "out": "t.csv"},
+            density,
+            {"command": "markov", "set": spec, "a": 1.0, "degrees": "5", "format": "json",
+             "out": None, "dump_witness": None},
+            density,
+        ]
+
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["markov", "--help"]):
             with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,15 @@ import pytest
 from numpy.polynomial import Chebyshev
 
 from equipot.config import DEFAULTS
-from equipot.extremal import EXCHANGE_TOL, _refined_maxima
+from equipot.extremal import (
+    BARY_CHUNK,
+    EXCHANGE_TOL,
+    _arccos_grid,
+    _bary_eval,
+    _bary_weights,
+    _lagrange_rows,
+    _refined_maxima,
+)
 from equipot import (
     IntervalSet,
     SetSpecError,
@@ -156,6 +164,25 @@ class TestRefinedMaxima:
         assert len(xs) == len(want)
         assert np.allclose(xs, [x for x, _ in want], rtol=0.0, atol=1e-9 * (K.max - K.min))
         assert np.allclose(ms, [m for _, m in want], rtol=1e-13, atol=0.0)
+
+
+class TestBarycentricEvaluation:
+    @pytest.mark.parametrize("K,n", [(UNIT, 100), (SYM2, 60), (STALL3, 24)])
+    def test_matches_lagrange_rows(self, K, n):
+        r = markov_extremal(solve_equilibrium(K), K.max, n)
+        w = _bary_weights(r.nodes)
+        rng = np.random.default_rng(n)
+        off = np.concatenate([_arccos_grid(K, 2 * BARY_CHUNK // K.m)]
+                             + [rng.uniform(u, v, 500) for u, v in K.intervals])
+        assert len(off) > 2 * BARY_CHUNK  # more than two blocks
+        for values in (r.node_values, rng.uniform(-1.0, 1.0, n + 1)):
+            at_nodes = _bary_eval(r.nodes, r.nodes, w, values)
+            assert np.array_equal(at_nodes, values)
+            got = _bary_eval(off, r.nodes, w, values)
+            want = _lagrange_rows(off, r.nodes, w) @ values
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert r.evaluate(float(r.nodes[3])) == r.node_values[3]
+        assert np.array_equal(r.evaluate(off), _bary_eval(off, r.nodes, w, r.node_values))
 
 
 class TestMarkovStudy:

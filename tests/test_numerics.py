@@ -1,7 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from equipot import (
     LPProblem,
@@ -11,6 +18,7 @@ from equipot import (
     chebyshev_expand,
     lp_maximize,
 )
+from equipot import cli, numerics
 from equipot.numerics import _gauss_cheb_adaptive
 
 
@@ -260,24 +268,133 @@ class TestLP:
 
     @pytest.mark.parametrize("box", [False, True], ids=["rows-active", "box-active"])
     def test_duality_gap_audit(self, monkeypatch, box):
-        from equipot import numerics
-
         if box:
             # no constraint point reaches |T_5| = 1, so only the box marginals are nonzero
             prob = nodal_lp(EXTREMA5, np.cos(np.linspace(0.05, 0.15, 5) * np.pi))
         else:
             prob = nodal_lp(FIRST_KIND5, np.cos(np.linspace(0, np.pi, 200)))
-        value, y = lp_maximize(prob)  # the audit passes on the real marginals
+        value, y = lp_maximize(prob)  # the audit passes on the real duals
         assert value > 0.0
         assert (np.max(np.abs(y)) > 1.0 - 1e-9) == box
-        real = numerics.linprog
 
-        def doubled_marginals(*args, **kwargs):
-            res = real(*args, **kwargs)
-            for part in (res.ineqlin, res.lower, res.upper):
-                part.marginals = 2.0 * part.marginals
-            return res
+        class DoubledDuals(numerics._Highs):
+            def getSolution(self):
+                sol = super().getSolution()
+                sol.row_dual = [2.0 * v for v in sol.row_dual]
+                sol.col_dual = [2.0 * v for v in sol.col_dual]
+                return sol
 
-        monkeypatch.setattr(numerics, "linprog", doubled_marginals)
+        monkeypatch.setattr(numerics, "_Highs", DoubledDuals)
         with pytest.raises(NumericsError, match="duality gap"):
             lp_maximize(prob)
+
+
+def failing_highs(only_tight):
+    """A HiGHS model whose runs end at the iteration limit: only at the first
+    rung's tight tolerances, or at any tolerances."""
+
+    class Failing(numerics._Highs):
+        def getModelStatus(self):
+            tol = self.getOptionValue("primal_feasibility_tolerance")[1]
+            if not only_tight or tol == numerics.LP_FEASIBILITY_TOL:
+                return HighsModelStatus.kIterationLimit
+            return super().getModelStatus()
+
+    return Failing
+
+
+class TestLPLadder:
+    """Rungs: the warm model at tight tolerances, a fresh model at the default
+    tolerances, then ``linprog`` without presolve."""
+
+    @pytest.mark.parametrize("failing", [0, 1, 2, 3])
+    def test_next_rung_answers(self, monkeypatch, failing):
+        points = np.cos(np.linspace(0, np.pi, 200))
+        expected, _ = lp_maximize(nodal_lp(FIRST_KIND5, points))
+        real, calls = numerics.linprog, []
+
+        def counted_linprog(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append(res.status)
+            if failing == 3:
+                res.status = 4
+            return res
+
+        monkeypatch.setattr(numerics, "linprog", counted_linprog)
+        if failing:
+            monkeypatch.setattr(numerics, "_Highs", failing_highs(only_tight=failing == 1))
+        prob = nodal_lp(FIRST_KIND5, points)
+        if failing == 3:
+            with pytest.raises(NumericsError, match="LP solver failed"):
+                lp_maximize(prob)
+        else:
+            value, y = lp_maximize(prob)
+            assert value == pytest.approx(expected, rel=1e-9)
+            assert np.max(np.abs(prob.rows @ y)) <= 1.0 + 1e-9
+        assert len(calls) == (failing >= 2)
+        # only a model solved on the first rung is kept for a later problem
+        assert len(prob._model) == (failing == 0)
+
+    def test_warm_rounds_match_cold_solves(self, monkeypatch):
+        """One working set grown over four rounds on one HiGHS model."""
+        models = []
+
+        class Counted(numerics._Highs):
+            def __init__(self):
+                super().__init__()
+                models.append(self)
+
+        monkeypatch.setattr(numerics, "_Highs", Counted)
+        nodes = np.cos((2 * np.arange(11) + 1) * np.pi / 22)
+        rng = np.random.default_rng(7)
+        batches = [np.cos(np.linspace(0, np.pi, 15))] + [rng.uniform(-1, 1, 30) for _ in range(3)]
+        prob, values = None, []
+        for pts in batches:
+            new = nodal_lp(nodes, pts)
+            rows = new.rows if prob is None else np.vstack([prob.rows, new.rows])
+            prob = LPProblem(new.objective, rows, base=prob)
+            value, y = lp_maximize(prob)
+            cold = linprog(-prob.objective, A_ub=np.vstack([rows, -rows]),
+                           b_ub=np.ones(2 * len(rows)), bounds=[(-1.0, 1.0)] * len(nodes),
+                           method="highs")
+            assert cold.status == 0
+            assert value == pytest.approx(prob.objective @ cold.x, rel=1e-9)
+            assert np.max(np.abs(rows @ y)) <= 1.0 + 1e-9
+            assert np.max(np.abs(y)) <= 1.0 + 1e-9
+            values.append(value)
+        assert len(models) == 1
+        assert all(b <= a * (1.0 + 1e-9) for a, b in zip(values, values[1:]))
+        assert values[0] > values[-1] * (1.0 + 1e-3)  # the rounds moved the LP
+
+    def test_base_whose_rows_do_not_lead(self):
+        base = nodal_lp(FIRST_KIND5, np.cos(np.linspace(0, np.pi, 200)))
+        lp_maximize(base)
+        other = nodal_lp(FIRST_KIND5, np.cos(np.linspace(0, np.pi, 30)))
+        value, _ = lp_maximize(LPProblem(other.objective, other.rows, base=base))
+        assert value == pytest.approx(lp_maximize(other)[0], rel=1e-12)
+        assert value > lp_maximize(base)[0] * (1.0 + 1e-3)
+
+
+class TestHighsPrivateApi:
+    """``lp_maximize`` drives scipy's private HiGHS class; a scipy that moves
+    or renames any of it fails here rather than at a first Markov probe."""
+
+    def test_methods_used(self):
+        for name in ("addVars", "addRows", "changeColsCost", "run", "getModelStatus",
+                     "getSolution", "setOptionValue", "getOptionValue", "getNumRow", "getNumCol"):
+            assert callable(getattr(numerics._Highs, name, None)), name
+        sol = numerics._Highs().getSolution()
+        for name in ("col_value", "row_dual", "col_dual"):
+            assert hasattr(sol, name), name
+
+    def test_markov_stdout_is_the_record(self, capsys, monkeypatch):
+        monkeypatch.delenv("EQUIPOT_CONFIG", raising=False)
+        argv = ["markov", "--set", '{"intervals":[[-1,-0.5],[0.5,1]]}', "--a", "1",
+                "--degrees", "10,20"]
+        assert cli.main(argv) == 0
+        record = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "equipot.cli", *argv],
+                             capture_output=True, text=True, env=env, check=True)
+        assert run.stdout == record
+        assert json.loads(run.stdout)["rows"]
