@@ -14,7 +14,6 @@ from .interval_sets import (
 )
 from .numerics import (
     LPProblem,
-    cheb_T_deriv,
     chebyshev_expand,
     lp_maximize,
 )

@@ -171,9 +171,12 @@ def emit_svg(
 
 
 def _write_atomic(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".equipot-")
+    """Write text to path through a temporary file beside it; an OSError (a
+    missing directory, no permission, a full disk) becomes a SetSpecError
+    naming the path."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".equipot-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         # mkstemp creates the file 0600; give it the mode open() would
@@ -181,9 +184,11 @@ def _write_atomic(path: str, text: str) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise SetSpecError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 

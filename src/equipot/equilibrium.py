@@ -440,7 +440,8 @@ def _potential_from_tables(tables: Sequence[ComponentTable], x) -> np.ndarray:
     xi = (np.asarray(x, dtype=float)[..., None] - mid) / half
     inside = np.abs(xi) <= 1.0
     a = np.where(inside, 1.0, np.abs(xi))
-    lz = np.log(a + np.sqrt(a * a - 1.0))
+    # sqrt(a*a - 1) would overflow beyond about 1.3e154
+    lz = np.log(a + np.sqrt(a - 1.0) * np.sqrt(a + 1.0))
     k = np.arange(1, C.shape[1])
     theta = np.arccos(np.clip(xi, -1.0, 1.0))[..., None]
     sign = np.where((xi[..., None] < 0) & (k % 2 == 1), -1.0, 1.0)
@@ -475,7 +476,8 @@ def green(E: EquilibriumData, z: float) -> float:
 def balayage_density(qy: BalayageQuery, t) -> float:
     """Density at t of the balayage of a point mass at qy.x onto [qy.b, qy.a]."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= qy.b) or np.any(t_arr >= qy.a):
+    # written so that nan fails it too
+    if not np.all((t_arr > qy.b) & (t_arr < qy.a)):
         raise SetSpecError(f"density point must lie strictly inside [{qy.b}, {qy.a}]")
     x, b, a = qy.x, qy.b, qy.a
     num = math.sqrt(abs(x - b) * abs(x - a))
@@ -494,10 +496,10 @@ def balayage_mass(qy: BalayageQuery, cfg: NumericsConfig = DEFAULTS) -> float:
     x, b, a = qy.x, qy.b, qy.a
     num = math.sqrt(abs(x - b) * abs(x - a))
 
-    def f(t):
-        return num / (np.pi * np.abs(t - x))
+    def f(t, rows):
+        return (num / (np.pi * np.abs(t - x)))[None]
 
-    return float(_gauss_cheb_adaptive(f, b, a, cfg))
+    return float(_gauss_cheb_adaptive(f, b, a, cfg)[0])
 
 
 def decomposition_residual(
@@ -540,17 +542,17 @@ def decomposition_residual(
         if j == home:
             continue
 
-        def f_full(x, _u=u, _v=v):
-            return bal(x) * w_smooth(x, np.array([_u, _v]))
+        def f_full(x, rows, _u=u, _v=v):
+            return (bal(x) * w_smooth(x, np.array([_u, _v])))[None]
 
-        correction += float(_gauss_cheb_adaptive(f_full, u, v, cfg))
+        correction += float(_gauss_cheb_adaptive(f_full, u, v, cfg)[0])
 
     if hu < b:
 
-        def f_home(x):
-            return bal(x) * w_smooth(x, np.array([hu])) * np.sqrt(b - x)
+        def f_home(x, rows):
+            return (bal(x) * w_smooth(x, np.array([hu])) * np.sqrt(b - x))[None]
 
-        correction += float(_gauss_cheb_adaptive(f_home, hu, b, cfg))
+        correction += float(_gauss_cheb_adaptive(f_home, hu, b, cfg)[0])
 
     rhs = interval_term - correction
     return float(abs(lhs - rhs))

@@ -245,8 +245,8 @@ class ExtremalResult:
     bound for the continuum optimum; ``ratio`` = value / degree**2.  The
     witness is its values ``node_values`` at the ascending interpolation
     ``nodes``; ``evaluate`` applies the barycentric formula to them (Berrut
-    & Trefethen, SIAM Rev. 46, 2004), which stays accurate on unions at
-    high degree, where coefficients in a global basis of the hull do not.
+    & Trefethen, SIAM Rev. 46, 2004), which stays accurate on K at high
+    degree, where coefficients in a global basis of the hull do not.
     ``overshoot`` is the worst |P| - 1 on K of the exchange loop's final
     witness before renormalisation; above ``EXCHANGE_TOL`` it shows that
     the loop stalled, ran out of new points or hit its round cap.
@@ -263,6 +263,9 @@ class ExtremalResult:
     overshoot: float = 0.0
 
     def evaluate(self, x):
+        """The witness at x by the barycentric formula: accurate on K only.
+        In the gaps of K, where |P| grows like exp(n g_K), the formula's
+        sum cancels and the value can be off by orders of magnitude."""
         out = _bary_eval(x, self.nodes, _bary_weights(self.nodes), self.node_values)
         return out if np.ndim(x) else float(out[0])
 

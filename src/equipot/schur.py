@@ -17,10 +17,12 @@ inverse-image families ship: the affine map of a single interval (N = 1)
 and the symmetric quadratic family T_2(x) = (2x^2 - 1 - alpha^2)/(1 -
 alpha^2) with T_2^{-1}[-1, 1] = [-1, -alpha] u [alpha, 1] (N = 2).
 
-H_m(T_N(x)) is evaluated in angle form, U_m(cos t) = sin((m+1) t)/sin t,
-with t taken from 1 -+ T_N in factored form, (v - x, x - u) for the affine
-map and ((1 - x)(1 + x), (x - alpha)(x + alpha)) for the quadratic one, so
-T_N(x) is never rounded near +-1, where H_m is steepest.
+H_m(T_N(x)) is evaluated by ``_cheb_u`` in angle form,
+U_m(cos t) = sin((m+1) t)/sin t, with t taken from 1 -+ T_N in factored
+form, (v - x, x - u) for the affine map and ((1 - x)(1 + x),
+(x - alpha)(x + alpha)) for the quadratic one, so T_N(x) is never rounded
+near +-1, where H_m is steepest.  ``_cheb_u`` lives here, beside its only
+readers, ``h_poly`` and ``SchurWitness``.
 
 ``counterexample_demo`` audits H_n = T_{n+1}'/(n+1) on [-2, 1]: it satisfies the
 local hypothesis with h(x) = 1/sqrt(1+x) but violates the global one, and
@@ -43,7 +45,6 @@ from .config import DEFAULTS, NumericsConfig
 from .equilibrium import EquilibriumData, omega_factor, solve_equilibrium
 from .errors import SetSpecError
 from .interval_sets import EndpointContext, IntervalSet, check_interval_condition
-from .numerics import _cheb_u
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,8 +90,47 @@ def quadratic_inverse_image(alpha: float) -> InverseImageMap:
         (1.0 - x) * (1.0 + x), (x - alpha) * (x + alpha)))
 
 
+def _cheb_u(m: int, p, q):
+    """U_m(w) from p = c (1 - w) and q = c (1 + w), for any common c > 0.
+
+    U_m(-w) = (-1)^m U_m(w) folds every point onto w >= 0 (p <= q).  On
+    [0, 1], w = cos(theta) with tan(theta/2) = sqrt(p/q), so theta comes
+    from the factored distance to w = 1, never from 1 - w, and U_m =
+    sin((m+1) theta)/sin(theta).  Beyond 1 (p < 0), w = cosh(phi) with
+    e^phi - 1 = 2 sqrt(-p) (sqrt(-p) + sqrt(q))/(p + q), a sum of positive
+    terms over p + q = 2c (tanh(phi/2) = sqrt(-p/q) would lose m eps |w| to
+    the rounding of the ratio), and U_m = sinh((m+1) phi)/sinh(phi) is
+    formed as e^{m phi} (1 - e^{-2(m+1) phi})/(1 - e^{-2 phi}), which
+    overflows to +-inf, not to inf - inf.  Both limits at w = 1 are m + 1.
+    Each point costs O(1) whatever m.
+    """
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    out = np.ones(lo.shape)
+    if m > 0:
+        inside = lo >= 0.0
+        beyond = ~inside  # nan lands here and stays nan
+        th = 2.0 * np.arctan2(np.sqrt(lo[inside]), np.sqrt(hi[inside]))
+        with np.errstate(invalid="ignore"):
+            out[inside] = np.where(th == 0.0, m + 1.0, np.sin((m + 1) * th) / np.sin(th))
+        s, t, two_c = np.sqrt(-lo[beyond]), np.sqrt(hi[beyond]), lo[beyond] + hi[beyond]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # two_c > 0 in exact arithmetic; if rounding cancels it, phi = inf
+            phi = np.log1p(2.0 * s * (s + t) / np.maximum(two_c, 0.0))
+            u = np.exp(m * phi) * np.expm1(-2.0 * (m + 1) * phi) / np.expm1(-2.0 * phi)
+        out[beyond] = np.where(phi == 0.0, m + 1.0, u)
+        if m % 2:
+            out[q < p] *= -1.0
+    return out if out.ndim else float(out)
+
+
 def h_poly(m: int, w):
-    """H_m(w) = T_{m+1}'(w)/(m+1) = U_m(w); |H_m(+-1)| = m + 1, |H_m| <= 1/sqrt(1-w^2) inside."""
+    """H_m(w) = T_{m+1}'(w)/(m+1) = U_m(w); |H_m(+-1)| = m + 1, |H_m| <= 1/sqrt(1-w^2) inside.
+
+    O(1) per point.  Beyond [-1, 1] the accuracy rests on the rounded 1 - w
+    and 1 + w still summing to about 2: it degrades as |w| nears 2**53, and
+    from 2**54 on the value is +-inf for m > 0.
+    """
     if m < 0:
         raise SetSpecError(f"h_poly needs m >= 0, got {m}")
     w = np.asarray(w, dtype=float)
@@ -151,8 +191,8 @@ def build_witness(map: InverseImageMap, h_a: float, n: int, eta: float) -> Schur
         raise SetSpecError(f"witness needs n >= 16, got {n}")
     if not 0.0 < eta <= 1.0:
         raise SetSpecError(f"eta must lie in (0, 1], got {eta}")
-    if h_a <= 0.0:
-        raise SetSpecError(f"h_a must be positive, got {h_a}")
+    if not (math.isfinite(h_a) and h_a > 0.0):
+        raise SetSpecError(f"h_a must be finite and positive, got {h_a}")
     m = int((n - math.sqrt(n)) // map.N)
     d = int(math.isqrt(n))
     peak = peaking_poly(map.target_set, map.a, d)

@@ -192,6 +192,30 @@ class TestExitCodes:
         rec = json.loads(err)
         assert rec["error"] == "parse" and "finite" in rec["message"]
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["capacity", "--set", '{"intervals":[[-1,1]]}'], "--out"),
+        (["markov", "--set", '{"intervals":[[-1,1]]}', "--a", "1", "--degrees", "5"],
+         "--dump-witness"),
+    ], ids=["out", "dump-witness"])
+    @pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
+    def test_unwritable_output_path_exit_2(self, argv, flag, target, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+        code, out, err = run_cli([*argv, flag, str(path)], capsys)
+        assert code == 2
+        rec = json.loads(err)
+        assert rec["error"] == "parse" and str(path) in rec["message"]
+        assert not list(tmp_path.rglob(".equipot-*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["schur-witness", "--n", "100", "--h-a", "nan"],
+        ["schur-witness", "--n", "100", "--h-a", "inf"],
+        ["balayage", "--x", "2", "--b", "-1", "--a", "1", "--t", "nan"],
+    ], ids=["h_a-nan", "h_a-inf", "t-nan"])
+    def test_non_finite_input_exit_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "parse"
+
     def test_numeric_error_exit_3(self, capsys, monkeypatch):
         # starve the quadrature so it cannot converge
         monkeypatch.setenv("EQUIPOT_CONFIG", '{"quad_max_nodes": 64}')

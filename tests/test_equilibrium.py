@@ -256,8 +256,9 @@ class TestBatchedStages:
         for (u, v), tab in zip(K.intervals, E.tables):
             mid, half = (u + v) / 2.0, (v - u) / 2.0
             others = ends[(ends != u) & (ends != v)]
-            want = chebyshev_expand(
-                lambda s: np.exp(_log_weight(mid + half * s, roots, others)) / (np.pi * half),
+            want, = chebyshev_expand(
+                lambda s, rows: np.exp(_log_weight(mid + half * s, roots, others))[None]
+                / (np.pi * half),
                 -1.0, 1.0)
             got = np.asarray(tab.coeffs)
             n = max(len(got), len(want))
@@ -403,6 +404,12 @@ class TestPotentialCapacityGreen:
             assert green(E, z) == pytest.approx(want, abs=1e-5)
 
 
+    @pytest.mark.parametrize("z", [1e200, 1e300, -1e300])
+    def test_green_far_from_the_set(self, E_unit, z):
+        # g(z) = log(|z| + sqrt(z^2 - 1)) on [-1, 1]; z^2 alone overflows
+        assert green(E_unit, z) == pytest.approx(math.log(2.0) + math.log(abs(z)), rel=1e-14)
+
+
 class TestBalayage:
     def test_kernel_value(self):
         qy = BalayageQuery(x=2.0, b=-1.0, a=1.0)
@@ -444,6 +451,11 @@ class TestBalayage:
             BalayageQuery(x=0.5, b=-1.0, a=1.0)
         with pytest.raises(SetSpecError):
             balayage_density(BalayageQuery(x=2.0, b=-1.0, a=1.0), 1.5)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.0, math.nan], math.inf])
+    def test_density_rejects_non_finite_point(self, t):
+        with pytest.raises(SetSpecError, match="strictly inside"):
+            balayage_density(BalayageQuery(x=2.0, b=-1.0, a=1.0), t)
 
     @pytest.mark.parametrize("x,b,a", [
         (math.nan, -1.0, 1.0), (math.inf, -1.0, 1.0), (-math.inf, -1.0, 1.0),

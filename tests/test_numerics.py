@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,16 +15,36 @@ from equipot import (
     LPProblem,
     NumericsError,
     SetSpecError,
-    cheb_T_deriv,
     chebyshev_expand,
+    h_poly,
     lp_maximize,
 )
 from equipot import cli, numerics
 from equipot.numerics import _gauss_cheb_adaptive
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "equipot"
+
+
+def test_every_export_is_called():
+    """Each name the package imports from numerics has a caller in another
+    module of the library."""
+    init = (SRC / "__init__.py").read_text()
+    names = re.findall(r"\w+", re.search(r"from \.numerics import \(([^)]*)\)", init).group(1))
+    text = "".join(p.read_text() for p in sorted(SRC.glob("*.py"))
+                   if p.name not in ("__init__.py", "numerics.py"))
+    uncalled = [name for name in names if not re.search(rf"\b{name}\(", text)]
+    assert names and uncalled == [], f"numerics exports no other module calls: {uncalled}"
+
+
 def quad(f, u, v):
-    return float(_gauss_cheb_adaptive(f, u, v))
+    """The integral of one integrand f(t), through the (t, rows) convention."""
+    return float(_gauss_cheb_adaptive(lambda t, rows: f(t)[None], u, v)[0])
+
+
+def expand(f, u, v):
+    """The coefficients of one function f(t), through the (t, rows) convention."""
+    return chebyshev_expand(lambda t, rows: f(t)[None], u, v)[0]
 
 
 class TestQuadrature:
@@ -85,7 +106,8 @@ class TestQuadrature:
         got = _gauss_cheb_adaptive(f, -2.0, 3.0, count=len(self.INTEGRANDS))
         assert got.shape == (3, 2)
         for g, one in zip(got, self.INTEGRANDS):
-            assert np.array_equal(g, _gauss_cheb_adaptive(one, -2.0, 3.0))
+            alone = _gauss_cheb_adaptive(lambda t, rows: one(t)[None], -2.0, 3.0)
+            assert np.array_equal(g, alone[0])
         # an integrand is sampled until it settles, and not after: only the
         # oscillating one needs more than the first two levels
         assert [rows for _, rows in seen[:2]] == [(0, 1, 2)] * 2
@@ -102,12 +124,12 @@ class TestQuadrature:
 
 class TestChebyshevExpand:
     def test_exact_low_degree(self):
-        c = chebyshev_expand(lambda s: 2.0 * s * s, -1, 1)
+        c = expand(lambda s: 2.0 * s * s, -1, 1)
         # 2 s^2 = 1 + T_2
         assert c == pytest.approx([1.0, 0.0, 1.0], abs=1e-14)
 
     def test_runge(self):
-        c = chebyshev_expand(lambda s: 1.0 / (1.0 + 25.0 * s * s), -1, 1)
+        c = expand(lambda s: 1.0 / (1.0 + 25.0 * s * s), -1, 1)
         s = np.linspace(-1, 1, 101)
         got = np.polynomial.chebyshev.chebval(s, c)
         assert np.max(np.abs(got - 1.0 / (1.0 + 25.0 * s * s))) < 1e-11
@@ -128,7 +150,7 @@ class TestChebyshevExpand:
 
         got = chebyshev_expand(f, -2.0, 3.0, count=len(self.FUNCTIONS))
         for g, one in zip(got, self.FUNCTIONS):
-            want = chebyshev_expand(one, -2.0, 3.0)
+            want = expand(one, -2.0, 3.0)
             assert len(g) == len(want)
             assert np.allclose(g, want, rtol=0.0, atol=1e-15 * np.max(np.abs(want)))
         # a function is sampled until it settles, and not after: only the
@@ -143,14 +165,19 @@ class TestChebyshevExpand:
             chebyshev_expand(f, -1.0, 1.0, count=2)
 
 
+def t_deriv(n, x):
+    """T_n'(x) = n U_{n-1}(x) = n H_{n-1}(x), for n >= 1."""
+    return n * h_poly(n - 1, x)
+
+
 class TestChebT:
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 60])
     def test_endpoint_derivative(self, n):
-        assert cheb_T_deriv(n, 1.0) == pytest.approx(n * n, rel=1e-13)
+        assert t_deriv(n, 1.0) == pytest.approx(n * n, rel=1e-13)
 
     def test_deriv_interior(self):
         for n in (3, 4, 9, 10):
-            assert cheb_T_deriv(n, 0.0) == pytest.approx(
+            assert t_deriv(n, 0.0) == pytest.approx(
                 n * math.sin(n * math.pi / 2), abs=1e-12
             )
 
@@ -170,7 +197,8 @@ def exact_T_deriv(n, x):
 
 
 class TestChebTOracle:
-    """The angle-form kernel against 50-digit values at the float inputs."""
+    """The angle-form kernel, through ``h_poly``, against 50-digit values at
+    the float inputs."""
 
     NS = [1, 2, 5, 51, 401, 1601]
     NEAR = 1.0 - 10.0 ** -np.arange(3, 16)
@@ -178,7 +206,7 @@ class TestChebTOracle:
     @pytest.mark.parametrize("n", NS)
     def test_inside_error_within_n_squared_eps(self, n):
         xs = np.concatenate([np.linspace(-1.0, 1.0, 201), self.NEAR, -self.NEAR, [1.0, -1.0]])
-        got = cheb_T_deriv(n, xs)
+        got = t_deriv(n, xs)
         err = max(abs(float(g - exact_T_deriv(n, x))) for g, x in zip(got, xs))
         assert err <= 1e-15 * n * n
 
@@ -186,7 +214,7 @@ class TestChebTOracle:
     def test_outside_relative_error(self, n):
         d = np.concatenate([10.0 ** -np.arange(2, 16), np.linspace(1e-3, 1e-2, 10)])
         xs = np.concatenate([1.0 + d, -1.0 - d])
-        got = cheb_T_deriv(n, xs)
+        got = t_deriv(n, xs)
         want = [exact_T_deriv(n, x) for x in xs]
         rel = max(abs(float((g - e) / e)) for g, e in zip(got, want))
         assert rel <= 1e-13
@@ -194,22 +222,22 @@ class TestChebTOracle:
     @pytest.mark.parametrize("n", [2, 3, 10, 50])
     def test_far_outside_relative_error(self, n):
         xs = [2.0, -10.0, 1e4, 1e8, -1e12] if n < 50 else [2.0, -10.0, 1e4]
-        got = cheb_T_deriv(n, xs)
+        got = t_deriv(n, xs)
         rel = max(abs(float((g - e) / e)) for g, e in zip(got, (exact_T_deriv(n, x) for x in xs)))
         assert rel <= 1e-13
 
     def test_overflow_is_signed_infinity(self):
         # U_999(1.5) ~ 1e417: the recurrence used to end in inf - inf = nan
-        assert cheb_T_deriv(1000, 1.5) == math.inf
-        assert cheb_T_deriv(1000, -1.5) == -math.inf
-        assert cheb_T_deriv(1001, -1.5) == math.inf
+        assert t_deriv(1000, 1.5) == math.inf
+        assert t_deriv(1000, -1.5) == -math.inf
+        assert t_deriv(1001, -1.5) == math.inf
 
     def test_scalar_list_and_zero_degree(self):
-        assert isinstance(cheb_T_deriv(7, 0.3), float)
-        got = cheb_T_deriv(3, [0.5, 2.0])
+        assert isinstance(t_deriv(7, 0.3), float)
+        got = t_deriv(3, [0.5, 2.0])
         assert got.tolist() == pytest.approx([0.0, 45.0], rel=1e-14, abs=1e-14)
-        assert cheb_T_deriv(0, 0.3) == 0.0
-        assert math.isnan(cheb_T_deriv(4, math.nan))
+        assert h_poly(0, 0.3) == 1.0
+        assert math.isnan(t_deriv(4, math.nan))
 
 
 def nodal_lp(nodes, points, at=1.0):
@@ -289,25 +317,20 @@ class TestLP:
             lp_maximize(prob)
 
 
-def failing_highs(only_tight):
-    """A HiGHS model whose runs end at the iteration limit: only at the first
-    rung's tight tolerances, or at any tolerances."""
+class FailingHighs(numerics._Highs):
+    """A HiGHS model whose runs end at the iteration limit."""
 
-    class Failing(numerics._Highs):
-        def getModelStatus(self):
-            tol = self.getOptionValue("primal_feasibility_tolerance")[1]
-            if not only_tight or tol == numerics.LP_FEASIBILITY_TOL:
-                return HighsModelStatus.kIterationLimit
-            return super().getModelStatus()
-
-    return Failing
+    def getModelStatus(self):
+        return HighsModelStatus.kIterationLimit
 
 
 class TestLPLadder:
-    """Rungs: the warm model at tight tolerances, a fresh model at the default
-    tolerances, then ``linprog`` without presolve."""
+    """Rungs: the warm model at tight tolerances, then ``linprog`` without
+    presolve."""
 
-    @pytest.mark.parametrize("failing", [0, 1, 2, 3])
+    # 0: the model answers; 2: every HiGHS model fails and linprog answers;
+    # 3: linprog fails too
+    @pytest.mark.parametrize("failing", [0, 2, 3])
     def test_next_rung_answers(self, monkeypatch, failing):
         points = np.cos(np.linspace(0, np.pi, 200))
         expected, _ = lp_maximize(nodal_lp(FIRST_KIND5, points))
@@ -322,7 +345,7 @@ class TestLPLadder:
 
         monkeypatch.setattr(numerics, "linprog", counted_linprog)
         if failing:
-            monkeypatch.setattr(numerics, "_Highs", failing_highs(only_tight=failing == 1))
+            monkeypatch.setattr(numerics, "_Highs", FailingHighs)
         prob = nodal_lp(FIRST_KIND5, points)
         if failing == 3:
             with pytest.raises(NumericsError, match="LP solver failed"):
@@ -332,7 +355,7 @@ class TestLPLadder:
             assert value == pytest.approx(expected, rel=1e-9)
             assert np.max(np.abs(prob.rows @ y)) <= 1.0 + 1e-9
         assert len(calls) == (failing >= 2)
-        # only a model solved on the first rung is kept for a later problem
+        # only a model that solved is kept for a later problem
         assert len(prob._model) == (failing == 0)
 
     def test_warm_rounds_match_cold_solves(self, monkeypatch):

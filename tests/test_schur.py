@@ -18,7 +18,7 @@ from equipot import (
     quadratic_inverse_image,
     solve_equilibrium,
 )
-from equipot.numerics import _cheb_u
+from equipot.schur import _cheb_u
 
 
 class TestInverseImages:
@@ -109,6 +109,11 @@ class TestWitness:
         # tolerance dates from a rounded T(1), which the steep H_m amplified
         assert abs(wit(1.0)) == pytest.approx(want, rel=1e-9)
         assert wit.value_at_a == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("h_a", [0.0, -1.0, math.nan, math.inf])
+    def test_h_a_must_be_finite_and_positive(self, h_a):
+        with pytest.raises(SetSpecError, match="h_a"):
+            build_witness(quadratic_inverse_image(0.5), h_a, 100, 0.05)
 
     @pytest.mark.parametrize("n", [16, 100, 417])
     def test_degree_budget(self, n):
