@@ -12,9 +12,10 @@ Numbers round-trip binary64: csv has 17 significant digits, and json is
 written atomically (temp + rename), and byte-identical runs follow from
 identical configs.
 
-Exit codes: 0 success, 2 input/parse errors (argument errors included), 3
-numeric failures, 4 violated run invariants, after the output is written;
-errors emit a one-line machine-readable JSON record on stderr.
+Exit codes: 0 success, 2 input/parse errors (argument errors, and an output
+path in a missing or unwritable directory, included; checked before any
+work), 3 numeric failures, 4 violated run invariants, after the output is
+written; errors emit a one-line machine-readable JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -425,9 +426,7 @@ def _schur_witness(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
 
     def table():
         # witness evaluation table on the run-up interval: x, P(x), h/sqrt(a-x)
-        ctx = check_interval_condition(imap.target_set, imap.a)
-        theta = np.linspace(0.0, np.pi, ns.points + 1)[1:]
-        xs = (imap.a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta))[::-1]
+        xs = schur.runup_grid(check_interval_condition(imap.target_set, imap.a), ns.points)
         bound = ns.h_a / np.sqrt(imap.a - xs)
         return ("x", "witness", "local_bound"), list(zip(xs.tolist(), wit(xs).tolist(),
                                                          bound.tolist()))
@@ -477,9 +476,25 @@ _COMMANDS = {
 }
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an output path that names a directory or lies in a missing or
+    unwritable one, before any work; ``_write_atomic`` still reports what
+    fails later."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise SetSpecError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(folder):
+        raise SetSpecError(f"cannot write {path}: no directory {folder}")
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise SetSpecError(f"cannot write {path}: directory {folder} is not writable")
+
+
 def run(ns: argparse.Namespace, cfg: NumericsConfig) -> int:
     """Run a parsed command, deliver the requested format to ``--out`` or
     stdout, then raise InvariantViolation if the result broke a run invariant."""
+    for path in (ns.out, getattr(ns, "dump_witness", None)):
+        if path:
+            _check_writable(path)
     out = _COMMANDS[ns.command][0](ns, cfg)
     if ns.format == "csv":
         text = to_csv(*out.table())

@@ -428,9 +428,10 @@ def _potential_from_tables(tables: Sequence[ComponentTable], x) -> np.ndarray:
     With xi = (x - mid)/half, component j adds half pi sum_k c_k phi_k(xi)
     plus c_0 half pi log(1/half), where phi_k(xi) = (1/pi) int log(1/|xi -
     s|) T_k(s)/sqrt(1-s^2) ds has the closed forms log 2 (k = 0) and
-    T_k(xi)/k inside [-1, 1], and, with zeta = |xi| + sqrt(xi^2 - 1),
-    log 2 - log zeta and sign(xi)^k zeta^-k / k outside.  All components go
-    in one zero-padded (components x terms) coefficient matrix.
+    T_k(xi)/k inside [-1, 1], and, with log zeta = arccosh |xi| (zeta =
+    |xi| + sqrt(xi^2 - 1)), log 2 - log zeta and sign(xi)^k zeta^-k / k
+    outside.  All components go in one zero-padded (components x terms)
+    coefficient matrix.
     """
     C = np.zeros((len(tables), max(len(tab.coeffs) for tab in tables)))
     for j, tab in enumerate(tables):
@@ -439,9 +440,7 @@ def _potential_from_tables(tables: Sequence[ComponentTable], x) -> np.ndarray:
     half = np.array([tab.half for tab in tables])
     xi = (np.asarray(x, dtype=float)[..., None] - mid) / half
     inside = np.abs(xi) <= 1.0
-    a = np.where(inside, 1.0, np.abs(xi))
-    # sqrt(a*a - 1) would overflow beyond about 1.3e154
-    lz = np.log(a + np.sqrt(a - 1.0) * np.sqrt(a + 1.0))
+    lz = np.arccosh(np.where(inside, 1.0, np.abs(xi)))
     k = np.arange(1, C.shape[1])
     theta = np.arccos(np.clip(xi, -1.0, 1.0))[..., None]
     sign = np.where((xi[..., None] < 0) & (k % 2 == 1), -1.0, 1.0)
@@ -473,15 +472,19 @@ def green(E: EquilibriumData, z: float) -> float:
 # balayage
 
 
+def _balayage_kernel(x, t, b, a):
+    """Density at t of the balayage of a unit mass at x onto [b, a]; x or t may be an array."""
+    return np.sqrt(np.abs(x - b) * np.abs(x - a)) / (
+        np.pi * np.abs(t - x) * np.sqrt(np.abs(t - a) * np.abs(t - b)))
+
+
 def balayage_density(qy: BalayageQuery, t) -> float:
     """Density at t of the balayage of a point mass at qy.x onto [qy.b, qy.a]."""
     t_arr = np.asarray(t, dtype=float)
     # written so that nan fails it too
     if not np.all((t_arr > qy.b) & (t_arr < qy.a)):
         raise SetSpecError(f"density point must lie strictly inside [{qy.b}, {qy.a}]")
-    x, b, a = qy.x, qy.b, qy.a
-    num = math.sqrt(abs(x - b) * abs(x - a))
-    out = num / (np.pi * np.abs(t_arr - x) * np.sqrt(np.abs(t_arr - a) * np.abs(t_arr - b)))
+    out = _balayage_kernel(qy.x, t_arr, qy.b, qy.a)
     return out if t_arr.ndim else float(out)
 
 
@@ -529,12 +532,6 @@ def decomposition_residual(
     hu, _ = E.set.intervals[home]
     correction = 0.0
 
-    def bal(x):
-        return (
-            np.sqrt(np.abs(x - b) * np.abs(x - a))
-            / (np.pi * np.abs(t - x) * math.sqrt(abs(t - a) * abs(t - b)))
-        )
-
     def w_smooth(x, excluded):
         return np.exp(_log_weight(x, roots, ends[~np.isin(ends, excluded)])) / np.pi
 
@@ -543,14 +540,15 @@ def decomposition_residual(
             continue
 
         def f_full(x, rows, _u=u, _v=v):
-            return (bal(x) * w_smooth(x, np.array([_u, _v])))[None]
+            return (_balayage_kernel(x, t, b, a) * w_smooth(x, np.array([_u, _v])))[None]
 
         correction += float(_gauss_cheb_adaptive(f_full, u, v, cfg)[0])
 
     if hu < b:
 
         def f_home(x, rows):
-            return (bal(x) * w_smooth(x, np.array([hu])) * np.sqrt(b - x))[None]
+            bal = _balayage_kernel(x, t, b, a)
+            return (bal * w_smooth(x, np.array([hu])) * np.sqrt(b - x))[None]
 
         correction += float(_gauss_cheb_adaptive(f_home, hu, b, cfg)[0])
 

@@ -17,12 +17,11 @@ inverse-image families ship: the affine map of a single interval (N = 1)
 and the symmetric quadratic family T_2(x) = (2x^2 - 1 - alpha^2)/(1 -
 alpha^2) with T_2^{-1}[-1, 1] = [-1, -alpha] u [alpha, 1] (N = 2).
 
-H_m(T_N(x)) is evaluated by ``_cheb_u`` in angle form,
-U_m(cos t) = sin((m+1) t)/sin t, with t taken from 1 -+ T_N in factored
-form, (v - x, x - u) for the affine map and ((1 - x)(1 + x),
-(x - alpha)(x + alpha)) for the quadratic one, so T_N(x) is never rounded
-near +-1, where H_m is steepest.  ``_cheb_u`` lives here, beside its only
-readers, ``h_poly`` and ``SchurWitness``.
+Each factor is evaluated in the closed form that defines it.  A map gives
+p, q = 1 -+ T_N as products of distances, T_N = (q - p)/(q + p), and its
+slope T_N'(a) in closed form.  ``_cheb_u`` takes H_m(T_N(x)) in angle form,
+U_m(cos t) = sin((m+1) t)/sin t, with t from p and q, so T_N(x) is never
+rounded near +-1, where H_m is steepest.  U_d is a plain power.
 
 ``counterexample_demo`` audits H_n = T_{n+1}'/(n+1) on [-2, 1]: it satisfies the
 local hypothesis with h(x) = 1/sqrt(1+x) but violates the global one, and
@@ -37,57 +36,48 @@ import math
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import Chebyshev
-from numpy.polynomial import chebyshev as _npcheb
-from numpy.polynomial import polynomial as _nppoly
 
 from .config import DEFAULTS, NumericsConfig
 from .equilibrium import EquilibriumData, omega_factor, solve_equilibrium
 from .errors import SetSpecError
+from .extremal import _arccos_grid
 from .interval_sets import EndpointContext, IntervalSet, check_interval_condition
 
 
 @dataclasses.dataclass(frozen=True)
 class InverseImageMap:
-    """T_N with T_N^{-1}[-1, 1] equal to ``target_set``; ``factors(x)`` is
-    c (1 - T_N(x)), c (1 + T_N(x)) for a c > 0, as products of distances."""
+    """T_N with T_N^{-1}[-1, 1] equal to ``target_set`` and ``slope`` = T_N'(a);
+    ``factors(x)`` is p = c (1 - T_N(x)), q = c (1 + T_N(x)) for a c > 0, as
+    products of distances, and T_N(x) = (q - p)/(q + p)."""
 
     N: int
-    T: Chebyshev
     target_set: IntervalSet
     a: float
+    slope: float
     factors: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def __call__(self, x):
-        return self.T(x)
-
-    def deriv_at(self, x) -> float:
-        return self.T.deriv()(x)
+        p, q = self.factors(np.asarray(x, dtype=float))
+        out = (q - p) / (q + p)
+        return out if out.ndim else float(out)
 
 
 def affine_inverse_image(u: float, v: float) -> InverseImageMap:
     """N = 1 family: the affine map of [u, v] onto [-1, 1]."""
     if not u < v:
         raise SetSpecError(f"affine map needs u < v, got [{u}, {v}]")
-    T = Chebyshev((0.0, 1.0), domain=(u, v))
-    return InverseImageMap(N=1, T=T, target_set=IntervalSet(((u, v),)), a=v,
+    return InverseImageMap(N=1, target_set=IntervalSet(((u, v),)), a=v, slope=2.0 / (v - u),
                            factors=lambda x: (v - x, x - u))
 
 
 def quadratic_inverse_image(alpha: float) -> InverseImageMap:
-    """N = 2 family: T_2(x) = (2x^2 - 1 - alpha^2)/(1 - alpha^2).
-
-    T_2 maps both [-1, -alpha] and [alpha, 1] onto [-1, 1]; the
-    distinguished endpoint is a = 1, where T_2'(1) = 4/(1 - alpha^2).
-    """
+    """N = 2 family: T_2(x) = (2x^2 - 1 - alpha^2)/(1 - alpha^2) maps both
+    [-1, -alpha] and [alpha, 1] onto [-1, 1]; a = 1 and T_2'(1) = 4/(1 - alpha^2)."""
     if not 0.0 < alpha < 1.0:
         raise SetSpecError(f"alpha must lie in (0, 1), got {alpha}")
-    denom = 1.0 - alpha * alpha
-    # in the Chebyshev basis of [-1, 1]: 2x^2 = T_2 + 1
-    T = Chebyshev((-alpha * alpha / denom, 0.0, 1.0 / denom))
     target = IntervalSet(((-1.0, -alpha), (alpha, 1.0)))
-    return InverseImageMap(N=2, T=T, target_set=target, a=1.0, factors=lambda x: (
-        (1.0 - x) * (1.0 + x), (x - alpha) * (x + alpha)))
+    return InverseImageMap(N=2, target_set=target, a=1.0, slope=4.0 / (1.0 - alpha * alpha),
+                           factors=lambda x: ((1.0 - x) * (1.0 + x), (x - alpha) * (x + alpha)))
 
 
 def _cheb_u(m: int, p, q):
@@ -137,12 +127,14 @@ def h_poly(m: int, w):
     return _cheb_u(m, 1.0 - w, 1.0 + w)
 
 
-def peaking_poly(K: IntervalSet, a: float, d: int) -> Chebyshev:
+def peaking_poly(K: IntervalSet, a: float, d: int) -> Callable:
     """U(x) = ((x - c)/(a - c))**d with c the midpoint of [min K, a].
 
     U(a) = 1 and |U| <= 1 on K (a must be max K); the decay away from a is
     geometric in the rescaled distance from c.  Note |U| = 1 again at the
-    mirror point 2c - a = min K, so the peak is one-sided.
+    mirror point 2c - a = min K, so the peak is one-sided.  Binary powering
+    (relative error about (d - 1) eps/2) gives a point the same bytes alone
+    as inside an array, which ``np.float64 ** int`` does not.
     """
     if d < 1:
         raise SetSpecError(f"peaking degree must be >= 1, got {d}")
@@ -151,31 +143,36 @@ def peaking_poly(K: IntervalSet, a: float, d: int) -> Chebyshev:
     c = (K.min + a) / 2.0
     if a == c:
         raise SetSpecError("set is a single point; no peaking polynomial")
-    lo, hi = K.min, K.max
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    # ((x - c)/(a - c))^d is linear in the frame variable s: expand and convert
-    lin = np.array([(mid - c) / (a - c), half / (a - c)])
-    return Chebyshev(_npcheb.poly2cheb(_nppoly.polypow(lin, d)), domain=(lo, hi))
+
+    def U(x):
+        s = (np.asarray(x, dtype=float) - c) / (a - c)
+        out = np.ones_like(s)
+        for bit in bin(d)[2:]:
+            out = out * out * s if bit == "1" else out * out
+        return out if out.ndim else float(out)
+
+    return U
 
 
 @dataclasses.dataclass(frozen=True)
 class SchurWitness:
-    """Sharpness witness; evaluation on demand, degree <= n by construction."""
+    """Sharpness witness; evaluation on demand, degree N m + d <= n by construction."""
 
     n: int
     m: int
+    d: int
     eta: float
     h_a: float
     map: InverseImageMap
-    peak: Chebyshev
+    peak: Callable
 
     @property
     def scale(self) -> float:
-        return math.sqrt(2.0 * abs(self.map.deriv_at(self.map.a))) / (1.0 + self.eta) ** 2
+        return math.sqrt(2.0 * abs(self.map.slope)) / (1.0 + self.eta) ** 2
 
     @property
     def degree(self) -> int:
-        return self.map.N * self.m + self.peak.degree()
+        return self.map.N * self.m + self.d
 
     @property
     def value_at_a(self) -> float:
@@ -196,10 +193,17 @@ def build_witness(map: InverseImageMap, h_a: float, n: int, eta: float) -> Schur
     m = int((n - math.sqrt(n)) // map.N)
     d = int(math.isqrt(n))
     peak = peaking_poly(map.target_set, map.a, d)
-    wit = SchurWitness(n=n, m=m, eta=eta, h_a=h_a, map=map, peak=peak)
+    wit = SchurWitness(n=n, m=m, d=d, eta=eta, h_a=h_a, map=map, peak=peak)
     if wit.degree > n:
         raise SetSpecError(f"witness degree {wit.degree} exceeds budget {n}")
     return wit
+
+
+def runup_grid(ctx: EndpointContext, points: int) -> np.ndarray:
+    """``points`` arccos-spaced points of the run-up interval [a - rho, a),
+    ascending; a itself is left out."""
+    theta = np.linspace(0.0, np.pi, points + 1)[1:]
+    return (ctx.a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta))[::-1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -236,10 +240,8 @@ def audit_bound(
     local_grid_points: int = 2000,
 ) -> AuditReport:
     """Audit one polynomial evaluator against both hypotheses and the bound."""
-    a, rho = ctx.a, ctx.rho
-    mid, half = a - rho / 2.0, rho / 2.0
-    theta = np.linspace(0.0, np.pi, local_grid_points + 1)[1:]
-    xs = mid + half * np.cos(theta)  # in [a - rho, a)
+    a = ctx.a
+    xs = runup_grid(ctx, local_grid_points)
     Px = np.abs(np.asarray(P(xs), dtype=float))
     hx = np.array([h(float(x)) for x in xs])
     if np.any(hx <= 0.0):
@@ -248,9 +250,7 @@ def audit_bound(
     local_ok = local_margin <= 1.0 + 1e-9
 
     per = 64 * (n + 1)
-    cos = np.cos(np.linspace(0.0, np.pi, per))
-    sup = max(float(np.max(np.abs(P((u + v) / 2.0 + (v - u) / 2.0 * cos))))
-              for (u, v) in K.intervals)
+    sup = float(np.max(np.abs(P(_arccos_grid(K, per)))))
     growth = sup ** (1.0 / n) if sup > 0 else 0.0
 
     threshold = n * 2.0 * math.pi * h(a) * omega_factor(E, a)
@@ -277,9 +277,8 @@ def audit_witness(
     """Audit a built witness on its own target set (h defaults to h_a)."""
     K = wit.map.target_set
     ctx = check_interval_condition(K, wit.map.a)
-    E = solve_equilibrium(K, cfg)
     hfun = (lambda x: wit.h_a) if h is None else h
-    return audit_bound(wit, hfun, K, ctx, wit.n, E)
+    return audit_bound(wit, hfun, K, ctx, wit.n, solve_equilibrium(K, cfg))
 
 
 def counterexample_demo(n: int, cfg: NumericsConfig = DEFAULTS) -> AuditReport:

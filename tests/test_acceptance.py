@@ -99,7 +99,7 @@ def test_c04_cross_formula_consistency():
     for alpha in (0.2, 0.5, 0.8):
         imap = quadratic_inverse_image(alpha)
         om_density = omega_factor(solve_equilibrium(imap.target_set), 1.0)
-        om_map = math.sqrt(abs(imap.deriv_at(1.0))) / (math.sqrt(2.0) * math.pi * 2.0)
+        om_map = math.sqrt(abs(imap.slope)) / (math.sqrt(2.0) * math.pi * 2.0)
         worst = max(worst, abs(om_density - om_map) / om_map)
     assert worst <= 1e-8
     _report(4, f"Omega via density vs quadratic-map route: worst rel err {worst:.2e}")

@@ -198,7 +198,14 @@ class TestExitCodes:
          "--dump-witness"),
     ], ids=["out", "dump-witness"])
     @pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
-    def test_unwritable_output_path_exit_2(self, argv, flag, target, tmp_path, capsys):
+    def test_unwritable_output_path_exit_2(self, argv, flag, target, tmp_path, capsys,
+                                           monkeypatch):
+        # the path is refused before the command computes anything
+        def no_compute(*args, **kwargs):
+            pytest.fail("the command ran before its output path was checked")
+
+        monkeypatch.setattr(cli.equilibrium, "solve_equilibrium", no_compute)
+        monkeypatch.setattr(cli.extremal, "markov_study", no_compute)
         path = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
         code, out, err = run_cli([*argv, flag, str(path)], capsys)
         assert code == 2

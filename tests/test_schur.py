@@ -31,7 +31,8 @@ class TestInverseImages:
     def test_quadratic_derivative(self):
         for alpha in (0.2, 0.5, 0.8):
             imap = quadratic_inverse_image(alpha)
-            assert imap.deriv_at(1.0) == pytest.approx(4.0 / (1 - alpha**2), rel=1e-13)
+            assert imap.slope == pytest.approx(4.0 / (1 - alpha**2), rel=1e-13)
+            assert imap.slope == 4.0 / (1.0 - alpha * alpha)
 
     def test_target_is_inverse_image(self):
         imap = quadratic_inverse_image(0.4)
@@ -46,7 +47,8 @@ class TestInverseImages:
     def test_affine_family(self):
         imap = affine_inverse_image(-2.0, 1.0)
         assert imap(1.0) == 1.0 and imap(-2.0) == -1.0
-        assert imap.deriv_at(1.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
+        assert imap.slope == pytest.approx(2.0 / 3.0, rel=1e-14)
+        assert imap.slope == 2.0 / 3.0
 
     def test_rejects_bad_alpha(self):
         for alpha in (0.0, 1.0, -0.3, 2.0):
@@ -126,8 +128,9 @@ class TestWitness:
         (affine_inverse_image(-2.0, 1.0), lambda x: (2 * x + 1) / 3),
     ], ids=["quadratic", "affine"])
     def test_h_factor_matches_mpmath(self, imap, T):
-        """H_m(T(x)) as the witness evaluates it, against 50 digits at the
-        float x, log-spaced toward both ends of every component."""
+        """H_m(T(x)) and the peaking factor as the witness evaluates them,
+        against 50 digits at the float x, log-spaced toward both ends of
+        every component."""
         mpmath = pytest.importorskip("mpmath")
         wit = build_witness(imap, 1.0, 400, 0.05)
         m = wit.m
@@ -146,7 +149,11 @@ class TestWitness:
                 return mpmath.sin((m + 1) * t) / mpmath.sin(t)
 
             err = max(abs(float(g - exact(x))) for g, x in zip(got, xs))
+            c = (mpmath.mpf(imap.target_set.min) + imap.a) / 2
+            peak_err = max(abs(float(g / ((mpmath.mpf(float(x)) - c) / (imap.a - c)) ** wit.d - 1))
+                           for g, x in zip(wit.peak(xs), xs))
         assert err <= 1e-14 * (m + 1)
+        assert peak_err <= 1e-14
 
     def test_rejects_bad_parameters(self):
         imap = quadratic_inverse_image(0.5)
