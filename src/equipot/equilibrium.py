@@ -586,12 +586,16 @@ def outer_convergence_study(
     m_list: Sequence[int],
     cfg: NumericsConfig = DEFAULTS,
 ) -> list[tuple[int, float]]:
-    """Omega(K_m^+, a) along the outer filtration; nondecreasing in m."""
+    """Omega(K_m^+, a) along the outer filtration; nondecreasing in m.
+    Every m is checked before the first solve."""
+    ms = [int(m) for m in m_list]
+    if ms and min(ms) < 2:
+        raise SetSpecError(f"outer approximant needs m >= 2, got {min(ms)}")
     out = []
-    for m in m_list:
-        Km = outer_approx(K, ctx, int(m))
+    for m in ms:
+        Km = outer_approx(K, ctx, m)
         Em = solve_equilibrium(Km, cfg)
-        out.append((int(m), omega_factor(Em, ctx.a)))
+        out.append((m, omega_factor(Em, ctx.a)))
     return out
 
 

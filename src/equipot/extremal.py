@@ -10,14 +10,17 @@ ratio whose asymptotic envelope is the sharp constant 2 pi^2 Omega(K, a)^2
 computed independently from the equilibrium density; a study collects the
 ratios and flags any excursion above that envelope.
 
-Numerical core: polynomials are parametrised by their values at n + 1
-interpolation nodes placed at quantiles of the equilibrium measure (with all
-component endpoints included).  On a union of intervals any fixed global
-polynomial basis explodes in the gaps - Chebyshev coefficients of the hull
-grow like exp(n * g_K inside the gap) and are unusable in double precision
-beyond degree ~40 - while equilibrium-distributed nodal values keep every
-constraint row bounded by a small Lebesgue constant at all tested degrees.
-Each result carries its witness in this one form, nodes plus nodal values.
+Numerical core: polynomials are parametrised by their values at exactly
+n + 1 interpolation nodes at equilibrium quantiles, shared out to the
+components by mass with largest remainders (all component endpoints
+included when each gets two or more).  On a union of intervals any fixed
+global polynomial basis explodes in the gaps - Chebyshev coefficients of
+the hull grow like exp(n * g_K inside the gap) and are unusable in double
+precision beyond degree ~40 - while equilibrium-distributed nodal values
+keep every constraint row bounded by a small Lebesgue constant at all
+tested degrees.  No node test has an absolute tolerance, so results follow
+the set's affine covariance at any scale.  Each result carries its witness
+in this one form, nodes plus nodal values.
 
 The LP is solved on a small working set, not on a dense grid, in the manner
 of the barycentric Remez exchange (Pachon & Trefethen, BIT 49, 2009): by
@@ -25,14 +28,14 @@ Caratheodory the optimum rests on at most n + 1 active points.  The set is
 seeded with an arccos-spaced grid of 4*(n+1) points per component; each
 exchange round appends the witness's refined local maxima that overshoot,
 in order, so the set only grows and the LP value falls monotonically until
-the overshoot is below tolerance.  Only the new points' Lagrange rows are
-formed, and HiGHS re-solves one model per probe warm from its last basis
-with those rows added.  The witness itself is evaluated matrix-free by the
-barycentric formula.  Two certificates stay independent of the working
-set: the witness is validated on an arccos grid of 128*(n+1) points per
-component (one doubling of both grids is allowed), and it is finally
-renormalised by its refined sup-norm, so the reported value is a certified
-lower bound.
+the overshoot is below tolerance.  The rounds grow one LP in place: only
+the new points' Lagrange rows are formed and appended, and the LP's own
+HiGHS model re-solves warm from its last basis.  The witness itself is
+evaluated matrix-free by the barycentric formula.  Two certificates stay
+independent of the working set: the witness is validated on an arccos grid
+of 128*(n+1) points per component (one doubling of both grids is allowed),
+and it is finally renormalised by its refined sup-norm, so the reported
+value is a certified lower bound.
 """
 
 from __future__ import annotations
@@ -62,65 +65,53 @@ EXCHANGE_TOL = 1e-9
 # interpolation nodes at equilibrium quantiles
 
 
-def _component_quantiles(tab: ComponentTable, levels: np.ndarray) -> np.ndarray:
-    """Points x in the component with equilibrium mass of [left, x] = level.
-
-    With x = mid + half*cos(phi) the cumulative mass from the left endpoint
-    is half*(c_0*(pi - phi) - sum_k c_k sin(k phi)/k), solved for phi by
-    bisection (the density is positive, so mass is strictly monotone).
-    """
-    c = np.asarray(tab.coeffs)
-    k = np.arange(1, len(c))
-
-    def mass(phi: np.ndarray) -> np.ndarray:
-        s = np.sin(np.outer(phi, k)) @ (c[1:] / k) if len(k) else 0.0
-        return tab.half * (c[0] * (np.pi - phi) - s)
-
-    lo = np.zeros(len(levels))
-    hi = np.full(len(levels), np.pi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = mass(mid) < levels
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-    phi = 0.5 * (lo + hi)
-    return tab.mid + tab.half * np.cos(phi)
+def _quantiles(tables: Sequence[ComponentTable], comp: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Points x of component ``comp[i]`` with equilibrium mass ``levels[i]``
+    on [left end, x]: with x = mid + half*cos(phi) that mass is
+    half*(c_0*(pi - phi) - sum_k c_k sin(k phi)/k), falling at the rate
+    half*G(cos phi) > 0.  Newton steps from the arcsine quantile (c_0 alone),
+    bisecting the bracket whenever a step would leave it, until every step
+    is below 1e-10."""
+    L = max(len(tab.coeffs) for tab in tables)
+    c = np.array([tab.coeffs + (0.0,) * (L - len(tab.coeffs)) for tab in tables])[comp]
+    mid, half = np.array([(tab.mid, tab.half) for tab in tables])[comp].T
+    k = np.arange(1, L)
+    c0, ck, ck_k = c[:, 0], c[:, 1:], c[:, 1:] / k
+    lo, hi = np.zeros(len(levels)), np.full(len(levels), np.pi)
+    phi = np.pi * (1.0 - levels / (half * np.pi * c0))
+    for _ in range(100):
+        kphi = phi[:, None] * k
+        excess = half * (c0 * (np.pi - phi) - (np.sin(kphi) * ck_k).sum(axis=1)) - levels
+        rate = half * (c0 + (np.cos(kphi) * ck).sum(axis=1))
+        lo, hi = np.where(excess > 0.0, phi, lo), np.where(excess > 0.0, hi, phi)
+        new = phi + excess / rate
+        new = np.where((new < lo) | (new > hi), 0.5 * (lo + hi), new)
+        phi, step = new, np.max(np.abs(new - phi), initial=0.0)
+        if step <= 1e-10:
+            break
+    return mid + half * np.cos(phi)
 
 
 def _interpolation_nodes(E: EquilibriumData, n: int) -> np.ndarray:
-    """n + 1 nodes: all component endpoints plus interior equilibrium quantiles.
-
-    Below n + 1 = 2m there is no room for every endpoint; the nodes are then
-    plain global equilibrium quantiles (midpoint levels), which stay distinct
-    and well spread.
+    """Exactly n + 1 nodes at equilibrium quantiles, apportioned to the
+    components by mass with largest remainders.  When every component's
+    share is at least 2, each gets its endpoints plus interior quantiles at
+    equal mass steps; otherwise the nodes are global equilibrium quantiles
+    at midpoint levels, which stay distinct and well spread.
     """
-    K = E.set
     total = n + 1
     masses = np.array([tab.mass for tab in E.tables])
-    if total < 2 * K.m:
+    raw = masses / masses.sum() * total
+    alloc = np.floor(raw).astype(int)
+    alloc[np.argsort(alloc - raw, kind="stable")[: total - alloc.sum()]] += 1
+    if alloc.min() < 2:
         levels = masses.sum() * (np.arange(total) + 0.5) / total
         cum = np.concatenate([[0.0], np.cumsum(masses)])
-        nodes = []
-        for j, tab in enumerate(E.tables):
-            local = levels[(levels > cum[j]) & (levels <= cum[j + 1])] - cum[j]
-            if len(local):
-                nodes.append(_component_quantiles(tab, local))
-        return np.sort(np.concatenate(nodes))
-    raw = masses / masses.sum() * total
-    alloc = np.maximum(2, np.round(raw).astype(int))
-    while alloc.sum() > total:
-        alloc[int(np.argmax(alloc - raw))] -= 1
-    while alloc.sum() < total:
-        alloc[int(np.argmin(alloc - raw))] += 1
-    nodes = []
-    for tab, (u, v), nj in zip(E.tables, K.intervals, alloc):
-        if nj == 2:
-            interior = np.empty(0)
-        else:
-            levels = tab.mass * np.arange(1, nj - 1) / (nj - 1)
-            interior = np.sort(_component_quantiles(tab, levels))
-        nodes.append(np.concatenate([[u], interior, [v]]))
-    return np.sort(np.concatenate(nodes))
+        comp = np.searchsorted(cum, levels) - 1
+        return np.sort(_quantiles(E.tables, comp, levels - cum[comp]))
+    comp = np.repeat(np.arange(len(alloc)), alloc - 2)
+    levels = np.concatenate([mass * np.arange(1, nj - 1) / (nj - 1) for mass, nj in zip(masses, alloc)])
+    return np.sort(np.concatenate([np.ravel(E.set.intervals), _quantiles(E.tables, comp, levels)]))
 
 
 def _bary_weights(nodes: np.ndarray) -> np.ndarray:
@@ -136,13 +127,11 @@ def _lagrange_rows(x: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarra
     """Matrix of Lagrange basis values l_j(x_i), the LP rows; exact unit rows at nodes."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     diff = x[:, None] - nodes[None, :]
-    hit = np.abs(diff) < 1e-15
+    hit = diff == 0.0
     q = w[None, :] / np.where(hit, 1.0, diff)
-    anyhit = hit.any(axis=1)
-    rows = np.empty_like(q)
-    if np.any(~anyhit):
-        rows[~anyhit] = q[~anyhit] / q[~anyhit].sum(axis=1, keepdims=True)
-    rows[anyhit] = hit[anyhit].astype(float)
+    rows = q / q.sum(axis=1, keepdims=True)
+    at_node = hit.any(axis=1)
+    rows[at_node] = hit[at_node]
     return rows
 
 
@@ -155,12 +144,12 @@ def _bary_eval(x, nodes: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.nd
 
     The second barycentric formula, formed BARY_CHUNK points at a time, so
     no Lagrange matrix of all the points is ever held.  ``nodes`` ascend; a
-    point within 1e-15 of a node takes that node's value exactly.
+    point equal to a node takes that node's value (the formula is stable
+    arbitrarily close to one, so no window around the nodes is needed).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    j = np.searchsorted(nodes, x).clip(1, len(nodes) - 1)
-    j -= x - nodes[j - 1] < nodes[j] - x  # the nearest node
-    hit = np.abs(x - nodes[j]) < 1e-15
+    j = np.searchsorted(nodes, x).clip(0, len(nodes) - 1)
+    hit = x == nodes[j]
     weights = np.column_stack([w * values, w])
     out = np.empty(len(x))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -174,19 +163,19 @@ def _bary_eval(x, nodes: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.nd
 
 
 def _deriv_row(nodes: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
-    """Row of l_j'(x); node and off-node barycentric derivative formulas."""
+    """Row of l_j'(x): the node formula within 1e-13 of the node span of a node,
+    else l_j (sum_k q_k r_k/Q - r_j), r_k = 1/(x - x_k), q_k = w_k r_k, Q = sum q_k."""
     j = int(np.argmin(np.abs(nodes - x)))
-    if abs(nodes[j] - x) < 1e-14 * max(1.0, abs(x)):
+    if abs(nodes[j] - x) <= 1e-13 * (nodes[-1] - nodes[0]):
         D = np.zeros(len(nodes))
         mask = np.arange(len(nodes)) != j
         D[mask] = (w[mask] / w[j]) / (nodes[j] - nodes[mask])
         D[j] = -D.sum()
         return D
-    q = w / (x - nodes)
+    r = 1.0 / (x - nodes)
+    q = w * r
     Q = q.sum()
-    qp = -w / (x - nodes) ** 2
-    Qp = qp.sum()
-    return (qp * Q - q * Qp) / Q**2
+    return q / Q * ((q * r).sum() / Q - r)
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +196,34 @@ def _refined_maxima(
     """Local maxima (x, |P(x)|) of |P| on K, polished by three parabola stages in angle.
 
     Each stage evaluates P once, at the three probe angles of every maximum
-    of every component together.
+    of every component together.  A point that rounds past an endpoint is
+    moved onto it, since |P| one ulp outside K can exceed its norm on K.
     """
     u, v = np.asarray(K.intervals).T
     mid, half = (u + v) / 2.0, (v - u) / 2.0
+
+    def at(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return np.clip(mid[c] + half[c] * np.cos(t), u[c], v[c])
+
     theta = np.linspace(0.0, np.pi, per_degree * (n + 1))
     h = theta[1] - theta[0]
-    vals = np.abs(evalP((mid[:, None] + half[:, None] * np.cos(theta)).ravel()))
+    vals = np.abs(evalP(at(np.arange(K.m)[:, None], theta).ravel()))
     vals = vals.reshape(K.m, len(theta))
     edge = np.ones((K.m, 1), dtype=bool)
     isloc = np.hstack([edge, vals[:, 1:] >= vals[:, :-1]]) & np.hstack(
         [vals[:, :-1] >= vals[:, 1:], edge]
     )
     comp, j = np.nonzero(isloc)
-    mid, half, t0 = mid[comp], half[comp], theta[j]
+    t0 = theta[j]
     for _ in range(3):
         tt = np.clip(t0[:, None] + np.array([-h, 0.0, h]), 0.0, np.pi)
-        vv = np.abs(evalP((mid[:, None] + half[:, None] * np.cos(tt)).ravel())).reshape(-1, 3)
+        vv = np.abs(evalP(at(comp[:, None], tt).ravel())).reshape(-1, 3)
         curv = vv[:, 0] - 2.0 * vv[:, 1] + vv[:, 2]
         step = curv < -1e-300
         vertex = tt[:, 1] + 0.5 * h * (vv[:, 0] - vv[:, 2]) / np.where(step, curv, -1.0)
         t0 = np.where(step, np.clip(vertex, 0.0, np.pi), t0)
         h /= 8.0
-    x = mid + half * np.cos(t0)
+    x = at(comp, t0)
     return x, np.abs(evalP(x))
 
 
@@ -294,10 +288,9 @@ def _solve_once(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Working-set LP plus exchange, seeded with ``grid``.
 
-    Each round's new points are appended to the working set in order, so
-    every LP after the first has its predecessor's rows as leading rows and
-    is re-solved warm from its basis.  Returns (node values, then x and
-    |P(x)| at the refined maxima of that witness, rounds).
+    One LP per call: each round appends its new points' rows to it, and
+    HiGHS re-solves it warm from its last basis.  Returns (node values,
+    then x and |P(x)| at the refined maxima of that witness, rounds).
     """
     sep = 1e-13 * (K.max - K.min)
 
@@ -329,11 +322,17 @@ def _solve_once(
         if len(new) == 0:
             break
         pts = np.concatenate([pts, new])
-        prob = LPProblem(objective, np.vstack([prob.rows, _lagrange_rows(new, nodes, w)]), base=prob)
+        prob.add_rows(_lagrange_rows(new, nodes, w))
         vals = lp_maximize(prob)[1]
     else:
         xs, ms = maxima(vals)  # the round cap was hit after a fresh solve
     return vals, xs, ms, rounds
+
+
+def _check_degrees(degrees: Sequence[int], cfg: NumericsConfig) -> None:
+    bad = [n for n in degrees if not 1 <= n <= cfg.markov_degree_cap]
+    if bad:
+        raise SetSpecError(f"degree must lie in [1, {cfg.markov_degree_cap}], got {bad[0]}")
 
 
 def markov_extremal(
@@ -352,8 +351,7 @@ def markov_extremal(
     distinguished endpoint (used by the norm-equivalence probe); constraints
     are unchanged.
     """
-    if not 1 <= n <= cfg.markov_degree_cap:
-        raise SetSpecError(f"degree must lie in [1, {cfg.markov_degree_cap}], got {n}")
+    _check_degrees([n], cfg)
     K = E.set
     check_interval_condition(K, a)
     nodes = _interpolation_nodes(E, n)
@@ -397,8 +395,10 @@ def markov_study(
     degrees: Sequence[int],
     cfg: NumericsConfig = DEFAULTS,
 ) -> MarkovStudy:
-    """Per-degree extremal results against the equilibrium limit constant."""
+    """Per-degree extremal results against the equilibrium limit constant.
+    Every degree is checked before the equilibrium solve."""
     degs = [int(n) for n in degrees]
+    _check_degrees(degs, cfg)
     if any(n2 <= n1 for n1, n2 in zip(degs, degs[1:])):
         raise SetSpecError("degrees must be strictly increasing")
     E = solve_equilibrium(K, cfg)

@@ -17,14 +17,13 @@ once it settles.
   coefficients of smooth functions on [u, v], as the equilibrium solver
   expands the density factors of all components together.  Chebyshev
   series themselves are ``numpy.polynomial.Chebyshev``.
-* ``lp_maximize(LPProblem(objective, rows[, base]))``: max objective . y
-  subject to |rows . y| <= 1 and |y_j| <= 1, the nodal-value LP of the
-  extremal probe, each row one ranged HiGHS row -1 <= rows . y <= 1, with
-  a two-rung ladder (the warm HiGHS model, then ``linprog``) and a
+* ``lp_maximize(LPProblem(objective, rows))``: max objective . y subject
+  to |rows . y| <= 1 and |y_j| <= 1, the nodal-value LP of the extremal
+  probe, each row one ranged HiGHS row -1 <= rows . y <= 1, with a
+  two-rung ladder (the warm HiGHS model, then ``linprog``) and a
   duality-gap audit.  The caller drives semi-infinite refinement by
-  appending rows: a problem whose ``base`` is the previous one of its
-  probe takes over that problem's HiGHS model, adds only the new rows and
-  re-solves from the last basis.
+  growing one problem with ``add_rows``: the problem keeps its HiGHS
+  model, which takes only the new rows and re-solves from the last basis.
 """
 
 from __future__ import annotations
@@ -159,23 +158,24 @@ def chebyshev_expand(
 # LP kernel
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class LPProblem:
     """max objective . y  subject to  |rows . y| <= 1 and |y_j| <= 1.
 
     In the extremal probe y holds the values of P at its interpolation
     nodes and ``rows`` the Lagrange basis at the working-set points, so the
     box bounds say |P| <= 1 at the nodes and every variable is bounded.
-    ``base``, if given, is an earlier problem of the same probe whose rows
-    are the leading rows of this one; ``lp_maximize`` then hands base's
-    HiGHS model on to this problem instead of building a fresh one.
+    The problem grows in place: ``add_rows`` appends rows, and the problem
+    keeps its HiGHS model between ``lp_maximize`` calls, so a re-solve adds
+    only the new rows and starts from the last basis.
     """
 
     objective: np.ndarray
     rows: np.ndarray
-    base: LPProblem | None = None
-    # the solved HiGHS model, held until a later problem takes it as its base
-    _model: list = dataclasses.field(default_factory=list, init=False, repr=False, compare=False)
+    _model: _Highs | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+
+    def add_rows(self, new: np.ndarray) -> None:
+        self.rows = np.vstack([self.rows, new])
 
 
 # HiGHS options: tight feasibility tolerances, and no presolve, which on
@@ -190,35 +190,28 @@ _HIGHS_OPTIONS = {"output_flag": False,
                   "presolve": "off"}
 
 
-def _add_rows(h: _Highs, rows: np.ndarray) -> None:
-    """Append dense rows to the model as ranged rows -1 <= row . y <= 1."""
-    k, n = rows.shape
-    if k:
-        h.addRows(k, np.full(k, -1.0), np.full(k, 1.0), k * n,
-                  np.arange(0, k * n, n, dtype=np.int32),
-                  np.tile(np.arange(n, dtype=np.int32), k), rows.ravel())
-
-
 def _highs_rung(problem: LPProblem, cost: np.ndarray, rows: np.ndarray):
-    """Solve on base's HiGHS model with the new rows appended (a fresh model
-    when there is no base, it holds no model or its rows do not lead), kept
-    for a later problem when it solves; returns (y, duals), or None when
-    HiGHS ends in any status but optimal."""
-    base = problem.base
-    h = base._model.pop() if base is not None and base._model else None
-    if h is not None and not np.array_equal(base.rows, rows[:len(base.rows)]):
-        h = None
+    """Solve on the problem's HiGHS model (built with the cost on first use)
+    with the rows it lacks appended as ranged rows -1 <= row . y <= 1, kept
+    only when it solves; returns (y, duals), or None when HiGHS ends in any
+    status but optimal."""
+    h, problem._model = problem._model, None
     if h is None:
         h = _Highs()
         for key, val in _HIGHS_OPTIONS.items():
             h.setOptionValue(key, val)
         h.addVars(len(cost), np.full(len(cost), -1.0), np.full(len(cost), 1.0))
-    h.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
-    _add_rows(h, rows[h.getNumRow():])
+        h.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
+    new = rows[h.getNumRow():]
+    k, n = new.shape
+    if k:
+        h.addRows(k, np.full(k, -1.0), np.full(k, 1.0), k * n,
+                  np.arange(0, k * n, n, dtype=np.int32),
+                  np.tile(np.arange(n, dtype=np.int32), k), new.ravel())
     h.run()
     if h.getModelStatus() != HighsModelStatus.kOptimal:
         return None
-    problem._model.append(h)
+    problem._model = h
     sol = h.getSolution()
     return np.array(sol.col_value), np.concatenate([sol.row_dual, sol.col_dual])
 
@@ -239,10 +232,10 @@ def lp_maximize(problem: LPProblem) -> tuple[float, np.ndarray]:
     """Solve the finite sup-norm LP; returns (value, maximiser).
 
     HiGHS sees the objective scaled to max-modulus 1, since its dual
-    feasibility tolerance is absolute.  The ladder has two rungs: the model
-    handed on from ``problem.base`` (a fresh one without it) at tight
-    feasibility tolerances, re-solving warm from its last basis; on a
-    solver failure, ``linprog`` without presolve from scratch.
+    feasibility tolerance is absolute.  The ladder has two rungs: the
+    problem's own HiGHS model at tight feasibility tolerances, re-solving
+    warm from its last basis; on a solver failure, ``linprog`` without
+    presolve from scratch.
     """
     d = np.asarray(problem.objective, dtype=float)
     scale = float(np.max(np.abs(d))) or 1.0

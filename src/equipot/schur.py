@@ -80,6 +80,10 @@ def quadratic_inverse_image(alpha: float) -> InverseImageMap:
                            factors=lambda x: ((1.0 - x) * (1.0 + x), (x - alpha) * (x + alpha)))
 
 
+# points per block of ``_cheb_u``, which bounds its temporaries
+U_CHUNK = 4096
+
+
 def _cheb_u(m: int, p, q):
     """U_m(w) from p = c (1 - w) and q = c (1 + w), for any common c > 0.
 
@@ -92,9 +96,16 @@ def _cheb_u(m: int, p, q):
     the rounding of the ratio), and U_m = sinh((m+1) phi)/sinh(phi) is
     formed as e^{m phi} (1 - e^{-2(m+1) phi})/(1 - e^{-2 phi}), which
     overflows to +-inf, not to inf - inf.  Both limits at w = 1 are m + 1.
-    Each point costs O(1) whatever m.
+    Each point costs O(1) whatever m; the points are taken U_CHUNK at a
+    time, so the temporaries stay a few blocks in size.
     """
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    if p.size > U_CHUNK:
+        out = np.empty(p.shape)
+        flat, p, q = out.reshape(-1), p.ravel(), q.ravel()
+        for s in range(0, len(p), U_CHUNK):
+            flat[s:s + U_CHUNK] = _cheb_u(m, p[s:s + U_CHUNK], q[s:s + U_CHUNK])
+        return out
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     out = np.ones(lo.shape)
     if m > 0:

@@ -521,6 +521,15 @@ class TestMonotonicityAndConvergence:
         table = outer_convergence_study(K, ctx, [2])
         assert table[0][1] == pytest.approx(omega_factor(E_sym2, 1.0), rel=1e-12)
 
+    def test_every_m_checked_before_any_solve(self, E_sym2, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before every m was checked")
+
+        monkeypatch.setattr(equilibrium, "solve_equilibrium", no_solve)
+        ctx = check_interval_condition(E_sym2.set, 1.0)
+        with pytest.raises(SetSpecError, match="m >= 2, got 1"):
+            outer_convergence_study(E_sym2.set, ctx, [2, 4, 1])
+
     def test_cantor4_filtration(self):
         K = cantor_set(4, 1 / 3)
         ctx = check_interval_condition(K, 1.0)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import Chebyshev
+from scipy.optimize import linprog
 
 from equipot.config import DEFAULTS
 from equipot.extremal import (
@@ -12,6 +13,8 @@ from equipot.extremal import (
     _arccos_grid,
     _bary_eval,
     _bary_weights,
+    _deriv_row,
+    _interpolation_nodes,
     _lagrange_rows,
     _refined_maxima,
 )
@@ -20,12 +23,15 @@ from equipot import (
     SetSpecError,
     bernstein_audit,
     bernstein_walsh_audit,
+    cantor_set,
     derivative_norm_probe,
+    extremal,
     markov_extremal,
     markov_study,
     solve_equilibrium,
     study_rows,
 )
+from conftest import random_interval_set
 
 UNIT = IntervalSet(((-1.0, 1.0),))
 SYM2 = IntervalSet(((-1.0, -0.5), (0.5, 1.0)))
@@ -41,6 +47,10 @@ STALL3 = IntervalSet((
 ))
 STALL3_A = 5.027806096813277
 STALL3_VALUE = 495.10042754509817
+
+# Two tiny components beside [-1, 1] with 7% and 10% of the equilibrium
+# mass: below n = 30 one of them has a share of fewer than two nodes.
+SPECKS = IntervalSet(((-1.0, 1.0), (1.5, 1.5001), (2.0, 2.0001)))
 
 
 def cheb_image(c, N, j):
@@ -58,6 +68,27 @@ def cheb_image(c, N, j):
     )))
     theta = (j * math.pi + phi) / N
     return K, math.cos(theta), c * N * math.sin(phi) / math.sin(theta)
+
+
+def shifted_t3_image():
+    """K = (1.5 T_3 - 0.5)^{-1}[-1, 1] = {T_3 >= -1/3}: T_3 = 1 at the double
+    point -1/2 joins two bands into one component, so the masses are 2/3 and
+    1/3; T_k o (1.5 T_3 - 0.5) is extremal at a = 1 with value 13.5 k^2."""
+    phi = math.acos(-1.0 / 3.0)
+    return IntervalSet(((math.cos((2 * math.pi + phi) / 3), math.cos((2 * math.pi - phi) / 3)),
+                        (math.cos(phi / 3), 1.0)))
+
+
+def dense_grid_value(K, a, n, per_component=4000):
+    """max P'(a) over |P| <= 1 on a dense arccos grid of K, with P in the
+    Chebyshev basis of the hull: an upper bound close to the true value at
+    low degree, independent of the nodal LP."""
+    basis = [Chebyshev.basis(j, domain=(K.min, K.max)) for j in range(n + 1)]
+    A = np.array([b(_arccos_grid(K, per_component)) for b in basis]).T
+    res = linprog(-np.array([b.deriv()(a) for b in basis]), A_ub=np.vstack([A, -A]),
+                  b_ub=np.ones(2 * len(A)), bounds=[(None, None)] * (n + 1), method="highs")
+    assert res.status == 0
+    return -res.fun
 
 
 class TestMarkovExtremal:
@@ -118,6 +149,30 @@ class TestMarkovExtremal:
         assert r.value == pytest.approx(k * k * dP, rel=1e-9)
         assert r.value <= k * k * dP * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_shifted_t3_oracle(self, k):
+        r = markov_extremal(solve_equilibrium(shifted_t3_image()), 1.0, 3 * k)
+        assert len(r.nodes) == 3 * k + 1
+        assert r.value == pytest.approx(13.5 * k * k, rel=1e-9)
+
+    def test_specks_against_dense_grid(self):
+        st = markov_study(SPECKS, 1.0, [5, 6, 8])
+        assert st.flagged == ()
+        for r in st.rows:
+            dense = dense_grid_value(SPECKS, 1.0, r.degree)
+            assert dense * (1.0 - 1e-4) <= r.value <= dense * (1.0 + 1e-9)
+
+    def test_maxima_stay_on_the_set(self):
+        # mid - half rounds one ulp below u here, where |P| is 1 + 1.1e-11 at n = 100
+        u, v = 3.9734183925361046, 4.7767355702191026
+        K = IntervalSet(((u, v),))
+        assert (u + v) / 2 - (v - u) / 2 < u
+        r = markov_extremal(solve_equilibrium(K), v, 100)
+        xs, _ = _refined_maxima(r.evaluate, K, 100)
+        assert u <= xs.min() and xs.max() <= v
+        assert r.overshoot <= 1e-14
+        assert r.value == pytest.approx(2e4 / (v - u), rel=1e-13)
+
     def test_no_stall_on_three_intervals(self):
         r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24)
         assert r.value == pytest.approx(STALL3_VALUE, rel=1e-9)
@@ -153,6 +208,73 @@ def _refined_maxima_loop(evalP, K, n, per_degree=16):
             x = mid + half * math.cos(t0)
             out.append((x, float(np.abs(evalP(np.array([x])))[0])))
     return out
+
+
+def bisection_quantiles(tab, levels):
+    """One component's quantiles by 60 bisection steps on the mass in angle:
+    the reference for the batched Newton solve."""
+    c = np.asarray(tab.coeffs)
+    k = np.arange(1, len(c))
+
+    def mass(phi):
+        return tab.half * (c[0] * (np.pi - phi) - np.sin(np.outer(phi, k)) @ (c[1:] / k))
+
+    lo, hi = np.zeros(len(levels)), np.full(len(levels), np.pi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = mass(mid) < levels
+        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
+    return tab.mid + tab.half * np.cos(0.5 * (lo + hi))
+
+
+class TestInterpolationNodes:
+    @pytest.mark.parametrize("K", [UNIT, SYM2, STALL3, SPECKS, cantor_set(3)])
+    def test_quantiles_match_bisection(self, K):
+        E = solve_equilibrium(K)
+        frac = np.arange(1, 40) / 40
+        comp = np.repeat(np.arange(K.m), len(frac))
+        levels = np.concatenate([tab.mass * frac for tab in E.tables])
+        got = extremal._quantiles(E.tables, comp, levels)
+        for j, tab in enumerate(E.tables):
+            want = bisection_quantiles(tab, tab.mass * frac)
+            assert np.max(np.abs(got[comp == j] - want)) <= 1e-12 * tab.half
+
+    def test_exactly_n_plus_one_distinct_nodes(self):
+        rng = np.random.default_rng(15)
+        sets = [random_interval_set(rng) for _ in range(60)] + [cantor_set(3), cantor_set(5), SPECKS]
+        for K in sets:
+            E = solve_equilibrium(K)
+            for n in range(1, 121):
+                nodes = _interpolation_nodes(E, n)
+                assert len(nodes) == n + 1 and np.all(np.diff(nodes) > 0.0), (K, n)
+
+
+class TestScaleCovariance:
+    """SYM2 scaled by s is the same probe in units of s: no node test has an
+    absolute tolerance."""
+
+    SCALES = [1e-100, 1e-14, 1e-13, 1e-12, 1e6, 1e100]
+
+    @pytest.fixture(scope="class")
+    def unit(self):
+        return markov_extremal(solve_equilibrium(SYM2), 1.0, 40)
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_value_and_witness(self, unit, s):
+        Ks = IntervalSet(tuple((u * s, v * s) for u, v in SYM2.intervals))
+        r = markov_extremal(solve_equilibrium(Ks), s, 40)
+        assert r.value * s == pytest.approx(unit.value, rel=1e-10)
+        xs = _arccos_grid(SYM2, 50)
+        assert np.max(np.abs(r.evaluate(xs * s) - unit.evaluate(xs))) <= 1e-9
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_deriv_row(self, unit, s):
+        nodes = unit.nodes
+        w = _bary_weights(nodes)
+        for x in (1.0, nodes[7], nodes[7] + 1e-15, 0.7, -0.55):
+            want = _deriv_row(nodes, w, x)
+            got = _deriv_row(nodes * s, _bary_weights(nodes * s), x * s) * s
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), x
 
 
 class TestRefinedMaxima:
@@ -214,6 +336,15 @@ class TestMarkovStudy:
     def test_degrees_must_increase(self):
         with pytest.raises(SetSpecError):
             markov_study(UNIT, 1.0, [5, 5])
+
+    @pytest.mark.parametrize("degrees", [[110, 121], [0, 5], [5, 5]])
+    def test_sweep_checked_before_the_solve(self, monkeypatch, degrees):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before every degree was checked")
+
+        monkeypatch.setattr(extremal, "solve_equilibrium", no_solve)
+        with pytest.raises(SetSpecError):
+            markov_study(SYM2, 1.0, degrees)
 
 
 class TestBernsteinAudit:

@@ -304,6 +304,7 @@ class TestLP:
         value, y = lp_maximize(prob)  # the audit passes on the real duals
         assert value > 0.0
         assert (np.max(np.abs(y)) > 1.0 - 1e-9) == box
+        prob = LPProblem(prob.objective, prob.rows)  # a fresh problem builds a model
 
         class DoubledDuals(numerics._Highs):
             def getSolution(self):
@@ -355,8 +356,8 @@ class TestLPLadder:
             assert value == pytest.approx(expected, rel=1e-9)
             assert np.max(np.abs(prob.rows @ y)) <= 1.0 + 1e-9
         assert len(calls) == (failing >= 2)
-        # only a model that solved is kept for a later problem
-        assert len(prob._model) == (failing == 0)
+        # only a model that solved is kept for a later solve
+        assert (prob._model is not None) == (failing == 0)
 
     def test_warm_rounds_match_cold_solves(self, monkeypatch):
         """One working set grown over four rounds on one HiGHS model."""
@@ -371,12 +372,13 @@ class TestLPLadder:
         nodes = np.cos((2 * np.arange(11) + 1) * np.pi / 22)
         rng = np.random.default_rng(7)
         batches = [np.cos(np.linspace(0, np.pi, 15))] + [rng.uniform(-1, 1, 30) for _ in range(3)]
-        prob, values = None, []
-        for pts in batches:
-            new = nodal_lp(nodes, pts)
-            rows = new.rows if prob is None else np.vstack([prob.rows, new.rows])
-            prob = LPProblem(new.objective, rows, base=prob)
+        prob, values = nodal_lp(nodes, batches[0]), []
+        for k, pts in enumerate(batches):
+            if k:
+                prob.add_rows(nodal_lp(nodes, pts).rows)
+            rows = prob.rows
             value, y = lp_maximize(prob)
+            assert prob._model is not None
             cold = linprog(-prob.objective, A_ub=np.vstack([rows, -rows]),
                            b_ub=np.ones(2 * len(rows)), bounds=[(-1.0, 1.0)] * len(nodes),
                            method="highs")
@@ -388,14 +390,6 @@ class TestLPLadder:
         assert len(models) == 1
         assert all(b <= a * (1.0 + 1e-9) for a, b in zip(values, values[1:]))
         assert values[0] > values[-1] * (1.0 + 1e-3)  # the rounds moved the LP
-
-    def test_base_whose_rows_do_not_lead(self):
-        base = nodal_lp(FIRST_KIND5, np.cos(np.linspace(0, np.pi, 200)))
-        lp_maximize(base)
-        other = nodal_lp(FIRST_KIND5, np.cos(np.linspace(0, np.pi, 30)))
-        value, _ = lp_maximize(LPProblem(other.objective, other.rows, base=base))
-        assert value == pytest.approx(lp_maximize(other)[0], rel=1e-12)
-        assert value > lp_maximize(base)[0] * (1.0 + 1e-3)
 
 
 class TestHighsPrivateApi:

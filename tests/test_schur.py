@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from equipot import (
     quadratic_inverse_image,
     solve_equilibrium,
 )
+from equipot import schur
 from equipot.schur import _cheb_u
 
 
@@ -154,6 +156,33 @@ class TestWitness:
                            for g, x in zip(wit.peak(xs), xs))
         assert err <= 1e-14 * (m + 1)
         assert peak_err <= 1e-14
+
+    @staticmethod
+    def _audit_peak_bytes():
+        wit = build_witness(quadratic_inverse_image(0.3), 1.0, 799, 0.1)
+        tracemalloc.start()
+        try:
+            audit_witness(wit)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_audit_memory_bounded(self):
+        # the growth sup runs over 64(n + 1) = 51,200 points per component
+        assert self._audit_peak_bytes() < 5e6
+
+    def test_memory_bound_catches_an_unblocked_kernel(self, monkeypatch):
+        monkeypatch.setattr(schur, "U_CHUNK", 1 << 40)
+        assert self._audit_peak_bytes() > 5e6
+
+    @pytest.mark.parametrize("m", [1, 2, 190])
+    def test_blocks_are_the_whole_array(self, monkeypatch, m):
+        imap = quadratic_inverse_image(0.3)
+        xs = np.linspace(-1.2, 1.2, 3 * schur.U_CHUNK + 17)
+        blocked = _cheb_u(m, *imap.factors(xs))
+        monkeypatch.setattr(schur, "U_CHUNK", 1 << 40)
+        assert np.array_equal(blocked, _cheb_u(m, *imap.factors(xs)))
+        assert _cheb_u(m, *imap.factors(xs[5])) == blocked[5]
 
     def test_rejects_bad_parameters(self):
         imap = quadratic_inverse_image(0.5)
