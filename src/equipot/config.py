@@ -25,7 +25,7 @@ from .errors import SetSpecError
 class NumericsConfig:
     # Gauss-Chebyshev quadrature: nodes double from quad_min_nodes until the
     # relative change between successive estimates drops below quad_rel_tol.
-    quad_min_nodes: int = 64
+    quad_min_nodes: int = 16
     quad_max_nodes: int = 1 << 16
     quad_rel_tol: float = 1e-13
 

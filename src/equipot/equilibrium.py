@@ -20,17 +20,26 @@ the globaliser.  It makes the first pass, which also fixes each gap's
 Gauss-Chebyshev node count, and it replaces any Newton component that
 leaves its gap.  The Newton passes solve H = 0 with the Jacobian
 dH_k/dlambda_k = -int g_k and dH_k/dlambda_j = -int (t - lambda_k) g_k /
-(t - lambda_j), all gaps in one chunked pass; they converge quadratically
-(four or five passes at 256 intervals).
+(t - lambda_j), all gaps in one chunked pass that forms each block's
+differences t - lambda_j once, for both log g_k and the reciprocals; they
+converge quadratically (four or five passes at 256 intervals).
+
+The mean is taken in frame-local moments: with t = mid + half*s on the
+gap, M1 = int s g_k and M0 = int g_k, and lambda_k = mid + half M1/M0.
+Since |M1| <= M0, the doubling's stopping test weighs both moments on the
+scale of M0, at any scale of the set; an absolute first moment int t g_k
+of a symmetric gap at scale 1e100 is rounding noise of about 1e84 that
+swamps it.  The doublings start at ``quad_min_nodes`` (16 by default):
+most gap integrands settle at 32 nodes.
 
 The endpoint factor of g_k does not depend on the roots: the first pass
 forms it for all gaps of a doubling level at once, and the Newton passes
 reuse it at the node counts that pass settled.  The verifier recomputes
 every gap mean at the final roots from scratch, in one batched doubling
-of its own (its own node counts, rows scaled at the gap midpoints), and
-refuses a root more than 5e-10 of its gap away from its mean.  Both gap
-doublings are one call of ``_gauss_cheb_adaptive`` over all gaps, and the
-component tables one call of ``chebyshev_expand`` over all components.
+of its own (its own node counts and row scales), and refuses a root more
+than 5e-10 of its gap away from its mean.  Both gap doublings are one call
+of ``_gauss_cheb_adaptive`` over all gaps, and the component tables one
+call of ``chebyshev_expand`` over all components.
 
 Products over roots and endpoints are accumulated in log space, so density
 and gap-polynomial values stay well scaled at any number of components;
@@ -206,18 +215,22 @@ def _gap_log_weight(nodes: _GapNodes, lam: np.ndarray) -> np.ndarray:
 
 
 def _gap_means(
-    K: IntervalSet, lam: np.ndarray, shift: np.ndarray | None, cfg: NumericsConfig
+    K: IntervalSet, lam: np.ndarray, cfg: NumericsConfig
 ) -> tuple[list[_GapNodes], np.ndarray]:
-    """Weighted gap means M1/M0 = int t g / int g at ``lam``, all gaps in one
+    """Weighted gap means int t g / int g at ``lam``, all gaps in one
     ``_gauss_cheb_adaptive`` doubling with its stopping rule per gap.
 
-    Rows are scaled by exp(-shift), or when ``shift`` is None by their
-    largest log g at the first level.  Returns the nodes each gap settled
-    at, grouped by count, and the means.
+    The moments are frame-local, M1 = int s g and M0 = int g with s in
+    [-1, 1] the gap's reference variable, and the mean is mid + half M1/M0.
+    Since |M1| <= M0, the stopping rule weighs both moments on the scale of
+    M0 wherever the set sits and however large it is.  Rows are scaled by
+    their largest log g at the first level.  Returns the nodes each gap
+    settled at, grouped by count, and the means.
     """
     gaps = np.asarray(K.gaps()).reshape(-1, 2)
     ends = np.asarray(K.endpoints())
     levels: list[_GapNodes] = []
+    shift = None
 
     def moments(s, rows):
         nonlocal shift
@@ -227,7 +240,7 @@ def _gap_means(
         if shift is None:
             shift = lw.max(axis=1)
         g = np.exp(lw - shift[rows, None])
-        return np.stack([nodes.t * g, g], axis=1)
+        return np.stack([s * g, g], axis=1)
 
     try:
         m1, m0 = _gauss_cheb_adaptive(moments, -1.0, 1.0, cfg, count=len(gaps)).T
@@ -240,23 +253,33 @@ def _gap_means(
         ) from None
     # a gap settles at the last level that samples it
     groups = [a.subset(~np.isin(a.idx, b.idx)) for a, b in zip(levels, levels[1:])]
-    return [nodes for nodes in groups + levels[-1:] if nodes.idx.size], m1 / m0
+    mid, half = gaps.mean(axis=1), (gaps[:, 1] - gaps[:, 0]) / 2.0
+    return [nodes for nodes in groups + levels[-1:] if nodes.idx.size], mid + half * (m1 / m0)
 
 
 def _newton_rows(nodes: _GapNodes, lam: np.ndarray):
     """One batched Gauss-Chebyshev pass over the gaps in ``nodes``, rows
-    scaled at their largest log g: per gap M0 = int g, the residual H = int
+    scaled at their central node: per gap M0 = int g, the residual H = int
     (t - lam_k) g and the Jacobian rows dH_k/dlam_j, -M0_k on the diagonal
-    and -int (t - lam_k) g / (t - lam_j) off it."""
-    lw = _gap_log_weight(nodes, lam)
-    g = np.exp(lw - lw.max(axis=1, keepdims=True)) * (np.pi / nodes.t.shape[1])
-    ug = (nodes.t - lam[nodes.idx, None]) * g
-    m0, h = g.sum(axis=1), ug.sum(axis=1)
-    J = np.zeros((len(nodes.idx), lam.size))
+    and -int (t - lam_k) g / (t - lam_j) off it.  Each block's differences
+    t - lam_j give both log g and the reciprocals, so the row scale must be
+    known before the first block: g is smooth and positive on its gap, and
+    its central value stands in for its largest."""
+    rows, c = len(nodes.idx), nodes.t.shape[1] // 2
+    central = _GapNodes(nodes.idx, nodes.t[:, c:c + 1], nodes.ends_lw[:, c:c + 1])
+    shift = _gap_log_weight(central, lam)
+    m0, h, J = np.zeros(rows), np.zeros(rows), np.zeros((rows, lam.size))
     for gs, ns, d in _diff_blocks(nodes.t, lam, nodes.idx[:, None]):
-        J[gs] -= np.matmul(ug[gs, ns][:, None, :], np.reciprocal(d, out=d))[:, 0, :]
-    J[np.arange(len(nodes.idx)), nodes.idx] = -m0
-    return m0, h, J
+        ad = np.abs(d)
+        lw = nodes.ends_lw[gs, ns] + np.sum(np.log(ad, out=ad), axis=2)
+        g = np.exp(lw - shift[gs])
+        ug = (nodes.t[gs, ns] - lam[nodes.idx[gs], None]) * g
+        m0[gs] += g.sum(axis=1)
+        h[gs] += ug.sum(axis=1)
+        J[gs] -= np.matmul(ug[:, None, :], np.reciprocal(d, out=d))[:, 0, :]
+    J[np.arange(rows), nodes.idx] = -m0
+    w = np.pi / nodes.t.shape[1]
+    return w * m0, w * h, w * J
 
 
 def _newton_gap_step(
@@ -286,7 +309,7 @@ def _solve_gap_roots(K: IntervalSet, cfg: NumericsConfig) -> np.ndarray:
     if not lam.size:
         return lam
     # the first pass, a mean step from the midpoints, fixes the node counts
-    groups, new = _gap_means(K, lam, None, cfg)
+    groups, new = _gap_means(K, lam, cfg)
     max_passes = 300
     floor_tol = 1e-13
     prev_delta = np.inf
@@ -307,16 +330,13 @@ def _verify_gap_conditions(K: IntervalSet, roots: np.ndarray, cfg: NumericsConfi
 
     Equivalent to the vanishing of int_gap q W (divide by the constant-sign
     cofactor); stated this way the integrands stay smooth.  The means come
-    from a fresh doubling at the final roots, rows scaled at the gap
-    midpoints, independent of the Newton passes.
+    from a fresh doubling at the final roots, independent of the Newton
+    passes.
     """
     if not roots.size:
         return
     gaps = np.asarray(K.gaps()).reshape(-1, 2)
-    ends = np.asarray(K.endpoints())
-    idx = np.arange(len(gaps))
-    mid = _gap_nodes(gaps, ends, idx, np.zeros(1))
-    _, mean = _gap_means(K, roots, _gap_log_weight(mid, roots)[:, 0], cfg)
+    _, mean = _gap_means(K, roots, cfg)
     resid = np.abs(mean - roots) / (gaps[:, 1] - gaps[:, 0])
     k = int(np.argmax(resid))
     if not resid[k] <= 5e-10:

@@ -101,7 +101,9 @@ def _interpolation_nodes(E: EquilibriumData, n: int) -> np.ndarray:
     """
     total = n + 1
     masses = np.array([tab.mass for tab in E.tables])
-    raw = masses / masses.sum() * total
+    # shares rounded to 9 decimals, so that equal masses tie exactly
+    # whatever rounding noise they carry
+    raw = np.round(masses / masses.sum() * total, 9)
     alloc = np.floor(raw).astype(int)
     alloc[np.argsort(alloc - raw, kind="stable")[: total - alloc.sum()]] += 1
     if alloc.min() < 2:
@@ -183,10 +185,12 @@ def _deriv_row(nodes: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
 
 
 def _arccos_grid(K: IntervalSet, per_component: int) -> np.ndarray:
+    """``per_component`` arccos-spaced points on every component, clipped
+    onto it, since mid -/+ half can round one ulp past an endpoint."""
     pts = []
     for (u, v) in K.intervals:
         theta = np.linspace(0.0, np.pi, per_component)
-        pts.append((u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta))
+        pts.append(np.clip((u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta), u, v))
     return np.unique(np.concatenate(pts))
 
 

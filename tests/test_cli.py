@@ -225,7 +225,7 @@ class TestExitCodes:
 
     def test_numeric_error_exit_3(self, capsys, monkeypatch):
         # starve the quadrature so it cannot converge
-        monkeypatch.setenv("EQUIPOT_CONFIG", '{"quad_max_nodes": 64}')
+        monkeypatch.setenv("EQUIPOT_CONFIG", '{"quad_max_nodes": 16}')
         code, _, err = run_cli(
             ["capacity", "--set", '{"intervals":[[-2,0],[1,2]]}'], capsys
         )

@@ -53,7 +53,7 @@ def test_removed_key_refused(key, capsys, monkeypatch):
 @pytest.mark.parametrize("override,key", [
     ('{"cantor_level_cap": "3"}', "cantor_level_cap"),
     ('{"quad_max_nodes": null}', "quad_max_nodes"),
-    ('{"quad_max_nodes": 32}', "quad_max_nodes"),        # below quad_min_nodes
+    ('{"quad_max_nodes": 8}', "quad_max_nodes"),         # below quad_min_nodes
     ('{"quad_min_nodes": 0}', "quad_min_nodes"),
     ('{"markov_degree_cap": true}', "markov_degree_cap"),
     ('{"lp_exchange_rounds": -1}', "lp_exchange_rounds"),

@@ -27,6 +27,7 @@ from equipot import (
     to_record,
 )
 from equipot import equilibrium
+from equipot.config import DEFAULTS, NumericsConfig
 from equipot.equilibrium import q_value
 from conftest import random_interval_set
 
@@ -154,6 +155,63 @@ class TestGapRootSolver:
         monkeypatch.setattr(equilibrium, "GAP_CHUNK", 1 << 40)
         K, _ = cheb_image_roots(2.0, 128, 1.0, 0.0)
         assert self._peak_bytes(K) > self.MEMORY_BUDGET
+
+
+def scaled(K, s):
+    return IntervalSet(tuple((u * s, v * s) for u, v in K.intervals))
+
+
+class TestQuadratureFloor:
+    """The gap doublings start at DEFAULTS.quad_min_nodes = 16 nodes; the
+    frame-local moments keep their stopping test scale-free, so the low
+    floor gives the answers of a floor of 64 at any scale."""
+
+    FLOOR_64 = NumericsConfig(quad_min_nodes=64)
+    SYM2 = IntervalSet(((-1.0, -0.5), (0.5, 1.0)))
+
+    @staticmethod
+    def _agree(K, cap_rtol=1e-13, cfg=DEFAULTS):
+        got, want = solve_equilibrium(K, cfg), solve_equilibrium(K, TestQuadratureFloor.FLOOR_64)
+        lengths = np.array([g1 - g0 for g0, g1 in K.gaps()])
+        # 1e-12 of the gap, plus two binary64 spacings of the root: a gap of
+        # 3.8e-5 near 1 (Cantor level 7, ratio 0.2) is 3.5e11 spacings long
+        tol = 1e-12 * lengths + 2 * np.spacing(np.abs(want.roots))
+        assert np.all(np.abs(np.subtract(got.roots, want.roots)) <= tol)
+        if cap_rtol is not None:
+            assert got.cap == pytest.approx(want.cap, rel=cap_rtol, abs=0.0)
+
+    @pytest.mark.parametrize("s", [1e-100, 1e100])
+    def test_low_floor_solves_at_extreme_scale(self, s):
+        # int t g of a symmetric gap is rounding noise of size ~1e84 at scale
+        # 1e100, which an absolute first moment let swamp the stopping test
+        self._agree(scaled(self.SYM2, s), cfg=NumericsConfig(quad_min_nodes=8))
+
+    @pytest.mark.parametrize("N", [2, 3, 17, 64, 100, 128])
+    @pytest.mark.parametrize("c", [1.01, 1.2, 3.0, 50.0])
+    def test_matches_floor_64_on_chebyshev_images(self, N, c):
+        self._agree(cheb_image_roots(c, N, 1.0, 0.0)[0])
+
+    @pytest.mark.parametrize("level", range(2, 8))
+    @pytest.mark.parametrize("ratio", [0.2, 1.0 / 3.0, 0.49])
+    def test_matches_floor_64_on_cantor_sets(self, level, ratio):
+        self._agree(cantor_set(level, ratio))
+
+    @pytest.mark.parametrize("s", [1e-100, 1e-14, 1e-6, 1e6, 1e14, 1e100])
+    @pytest.mark.parametrize("K", [SYM2, cantor_set(3), cheb_image_roots(1.2, 8, 1.0, 0.0)[0]],
+                             ids=["sym2", "cantor3", "cheb8"])
+    def test_matches_floor_64_on_scaled_sets(self, K, s):
+        # at 1e-100 and 1e100 the capacity of many components carries a
+        # rounding floor of about 1e-12 relative at either node floor
+        # (|log s| = 230 in each log-space term), so only the roots are held
+        # to the common bound there
+        self._agree(scaled(K, s), cap_rtol=1e-13 if 1e-20 < s < 1e20 or K.m == 2 else None)
+
+    def test_first_pass_settles_at_low_counts(self):
+        K = cheb_image_roots(2.0, 64, 1.0, 0.0)[0]
+        gaps = np.asarray(K.gaps()).reshape(-1, 2)
+        groups, _ = equilibrium._gap_means(K, gaps.mean(axis=1), DEFAULTS)
+        low = sum(nodes.idx.size for nodes in groups if nodes.t.shape[1] <= 32)
+        assert low >= 0.9 * len(gaps)
 
 
 class TestGapVerifier:

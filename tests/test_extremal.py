@@ -173,6 +173,12 @@ class TestMarkovExtremal:
         assert r.overshoot <= 1e-14
         assert r.value == pytest.approx(2e4 / (v - u), rel=1e-13)
 
+    @pytest.mark.parametrize("per", [2, 3, 101, 404, 12800])
+    def test_arccos_grid_stays_on_the_set(self, per):
+        u, v = 3.9734183925361046, 4.7767355702191026
+        xs = _arccos_grid(IntervalSet(((u, v),)), per)
+        assert xs.min() == u and xs.max() == v
+
     def test_no_stall_on_three_intervals(self):
         r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24)
         assert r.value == pytest.approx(STALL3_VALUE, rel=1e-9)
@@ -247,6 +253,16 @@ class TestInterpolationNodes:
             for n in range(1, 121):
                 nodes = _interpolation_nodes(E, n)
                 assert len(nodes) == n + 1 and np.all(np.diff(nodes) > 0.0), (K, n)
+
+    @pytest.mark.parametrize("s", [1e-100, 1e-14, 1e-13, 1e6, 1e100])
+    def test_equal_masses_tie_at_every_scale(self, s):
+        # shares 20.5 and 20.5 at n = 40: the extra node goes to the same
+        # component whatever rounding noise the two masses carry
+        want = _interpolation_nodes(solve_equilibrium(SYM2), 40)
+        Ks = IntervalSet(tuple((u * s, v * s) for u, v in SYM2.intervals))
+        got = _interpolation_nodes(solve_equilibrium(Ks), 40)
+        assert np.sum(got < 0) == np.sum(want < 0)
+        assert np.max(np.abs(got / s - want)) <= 1e-12
 
 
 class TestScaleCovariance:

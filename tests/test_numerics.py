@@ -20,6 +20,7 @@ from equipot import (
     lp_maximize,
 )
 from equipot import cli, numerics
+from equipot.config import DEFAULTS
 from equipot.numerics import _gauss_cheb_adaptive
 
 
@@ -112,7 +113,7 @@ class TestQuadrature:
         # oscillating one needs more than the first two levels
         assert [rows for _, rows in seen[:2]] == [(0, 1, 2)] * 2
         assert all(rows == (1,) for _, rows in seen[2:]) and len(seen) > 2
-        assert [n for n, _ in seen] == [64 << j for j in range(len(seen))]
+        assert [n for n, _ in seen] == [DEFAULTS.quad_min_nodes << j for j in range(len(seen))]
 
     def test_batch_names_the_unconverged_integrand(self):
         def f(t, rows):
