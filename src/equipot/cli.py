@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from typing import Callable, NamedTuple, Sequence
@@ -250,7 +251,17 @@ def _load_set(spec: str, cfg: NumericsConfig) -> IntervalSet:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument error raises SetSpecError (exit 2, JSON record); subparsers share the class."""
+    """An argument error raises SetSpecError (exit 2, JSON record); subparsers share the class.
+
+    A token counts as a negative number, not an option, when it is '-' and
+    then a digit or '.digit' (the rule of Python 3.13's argparse), so a value
+    in exponent form such as ``--a -1.5e-05`` parses; before 3.13 only
+    -123 and -1.5 did.  No option of this parser starts with '-' and a digit.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str):
         raise SetSpecError(message)

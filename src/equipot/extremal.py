@@ -25,17 +25,21 @@ in this one form, nodes plus nodal values.
 The LP is solved on a small working set, not on a dense grid, in the manner
 of the barycentric Remez exchange (Pachon & Trefethen, BIT 49, 2009): by
 Caratheodory the optimum rests on at most n + 1 active points.  The set is
-seeded with an arccos-spaced grid of 4*(n+1) points per component; each
-exchange round appends the witness's refined local maxima that overshoot,
-in order, so the set only grows and the LP value falls monotonically until
-the overshoot is below tolerance.  The rounds grow one LP in place: only
-the new points' Lagrange rows are formed and appended, and the LP's own
-HiGHS model re-solves warm from its last basis.  The witness itself is
-evaluated matrix-free by the barycentric formula.  Two certificates stay
-independent of the working set: the witness is validated on an arccos grid
-of 128*(n+1) points per component (one doubling of both grids is allowed),
-and it is finally renormalised by its refined sup-norm, so the reported
-value is a certified lower bound.
+seeded with an arccos-spaced grid of n + 1 points per component, less any
+that are interpolation nodes (on a single interval all of them are, and the
+LP starts with its box bounds alone); each exchange round appends the
+witness's refined local maxima that overshoot, in order, so the set only
+grows and the LP value falls monotonically until the overshoot is below
+tolerance.  The rounds grow one LP in place: only the new points' Lagrange
+rows are formed and appended, and the LP's own HiGHS model re-solves warm
+from its last basis.  The witness itself is evaluated matrix-free by the
+barycentric formula, and on fine grids in angle: on each component it is a
+cosine series of degree n, so its values at the n + 1 Lobatto angles give
+its values at M equispaced angles by two DCT-Is.  Two certificates stay
+independent of the working set: the witness is validated on such a grid
+of 128*(n+1) angles per component (one doubling of the seed and of that
+grid is allowed), and it is finally renormalised by its refined sup-norm,
+so the reported value is a certified lower bound.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft
 from numpy.polynomial import Chebyshev
 
 from .config import DEFAULTS, NumericsConfig
@@ -53,9 +58,10 @@ from .errors import NumericsError, SetSpecError
 from .interval_sets import IntervalSet, check_interval_condition
 from .numerics import LPProblem, lp_maximize
 
-# arccos-spaced points per component and per unit of n + 1: the exchange
-# loop's seed grid and the witness's validation grid
-SEED_PER_DEGREE = 4
+# points per component and per unit of n + 1: the exchange loop's arccos
+# seed grid, which only starts the working set (the exchange adds the points
+# the witness needs), and the witness's angle-domain validation grid
+SEED_PER_DEGREE = 1
 VALIDATION_PER_DEGREE = 128
 # accepted overshoot of the exchange loop's witness above 1
 EXCHANGE_TOL = 1e-9
@@ -194,14 +200,40 @@ def _arccos_grid(K: IntervalSet, per_component: int) -> np.ndarray:
     return np.unique(np.concatenate(pts))
 
 
+def _angle_values(evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: int, M: int) -> np.ndarray:
+    """Values of a polynomial P of degree <= n at the M equispaced angles
+    theta = linspace(0, pi, M) of every component, x = mid + half*cos(theta):
+    an (m, M) array, M rounded up to a fast DCT length.
+
+    On each component P is a cosine series of degree n in theta.  P is
+    evaluated only at the n + 1 Lobatto angles pi*k/n of every component;
+    a DCT-I of those values gives the series, and a DCT-I of the series
+    zero-padded to M terms gives its values on the fine grid.
+    """
+    # at least n + 2 angles, so that the series' last term is an inner one
+    # of the padded DCT-I (its end terms carry half weight)
+    M = scipy.fft.next_fast_len(max(M, n + 2) - 1) + 1
+    u, v = np.asarray(K.intervals).T
+    mid, half = (u + v) / 2.0, (v - u) / 2.0
+    lobatto = np.cos(np.linspace(0.0, np.pi, n + 1))
+    x = np.clip(mid[:, None] + half[:, None] * lobatto, u[:, None], v[:, None])
+    series = np.zeros((K.m, M))
+    series[:, : n + 1] = scipy.fft.dct(evalP(x.ravel()).reshape(K.m, n + 1), type=1, axis=1) / (2 * n)
+    # the Lobatto end term enters the forward DCT-I with half the weight of an inner one
+    series[:, n] /= 2.0
+    return scipy.fft.dct(series, type=1, axis=1)
+
+
 def _refined_maxima(
     evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: int, per_degree: int = 16
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local maxima (x, |P(x)|) of |P| on K, polished by three parabola stages in angle.
 
-    Each stage evaluates P once, at the three probe angles of every maximum
-    of every component together.  A point that rounds past an endpoint is
-    moved onto it, since |P| one ulp outside K can exceed its norm on K.
+    The coarse scan takes P on per_degree*(n + 1) angles per component (or
+    a few more) from ``_angle_values``.  Each stage then evaluates P once,
+    at the three probe angles of every maximum of every component together.
+    A point that rounds past an endpoint is moved onto it, since |P| one ulp
+    outside K can exceed its norm on K.
     """
     u, v = np.asarray(K.intervals).T
     mid, half = (u + v) / 2.0, (v - u) / 2.0
@@ -209,10 +241,9 @@ def _refined_maxima(
     def at(c: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.clip(mid[c] + half[c] * np.cos(t), u[c], v[c])
 
-    theta = np.linspace(0.0, np.pi, per_degree * (n + 1))
+    vals = np.abs(_angle_values(evalP, K, n, per_degree * (n + 1)))
+    theta = np.linspace(0.0, np.pi, vals.shape[1])
     h = theta[1] - theta[0]
-    vals = np.abs(evalP(at(np.arange(K.m)[:, None], theta).ravel()))
-    vals = vals.reshape(K.m, len(theta))
     edge = np.ones((K.m, 1), dtype=bool)
     isloc = np.hstack([edge, vals[:, 1:] >= vals[:, :-1]]) & np.hstack(
         [vals[:, :-1] >= vals[:, 1:], edge]
@@ -229,6 +260,18 @@ def _refined_maxima(
         h /= 8.0
     x = at(comp, t0)
     return x, np.abs(evalP(x))
+
+
+def _apart(x: np.ndarray, pts: np.ndarray, sep: float) -> np.ndarray:
+    """The points of x farther than ``sep`` from every point of ``pts``
+    (all of x when ``pts`` is empty), by a binary search of the sorted pts
+    for each point's two neighbours."""
+    if len(pts) == 0:
+        return x
+    s = np.sort(pts)
+    j = np.searchsorted(s, x)
+    near = np.minimum(np.abs(x - s[np.maximum(j - 1, 0)]), np.abs(x - s[np.minimum(j, len(s) - 1)]))
+    return x[near > sep]
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +341,10 @@ def _solve_once(
     """
     sep = 1e-13 * (K.max - K.min)
 
-    def apart(x: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return x[np.min(np.abs(x[:, None] - pts[None, :]), axis=1) > sep]
-
     def maxima(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _refined_maxima(lambda x: _bary_eval(x, nodes, w, vals), K, n)
 
-    pts = apart(grid, nodes)
+    pts = _apart(grid, nodes, sep)
     prob = LPProblem(objective, _lagrange_rows(pts, nodes, w))
     vals = lp_maximize(prob)[1]
     rounds = 0
@@ -322,7 +362,7 @@ def _solve_once(
             stall += 1
             if stall >= 3:
                 break
-        new = apart(apart(xs[ms > 1.0 + 1e-12], nodes), pts)
+        new = _apart(xs[ms > 1.0 + 1e-12], np.concatenate([nodes, pts]), sep)
         if len(new) == 0:
             break
         pts = np.concatenate([pts, new])
@@ -366,8 +406,9 @@ def markov_extremal(
     for doubling in (1, 2):
         seed = _arccos_grid(K, doubling * SEED_PER_DEGREE * (n + 1))
         vals, xs, ms, rounds = _solve_once(K, n, nodes, w, d, seed, cfg)
-        vgrid = _arccos_grid(K, doubling * VALIDATION_PER_DEGREE * (n + 1))
-        if np.max(np.abs(_bary_eval(vgrid, nodes, w, vals))) <= 1.0 + 1e-6:
+        check = _angle_values(lambda x: _bary_eval(x, nodes, w, vals), K, n,
+                              doubling * VALIDATION_PER_DEGREE * (n + 1))
+        if np.max(np.abs(check)) <= 1.0 + 1e-6:
             break
     else:
         raise NumericsError(

@@ -32,7 +32,7 @@ def test_traced_target_resolves(group, module, name):
 
 # one small op of each kind whose layers the tracer observes
 TRACED_OPS = [
-    ["markov", "--set", '{"intervals":[[-1,1]]}', "--a", "1", "--degrees", "5"],
+    ["markov", "--set", '{"intervals":[[-1,-0.5],[0.5,1]]}', "--a", "1", "--degrees", "6"],
     ["density", "--set", '{"intervals":[[-1,-0.5],[0.5,1]]}', "--points", "20"],
     ["schur-witness", "--n", "100", "--points", "50", "--format", "csv"],
     ["capacity", "--set", '{"cantor":{"level":3,"ratio":0.3}}'],

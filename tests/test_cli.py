@@ -129,6 +129,15 @@ class TestCommands:
         assert rec["omega"] == pytest.approx(1 / (math.pi * math.sqrt(2)), rel=1e-12)
         assert not list(tmp_path.glob(".equipot-*"))
 
+    @pytest.mark.parametrize("a", ["-1.5e-05", "-3E-7", "-.25", "-0.5"])
+    def test_negative_values_in_any_float_form(self, a, capsys):
+        # a right endpoint below zero, passed as the separate token repr(a) gives
+        K = json.dumps({"intervals": [[-1.0, float(a)], [0.5, 1.0]]})
+        code, out, _ = run_cli(["omega", "--set", K, "--a", a], capsys)
+        assert code == 0 and json.loads(out)["a"] == float(a)
+        code, out, _ = run_cli(["green", "--set", '{"intervals":[[-1,1]]}', "--z", "-3e+20"], capsys)
+        assert code == 0 and json.loads(out)["green"] > 0.0
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):

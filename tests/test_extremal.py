@@ -10,6 +10,7 @@ from equipot.config import DEFAULTS
 from equipot.extremal import (
     BARY_CHUNK,
     EXCHANGE_TOL,
+    _angle_values,
     _arccos_grid,
     _bary_eval,
     _bary_weights,
@@ -18,6 +19,7 @@ from equipot.extremal import (
     _lagrange_rows,
     _refined_maxima,
 )
+from equipot.numerics import lp_maximize
 from equipot import (
     IntervalSet,
     SetSpecError,
@@ -186,12 +188,32 @@ class TestMarkovExtremal:
         assert not r.grid_doubled
 
     def test_overshoot_reports_an_unfinished_loop(self):
-        capped = dataclasses.replace(DEFAULTS, lp_exchange_rounds=2)
-        r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24, capped)
-        assert r.exchange_rounds == 2
+        # from the (n + 1)-point seed, three rounds at n = 30 leave the
+        # witness about 1e-7 above 1, below the validation grid's 1e-6
+        capped = dataclasses.replace(DEFAULTS, lp_exchange_rounds=3)
+        r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 30, capped)
+        assert r.exchange_rounds == 3
         assert r.overshoot > EXCHANGE_TOL
-        # renormalised by its refined sup-norm, the value stays a lower bound
-        assert r.value < STALL3_VALUE * (1.0 - 0.5 * r.overshoot)
+        # renormalised by its refined sup-norm, the value stays a lower bound;
+        # the exact value grows like k^2 along n = 3k
+        assert r.value < STALL3_VALUE * (30 / 24) ** 2 * (1.0 - 0.5 * r.overshoot)
+
+    def test_single_interval_needs_no_lp_rows(self, E_unit, monkeypatch):
+        # the n + 1 seed points of [-1, 1] are the interpolation nodes
+        # themselves, so the LP has only its box bounds, whose optimum
+        # alternates in sign: T_n
+        rows = []
+
+        def counting(problem):
+            rows.append(len(problem.rows))
+            return lp_maximize(problem)
+
+        monkeypatch.setattr(extremal, "lp_maximize", counting)
+        for n in (5, 40, 120):
+            r = markov_extremal(E_unit, 1.0, n)
+            assert r.value == pytest.approx(n * n, rel=1e-12)
+            assert r.exchange_rounds == 1 and r.overshoot <= 1e-14
+        assert rows == [0, 0, 0]
 
 
 def _refined_maxima_loop(evalP, K, n, per_degree=16):
@@ -302,6 +324,120 @@ class TestRefinedMaxima:
         assert len(xs) == len(want)
         assert np.allclose(xs, [x for x, _ in want], rtol=0.0, atol=1e-9 * (K.max - K.min))
         assert np.allclose(ms, [m for _, m in want], rtol=1e-13, atol=0.0)
+
+
+def _on_angle_grid(K, M):
+    """x = mid + half*cos(theta) on theta = linspace(0, pi, M) for every
+    component, clipped onto it: the points _angle_values stands for."""
+    u, v = np.asarray(K.intervals).T
+    theta = np.linspace(0.0, np.pi, M)
+    return np.clip((u + v)[:, None] / 2 + (v - u)[:, None] / 2 * np.cos(theta), u[:, None], v[:, None])
+
+
+def _angle_tolerance(K, P, dP):
+    """1e-13 max|P|, plus the change of P over a rounding of x: a few ulps
+    of x times the largest |P'| on the component.  The second term is what
+    two correct evaluations of a degree-600 P at rounded points can differ
+    by (a few 1e-12 of max|P| on SYM2), whichever way each is formed."""
+    scale = np.finfo(float).eps * np.max(np.abs(np.asarray(K.intervals)), axis=1)
+    return 1e-13 * np.max(np.abs(P)) + 4.0 * scale[:, None] * np.max(np.abs(dP), axis=1, keepdims=True)
+
+
+class TestAngleValues:
+    SETS = {"SYM2": SYM2, "cantor3": cantor_set(3)}
+
+    @pytest.fixture(scope="class")
+    def equilibria(self):
+        return {name: solve_equilibrium(K) for name, K in self.SETS.items()}
+
+    @pytest.mark.parametrize("name", ["SYM2", "cantor3"])
+    @pytest.mark.parametrize("n", [5, 60, 240, 600])
+    def test_matches_bary_eval(self, equilibria, name, n):
+        K = self.SETS[name]
+        nodes = _interpolation_nodes(equilibria[name], n)
+        w = _bary_weights(nodes)
+        D = np.array([_deriv_row(nodes, w, x) for x in nodes])
+        smooth = np.exp(nodes) * np.cos(3.0 * nodes)
+        rough = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
+        for values in (smooth, rough):
+            got = _angle_values(lambda x: _bary_eval(x, nodes, w, values), K, n, 16 * (n + 1))
+            M = got.shape[1]
+            assert M >= 16 * (n + 1) and got.shape[0] == K.m
+            x = _on_angle_grid(K, M).ravel()
+            want = _bary_eval(x, nodes, w, values).reshape(got.shape)
+            err = np.abs(got - want)
+            if values is smooth:
+                # P is close to a smooth function: |P'| is O(1), so there is
+                # nothing for a rounding of x to amplify
+                assert np.max(err) <= 1e-13 * np.max(np.abs(want))
+            # P' at x from its values at the nodes (degree n - 1 <= n)
+            dP = _bary_eval(x, nodes, w, D @ values).reshape(got.shape)
+            assert np.all(err <= _angle_tolerance(K, want, dP))
+
+    @pytest.mark.parametrize("n", [1, 7, 90])
+    def test_matches_numpy_chebyshev(self, n):
+        # the _poly_norm_on_set path: P is a numpy Chebyshev series on the hull
+        K = cantor_set(3)
+        coef = np.random.default_rng(n).standard_normal(n + 1) / (1.0 + np.arange(n + 1))
+        P = Chebyshev(coef, domain=(K.min, K.max))
+        got = _angle_values(P, K, n, 16 * (n + 1))
+        x = _on_angle_grid(K, got.shape[1])
+        want = P(x)
+        assert np.all(np.abs(got - want) <= _angle_tolerance(K, want, P.deriv()(x)))
+        assert extremal._poly_norm_on_set(P, K, n) >= np.max(np.abs(want)) * (1.0 - 1e-13)
+
+    def test_grid_length_is_never_rounded_down(self):
+        # at least n + 2 angles, so that the series' last term is an inner one
+        assert _angle_values(lambda x: x, UNIT, 1, 2).shape == (1, 3)
+        for M in (97, 1615, 1616, 9616, 77000):
+            assert _angle_values(np.cos, SYM2, 3, M).shape[1] >= M
+
+
+class TestApart:
+    @staticmethod
+    def brute(x, pts, sep):
+        return x[np.min(np.abs(x[:, None] - pts[None, :]), axis=1, initial=np.inf) > sep]
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(7)
+        sep = 1e-13 * 2.0
+        nodes = np.sort(rng.uniform(-1.0, 1.0, 50))
+        x = np.concatenate([rng.uniform(-1.2, 1.2, 400), nodes, [-1.3, 1.3],
+                            nodes[:5] + 0.5 * sep, nodes[5:10] - 0.9 * sep,
+                            nodes[10:15] + 1.5 * sep, nodes[15:20] - 3.0 * sep])
+        for pts in (nodes, rng.permutation(nodes), nodes[:1], nodes[::7], x[:30]):
+            assert np.array_equal(extremal._apart(x, pts, sep), self.brute(x, pts, sep))
+        near = extremal._apart(x, nodes, sep)
+        assert not np.isin(nodes[:10] + 0.5 * sep, near).any()
+        assert np.isin(nodes[10:20] + np.r_[[1.5] * 5, [-3.0] * 5] * sep, near).all()
+
+    def test_empty_working_set_keeps_every_point(self):
+        x = np.linspace(-1.0, 1.0, 9)
+        empty = np.empty(0)
+        assert np.array_equal(extremal._apart(x, empty, 1e-13), x)
+        assert np.array_equal(self.brute(x, empty, 1e-13), x)
+        assert len(extremal._apart(empty, x, 1e-13)) == 0
+
+
+class TestHighDegree:
+    """n = 240, beyond the default degree cap of 120."""
+
+    CFG = dataclasses.replace(DEFAULTS, markov_degree_cap=240)
+
+    def check(self, K, a, exact):
+        r = markov_extremal(solve_equilibrium(K), a, 240, self.CFG)
+        assert exact * (1.0 - 1e-7) <= r.value <= exact * (1.0 + 1e-12)
+        assert not r.grid_doubled
+        assert len(r.nodes) == 241
+
+    def test_symmetric_pair(self):
+        # T_120 o (8x^2 - 5)/3, with value 120^2 * 16/3
+        self.check(SYM2, 1.0, 76800.0)
+
+    def test_cubic_inverse_image(self):
+        # T_80 o (2 T_3), the derivative taken at the right end of the middle component
+        K, a, dP = cheb_image(2.0, 3, 1)
+        self.check(K, a, 80 * 80 * dP)
 
 
 class TestBarycentricEvaluation:
