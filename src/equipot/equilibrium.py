@@ -21,8 +21,11 @@ Gauss-Chebyshev node count, and it replaces any Newton component that
 leaves its gap.  The Newton passes solve H = 0 with the Jacobian
 dH_k/dlambda_k = -int g_k and dH_k/dlambda_j = -int (t - lambda_k) g_k /
 (t - lambda_j), all gaps in one chunked pass that forms each block's
-differences t - lambda_j once, for both log g_k and the reciprocals; they
-converge quadratically (four or five passes at 256 intervals).
+differences t - lambda_j once, for both log g_k and the reciprocals.  They
+converge quadratically, so two Newton steps d_prev, d (in gap widths)
+predict the next, d^3 / d_prev^2; once that is below 1e-13 the iteration
+stops without the pass that would only confirm it (three Newton passes
+from 64 to 512 intervals).
 
 The mean is taken in frame-local moments: with t = mid + half*s on the
 gap, M1 = int s g_k and M0 = int g_k, and lambda_k = mid + half M1/M0.
@@ -32,18 +35,25 @@ of a symmetric gap at scale 1e100 is rounding noise of about 1e84 that
 swamps it.  The doublings start at ``quad_min_nodes`` (16 by default):
 most gap integrands settle at 32 nodes.
 
-The endpoint factor of g_k does not depend on the roots: the first pass
-forms it for all gaps of a doubling level at once, and the Newton passes
-reuse it at the node counts that pass settled.  The verifier recomputes
-every gap mean at the final roots from scratch, in one batched doubling
-of its own (its own node counts and row scales), and refuses a root more
-than 5e-10 of its gap away from its mean.  Both gap doublings are one call
-of ``_gauss_cheb_adaptive`` over all gaps, and the component tables one
-call of ``chebyshev_expand`` over all components.
+The endpoint factor of g_k does not depend on the roots, so it is formed
+once per solve: the first pass forms it for all gaps of a doubling level
+at once and keeps every level, the Newton passes reuse it at the node
+counts that pass settled, and the verifier reads it from the first pass's
+level wherever it samples the same gap at the same count.  The verifier
+otherwise recomputes every gap mean at the final roots, in one batched
+doubling of its own (its own node counts and row scales), and refuses a
+root more than 5e-10 of its gap away from its mean.  Both gap doublings
+are one call of ``_gauss_cheb_adaptive`` over all gaps, and the component
+tables one call of ``chebyshev_expand`` over all components.
 
 Products over roots and endpoints are accumulated in log space, so density
 and gap-polynomial values stay well scaled at any number of components;
-a coefficient-form solve would lose all precision beyond ~30 gaps.
+a coefficient-form solve would lose all precision beyond ~30 gaps.  The
+component tables and the edge factor Omega sum paired gap factors,
+log(|t - lambda_k| / sqrt|(t - b_k)(t - a_{k+1})|) for the gap between b_k
+and a_{k+1}: each term is dimensionless and near 0 away from its gap, so
+their rounding does not grow with the scale of the set, and Cantor-type
+tables resolve at the expansion's first node count.
 
 The logarithmic potential is evaluated spectrally: with t = mid + half*s on
 a component and G the smooth factor of w there, the component's
@@ -182,13 +192,41 @@ def _log_weight(t: np.ndarray, roots: np.ndarray, ends: np.ndarray) -> np.ndarra
     return (_log_dist(t, roots, none) - 0.5 * _log_dist(t, ends, none))[0]
 
 
+def _log_factor(t: np.ndarray, comp: np.ndarray, roots: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """log(pi half G) at t (rows x nodes), row r on component j = comp[r]:
+    G is the smooth factor of the density there, |q| over the square roots
+    of the distances to the endpoints of the other components.
+
+    The log is summed gap by gap: gap k, between b_k and a_{k+1}, adds
+    log(|t - lam_k| / sqrt|(t - b_k)(t - a_{k+1})|), which is dimensionless
+    and near 0 away from the gap, so its rounding does not grow with the
+    log-distances or with the scale of the set.  The own ends a_j and b_j
+    are no factors of G: in the two gaps beside component j they are
+    swapped for a_0 and b_{m-1}, the outer ends that no pair holds.  Block
+    by block, with the three differences of a block in GAP_CHUNK elements.
+    """
+    lo, hi = ends[1:-1:2], ends[2::2]
+    out = np.empty(t.shape)
+    for rs, ns in _blocks(t.shape[0], t.shape[1], 3 * roots.size):
+        j, tb = comp[rs], t[rs, ns, None]
+        d, dl, dh = tb - roots, tb - lo, tb - hi
+        left, right = np.flatnonzero(j > 0), np.flatnonzero(j < roots.size)
+        dh[left, :, j[left] - 1] = tb[left, :, 0] - ends[0]
+        dl[right, :, j[right]] = tb[right, :, 0] - ends[-1]
+        dl = np.divide(d, dl, out=dl)
+        dl *= np.divide(d, dh, out=dh)
+        out[rs, ns] = 0.5 * np.sum(np.log(np.abs(dl, out=dl), out=dl), axis=2)
+    return out
+
+
 @dataclasses.dataclass(frozen=True)
 class _GapNodes:
     """Gauss-Chebyshev nodes of a set of gaps that share one node count.
 
     ``ends_lw`` is -1/2 sum log|t - e| over the endpoints that do not bound
-    the node's gap; it does not depend on the roots, so the Newton passes
-    reuse the one formed by the first pass.
+    the node's gap.  It does not depend on the roots: the Newton passes
+    reuse the one the first pass formed, and the verifier reads it from the
+    first pass wherever it samples the same gap at the same count.
     """
 
     idx: np.ndarray      # (g,) gap indices, increasing
@@ -199,13 +237,27 @@ class _GapNodes:
         return _GapNodes(self.idx[keep], self.t[keep], self.ends_lw[keep])
 
 
-def _gap_nodes(gaps: np.ndarray, ends: np.ndarray, idx: np.ndarray, s: np.ndarray) -> _GapNodes:
+def _gap_nodes(
+    gaps: np.ndarray, ends: np.ndarray, idx: np.ndarray, s: np.ndarray,
+    prior: _GapNodes | None = None,
+) -> _GapNodes:
     """The reference nodes s in [-1, 1] mapped onto each gap in ``idx``; gap
-    k lies between ends[2k + 1] and ends[2k + 2]."""
+    k lies between ends[2k + 1] and ends[2k + 2].  ``prior``, nodes of an
+    earlier doubling at the same count, lends its ``ends_lw`` rows to the
+    gaps it holds: the same function of the same nodes, so bit-identical."""
+    if prior is not None and np.array_equal(prior.idx, idx):
+        return prior
     g0, g1 = gaps[idx, 0, None], gaps[idx, 1, None]
     t = (g0 + g1) / 2.0 + (g1 - g0) / 2.0 * s
     own = np.stack([2 * idx + 1, 2 * idx + 2], axis=1)
-    return _GapNodes(idx, t, -0.5 * _log_dist(t, ends, own))
+    if prior is None:
+        return _GapNodes(idx, t, -0.5 * _log_dist(t, ends, own))
+    pos = np.minimum(np.searchsorted(prior.idx, idx), prior.idx.size - 1)
+    have = prior.idx[pos] == idx
+    ends_lw = np.empty(t.shape)
+    ends_lw[have] = prior.ends_lw[pos[have]]
+    ends_lw[~have] = -0.5 * _log_dist(t[~have], ends, own[~have])
+    return _GapNodes(idx, t, ends_lw)
 
 
 def _gap_log_weight(nodes: _GapNodes, lam: np.ndarray) -> np.ndarray:
@@ -215,7 +267,7 @@ def _gap_log_weight(nodes: _GapNodes, lam: np.ndarray) -> np.ndarray:
 
 
 def _gap_means(
-    K: IntervalSet, lam: np.ndarray, cfg: NumericsConfig
+    K: IntervalSet, lam: np.ndarray, cfg: NumericsConfig, prior: Sequence[_GapNodes] = ()
 ) -> tuple[list[_GapNodes], np.ndarray]:
     """Weighted gap means int t g / int g at ``lam``, all gaps in one
     ``_gauss_cheb_adaptive`` doubling with its stopping rule per gap.
@@ -224,17 +276,19 @@ def _gap_means(
     [-1, 1] the gap's reference variable, and the mean is mid + half M1/M0.
     Since |M1| <= M0, the stopping rule weighs both moments on the scale of
     M0 wherever the set sits and however large it is.  Rows are scaled by
-    their largest log g at the first level.  Returns the nodes each gap
-    settled at, grouped by count, and the means.
+    their largest log g at the first level.  ``prior`` are the levels of an
+    earlier doubling on K, whose endpoint sums are reused (``_gap_nodes``).
+    Returns the nodes of every level, the gaps it sampled, and the means.
     """
     gaps = np.asarray(K.gaps()).reshape(-1, 2)
     ends = np.asarray(K.endpoints())
+    by_count = {nodes.t.shape[1]: nodes for nodes in prior}
     levels: list[_GapNodes] = []
     shift = None
 
     def moments(s, rows):
         nonlocal shift
-        nodes = _gap_nodes(gaps, ends, rows, s)
+        nodes = _gap_nodes(gaps, ends, rows, s, by_count.get(s.size))
         levels.append(nodes)
         lw = _gap_log_weight(nodes, lam)
         if shift is None:
@@ -251,10 +305,15 @@ def _gap_means(
             f"gap quadrature on [{g0}, {g1}] did not converge at "
             f"{cfg.quad_max_nodes} nodes ({open_gaps.size} gaps unsettled)"
         ) from None
-    # a gap settles at the last level that samples it
-    groups = [a.subset(~np.isin(a.idx, b.idx)) for a, b in zip(levels, levels[1:])]
     mid, half = gaps.mean(axis=1), (gaps[:, 1] - gaps[:, 0]) / 2.0
-    return [nodes for nodes in groups + levels[-1:] if nodes.idx.size], mid + half * (m1 / m0)
+    return levels, mid + half * (m1 / m0)
+
+
+def _settled(levels: list[_GapNodes]) -> list[_GapNodes]:
+    """The nodes each gap settled at, the last level that samples it,
+    grouped by count."""
+    groups = [a.subset(~np.isin(a.idx, b.idx)) for a, b in zip(levels, levels[1:])]
+    return [nodes for nodes in groups + levels[-1:] if nodes.idx.size]
 
 
 def _newton_rows(nodes: _GapNodes, lam: np.ndarray):
@@ -301,42 +360,56 @@ def _newton_gap_step(
     return new
 
 
-def _solve_gap_roots(K: IntervalSet, cfg: NumericsConfig) -> np.ndarray:
-    """Gap roots by batched Newton on the gap conditions; one root per bounded gap."""
+def _solve_gap_roots(K: IntervalSet, cfg: NumericsConfig) -> tuple[np.ndarray, list[_GapNodes]]:
+    """Gap roots by batched Newton on the gap conditions, one root per
+    bounded gap, and the levels of the first pass.
+
+    Steps are measured in gap widths.  After two Newton steps d_prev and d,
+    quadratic convergence puts the next one near d^3 / d_prev^2; once that
+    is below the floor the pass that would only confirm it is skipped.
+    The first step is a mean step and predicts nothing.
+    """
     gaps = np.asarray(K.gaps()).reshape(-1, 2)
     lo, hi = gaps[:, 0], gaps[:, 1]
-    lam = (lo + hi) / 2.0
-    if not lam.size:
-        return lam
+    mid = (lo + hi) / 2.0
+    if not mid.size:
+        return mid, []
     # the first pass, a mean step from the midpoints, fixes the node counts
-    groups, new = _gap_means(K, lam, cfg)
+    levels, lam = _gap_means(K, mid, cfg)
+    groups = _settled(levels)
     max_passes = 300
     floor_tol = 1e-13
-    prev_delta = np.inf
+    delta = float(np.max(np.abs(lam - mid) / (hi - lo)))
+    newton = False
     for _ in range(max_passes):
-        delta = float(np.max(np.abs(new - lam) / (hi - lo)))
-        lam = new
-        if delta < floor_tol or delta >= prev_delta:
-            return lam
-        prev_delta = delta
+        if delta < floor_tol:
+            return lam, levels
         new = _newton_gap_step(groups, lam, lo, hi)
+        step = float(np.max(np.abs(new - lam) / (hi - lo)))
+        lam = new
+        if step >= delta or (newton and step ** 3 < floor_tol * delta ** 2):
+            return lam, levels
+        delta, newton = step, True
     raise NumericsError(
         f"gap-root iteration did not converge in {max_passes} passes (delta {delta:.2e})"
     )
 
 
-def _verify_gap_conditions(K: IntervalSet, roots: np.ndarray, cfg: NumericsConfig) -> None:
+def _verify_gap_conditions(
+    K: IntervalSet, roots: np.ndarray, cfg: NumericsConfig, prior: Sequence[_GapNodes] = ()
+) -> None:
     """Residual audit: each root must be the weighted gap mean it defines.
 
     Equivalent to the vanishing of int_gap q W (divide by the constant-sign
     cofactor); stated this way the integrands stay smooth.  The means come
     from a fresh doubling at the final roots, independent of the Newton
-    passes.
+    passes; only the root-free endpoint sums of the first pass's levels
+    ``prior`` are reused.
     """
     if not roots.size:
         return
     gaps = np.asarray(K.gaps()).reshape(-1, 2)
-    _, mean = _gap_means(K, roots, cfg)
+    _, mean = _gap_means(K, roots, cfg, prior)
     resid = np.abs(mean - roots) / (gaps[:, 1] - gaps[:, 0])
     k = int(np.argmax(resid))
     if not resid[k] <= 5e-10:
@@ -347,8 +420,8 @@ def solve_equilibrium(K: IntervalSet, cfg: NumericsConfig = DEFAULTS) -> Equilib
     """Solve for the equilibrium measure of K."""
     if K.has_degenerate():
         raise SetSpecError("equilibrium needs all intervals non-degenerate; widen() first")
-    roots = _solve_gap_roots(K, cfg)
-    _verify_gap_conditions(K, roots, cfg)
+    roots, levels = _solve_gap_roots(K, cfg)
+    _verify_gap_conditions(K, roots, cfg, levels)
     tables = _component_tables(K, roots)
     mass = float(sum(tab.mass for tab in tables))
     robin = float(np.mean(_potential_from_tables(tables, np.asarray(_robin_probes(K)))))
@@ -361,16 +434,14 @@ def solve_equilibrium(K: IntervalSet, cfg: NumericsConfig = DEFAULTS) -> Equilib
 
 def _component_tables(K: IntervalSet, roots: np.ndarray) -> tuple[ComponentTable, ...]:
     """Every component's table from one batched expansion: at each doubling
-    level the still-open components are sampled together, block by block."""
+    level the still-open components are sampled together, block by block
+    (``_log_factor``)."""
     ends = np.asarray(K.endpoints())
     mid, half = (ends[::2] + ends[1::2]) / 2.0, (ends[1::2] - ends[::2]) / 2.0
-    own = np.arange(2 * K.m).reshape(-1, 2)
-    no_root = np.empty((K.m, 0), dtype=int)
 
     def G(s, rows):
         t = mid[rows, None] + half[rows, None] * s
-        lw = _log_dist(t, roots, no_root[rows]) - 0.5 * _log_dist(t, ends, own[rows])
-        return np.exp(lw) / (np.pi * half[rows, None])
+        return np.exp(_log_factor(t, rows, roots, ends)) / (np.pi * half[rows, None])
 
     coeffs = chebyshev_expand(G, -1.0, 1.0, count=K.m)
     return tuple(
@@ -435,11 +506,12 @@ def omega_factor(E: EquilibriumData, a: float) -> float:
     if a not in rights:
         raise SetSpecError(f"{a} is not a right endpoint of the set")
     ends = np.asarray(E.set.endpoints())
-    others = ends[ends != a]
-    if len(others) != len(ends) - 1:
+    j = rights.index(a)
+    if ends[2 * j] == a:
         raise SetSpecError("degenerate interval at the distinguished endpoint")
-    logw = float(_log_weight(np.array([a]), np.asarray(E.roots), others)[0])
-    return math.exp(logw) / math.pi
+    # w(t) sqrt(a - t) -> G(a) sqrt(half / 2) on [a_j, a], half = (a - a_j) / 2
+    lw = _log_factor(np.array([[a]]), np.array([j]), np.asarray(E.roots), ends)[0, 0]
+    return math.exp(lw - 0.5 * math.log(a - ends[2 * j])) / math.pi
 
 
 def _potential_from_tables(tables: Sequence[ComponentTable], x) -> np.ndarray:
@@ -451,7 +523,11 @@ def _potential_from_tables(tables: Sequence[ComponentTable], x) -> np.ndarray:
     T_k(xi)/k inside [-1, 1], and, with log zeta = arccosh |xi| (zeta =
     |xi| + sqrt(xi^2 - 1)), log 2 - log zeta and sign(xi)^k zeta^-k / k
     outside.  All components go in one zero-padded (components x terms)
-    coefficient matrix.
+    coefficient matrix.  The half-lengths enter in units of ell, the
+    capacity of the hull (a quarter of its length), and log(1/ell) with the
+    unit mass of the equilibrium measure: the tables' summed mass would
+    multiply its own rounding by |log ell|, 230 at scale 1e100, while the
+    capacity itself is near ell.
     """
     C = np.zeros((len(tables), max(len(tab.coeffs) for tab in tables)))
     for j, tab in enumerate(tables):
@@ -465,8 +541,9 @@ def _potential_from_tables(tables: Sequence[ComponentTable], x) -> np.ndarray:
     theta = np.arccos(np.clip(xi, -1.0, 1.0))[..., None]
     sign = np.where((xi[..., None] < 0) & (k % 2 == 1), -1.0, 1.0)
     phik = np.where(inside[..., None], np.cos(k * theta), sign * np.exp(-k * lz[..., None])) / k
-    series = C[:, 0] * (math.log(2.0) - lz - np.log(half)) + np.sum(C[:, 1:] * phik, axis=-1)
-    return np.sum(half * math.pi * series, axis=-1)
+    ell = ((mid + half).max() - (mid - half).min()) / 4.0
+    series = C[:, 0] * (math.log(2.0) - lz - np.log(half / ell)) + np.sum(C[:, 1:] * phik, axis=-1)
+    return np.sum(half * math.pi * series, axis=-1) - math.log(ell)
 
 
 def equilibrium_potential(E: EquilibriumData, x: float) -> float:

@@ -190,14 +190,18 @@ def _deriv_row(nodes: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
 # grids and refined maxima
 
 
-def _arccos_grid(K: IntervalSet, per_component: int) -> np.ndarray:
+def _arccos_points(K: IntervalSet, per_component: int) -> np.ndarray:
     """``per_component`` arccos-spaced points on every component, clipped
-    onto it, since mid -/+ half can round one ulp past an endpoint."""
-    pts = []
-    for (u, v) in K.intervals:
-        theta = np.linspace(0.0, np.pi, per_component)
-        pts.append(np.clip((u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta), u, v))
-    return np.unique(np.concatenate(pts))
+    onto it, since mid -/+ half can round one ulp past an endpoint: an
+    (m, per_component) array."""
+    u, v = np.asarray(K.intervals).T[:, :, None]
+    theta = np.linspace(0.0, np.pi, per_component)
+    return np.clip((u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta), u, v)
+
+
+def _arccos_grid(K: IntervalSet, per_component: int) -> np.ndarray:
+    """The ``_arccos_points`` of every component, sorted, without repeats."""
+    return np.unique(_arccos_points(K, per_component))
 
 
 def _angle_values(evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: int, M: int) -> np.ndarray:
@@ -332,12 +336,13 @@ def _solve_once(
     objective: np.ndarray,
     grid: np.ndarray,
     cfg: NumericsConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """Working-set LP plus exchange, seeded with ``grid``.
 
     One LP per call: each round appends its new points' rows to it, and
     HiGHS re-solves it warm from its last basis.  Returns (node values,
-    then x and |P(x)| at the refined maxima of that witness, rounds).
+    then x and |P(x)| at the refined maxima of that witness, rounds, and
+    whether the loop stopped at ``lp_exchange_rounds``).
     """
     sep = 1e-13 * (K.max - K.min)
 
@@ -350,6 +355,7 @@ def _solve_once(
     rounds = 0
     best_worst = np.inf
     stall = 0
+    capped = False
     for rounds in range(1, cfg.lp_exchange_rounds + 1):
         xs, ms = maxima(vals)
         worst = float(np.max(ms))
@@ -370,7 +376,8 @@ def _solve_once(
         vals = lp_maximize(prob)[1]
     else:
         xs, ms = maxima(vals)  # the round cap was hit after a fresh solve
-    return vals, xs, ms, rounds
+        capped = True
+    return vals, xs, ms, rounds, capped
 
 
 def _check_degrees(degrees: Sequence[int], cfg: NumericsConfig) -> None:
@@ -402,14 +409,22 @@ def markov_extremal(
     w = _bary_weights(nodes)
     d = _deriv_row(nodes, w, a if objective_point is None else float(objective_point))
 
-    # seed grid and validation grid; one doubling of both allowed before giving up
+    # seed grid and validation grid; one doubling of both allowed before
+    # giving up, unless the loop ran out of rounds, which a denser seed
+    # would not give back
     for doubling in (1, 2):
         seed = _arccos_grid(K, doubling * SEED_PER_DEGREE * (n + 1))
-        vals, xs, ms, rounds = _solve_once(K, n, nodes, w, d, seed, cfg)
+        vals, xs, ms, rounds, capped = _solve_once(K, n, nodes, w, d, seed, cfg)
         check = _angle_values(lambda x: _bary_eval(x, nodes, w, vals), K, n,
                               doubling * VALIDATION_PER_DEGREE * (n + 1))
         if np.max(np.abs(check)) <= 1.0 + 1e-6:
             break
+        if capped:
+            raise NumericsError(
+                f"witness validation failed at degree {n}: the exchange loop stopped at "
+                f"lp_exchange_rounds = {cfg.lp_exchange_rounds} with overshoot "
+                f"{float(np.max(ms)) - 1.0:.2e}"
+            )
     else:
         raise NumericsError(
             f"witness validation failed after one grid refinement at degree {n}"

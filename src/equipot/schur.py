@@ -40,7 +40,7 @@ import numpy as np
 from .config import DEFAULTS, NumericsConfig
 from .equilibrium import EquilibriumData, omega_factor, solve_equilibrium
 from .errors import SetSpecError
-from .extremal import _arccos_grid
+from .extremal import _arccos_points
 from .interval_sets import EndpointContext, IntervalSet, check_interval_condition
 
 
@@ -261,7 +261,8 @@ def audit_bound(
     local_ok = local_margin <= 1.0 + 1e-9
 
     per = 64 * (n + 1)
-    sup = float(np.max(np.abs(P(_arccos_grid(K, per)))))
+    # a max needs neither the sort nor the repeats dropped by _arccos_grid
+    sup = float(np.max(np.abs(P(_arccos_points(K, per).ravel()))))
     growth = sup ** (1.0 / n) if sup > 0 else 0.0
 
     threshold = n * 2.0 * math.pi * h(a) * omega_factor(E, a)

@@ -1,0 +1,53 @@
+"""Affine covariance of the equilibrium solve, as properties over random
+unions of 2-6 intervals scaled by alpha = +-2^k, |alpha| from 1e-100 to
+1e100.  A power of two scales every endpoint exactly, so the scaled set is
+exactly alpha K and any difference is the solver's own.  Derandomised, so
+the examples are the same on every run."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equipot import IntervalSet, omega_factor, solve_equilibrium
+
+# 2^-332 ~ 1.1e-100 and 2^332 ~ 8.7e99
+SCALE_EXP = 332
+
+
+@st.composite
+def unions(draw):
+    """A union of 2-6 intervals in [-5, 5], lengths and gaps at least 0.05."""
+    m = draw(st.integers(2, 6))
+    cuts = draw(st.lists(st.floats(0.05, 1.0), min_size=2 * m - 1, max_size=2 * m - 1))
+    pts = -5.0 + np.concatenate([[0.0], np.cumsum(cuts)]) * 10.0 / math.fsum(cuts) * 0.999
+    return IntervalSet(tuple(zip(pts[0::2].tolist(), pts[1::2].tolist())))
+
+
+def scaled(K: IntervalSet, alpha: float) -> IntervalSet:
+    return IntervalSet(tuple(sorted(tuple(sorted((alpha * u, alpha * v))) for u, v in K.intervals)))
+
+
+COVARIANCE = settings(derandomize=True, max_examples=50, deadline=None)
+
+
+@COVARIANCE
+@given(unions(), st.integers(-SCALE_EXP, SCALE_EXP), st.sampled_from([-1.0, 1.0]))
+def test_capacity_scales_with_alpha(K, k, sign):
+    alpha = sign * 2.0 ** k
+    got = solve_equilibrium(scaled(K, alpha)).cap
+    want = abs(alpha) * solve_equilibrium(K).cap
+    assert abs(got / want - 1.0) <= 1e-13
+
+
+@COVARIANCE
+@given(unions(), st.integers(-SCALE_EXP, SCALE_EXP), st.sampled_from([-1.0, 1.0]),
+       st.integers(0, 5))
+def test_omega_scales_with_alpha_to_the_minus_half(K, k, sign, j):
+    # a right endpoint a of sign K; alpha a is a right endpoint of alpha K
+    base = scaled(K, sign)
+    a = base.intervals[j % base.m][1]
+    got = omega_factor(solve_equilibrium(scaled(K, sign * 2.0 ** k)), a * 2.0 ** k)
+    want = 2.0 ** (-k / 2) * omega_factor(solve_equilibrium(base), a)
+    assert abs(got / want - 1.0) <= 1e-13

@@ -29,6 +29,7 @@ from equipot import (
 from equipot import equilibrium
 from equipot.config import DEFAULTS, NumericsConfig
 from equipot.equilibrium import q_value
+from equipot.numerics import EXPAND_MIN_NODES
 from conftest import random_interval_set
 
 # Brute high-precision quadrature oracles for K = [-1,-1/2] u [1/2,1]
@@ -200,18 +201,73 @@ class TestQuadratureFloor:
     @pytest.mark.parametrize("K", [SYM2, cantor_set(3), cheb_image_roots(1.2, 8, 1.0, 0.0)[0]],
                              ids=["sym2", "cantor3", "cheb8"])
     def test_matches_floor_64_on_scaled_sets(self, K, s):
-        # at 1e-100 and 1e100 the capacity of many components carries a
-        # rounding floor of about 1e-12 relative at either node floor
-        # (|log s| = 230 in each log-space term), so only the roots are held
-        # to the common bound there
-        self._agree(scaled(K, s), cap_rtol=1e-13 if 1e-20 < s < 1e20 or K.m == 2 else None)
+        self._agree(scaled(K, s))
 
     def test_first_pass_settles_at_low_counts(self):
         K = cheb_image_roots(2.0, 64, 1.0, 0.0)[0]
         gaps = np.asarray(K.gaps()).reshape(-1, 2)
-        groups, _ = equilibrium._gap_means(K, gaps.mean(axis=1), DEFAULTS)
+        levels, _ = equilibrium._gap_means(K, gaps.mean(axis=1), DEFAULTS)
+        groups = equilibrium._settled(levels)
         low = sum(nodes.idx.size for nodes in groups if nodes.t.shape[1] <= 32)
         assert low >= 0.9 * len(gaps)
+
+
+class TestSolveWork:
+    """Work the solve skips: Newton's confirming pass, a second forming of
+    the endpoint sums, and table levels spent on rounding noise."""
+
+    def test_newton_stops_on_the_predicted_step(self, monkeypatch):
+        K = cheb_image_roots(2.0, 64, 1.0, 0.0)[0]
+        gaps = np.asarray(K.gaps()).reshape(-1, 2)
+        lo, hi = gaps[:, 0], gaps[:, 1]
+        passes = []
+        step = equilibrium._newton_gap_step
+
+        def counted(groups, lam, lo, hi):
+            passes.append(groups)
+            return step(groups, lam, lo, hi)
+
+        monkeypatch.setattr(equilibrium, "_newton_gap_step", counted)
+        roots, levels = equilibrium._solve_gap_roots(K, DEFAULTS)
+        assert len(passes) <= 3
+        # the pass the prediction skipped moves no root by more than 1e-12 of
+        # its gap, plus two binary64 spacings of the root
+        confirmed = step(passes[-1], roots, lo, hi)
+        tol = 1e-12 * (hi - lo) + 2 * np.spacing(np.abs(confirmed))
+        assert np.all(np.abs(roots - confirmed) <= tol)
+
+    @pytest.mark.parametrize("K", [cheb_image_roots(50.0, 17, 1.0, 0.0)[0], cantor_set(7, 0.45),
+                                   cantor_set(6)], ids=["cheb17", "cantor7", "cantor6"])
+    def test_verifier_reuses_the_endpoint_sums_bit_for_bit(self, K):
+        roots, first = equilibrium._solve_gap_roots(K, DEFAULTS)
+        reused, mean = equilibrium._gap_means(K, roots, DEFAULTS, first)
+        fresh, want = equilibrium._gap_means(K, roots, DEFAULTS)
+        assert np.array_equal(mean, want)
+        for a, b in zip(reused, fresh, strict=True):
+            assert np.array_equal(a.idx, b.idx)
+            assert np.array_equal(a.t, b.t) and np.array_equal(a.ends_lw, b.ends_lw)
+        # every level the first pass holds in full is shared, not copied
+        shared = [a for a in reused if any(a is p for p in first)]
+        assert len(shared) >= 2
+
+    def test_tables_resolve_at_the_first_node_count(self, monkeypatch):
+        counts = []
+        expand = equilibrium.chebyshev_expand
+
+        def logged(f, u, v, count=1):
+            def g(t, rows):
+                counts.append((len(t), len(rows)))
+                return f(t, rows)
+            return expand(g, u, v, count)
+
+        monkeypatch.setattr(equilibrium, "chebyshev_expand", logged)
+        solve_equilibrium(cantor_set(7, 0.37))
+        assert counts == [(EXPAND_MIN_NODES, 128)]
+
+    @pytest.mark.parametrize("s", [1e-100, 1e-14, 1e14, 1e100])
+    def test_exact_capacity_at_extreme_scale(self, s):
+        K = scaled(cheb_image_roots(3.0, 17, 1.0, 0.0)[0], s)
+        assert solve_equilibrium(K).cap == pytest.approx(s * 3.0 ** (-1.0 / 17) / 2.0, rel=1e-13, abs=0.0)
 
 
 class TestGapVerifier:
@@ -228,7 +284,8 @@ class TestGapVerifier:
         solve = equilibrium._solve_gap_roots
 
         def patched(K, cfg):
-            return move(K, solve(K, cfg).copy())
+            roots, levels = solve(K, cfg)
+            return move(K, roots.copy()), levels
 
         monkeypatch.setattr(equilibrium, "_solve_gap_roots", patched)
 

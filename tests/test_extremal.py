@@ -22,6 +22,7 @@ from equipot.extremal import (
 from equipot.numerics import lp_maximize
 from equipot import (
     IntervalSet,
+    NumericsError,
     SetSpecError,
     bernstein_audit,
     bernstein_walsh_audit,
@@ -197,6 +198,18 @@ class TestMarkovExtremal:
         # renormalised by its refined sup-norm, the value stays a lower bound;
         # the exact value grows like k^2 along n = 3k
         assert r.value < STALL3_VALUE * (30 / 24) ** 2 * (1.0 - 0.5 * r.overshoot)
+
+    def test_round_cap_is_named_when_validation_fails(self, monkeypatch):
+        # two rounds at n = 24 leave the witness above the validation grid's
+        # 1e-6; a doubled seed under the same cap would not finish the loop
+        solves = []
+        solve_once = extremal._solve_once
+        monkeypatch.setattr(extremal, "_solve_once",
+                            lambda *args: solves.append(1) or solve_once(*args))
+        capped = dataclasses.replace(DEFAULTS, lp_exchange_rounds=2)
+        with pytest.raises(NumericsError, match=r"lp_exchange_rounds = 2 with overshoot \d"):
+            markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24, capped)
+        assert len(solves) == 1
 
     def test_single_interval_needs_no_lp_rows(self, E_unit, monkeypatch):
         # the n + 1 seed points of [-1, 1] are the interpolation nodes

@@ -233,6 +233,20 @@ class TestAuditBound:
         assert rep.growth_estimate == 0.0
         assert rep.norm_ratio == 0.0 and rep.point_ratio == 0.0
 
+    @pytest.mark.parametrize("imap,n,eta", [
+        (quadratic_inverse_image(0.3), 799, 0.1),
+        (quadratic_inverse_image(0.7), 450, 0.5),
+        (quadratic_inverse_image(0.5), 200, 0.02),
+        (affine_inverse_image(-2.0, 1.0), 300, 0.3),
+    ])
+    def test_growth_is_the_sup_over_the_sorted_grid(self, imap, n, eta):
+        from equipot.extremal import _arccos_grid
+
+        wit = build_witness(imap, 1.3, n, eta)
+        K = imap.target_set
+        sup = float(np.max(np.abs(wit(_arccos_grid(K, 64 * (n + 1))))))
+        assert audit_witness(wit).growth_estimate == sup ** (1.0 / n)
+
     def test_rejects_nonpositive_h(self):
         K = IntervalSet(((-1.0, 1.0),))
         ctx = check_interval_condition(K, 1.0)
