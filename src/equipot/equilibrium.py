@@ -37,14 +37,14 @@ most gap integrands settle at 32 nodes.
 
 The endpoint factor of g_k does not depend on the roots, so it is formed
 once per solve: the first pass forms it for all gaps of a doubling level
-at once and keeps every level, the Newton passes reuse it at the node
-counts that pass settled, and the verifier reads it from the first pass's
-level wherever it samples the same gap at the same count.  The verifier
-otherwise recomputes every gap mean at the final roots, in one batched
-doubling of its own (its own node counts and row scales), and refuses a
-root more than 5e-10 of its gap away from its mean.  Both gap doublings
-are one call of ``_gauss_cheb_adaptive`` over all gaps, and the component
-tables one call of ``chebyshev_expand`` over all components.
+at once and keeps every level, the Newton passes read the rows of the
+node counts that pass settled, and the verifier takes a first-pass level
+as it is wherever it samples the same gaps at the same count.  The
+verifier otherwise recomputes every gap mean at the final roots, in one
+batched doubling of its own (its own node counts and row scales), and
+refuses a root more than 5e-10 of its gap away from its mean.  Both gap
+doublings are one call of ``_gauss_cheb_adaptive`` over all gaps, and the
+component tables one call of ``chebyshev_expand`` over all components.
 
 Products over roots and endpoints are accumulated in log space, so density
 and gap-polynomial values stay well scaled at any number of components;
@@ -60,7 +60,16 @@ a component and G the smooth factor of w there, the component's
 contribution to U(x) = int log(1/|x-t|) w(t) dt is a closed-form series in
 the Chebyshev coefficients of G, valid for x inside the component, in a
 gap, or outside the set, with geometric convergence and no special handling
-of the log singularity.
+of the log singularity.  Robin constant and capacity use the unit total
+mass of the equilibrium measure, not the tables' summed mass (which
+``EquilibriumData.mass`` still reports): the half-lengths enter in units of
+ell, a quarter of the hull's length, and log(1/ell) is added once with
+mass 1.  The summed mass is 1 only to about 1e-15, and its error times
+|log ell|, 230 at scale 1e100, would be the largest one in the capacity;
+the paired gap factors alone leave (3 T_17)^-1[-1,1] at scale 1e100 1.8e-13
+off its exact capacity, the two together make cap(alpha K) = |alpha| cap K
+hold to 1e-13 for |alpha| from 1e-100 to 1e100.  At scale near 1 the two
+forms differ by (mass - 1) log ell, a few 1e-14 of the capacity.
 
 Also here: the explicit point-mass balayage kernel onto an interval, its
 edge limit, the density decomposition residual on the run-up interval
@@ -163,12 +172,14 @@ def _blocks(rows: int, n: int, cols: int):
             yield slice(a, a + per_row), slice(b, b + per_node)
 
 
-def _diff_blocks(t: np.ndarray, cols: np.ndarray, own: np.ndarray):
-    """(row slice, node slice, t - cols_j) over t (rows x nodes) in blocks of
-    about GAP_CHUNK elements, with 1 in the columns own[r] of row r."""
-    for rs, ns in _blocks(t.shape[0], t.shape[1], cols.size):
-        d = t[rs, ns, None] - cols
-        d[np.arange(d.shape[0])[:, None], :, own[rs]] = 1.0
+def _diff_blocks(t: np.ndarray, cols: np.ndarray, own: np.ndarray, rows: np.ndarray | None = None):
+    """(row slice, node slice, t - cols_j) over the rows ``rows`` of t (rows
+    x nodes; all of them by default) in blocks of about GAP_CHUNK elements,
+    with 1 in the columns own[r] of row r.  The row slice indexes ``rows``."""
+    for rs, ns in _blocks(t.shape[0] if rows is None else rows.size, t.shape[1], cols.size):
+        r = rs if rows is None else rows[rs]
+        d = t[r, ns, None] - cols
+        d[np.arange(d.shape[0])[:, None], :, own[r]] = 1.0
         yield rs, ns, d
 
 
@@ -225,16 +236,13 @@ class _GapNodes:
 
     ``ends_lw`` is -1/2 sum log|t - e| over the endpoints that do not bound
     the node's gap.  It does not depend on the roots: the Newton passes
-    reuse the one the first pass formed, and the verifier reads it from the
-    first pass wherever it samples the same gap at the same count.
+    reuse the one the first pass formed, and the verifier reuses a level of
+    the first pass that holds the same gaps at the same count.
     """
 
     idx: np.ndarray      # (g,) gap indices, increasing
     t: np.ndarray        # (g, n) nodes
     ends_lw: np.ndarray  # (g, n)
-
-    def subset(self, keep: np.ndarray) -> "_GapNodes":
-        return _GapNodes(self.idx[keep], self.t[keep], self.ends_lw[keep])
 
 
 def _gap_nodes(
@@ -243,21 +251,15 @@ def _gap_nodes(
 ) -> _GapNodes:
     """The reference nodes s in [-1, 1] mapped onto each gap in ``idx``; gap
     k lies between ends[2k + 1] and ends[2k + 2].  ``prior``, nodes of an
-    earlier doubling at the same count, lends its ``ends_lw`` rows to the
-    gaps it holds: the same function of the same nodes, so bit-identical."""
+    earlier doubling at the same count, is returned as it is when it holds
+    the same gaps: its endpoint sums are the same function of the same
+    nodes, so bit-identical."""
     if prior is not None and np.array_equal(prior.idx, idx):
         return prior
     g0, g1 = gaps[idx, 0, None], gaps[idx, 1, None]
     t = (g0 + g1) / 2.0 + (g1 - g0) / 2.0 * s
     own = np.stack([2 * idx + 1, 2 * idx + 2], axis=1)
-    if prior is None:
-        return _GapNodes(idx, t, -0.5 * _log_dist(t, ends, own))
-    pos = np.minimum(np.searchsorted(prior.idx, idx), prior.idx.size - 1)
-    have = prior.idx[pos] == idx
-    ends_lw = np.empty(t.shape)
-    ends_lw[have] = prior.ends_lw[pos[have]]
-    ends_lw[~have] = -0.5 * _log_dist(t[~have], ends, own[~have])
-    return _GapNodes(idx, t, ends_lw)
+    return _GapNodes(idx, t, -0.5 * _log_dist(t, ends, own))
 
 
 def _gap_log_weight(nodes: _GapNodes, lam: np.ndarray) -> np.ndarray:
@@ -309,47 +311,51 @@ def _gap_means(
     return levels, mid + half * (m1 / m0)
 
 
-def _settled(levels: list[_GapNodes]) -> list[_GapNodes]:
-    """The nodes each gap settled at, the last level that samples it,
-    grouped by count."""
-    groups = [a.subset(~np.isin(a.idx, b.idx)) for a, b in zip(levels, levels[1:])]
-    return [nodes for nodes in groups + levels[-1:] if nodes.idx.size]
+def _settled(levels: list[_GapNodes]) -> list[tuple[_GapNodes, np.ndarray]]:
+    """(level, rows): the rows of each level whose gaps settle there, the
+    last level that samples them; indices into the level, not copies."""
+    later = [b.idx for b in levels[1:]] + [np.empty(0, dtype=int)]
+    groups = [(a, np.flatnonzero(~np.isin(a.idx, b))) for a, b in zip(levels, later)]
+    return [(nodes, rows) for nodes, rows in groups if rows.size]
 
 
-def _newton_rows(nodes: _GapNodes, lam: np.ndarray):
-    """One batched Gauss-Chebyshev pass over the gaps in ``nodes``, rows
-    scaled at their central node: per gap M0 = int g, the residual H = int
-    (t - lam_k) g and the Jacobian rows dH_k/dlam_j, -M0_k on the diagonal
-    and -int (t - lam_k) g / (t - lam_j) off it.  Each block's differences
+def _newton_rows(nodes: _GapNodes, rows: np.ndarray, lam: np.ndarray):
+    """One batched Gauss-Chebyshev pass over the gaps of the rows ``rows``
+    of ``nodes``, rows scaled at their central node: per gap M0 = int g,
+    the residual H = int (t - lam_k) g and the Jacobian rows dH_k/dlam_j,
+    -M0_k on the diagonal and -int (t - lam_k) g / (t - lam_j) off it.  Each block's differences
     t - lam_j give both log g and the reciprocals, so the row scale must be
     known before the first block: g is smooth and positive on its gap, and
     its central value stands in for its largest."""
-    rows, c = len(nodes.idx), nodes.t.shape[1] // 2
-    central = _GapNodes(nodes.idx, nodes.t[:, c:c + 1], nodes.ends_lw[:, c:c + 1])
+    idx, c = nodes.idx[rows], nodes.t.shape[1] // 2
+    central = _GapNodes(idx, nodes.t[rows, c:c + 1], nodes.ends_lw[rows, c:c + 1])
     shift = _gap_log_weight(central, lam)
-    m0, h, J = np.zeros(rows), np.zeros(rows), np.zeros((rows, lam.size))
-    for gs, ns, d in _diff_blocks(nodes.t, lam, nodes.idx[:, None]):
-        ad = np.abs(d)
-        lw = nodes.ends_lw[gs, ns] + np.sum(np.log(ad, out=ad), axis=2)
+    m0, h, J = np.zeros(rows.size), np.zeros(rows.size), np.zeros((rows.size, lam.size))
+    for gs, ns, d in _diff_blocks(nodes.t, lam, nodes.idx[:, None], rows):
+        ad, r = np.abs(d), rows[gs]
+        lw = nodes.ends_lw[r, ns] + np.sum(np.log(ad, out=ad), axis=2)
         g = np.exp(lw - shift[gs])
-        ug = (nodes.t[gs, ns] - lam[nodes.idx[gs], None]) * g
+        ug = (nodes.t[r, ns] - lam[idx[gs], None]) * g
         m0[gs] += g.sum(axis=1)
         h[gs] += ug.sum(axis=1)
         J[gs] -= np.matmul(ug[:, None, :], np.reciprocal(d, out=d))[:, 0, :]
-    J[np.arange(rows), nodes.idx] = -m0
+    J[np.arange(rows.size), idx] = -m0
     w = np.pi / nodes.t.shape[1]
     return w * m0, w * h, w * J
 
 
 def _newton_gap_step(
-    groups: list[_GapNodes], lam: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    groups: list[tuple[_GapNodes, np.ndarray]],
+    lam: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 ) -> np.ndarray:
-    """Newton step on H(lam) = 0; a component that leaves its gap, or all of
-    them when J is singular, takes the weighted-mean step instead."""
+    """Newton step on H(lam) = 0 over the (level, rows) groups of
+    ``_settled``; a component that leaves its gap, or all of them when J is
+    singular, takes the weighted-mean step instead."""
     G = lam.size
     H, M0, J = np.empty(G), np.empty(G), np.empty((G, G))
-    for nodes in groups:
-        M0[nodes.idx], H[nodes.idx], J[nodes.idx] = _newton_rows(nodes, lam)
+    for nodes, rows in groups:
+        k = nodes.idx[rows]
+        M0[k], H[k], J[k] = _newton_rows(nodes, rows, lam)
     mean = lam + H / M0
     try:
         new = lam - np.linalg.solve(J, H)

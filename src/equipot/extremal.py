@@ -190,18 +190,17 @@ def _deriv_row(nodes: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
 # grids and refined maxima
 
 
-def _arccos_points(K: IntervalSet, per_component: int) -> np.ndarray:
-    """``per_component`` arccos-spaced points on every component, clipped
-    onto it, since mid -/+ half can round one ulp past an endpoint: an
-    (m, per_component) array."""
-    u, v = np.asarray(K.intervals).T[:, :, None]
+def _arccos_points(K: IntervalSet, per_component: int) -> list[np.ndarray]:
+    """``per_component`` arccos-spaced points on each component, clipped
+    onto it, since mid -/+ half can round one ulp past an endpoint; one
+    array per component."""
     theta = np.linspace(0.0, np.pi, per_component)
-    return np.clip((u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta), u, v)
+    return [np.clip((u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta), u, v) for (u, v) in K.intervals]
 
 
 def _arccos_grid(K: IntervalSet, per_component: int) -> np.ndarray:
     """The ``_arccos_points`` of every component, sorted, without repeats."""
-    return np.unique(_arccos_points(K, per_component))
+    return np.unique(np.concatenate(_arccos_points(K, per_component)))
 
 
 def _angle_values(evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: int, M: int) -> np.ndarray:

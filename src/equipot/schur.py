@@ -262,7 +262,7 @@ def audit_bound(
 
     per = 64 * (n + 1)
     # a max needs neither the sort nor the repeats dropped by _arccos_grid
-    sup = float(np.max(np.abs(P(_arccos_points(K, per).ravel()))))
+    sup = max(float(np.max(np.abs(P(x)))) for x in _arccos_points(K, per))
     growth = sup ** (1.0 / n) if sup > 0 else 0.0
 
     threshold = n * 2.0 * math.pi * h(a) * omega_factor(E, a)

@@ -208,7 +208,7 @@ class TestQuadratureFloor:
         gaps = np.asarray(K.gaps()).reshape(-1, 2)
         levels, _ = equilibrium._gap_means(K, gaps.mean(axis=1), DEFAULTS)
         groups = equilibrium._settled(levels)
-        low = sum(nodes.idx.size for nodes in groups if nodes.t.shape[1] <= 32)
+        low = sum(rows.size for nodes, rows in groups if nodes.t.shape[1] <= 32)
         assert low >= 0.9 * len(gaps)
 
 

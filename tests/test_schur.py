@@ -167,13 +167,16 @@ class TestWitness:
         finally:
             tracemalloc.stop()
 
+    # the growth sup runs over 64(n + 1) = 51,200 points, one component at
+    # a time: about 2.5 MB blocked, 4.3 MB with an unblocked kernel
+    AUDIT_BUDGET = 3.5e6
+
     def test_audit_memory_bounded(self):
-        # the growth sup runs over 64(n + 1) = 51,200 points per component
-        assert self._audit_peak_bytes() < 5e6
+        assert self._audit_peak_bytes() < self.AUDIT_BUDGET
 
     def test_memory_bound_catches_an_unblocked_kernel(self, monkeypatch):
         monkeypatch.setattr(schur, "U_CHUNK", 1 << 40)
-        assert self._audit_peak_bytes() > 5e6
+        assert self._audit_peak_bytes() > self.AUDIT_BUDGET
 
     @pytest.mark.parametrize("m", [1, 2, 190])
     def test_blocks_are_the_whole_array(self, monkeypatch, m):
