@@ -49,14 +49,13 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
 from numpy.polynomial import Chebyshev
 
 from .config import DEFAULTS, NumericsConfig
 from .equilibrium import ComponentTable, EquilibriumData, density, green, omega_factor, solve_equilibrium
 from .errors import NumericsError, SetSpecError
 from .interval_sets import IntervalSet, check_interval_condition
-from .numerics import LPProblem, lp_maximize
+from .numerics import LPProblem, _dct1, _fast_len, lp_maximize
 
 # points per component and per unit of n + 1: the exchange loop's arccos
 # seed grid, which only starts the working set (the exchange adds the points
@@ -206,7 +205,8 @@ def _arccos_grid(K: IntervalSet, per_component: int) -> np.ndarray:
 def _angle_values(evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: int, M: int) -> np.ndarray:
     """Values of a polynomial P of degree <= n at the M equispaced angles
     theta = linspace(0, pi, M) of every component, x = mid + half*cos(theta):
-    an (m, M) array, M rounded up to a fast DCT length.
+    an (m, M) array, M raised so that M - 1 is a fast FFT length: the
+    smallest 11-smooth number >= max(M, n + 2) - 1, ``numerics._fast_len``.
 
     On each component P is a cosine series of degree n in theta.  P is
     evaluated only at the n + 1 Lobatto angles pi*k/n of every component;
@@ -215,16 +215,16 @@ def _angle_values(evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: 
     """
     # at least n + 2 angles, so that the series' last term is an inner one
     # of the padded DCT-I (its end terms carry half weight)
-    M = scipy.fft.next_fast_len(max(M, n + 2) - 1) + 1
+    M = _fast_len(max(M, n + 2) - 1) + 1
     u, v = np.asarray(K.intervals).T
     mid, half = (u + v) / 2.0, (v - u) / 2.0
     lobatto = np.cos(np.linspace(0.0, np.pi, n + 1))
     x = np.clip(mid[:, None] + half[:, None] * lobatto, u[:, None], v[:, None])
     series = np.zeros((K.m, M))
-    series[:, : n + 1] = scipy.fft.dct(evalP(x.ravel()).reshape(K.m, n + 1), type=1, axis=1) / (2 * n)
+    series[:, : n + 1] = _dct1(evalP(x.ravel()).reshape(K.m, n + 1)) / (2 * n)
     # the Lobatto end term enters the forward DCT-I with half the weight of an inner one
     series[:, n] /= 2.0
-    return scipy.fft.dct(series, type=1, axis=1)
+    return _dct1(series)
 
 
 def _refined_maxima(

@@ -19,6 +19,12 @@ once it settles.
   coefficients of smooth functions on [u, v], as the equilibrium solver
   expands the density factors of all components together.  Chebyshev
   series themselves are ``numpy.polynomial.Chebyshev``.
+* ``_dct1(x)``, ``_dct2(x)`` and ``_fast_len(n)``: the DCTs of types I and
+  II along the last axis, unnormalised as ``scipy.fft.dct``'s, computed by
+  ``numpy.fft.rfft`` (Makhoul, IEEE Trans. ASSP 28, 1980), and the smallest
+  11-smooth length >= n, as ``scipy.fft.next_fast_len``'s.  The DCT-I is
+  bit-identical to scipy's; the expansion uses the DCT-II, and the Markov
+  probe's angle grids the DCT-I.
 * ``lp_maximize(LPProblem(objective, rows))``: max objective . y subject
   to |rows . y| <= 1 and |y_j| <= 1, the nodal-value LP of the extremal
   probe, each row one ranged HiGHS row -1 <= rows . y <= 1, with a
@@ -26,20 +32,24 @@ once it settles.
   duality-gap audit.  The caller drives semi-infinite refinement by
   growing one problem with ``add_rows``: the problem keeps its HiGHS
   model, which takes only the new rows and re-solves from the last basis.
+  The LP backend (``_Highs``, ``HighsModelStatus`` and ``linprog``, from
+  ``scipy.optimize``) is bound by the first LP, or by the first lookup of
+  one of those names on this module, and a bound name is never re-bound:
+  a command that runs no LP imports no scipy.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.fft
-from scipy.optimize import linprog
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .config import DEFAULTS, NumericsConfig
 from .errors import NumericsError, SetSpecError
+
+if TYPE_CHECKING:
+    from scipy.optimize._highspy._core import _Highs
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -90,6 +100,39 @@ def _gauss_cheb_adaptive(
     )
 
 
+# ---------------------------------------------------------------------------
+# discrete cosine transforms
+
+
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """DCT-I along the last axis (length >= 2): the rfft of the even
+    extension [x_0, ..., x_{n-1}, x_{n-2}, ..., x_1]."""
+    return np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1), axis=-1).real
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """DCT-II along the last axis: the rfft of the even entries followed by
+    the odd ones reversed, turned by the quarter-sample twiddle; the upper
+    half of the output is the negated imaginary part of the lower half's."""
+    n = x.shape[-1]
+    v = np.concatenate([x[..., ::2], x[..., n - 1 - n % 2:0:-2]], axis=-1)
+    z = np.fft.rfft(v, axis=-1) * (2.0 * np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1)))
+    return np.concatenate([z.real, -z.imag[..., (n - 1) // 2:0:-1]], axis=-1)
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 11-smooth number >= n (and >= 1), a fast FFT length."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
 # Chebyshev expansion: node range and the relative size of a negligible tail
 EXPAND_MIN_NODES = 64
 EXPAND_MAX_NODES = 1 << 13
@@ -130,7 +173,7 @@ def chebyshev_expand(
         theta = (2.0 * np.arange(1, N + 1) - 1.0) * np.pi / (2.0 * N)
         vals = np.asarray(f(mid + half * np.cos(theta), todo), dtype=float)
         # discrete cosine transform at first-kind nodes
-        c = scipy.fft.dct(vals, type=2, axis=1) / N
+        c = _dct2(vals) / N
         c[:, 0] *= 0.5
         scale = np.max(np.abs(c), axis=1)
         tail = np.max(np.abs(c[:, -max(N // 4, 1):]), axis=1)
@@ -178,6 +221,32 @@ class LPProblem:
 
     def add_rows(self, new: np.ndarray) -> None:
         self.rows = np.vstack([self.rows, new])
+
+
+# the LP backend, bound by the first LP (or the first lookup of one of these
+# names on the module): importing scipy.optimize costs more than most
+# commands that run no LP
+_LP_BACKEND = ("_Highs", "HighsModelStatus", "linprog")
+
+
+def _bind_lp_backend() -> None:
+    """Bind each LP backend name that is not bound yet; a bound one, the
+    real class or a stand-in set in its place, is left as it is."""
+    names = globals()
+    if all(name in names for name in _LP_BACKEND):
+        return
+    from scipy.optimize import linprog
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+    for name, value in zip(_LP_BACKEND, (_Highs, HighsModelStatus, linprog)):
+        names.setdefault(name, value)
+
+
+def __getattr__(name: str):
+    if name in _LP_BACKEND:
+        _bind_lp_backend()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # HiGHS options: tight feasibility tolerances, and no presolve, which on
@@ -239,6 +308,7 @@ def lp_maximize(problem: LPProblem) -> tuple[float, np.ndarray]:
     warm from its last basis; on a solver failure, ``linprog`` without
     presolve from scratch.
     """
+    _bind_lp_backend()
     d = np.asarray(problem.objective, dtype=float)
     scale = float(np.max(np.abs(d))) or 1.0
     cost = -d / scale

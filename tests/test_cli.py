@@ -2,6 +2,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -577,3 +580,35 @@ def test_output_file_mode_follows_umask(tmp_path, capsys, umask, mode):
     assert stat.S_IMODE(out_path.stat().st_mode) == mode
     assert stat.S_IMODE(dump_path.stat().st_mode) == mode
 
+
+# run in a fresh interpreter: each argv list of argv[1] through cli.main, then
+# print the exit codes and the scipy modules loaded after each list
+FRESH_RUNS = """
+import contextlib, io, json, sys
+from equipot import cli
+
+codes, loaded = [], []
+for batch in json.loads(sys.argv[1]):
+    for argv in batch:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(cli.main(argv))
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_only_the_lp_imports_scipy(monkeypatch):
+    """A command that runs no LP loads no scipy module; markov loads
+    scipy.optimize at its first LP."""
+    monkeypatch.delenv("EQUIPOT_CONFIG", raising=False)
+    args = TestFormatMatrix.ARGS
+    plain = [[command, *argv] for command, argv in args.items() if command != "markov"]
+    batches = [plain, [["markov", *args["markov"]]]]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps(batches)],
+                         capture_output=True, text=True, env=env, check=True)
+    got = json.loads(run.stdout.splitlines()[-1])
+    assert {argv[0] for argv in plain} == set(cli._COMMANDS) - {"markov"}
+    assert got["codes"] == [0] * (len(plain) + 1)
+    assert got["loaded"][0] == []
+    assert "scipy.optimize" in got["loaded"][1]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
 
@@ -164,6 +165,45 @@ class TestChebyshevExpand:
 
         with pytest.raises(NumericsError, match="function 1 on"):
             chebyshev_expand(f, -1.0, 1.0, count=2)
+
+
+class TestFftKernels:
+    """The DCTs and the fast length on numpy.fft, with scipy.fft as reference."""
+
+    def test_dct1_bit_identical_on_lobatto_shapes(self):
+        # the (m, n + 1) values at the Lobatto angles of m components
+        rng = np.random.default_rng(1)
+        for n in range(1, 201):
+            x = rng.standard_normal((1 + n % 4, n + 1))
+            assert np.array_equal(numerics._dct1(x), scipy.fft.dct(x, type=1, axis=1)), n
+
+    def test_dct1_bit_identical_on_grid_shapes(self):
+        # a cosine series of degree n zero-padded to the refined-maxima and
+        # validation grids of _angle_values, up to (1, 12937) at n = 100
+        rng = np.random.default_rng(2)
+        shapes = set()
+        for n in range(1, 101):
+            for per_degree in (16, 128):
+                M = numerics._fast_len(max(per_degree * (n + 1), n + 2) - 1) + 1
+                series = np.zeros((1 + n % 3, M))
+                series[:, : n + 1] = rng.standard_normal((len(series), n + 1))
+                assert np.array_equal(numerics._dct1(series),
+                                      scipy.fft.dct(series, type=1, axis=1)), (n, M)
+                shapes.add(M)
+        assert max(shapes) == 12937
+
+    def test_dct2_within_rounding(self):
+        rng = np.random.default_rng(3)
+        for N in [*range(1, 130), *(1 << k for k in range(6, 14))]:
+            for x in (rng.standard_normal((3, N)),
+                      np.exp(np.cos(np.arange(N) * rng.uniform(0.0, 1.0, (3, 1))))):
+                want = scipy.fft.dct(x, type=2, axis=1)
+                err = np.max(np.abs(numerics._dct2(x) - want), axis=1)
+                assert np.all(err <= 1e-15 * np.max(np.abs(want), axis=1)), N
+
+    def test_fast_len_is_scipys(self):
+        for n in [*range(1, 20001), 65535, 100000]:
+            assert numerics._fast_len(n) == scipy.fft.next_fast_len(n), n
 
 
 def t_deriv(n, x):
