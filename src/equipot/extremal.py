@@ -476,6 +476,8 @@ def derivative_norm_probe(
 ) -> tuple[float, float]:
     """(value at a, max value over a grid on [a - rho, a]) for the pointwise
     objective versus run-up-norm objective comparison."""
+    if grid_points < 1:
+        raise SetSpecError(f"grid_points must be at least 1, got {grid_points}")
     ctx = check_interval_condition(K, a)
     theta = np.linspace(0.0, np.pi, grid_points)
     probes = a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta)

@@ -11,10 +11,11 @@ once it settles.
   endpoint singularities are absorbed by the weight), with node doubling
   from ``quad_min_nodes`` (16 by default) until successive estimates agree
   relative to the largest component of each integrand.  ``balayage_mass``
-  and ``decomposition_residual`` integrate one function; the equilibrium
-  solver's first gap pass and gap verifier each integrate the moments of
-  all gaps in one call, mapped onto [-1, 1] and taken in that reference
-  variable, so the relative test means the same at any scale.
+  integrates one function; ``decomposition_residual`` integrates its
+  pieces of the set, and the equilibrium solver's first gap pass and gap
+  verifier the moments of all gaps, each in one call, mapped onto [-1, 1]
+  and taken in that reference variable, so the relative test means the
+  same at any scale.
 * ``chebyshev_expand(f, u, v[, count])``: adaptively truncated Chebyshev
   coefficients of smooth functions on [u, v], as the equilibrium solver
   expands the density factors of all components together.  Chebyshev

@@ -251,6 +251,8 @@ def audit_bound(
     local_grid_points: int = 2000,
 ) -> AuditReport:
     """Audit one polynomial evaluator against both hypotheses and the bound."""
+    if n < 1:
+        raise SetSpecError(f"audit needs degree n >= 1, got {n}")
     a = ctx.a
     xs = runup_grid(ctx, local_grid_points)
     Px = np.abs(np.asarray(P(xs), dtype=float))

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equipot import IntervalSet, green, omega_factor, solve_equilibrium
+from equipot import IntervalSet, density, green, omega_factor, solve_equilibrium
 
 # 2^-332 ~ 1.1e-100 and 2^332 ~ 8.7e99
 SCALE_EXP = 332
@@ -51,6 +51,19 @@ def test_omega_scales_with_alpha_to_the_minus_half(K, k, sign, j):
     a = base.intervals[j % base.m][1]
     got = omega_factor(solve_equilibrium(scaled(K, sign * 2.0 ** k)), a * 2.0 ** k)
     want = 2.0 ** (-k / 2) * omega_factor(solve_equilibrium(base), a)
+    assert abs(got / want - 1.0) <= 1e-13
+
+
+@COVARIANCE
+@given(unions(), st.integers(-SCALE_EXP, SCALE_EXP), st.sampled_from([-1.0, 1.0]),
+       st.integers(0, 5), st.floats(0.01, 0.99))
+def test_density_scales_with_alpha(K, k, sign, j, f):
+    # t at fraction f across component j of K
+    u, v = K.intervals[j % K.m]
+    t = u + f * (v - u)
+    alpha = sign * 2.0 ** k
+    got = abs(alpha) * density(solve_equilibrium(scaled(K, alpha)), alpha * t)
+    want = density(solve_equilibrium(K), t)
     assert abs(got / want - 1.0) <= 1e-13
 
 

@@ -362,8 +362,12 @@ class TestBatchedStages:
 
     @pytest.mark.parametrize("name", ["cantor6", "cheb96"])
     def test_tables_match_one_at_a_time(self, name):
-        from equipot.equilibrium import _log_weight
         from equipot.numerics import chebyshev_expand
+
+        def log_weight(t, roots, ends):
+            # unpaired reference: sum log|t - lam| - 1/2 sum log|t - e|
+            return (np.sum(np.log(np.abs(t[:, None] - roots)), axis=1)
+                    - 0.5 * np.sum(np.log(np.abs(t[:, None] - ends)), axis=1))
 
         K = self.SETS[name]()
         E = solve_equilibrium(K)
@@ -372,7 +376,7 @@ class TestBatchedStages:
             mid, half = (u + v) / 2.0, (v - u) / 2.0
             others = ends[(ends != u) & (ends != v)]
             want, = chebyshev_expand(
-                lambda s, rows: np.exp(_log_weight(mid + half * s, roots, others))[None]
+                lambda s, rows: np.exp(log_weight(mid + half * s, roots, others))[None]
                 / (np.pi * half),
                 -1.0, 1.0)
             got = np.asarray(tab.coeffs)
@@ -595,6 +599,17 @@ class TestDecomposition:
         for t in np.linspace(0.76, 0.999, 10):
             assert decomposition_residual(E_sym2, ctx, float(t)) < 1e-6
 
+    @pytest.mark.parametrize("K", [IntervalSet(((-3.0, -2.0), (-1.0, 0.5), (2.0, 2.25))),
+                                   cantor_set(3, 0.3)], ids=["three", "cantor3"])
+    def test_every_right_endpoint(self, K):
+        # the correction integral runs over components on both sides of
+        # the home one, and over the home one cut at b
+        E = solve_equilibrium(K)
+        for _, a in K.intervals:
+            ctx = check_interval_condition(K, a)
+            for f in (0.05, 0.3, 0.5, 0.9, 0.99):
+                assert decomposition_residual(E, ctx, a - (1.0 - f) * ctx.rho) < 1e-11
+
     def test_runup_density_dominates(self, E_sym2):
         ctx = check_interval_condition(E_sym2.set, 1.0)
         a, b = ctx.a, ctx.a - ctx.rho
@@ -621,6 +636,11 @@ class TestEdgeProfile:
         table = edge_limit_profile(E_sym2, 1.0, [1e-6, 1e-8])
         om = omega_factor(E_sym2, 1.0)
         assert abs(table[-1][1] - om) < 1e-6
+
+    def test_empty_offsets(self, E_unit):
+        assert edge_limit_profile(E_unit, 1.0, []) == []
+        with pytest.raises(SetSpecError, match="right endpoint"):
+            edge_limit_profile(E_unit, 0.5, [])
 
     def test_validates_offsets(self, E_unit):
         with pytest.raises(SetSpecError):

@@ -570,3 +570,8 @@ class TestNormEquivalenceProbe:
     def test_pointwise_vs_runup_norm(self):
         at_a, best = derivative_norm_probe(UNIT, 1.0, 40, grid_points=50)
         assert abs(best - at_a) / max(at_a, best) <= 0.01
+
+    @pytest.mark.parametrize("grid_points", [0, -1])
+    def test_rejects_empty_grid(self, grid_points):
+        with pytest.raises(SetSpecError, match="grid_points"):
+            derivative_norm_probe(UNIT, 1.0, 40, grid_points=grid_points)

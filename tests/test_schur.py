@@ -258,6 +258,14 @@ class TestAuditBound:
             audit_bound(lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                         lambda x: -1.0, K, ctx, 10, E)
 
+    def test_rejects_degree_zero(self):
+        K = IntervalSet(((-1.0, 1.0),))
+        ctx = check_interval_condition(K, 1.0)
+        E = solve_equilibrium(K)
+        with pytest.raises(SetSpecError, match="degree n"):
+            audit_bound(lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                        lambda x: 1.0, K, ctx, 0, E)
+
 
 class TestCounterexample:
     def test_point_value_and_ratio(self):
