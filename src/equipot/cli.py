@@ -87,11 +87,12 @@ def _indented(obj, pad: str) -> str:
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
-def _nice_ticks(lo: float, hi: float, want: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Ticks on [lo, hi] at the multiples of a 1-2-5 step that gives about five."""
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / want))
+    step = 10.0 ** math.floor(math.log10(span / 5))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= want:
+        if span / (step * mult) <= 5:
             step *= mult
             break
     # count whole steps: a running float sum stalls when step < ulp(lo) / 2
@@ -109,13 +110,12 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 def emit_svg(
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     axes: tuple[str, str] = ("x", "y"),
-    size: tuple[int, int] = (640, 480),
 ) -> str:
-    """Self-contained SVG 1.1 line chart: linear axes, one polyline per series,
-    legend.  Byte-deterministic for identical input."""
+    """Self-contained 640 x 480 SVG 1.1 line chart: linear axes, one polyline
+    per series, legend.  Byte-deterministic for identical input."""
     if not series or any(len(xs) == 0 for _, xs, _ in series):
         raise SetSpecError("emit_svg needs nonempty series")
-    W, H = size
+    W, H = 640, 480
     ml, mr, mt, mb = 60, 20, 20, 45
     xlo = min(min(xs) for _, xs, _ in series)
     xhi = max(max(xs) for _, xs, _ in series)

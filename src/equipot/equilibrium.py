@@ -91,7 +91,7 @@ import numpy as np
 from .config import DEFAULTS, NumericsConfig
 from .errors import NumericsError, SetSpecError
 from .interval_sets import EndpointContext, IntervalSet, outer_approx
-from .numerics import _gauss_cheb_adaptive, chebyshev_expand
+from .numerics import EXPAND_MAX_NODES, _gauss_cheb_adaptive, chebyshev_expand
 
 # density is undefined within this fraction of its component's half-length
 # of an endpoint
@@ -428,15 +428,27 @@ def solve_equilibrium(K: IntervalSet, cfg: NumericsConfig = DEFAULTS) -> Equilib
 def _component_tables(K: IntervalSet, roots: np.ndarray) -> tuple[ComponentTable, ...]:
     """Every component's table from one batched expansion: at each doubling
     level the still-open components are sampled together, block by block
-    (``_log_factor``)."""
+    (``_log_factor``).  If the expansion does not resolve, the error names
+    the component left open at the last level next to the narrowest gap."""
     ends = np.asarray(K.endpoints())
     mid, half = (ends[::2] + ends[1::2]) / 2.0, (ends[1::2] - ends[::2]) / 2.0
+    sampled = []
 
     def G(s, rows):
+        sampled.append(rows)
         t = mid[rows, None] + half[rows, None] * s
         return np.exp(_log_factor(t, rows, roots, ends)) / (np.pi * half[rows, None])
 
-    coeffs = chebyshev_expand(G, -1.0, 1.0, count=K.m)
+    try:
+        coeffs = chebyshev_expand(G, -1.0, 1.0, count=K.m)
+    except NumericsError:
+        gap = np.r_[np.inf, np.diff(ends)[1::2], np.inf]
+        near = np.minimum(gap[:-1], gap[1:])[sampled[-1]]
+        j = sampled[-1][np.argmin(near)]
+        raise NumericsError(
+            f"density table of [{ends[2 * j]}, {ends[2 * j + 1]}] did not resolve at "
+            f"{EXPAND_MAX_NODES} nodes next to a gap of width {near.min():.3e}"
+        ) from None
     return tuple(
         ComponentTable(mid=float(a), half=float(h), coeffs=tuple(c.tolist()))
         for a, h, c in zip(mid, half, coeffs)

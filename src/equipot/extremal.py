@@ -59,8 +59,10 @@ from .numerics import LPProblem, _dct1, _fast_len, lp_maximize
 
 # points per component and per unit of n + 1: the exchange loop's arccos
 # seed grid, which only starts the working set (the exchange adds the points
-# the witness needs), and the witness's angle-domain validation grid
+# the witness needs), the coarse scan of the refined maxima, and the
+# witness's angle-domain validation grid
 SEED_PER_DEGREE = 1
+SCAN_PER_DEGREE = 16
 VALIDATION_PER_DEGREE = 128
 # accepted overshoot of the exchange loop's witness above 1
 EXCHANGE_TOL = 1e-9
@@ -189,17 +191,13 @@ def _deriv_row(nodes: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
 # grids and refined maxima
 
 
-def _arccos_points(K: IntervalSet, per_component: int) -> list[np.ndarray]:
-    """``per_component`` arccos-spaced points on each component, clipped
-    onto it, since mid -/+ half can round one ulp past an endpoint; one
-    array per component."""
-    theta = np.linspace(0.0, np.pi, per_component)
-    return [np.clip((u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta), u, v) for (u, v) in K.intervals]
-
-
 def _arccos_grid(K: IntervalSet, per_component: int) -> np.ndarray:
-    """The ``_arccos_points`` of every component, sorted, without repeats."""
-    return np.unique(np.concatenate(_arccos_points(K, per_component)))
+    """``per_component`` arccos-spaced points on each component, clipped
+    onto it, since mid -/+ half can round one ulp past an endpoint; all of
+    them sorted, without repeats."""
+    theta = np.linspace(0.0, np.pi, per_component)
+    return np.unique([np.clip((u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta), u, v)
+                      for (u, v) in K.intervals])
 
 
 def _angle_values(evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: int, M: int) -> np.ndarray:
@@ -211,7 +209,11 @@ def _angle_values(evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: 
     On each component P is a cosine series of degree n in theta.  P is
     evaluated only at the n + 1 Lobatto angles pi*k/n of every component;
     a DCT-I of those values gives the series, and a DCT-I of the series
-    zero-padded to M terms gives its values on the fine grid.
+    zero-padded to M terms gives its values on the fine grid.  The DCTs
+    run on the values scaled by the power of two that brings their largest
+    modulus into [1/2, 1), which changes no bit of a finite result but keeps
+    sums near the top of the float range finite; an inf among the values
+    leaves its row nan.
     """
     # at least n + 2 angles, so that the series' last term is an inner one
     # of the padded DCT-I (its end terms carry half weight)
@@ -220,23 +222,25 @@ def _angle_values(evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: 
     mid, half = (u + v) / 2.0, (v - u) / 2.0
     lobatto = np.cos(np.linspace(0.0, np.pi, n + 1))
     x = np.clip(mid[:, None] + half[:, None] * lobatto, u[:, None], v[:, None])
+    vals = evalP(x.ravel()).reshape(K.m, n + 1)
+    e = np.frexp(np.max(np.abs(vals)))[1]
     series = np.zeros((K.m, M))
-    series[:, : n + 1] = _dct1(evalP(x.ravel()).reshape(K.m, n + 1)) / (2 * n)
+    series[:, : n + 1] = _dct1(np.ldexp(vals, -e)) / (2 * n)
     # the Lobatto end term enters the forward DCT-I with half the weight of an inner one
     series[:, n] /= 2.0
-    return _dct1(series)
+    return np.ldexp(_dct1(series), e)
 
 
 def _refined_maxima(
-    evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: int, per_degree: int = 16
+    evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local maxima (x, |P(x)|) of |P| on K, polished by three parabola stages in angle.
 
-    The coarse scan takes P on per_degree*(n + 1) angles per component (or
-    a few more) from ``_angle_values``.  Each stage then evaluates P once,
-    at the three probe angles of every maximum of every component together.
-    A point that rounds past an endpoint is moved onto it, since |P| one ulp
-    outside K can exceed its norm on K.
+    The coarse scan takes P on SCAN_PER_DEGREE*(n + 1) angles per component
+    (or a few more) from ``_angle_values``.  Each stage then evaluates P
+    once, at the three probe angles of every maximum of every component
+    together.  A point that rounds past an endpoint is moved onto it, since
+    |P| one ulp outside K can exceed its norm on K.
     """
     u, v = np.asarray(K.intervals).T
     mid, half = (u + v) / 2.0, (v - u) / 2.0
@@ -244,7 +248,7 @@ def _refined_maxima(
     def at(c: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.clip(mid[c] + half[c] * np.cos(t), u[c], v[c])
 
-    vals = np.abs(_angle_values(evalP, K, n, per_degree * (n + 1)))
+    vals = np.abs(_angle_values(evalP, K, n, SCAN_PER_DEGREE * (n + 1)))
     theta = np.linspace(0.0, np.pi, vals.shape[1])
     h = theta[1] - theta[0]
     edge = np.ones((K.m, 1), dtype=bool)
@@ -495,8 +499,19 @@ def derivative_norm_probe(
 
 
 def _poly_norm_on_set(P, K: IntervalSet, n: int) -> float:
-    _, moduli = _refined_maxima(lambda x: np.asarray(P(x), dtype=float), K, max(n, 1))
-    return float(np.max(moduli))
+    """||P||_K for P of degree <= n: the largest of its refined maxima, or
+    inf once a value of P taken on K is not finite (an overflowed sample
+    leaves its component with no maxima, and the rest would understate it)."""
+    finite = []
+
+    def evalP(x):
+        v = np.asarray(P(x), dtype=float)
+        finite.append(np.isfinite(v).all())
+        return v
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, moduli = _refined_maxima(evalP, K, max(n, 1))
+    return float(np.max(moduli)) if all(finite) else math.inf
 
 
 def bernstein_audit(
@@ -510,12 +525,9 @@ def bernstein_audit(
     if n == 0:
         return 0.0
     norm = _poly_norm_on_set(P, E.set, n)
-    dP = P.deriv()
-    worst = 0.0
-    for x in probes:
-        wx = density(E, float(x))
-        worst = max(worst, abs(dP(float(x))) / (n * math.pi * wx * norm))
-    return worst
+    x = np.asarray(probes, dtype=float)
+    ratio = np.abs(P.deriv()(x)) / (n * math.pi * density(E, x) * norm)
+    return float(np.max(ratio, initial=0.0))
 
 
 def bernstein_walsh_audit(

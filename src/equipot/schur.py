@@ -40,7 +40,7 @@ import numpy as np
 from .config import DEFAULTS, NumericsConfig
 from .equilibrium import EquilibriumData, omega_factor, solve_equilibrium
 from .errors import SetSpecError
-from .extremal import _arccos_points
+from .extremal import _poly_norm_on_set
 from .interval_sets import EndpointContext, IntervalSet, check_interval_condition
 
 
@@ -80,10 +80,6 @@ def quadratic_inverse_image(alpha: float) -> InverseImageMap:
                            factors=lambda x: ((1.0 - x) * (1.0 + x), (x - alpha) * (x + alpha)))
 
 
-# points per block of ``_cheb_u``, which bounds its temporaries
-U_CHUNK = 4096
-
-
 def _cheb_u(m: int, p, q):
     """U_m(w) from p = c (1 - w) and q = c (1 + w), for any common c > 0.
 
@@ -96,16 +92,10 @@ def _cheb_u(m: int, p, q):
     the rounding of the ratio), and U_m = sinh((m+1) phi)/sinh(phi) is
     formed as e^{m phi} (1 - e^{-2(m+1) phi})/(1 - e^{-2 phi}), which
     overflows to +-inf, not to inf - inf.  Both limits at w = 1 are m + 1.
-    Each point costs O(1) whatever m; the points are taken U_CHUNK at a
-    time, so the temporaries stay a few blocks in size.
+    Each point costs O(1) whatever m, and its value does not depend on the
+    other points it is evaluated with.
     """
     p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    if p.size > U_CHUNK:
-        out = np.empty(p.shape)
-        flat, p, q = out.reshape(-1), p.ravel(), q.ravel()
-        for s in range(0, len(p), U_CHUNK):
-            flat[s:s + U_CHUNK] = _cheb_u(m, p[s:s + U_CHUNK], q[s:s + U_CHUNK])
-        return out
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     out = np.ones(lo.shape)
     if m > 0:
@@ -217,14 +207,21 @@ def runup_grid(ctx: EndpointContext, points: int) -> np.ndarray:
     return (ctx.a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta))[::-1]
 
 
+# points of the run-up grid on which the local hypothesis is audited
+LOCAL_GRID_POINTS = 2000
+
+
 @dataclasses.dataclass(frozen=True)
 class AuditReport:
     """Hypothesis and conclusion checks for one polynomial at one degree.
 
-    local_margin is the worst grid value of |P(x)| sqrt(a-x) / h(x); local_ok
-    allows 1 + 1e-9.  growth_estimate is the grid sup-norm to the power 1/n
-    (a lower bound on the true norm growth).  norm_ratio and point_ratio
-    compare the run-up norm and |P(a)| against n * 2 pi h(a) Omega(K, a).
+    local_margin is the worst value of |P(x)| sqrt(a-x) / h(x) on the
+    LOCAL_GRID_POINTS-point run-up grid; local_ok allows 1 + 1e-9.
+    growth_estimate is ||P||_K^{1/n}, with ||P||_K the refined sup on K that
+    the Bernstein audits share (``extremal._poly_norm_on_set``), inf once P
+    overflows on K; a lower bound on the true norm growth.  norm_ratio and
+    point_ratio compare the run-up norm and |P(a)| against
+    n * 2 pi h(a) Omega(K, a).
     """
 
     n: int
@@ -235,7 +232,6 @@ class AuditReport:
     point_ratio: float
     bound_threshold: float
     local_grid_points: int
-    growth_grid_per_component: int
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -248,13 +244,16 @@ def audit_bound(
     ctx: EndpointContext,
     n: int,
     E: EquilibriumData,
-    local_grid_points: int = 2000,
 ) -> AuditReport:
-    """Audit one polynomial evaluator against both hypotheses and the bound."""
+    """Audit one polynomial evaluator against both hypotheses and the bound.
+
+    P must have degree <= n: the growth sup-norm samples P as a cosine
+    series of degree n on each component of K.
+    """
     if n < 1:
         raise SetSpecError(f"audit needs degree n >= 1, got {n}")
     a = ctx.a
-    xs = runup_grid(ctx, local_grid_points)
+    xs = runup_grid(ctx, LOCAL_GRID_POINTS)
     Px = np.abs(np.asarray(P(xs), dtype=float))
     hx = np.array([h(float(x)) for x in xs])
     if np.any(hx <= 0.0):
@@ -262,9 +261,7 @@ def audit_bound(
     local_margin = float(np.max(Px * np.sqrt(a - xs) / hx, initial=0.0))
     local_ok = local_margin <= 1.0 + 1e-9
 
-    per = 64 * (n + 1)
-    # a max needs neither the sort nor the repeats dropped by _arccos_grid
-    sup = max(float(np.max(np.abs(P(x)))) for x in _arccos_points(K, per))
+    sup = _poly_norm_on_set(P, K, n)
     growth = sup ** (1.0 / n) if sup > 0 else 0.0
 
     threshold = n * 2.0 * math.pi * h(a) * omega_factor(E, a)
@@ -278,21 +275,15 @@ def audit_bound(
         norm_ratio=runup_sup / threshold if threshold > 0 else math.inf,
         point_ratio=point / threshold if threshold > 0 else math.inf,
         bound_threshold=threshold,
-        local_grid_points=local_grid_points,
-        growth_grid_per_component=per,
+        local_grid_points=LOCAL_GRID_POINTS,
     )
 
 
-def audit_witness(
-    wit: SchurWitness,
-    h: Callable[[float], float] | None = None,
-    cfg: NumericsConfig = DEFAULTS,
-) -> AuditReport:
-    """Audit a built witness on its own target set (h defaults to h_a)."""
+def audit_witness(wit: SchurWitness, cfg: NumericsConfig = DEFAULTS) -> AuditReport:
+    """Audit a built witness on its own target set with the constant h = h_a."""
     K = wit.map.target_set
     ctx = check_interval_condition(K, wit.map.a)
-    hfun = (lambda x: wit.h_a) if h is None else h
-    return audit_bound(wit, hfun, K, ctx, wit.n, solve_equilibrium(K, cfg))
+    return audit_bound(wit, lambda x: wit.h_a, K, ctx, wit.n, solve_equilibrium(K, cfg))
 
 
 def counterexample_demo(n: int, cfg: NumericsConfig = DEFAULTS) -> AuditReport:

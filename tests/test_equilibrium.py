@@ -119,6 +119,17 @@ class TestGapRootSolver:
         with pytest.raises(NumericsError, match=r"gap quadrature on \[1\.0, 1\.5\] .* 4 nodes"):
             solve_equilibrium(K, cfg)
 
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9])
+    def test_unresolved_table_names_the_component_and_gap(self, gap):
+        K = IntervalSet(((-1.0, 0.0), (gap, 1.0)))
+        want = rf"density table of \[-1\.0, 0\.0\] did not resolve at 8192 nodes next to a gap of width {gap:.3e}"
+        with pytest.raises(NumericsError, match=want):
+            solve_equilibrium(K)
+
+    def test_gap_of_1e_3_solves(self):
+        cap = solve_equilibrium(IntervalSet(((-1.0, 0.0), (1e-3, 1.0)))).cap
+        assert cap == pytest.approx(0.4999999374999805, rel=1e-13)
+
     def test_quadratic_convergence(self, monkeypatch):
         steps = []
         step = equilibrium._newton_gap_step

@@ -19,7 +19,7 @@ from equipot.extremal import (
     _lagrange_rows,
     _refined_maxima,
 )
-from equipot.numerics import lp_maximize
+from equipot.numerics import _dct1, lp_maximize
 from equipot import (
     IntervalSet,
     NumericsError,
@@ -27,8 +27,10 @@ from equipot import (
     bernstein_audit,
     bernstein_walsh_audit,
     cantor_set,
+    density,
     derivative_norm_probe,
     extremal,
+    h_poly,
     markov_extremal,
     markov_study,
     solve_equilibrium,
@@ -399,6 +401,20 @@ class TestAngleValues:
         assert np.all(np.abs(got - want) <= _angle_tolerance(K, want, P.deriv()(x)))
         assert extremal._poly_norm_on_set(P, K, n) >= np.max(np.abs(want)) * (1.0 - 1e-13)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+    def test_scaling_changes_no_bit(self, scale):
+        # the DCTs unscaled, as the values come: the same bytes as the kernel
+        # that scales them by a power of two first
+        K, n = cantor_set(3), 90
+        coef = scale * np.random.default_rng(5).standard_normal(n + 1)
+        P = Chebyshev(coef, domain=(K.min, K.max))
+        got = _angle_values(P, K, n, 16 * (n + 1))
+        lobatto = _on_angle_grid(K, n + 1)
+        series = np.zeros(got.shape)
+        series[:, : n + 1] = _dct1(P(lobatto)) / (2 * n)
+        series[:, n] /= 2.0
+        assert np.array_equal(got, _dct1(series))
+
     def test_grid_length_is_never_rounded_down(self):
         # at least n + 2 angles, so that the series' last term is an inner one
         assert _angle_values(lambda x: x, UNIT, 1, 2).shape == (1, 3)
@@ -523,6 +539,16 @@ class TestBernsteinAudit:
     def test_constant_is_zero(self, E_unit):
         assert bernstein_audit(E_unit, Chebyshev((1.0,)), [0.3]) == 0.0
 
+    def test_batched_probes_match_one_at_a_time(self, E_sym2):
+        rng = np.random.default_rng(29)
+        probes = np.concatenate([rng.uniform(-0.95, -0.55, 5), rng.uniform(0.55, 0.95, 5)])
+        for _ in range(5):
+            P = Chebyshev(rng.standard_normal(30))
+            norm = extremal._poly_norm_on_set(P, E_sym2.set, 29)
+            want = max(abs(P.deriv()(x)) / (29 * math.pi * density(E_sym2, x) * norm) for x in probes)
+            assert bernstein_audit(E_sym2, P, list(probes)) == want
+        assert bernstein_audit(E_sym2, P, []) == 0.0
+
     def test_random_normalized(self, E_sym2):
         rng = np.random.default_rng(31)
         probes = []
@@ -563,6 +589,33 @@ class TestBernsteinWalshAudit:
     def test_rejects_point_in_set(self, E_unit):
         with pytest.raises(SetSpecError):
             bernstein_walsh_audit(E_unit, Chebyshev((1.0, 1.0)), 0.5)
+
+
+class TestPolyNorm:
+    WIDE = IntervalSet(((-2.0, 1.0),))
+
+    def test_finite_up_to_overflow(self):
+        # |H_538| peaks at 5.5e307 on [-2, 1]; the DCT sums of its samples
+        # would overflow unscaled
+        assert extremal._poly_norm_on_set(lambda x: h_poly(538, x), self.WIDE, 538) == 5.497148858200843e+307
+
+    def test_finite_at_the_top_of_the_float_range(self):
+        # max |P| = 1.7e308 >= 2**1023: its power-of-two scale 2**-1024 is
+        # applied by ldexp, since 2.0**1024 itself overflows
+        def P(x):
+            return 1.7e308 * np.cos(40 * np.arccos(x))
+
+        assert extremal._poly_norm_on_set(P, UNIT, 40) == 1.7e308
+
+    @pytest.mark.parametrize("n", [539, 600, 2000])
+    def test_inf_once_p_overflows(self, n):
+        assert extremal._poly_norm_on_set(lambda x: h_poly(n, x), self.WIDE, n) == math.inf
+
+    def test_inf_when_one_component_overflows(self):
+        # the overflowed component has no maxima; the other one's 601 is
+        # not the norm
+        K = IntervalSet(((-2.0, -1.9), (0.0, 1.0)))
+        assert extremal._poly_norm_on_set(lambda x: h_poly(600, x), K, 600) == math.inf
 
 
 @pytest.mark.slow
