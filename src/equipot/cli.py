@@ -339,7 +339,7 @@ class Output(NamedTuple):
 
 def _density(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
     K = _load_set(ns.set, cfg)
-    E = equilibrium.solve_equilibrium(K, cfg)
+    E = equilibrium.solve_equilibrium(K)
     rows = equilibrium.density_table(E, ns.points)
 
     def plot():
@@ -354,7 +354,7 @@ def _density(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
 
 def _omega(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
     K = _load_set(ns.set, cfg)
-    E = equilibrium.solve_equilibrium(K, cfg)
+    E = equilibrium.solve_equilibrium(K)
     val = equilibrium.omega_factor(E, ns.a)
     return Output(record=lambda: {"a": ns.a, "omega": val},
                   table=lambda: (("a", "omega"), [(ns.a, val)]))
@@ -362,7 +362,7 @@ def _omega(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
 
 def _capacity(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
     K = _load_set(ns.set, cfg)
-    E = equilibrium.solve_equilibrium(K, cfg)
+    E = equilibrium.solve_equilibrium(K)
     violation = (f"density mass {E.mass} deviates from 1 beyond 1e-9"
                  if abs(E.mass - 1.0) > 1e-9 else None)
     return Output(record=lambda: equilibrium.to_record(E),
@@ -372,7 +372,7 @@ def _capacity(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
 
 def _green(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
     K = _load_set(ns.set, cfg)
-    E = equilibrium.solve_equilibrium(K, cfg)
+    E = equilibrium.solve_equilibrium(K)
     g = equilibrium.green(E, ns.z)
     violation = f"negative Green value {g} at {ns.z}" if g < -1e-9 else None
     return Output(record=lambda: {"z": ns.z, "green": g}, violation=violation)
@@ -380,7 +380,7 @@ def _green(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
 
 def _balayage(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
     qy = equilibrium.BalayageQuery(x=ns.x, b=ns.b, a=ns.a)
-    mass = equilibrium.balayage_mass(qy, cfg)
+    mass = equilibrium.balayage_mass(qy)
     limit = equilibrium.balayage_edge_limit(qy)
     violation = (f"balayage mass {mass} deviates from 1 beyond 1e-9"
                  if abs(mass - 1.0) > 1e-9 else None)
@@ -433,7 +433,7 @@ def _markov(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
 def _schur_witness(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
     imap = schur.quadratic_inverse_image(ns.alpha)
     wit = schur.build_witness(imap, ns.h_a, ns.n, ns.eta)
-    report = schur.audit_witness(wit, cfg=cfg)
+    report = schur.audit_witness(wit)
 
     def table():
         # witness evaluation table on the run-up interval: x, P(x), h/sqrt(a-x)
@@ -450,7 +450,7 @@ def _schur_witness(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
 
 
 def _schur_counterexample(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
-    report = schur.counterexample_demo(ns.n, cfg)
+    report = schur.counterexample_demo(ns.n)
     violation = None
     if not report.local_ok:
         violation = "counterexample should satisfy the local hypothesis"
@@ -462,7 +462,7 @@ def _schur_counterexample(ns: argparse.Namespace, cfg: NumericsConfig) -> Output
 def _converge(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
     K = _load_set(ns.set, cfg)
     ctx = check_interval_condition(K, ns.a)
-    table = equilibrium.outer_convergence_study(K, ctx, parse_int_list(ns.m_values), cfg)
+    table = equilibrium.outer_convergence_study(K, ctx, parse_int_list(ns.m_values))
     drops = [f"omega not nondecreasing along the filtration: m={m1}:{v1} > m={m2}:{v2}"
              for (m1, v1), (m2, v2) in zip(table, table[1:]) if v2 < v1 - 1e-9]
     return Output(

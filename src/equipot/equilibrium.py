@@ -32,7 +32,7 @@ gap, M1 = int s g_k and M0 = int g_k, and lambda_k = mid + half M1/M0.
 Since |M1| <= M0, the doubling's stopping test weighs both moments on the
 scale of M0, at any scale of the set; an absolute first moment int t g_k
 of a symmetric gap at scale 1e100 is rounding noise of about 1e84 that
-swamps it.  The doublings start at ``quad_min_nodes`` (16 by default):
+swamps it.  The doublings start at ``numerics.QUAD_MIN_NODES`` = 16:
 most gap integrands settle at 32 nodes.
 
 The endpoint factor of g_k does not depend on the roots, so it is formed
@@ -88,7 +88,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULTS, NumericsConfig
+from . import numerics
 from .errors import NumericsError, SetSpecError
 from .interval_sets import EndpointContext, IntervalSet, outer_approx
 from .numerics import EXPAND_MAX_NODES, _gauss_cheb_adaptive, chebyshev_expand
@@ -256,7 +256,7 @@ def _gap_log_g(nodes: _GapNodes, lam: np.ndarray) -> np.ndarray:
 
 
 def _gap_means(
-    K: IntervalSet, lam: np.ndarray, cfg: NumericsConfig, prior: Sequence[_GapNodes] = ()
+    K: IntervalSet, lam: np.ndarray, prior: Sequence[_GapNodes] = ()
 ) -> tuple[list[_GapNodes], np.ndarray]:
     """Weighted gap means int t g / int g at ``lam``, all gaps in one
     ``_gauss_cheb_adaptive`` doubling with its stopping rule per gap.
@@ -286,13 +286,13 @@ def _gap_means(
         return np.stack([s * g, g], axis=1)
 
     try:
-        m1, m0 = _gauss_cheb_adaptive(moments, -1.0, 1.0, cfg, count=len(gaps)).T
+        m1, m0 = _gauss_cheb_adaptive(moments, -1.0, 1.0, count=len(gaps)).T
     except NumericsError:
         open_gaps = levels[-1].idx
         g0, g1 = gaps[open_gaps[0]]
         raise NumericsError(
-            f"gap quadrature on [{g0}, {g1}] did not converge at "
-            f"{cfg.quad_max_nodes} nodes ({open_gaps.size} gaps unsettled)"
+            f"gap quadrature on [{g0}, {g1}] did not converge at QUAD_MAX_NODES = "
+            f"{numerics.QUAD_MAX_NODES} nodes ({open_gaps.size} gaps unsettled)"
         ) from None
     mid, half = gaps.mean(axis=1), (gaps[:, 1] - gaps[:, 0]) / 2.0
     return levels, mid + half * (m1 / m0)
@@ -353,7 +353,7 @@ def _newton_gap_step(
     return new
 
 
-def _solve_gap_roots(K: IntervalSet, cfg: NumericsConfig) -> tuple[np.ndarray, list[_GapNodes]]:
+def _solve_gap_roots(K: IntervalSet) -> tuple[np.ndarray, list[_GapNodes]]:
     """Gap roots by batched Newton on the gap conditions, one root per
     bounded gap, and the levels of the first pass.
 
@@ -368,7 +368,7 @@ def _solve_gap_roots(K: IntervalSet, cfg: NumericsConfig) -> tuple[np.ndarray, l
     if not mid.size:
         return mid, []
     # the first pass, a mean step from the midpoints, fixes the node counts
-    levels, lam = _gap_means(K, mid, cfg)
+    levels, lam = _gap_means(K, mid)
     groups = _settled(levels)
     max_passes = 300
     floor_tol = 1e-13
@@ -388,9 +388,7 @@ def _solve_gap_roots(K: IntervalSet, cfg: NumericsConfig) -> tuple[np.ndarray, l
     )
 
 
-def _verify_gap_conditions(
-    K: IntervalSet, roots: np.ndarray, cfg: NumericsConfig, prior: Sequence[_GapNodes] = ()
-) -> None:
+def _verify_gap_conditions(K: IntervalSet, roots: np.ndarray, prior: Sequence[_GapNodes] = ()) -> None:
     """Residual audit: each root must be the weighted gap mean it defines.
 
     Equivalent to the vanishing of int_gap q W (divide by the constant-sign
@@ -402,19 +400,19 @@ def _verify_gap_conditions(
     if not roots.size:
         return
     gaps = np.asarray(K.gaps()).reshape(-1, 2)
-    _, mean = _gap_means(K, roots, cfg, prior)
+    _, mean = _gap_means(K, roots, prior)
     resid = np.abs(mean - roots) / (gaps[:, 1] - gaps[:, 0])
     k = int(np.argmax(resid))
     if not resid[k] <= 5e-10:
         raise NumericsError(f"gap condition residual {resid[k]:.2e} in gap {k}")
 
 
-def solve_equilibrium(K: IntervalSet, cfg: NumericsConfig = DEFAULTS) -> EquilibriumData:
+def solve_equilibrium(K: IntervalSet) -> EquilibriumData:
     """Solve for the equilibrium measure of K."""
     if K.has_degenerate():
         raise SetSpecError("equilibrium needs all intervals non-degenerate; widen() first")
-    roots, levels = _solve_gap_roots(K, cfg)
-    _verify_gap_conditions(K, roots, cfg, levels)
+    roots, levels = _solve_gap_roots(K)
+    _verify_gap_conditions(K, roots, levels)
     tables = _component_tables(K, roots)
     mass = float(sum(tab.mass for tab in tables))
     robin = float(np.mean(_potential_from_tables(tables, np.asarray(_robin_probes(K)))))
@@ -598,7 +596,7 @@ def balayage_edge_limit(qy: BalayageQuery) -> float:
     return math.sqrt(abs(x - b)) / (math.pi * math.sqrt(abs(x - a) * abs(a - b)))
 
 
-def balayage_mass(qy: BalayageQuery, cfg: NumericsConfig = DEFAULTS) -> float:
+def balayage_mass(qy: BalayageQuery) -> float:
     """Total swept mass; 1 for any admissible query (regression check)."""
     x, b, a = qy.x, qy.b, qy.a
     num = math.sqrt(abs(x - b) * abs(x - a))
@@ -606,15 +604,10 @@ def balayage_mass(qy: BalayageQuery, cfg: NumericsConfig = DEFAULTS) -> float:
     def f(t, rows):
         return (num / (np.pi * np.abs(t - x)))[None]
 
-    return float(_gauss_cheb_adaptive(f, b, a, cfg)[0])
+    return float(_gauss_cheb_adaptive(f, b, a)[0])
 
 
-def decomposition_residual(
-    E: EquilibriumData,
-    ctx: EndpointContext,
-    t: float,
-    cfg: NumericsConfig = DEFAULTS,
-) -> float:
+def decomposition_residual(E: EquilibriumData, ctx: EndpointContext, t: float) -> float:
     """|w_K(t) - (w_[b,a](t) - int_{K \\ [b,a]} Bal(x; t) dnu(x))| with b = a - rho.
 
     The run-up density dominates w_K pointwise; the correction integral runs
@@ -643,7 +636,7 @@ def decomposition_residual(
         out[cut] *= np.sqrt((b - x[cut]) / (hv - x[cut]))
         return out
 
-    correction = float(np.sum(_gauss_cheb_adaptive(f, -1.0, 1.0, cfg, count=comp.size)))
+    correction = float(np.sum(_gauss_cheb_adaptive(f, -1.0, 1.0, count=comp.size)))
     rhs = 1.0 / (np.pi * math.sqrt((t - b) * (a - t))) - correction
     return float(abs(density(E, t) - rhs))
 
@@ -673,10 +666,7 @@ def edge_limit_profile(
 
 
 def outer_convergence_study(
-    K: IntervalSet,
-    ctx: EndpointContext,
-    m_list: Sequence[int],
-    cfg: NumericsConfig = DEFAULTS,
+    K: IntervalSet, ctx: EndpointContext, m_list: Sequence[int]
 ) -> list[tuple[int, float]]:
     """Omega(K_m^+, a) along the outer filtration; nondecreasing in m.
     Every m is checked before the first solve."""
@@ -686,7 +676,7 @@ def outer_convergence_study(
     out = []
     for m in ms:
         Km = outer_approx(K, ctx, m)
-        Em = solve_equilibrium(Km, cfg)
+        Em = solve_equilibrium(Km)
         out.append((m, omega_factor(Em, ctx.a)))
     return out
 

@@ -64,8 +64,10 @@ from .numerics import LPProblem, _dct1, _fast_len, lp_maximize
 SEED_PER_DEGREE = 1
 SCAN_PER_DEGREE = 16
 VALIDATION_PER_DEGREE = 128
-# accepted overshoot of the exchange loop's witness above 1
+# accepted overshoot of the exchange loop's witness above 1, and the loop's
+# round cap (read at each solve)
 EXCHANGE_TOL = 1e-9
+EXCHANGE_ROUNDS = 30
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +257,9 @@ def _refined_maxima(
     isloc = np.hstack([edge, vals[:, 1:] >= vals[:, :-1]]) & np.hstack(
         [vals[:, :-1] >= vals[:, 1:], edge]
     )
+    # a run of tied maxima keeps its first sample: a flat |P| would otherwise
+    # be polished at every scan angle
+    isloc[:, 1:] &= ~(isloc[:, :-1] & (vals[:, 1:] == vals[:, :-1]))
     comp, j = np.nonzero(isloc)
     t0 = theta[j]
     for _ in range(3):
@@ -338,14 +343,13 @@ def _solve_once(
     w: np.ndarray,
     objective: np.ndarray,
     grid: np.ndarray,
-    cfg: NumericsConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """Working-set LP plus exchange, seeded with ``grid``.
 
     One LP per call: each round appends its new points' rows to it, and
     HiGHS re-solves it warm from its last basis.  Returns (node values,
     then x and |P(x)| at the refined maxima of that witness, rounds, and
-    whether the loop stopped at ``lp_exchange_rounds``).
+    whether the loop stopped at ``EXCHANGE_ROUNDS``).
     """
     sep = 1e-13 * (K.max - K.min)
 
@@ -359,7 +363,7 @@ def _solve_once(
     best_worst = np.inf
     stall = 0
     capped = False
-    for rounds in range(1, cfg.lp_exchange_rounds + 1):
+    for rounds in range(1, EXCHANGE_ROUNDS + 1):
         xs, ms = maxima(vals)
         worst = float(np.max(ms))
         if worst <= 1.0 + EXCHANGE_TOL:
@@ -417,7 +421,7 @@ def markov_extremal(
     # would not give back
     for doubling in (1, 2):
         seed = _arccos_grid(K, doubling * SEED_PER_DEGREE * (n + 1))
-        vals, xs, ms, rounds, capped = _solve_once(K, n, nodes, w, d, seed, cfg)
+        vals, xs, ms, rounds, capped = _solve_once(K, n, nodes, w, d, seed)
         check = _angle_values(lambda x: _bary_eval(x, nodes, w, vals), K, n,
                               doubling * VALIDATION_PER_DEGREE * (n + 1))
         if np.max(np.abs(check)) <= 1.0 + 1e-6:
@@ -425,8 +429,7 @@ def markov_extremal(
         if capped:
             raise NumericsError(
                 f"witness validation failed at degree {n}: the exchange loop stopped at "
-                f"lp_exchange_rounds = {cfg.lp_exchange_rounds} with overshoot "
-                f"{float(np.max(ms)) - 1.0:.2e}"
+                f"its cap of {EXCHANGE_ROUNDS} rounds with overshoot {float(np.max(ms)) - 1.0:.2e}"
             )
     else:
         raise NumericsError(
@@ -464,7 +467,7 @@ def markov_study(
     _check_degrees(degs, cfg)
     if any(n2 <= n1 for n1, n2 in zip(degs, degs[1:])):
         raise SetSpecError("degrees must be strictly increasing")
-    E = solve_equilibrium(K, cfg)
+    E = solve_equilibrium(K)
     limit = 2.0 * math.pi**2 * omega_factor(E, a) ** 2
     rows = tuple(markov_extremal(E, a, n, cfg) for n in degs)
     flagged = tuple(r.degree for r in rows if r.ratio > limit * 1.02)
@@ -485,7 +488,7 @@ def derivative_norm_probe(
     ctx = check_interval_condition(K, a)
     theta = np.linspace(0.0, np.pi, grid_points)
     probes = a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta)
-    E = solve_equilibrium(K, cfg)
+    E = solve_equilibrium(K)
     at_a = markov_extremal(E, a, n, cfg).value
     best = 0.0
     for x in probes:
@@ -540,7 +543,7 @@ def bernstein_walsh_audit(
         raise SetSpecError(f"audit point {z} must lie outside the set")
     n = P.degree()
     norm = _poly_norm_on_set(P, E.set, n)
-    return abs(P(z)) / (norm * math.exp(n * green(E, z)))
+    return float(abs(P(z)) / (norm * math.exp(n * green(E, z))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,16 @@ into range(count), ``count`` 1 by default) at the nodes t, one leading row
 each, and every function stops doubling by its own rule, no longer sampled
 once it settles.
 
-* ``_gauss_cheb_adaptive(f, u, v[, cfg, count])``: Gauss-Chebyshev sums of
+* ``_gauss_cheb_adaptive(f, u, v[, count])``: Gauss-Chebyshev sums of
   int_u^v f(t) / sqrt((t-u)(v-t)) dt for smooth f (the inverse-square-root
   endpoint singularities are absorbed by the weight), with node doubling
-  from ``quad_min_nodes`` (16 by default) until successive estimates agree
-  relative to the largest component of each integrand.  ``balayage_mass``
-  integrates one function; ``decomposition_residual`` integrates its
-  pieces of the set, and the equilibrium solver's first gap pass and gap
-  verifier the moments of all gaps, each in one call, mapped onto [-1, 1]
-  and taken in that reference variable, so the relative test means the
-  same at any scale.
+  from ``QUAD_MIN_NODES`` = 16 up to ``QUAD_MAX_NODES`` until successive
+  estimates agree to ``QUAD_REL_TOL`` relative to the largest component of
+  each integrand.  ``balayage_mass`` integrates one function;
+  ``decomposition_residual`` integrates its pieces of the set, and the
+  equilibrium solver's first gap pass and gap verifier the moments of all
+  gaps, each in one call, mapped onto [-1, 1] and taken in that reference
+  variable, so the relative test means the same at any scale.
 * ``chebyshev_expand(f, u, v[, count])``: adaptively truncated Chebyshev
   coefficients of smooth functions on [u, v], as the equilibrium solver
   expands the density factors of all components together.  Chebyshev
@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .config import DEFAULTS, NumericsConfig
 from .errors import NumericsError, SetSpecError
 
 if TYPE_CHECKING:
@@ -55,12 +54,17 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # quadrature
 
+# Gauss-Chebyshev quadrature: node range and the relative change between
+# successive estimates that settles an integrand; read at each call
+QUAD_MIN_NODES = 16
+QUAD_MAX_NODES = 1 << 16
+QUAD_REL_TOL = 1e-13
+
 
 def _gauss_cheb_adaptive(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     u: float,
     v: float,
-    cfg: NumericsConfig = DEFAULTS,
     count: int = 1,
 ) -> np.ndarray:
     """int_u^v f(t)/sqrt((t-u)(v-t)) dt of ``count`` integrands by
@@ -68,9 +72,9 @@ def _gauss_cheb_adaptive(
 
     f(t, rows) gives the integrands numbered ``rows`` at the nodes t as a
     (len(rows), N) or (len(rows), k, N) array; the result has shape (count,)
-    or (count, k).  Each integrand's node count doubles from quad_min_nodes
+    or (count, k).  Each integrand's node count doubles from QUAD_MIN_NODES
     until the sup-change between its successive estimates falls below
-    quad_rel_tol relative to its largest component magnitude; the sum is
+    QUAD_REL_TOL relative to its largest component magnitude; the sum is
     exact for polynomial f of degree < 2N at N nodes.
     """
     if not v > u:
@@ -78,15 +82,15 @@ def _gauss_cheb_adaptive(
     mid, half = (u + v) / 2.0, (v - u) / 2.0
     todo = np.arange(count)
     out = prev = None
-    N = cfg.quad_min_nodes
-    while N <= cfg.quad_max_nodes:
+    N = QUAD_MIN_NODES
+    while N <= QUAD_MAX_NODES:
         theta = (2.0 * np.arange(1, N + 1) - 1.0) * np.pi / (2.0 * N)
         t = mid + half * np.cos(theta)
         est = np.asarray(f(t, todo), dtype=float).sum(axis=-1) * (np.pi / N)
         if prev is not None:
             axes = tuple(range(1, est.ndim))
             scale = np.maximum(np.abs(est).max(axis=axes), np.abs(prev).max(axis=axes))
-            done = (scale == 0.0) | (np.abs(est - prev).max(axis=axes) <= cfg.quad_rel_tol * scale)
+            done = (scale == 0.0) | (np.abs(est - prev).max(axis=axes) <= QUAD_REL_TOL * scale)
             out[todo[done]] = est[done]
             todo, est = todo[~done], est[~done]
             if not todo.size:
@@ -97,7 +101,7 @@ def _gauss_cheb_adaptive(
         N *= 2
     raise NumericsError(
         f"endpoint-singular quadrature of integrand {todo[0]} on [{u}, {v}] did not "
-        f"converge at {cfg.quad_max_nodes} nodes; last estimate {np.ravel(est[0])[:4]}"
+        f"converge at {QUAD_MAX_NODES} nodes; last estimate {np.ravel(est[0])[:4]}"
     )
 
 

@@ -37,7 +37,6 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULTS, NumericsConfig
 from .equilibrium import EquilibriumData, omega_factor, solve_equilibrium
 from .errors import SetSpecError
 from .extremal import _poly_norm_on_set
@@ -279,14 +278,14 @@ def audit_bound(
     )
 
 
-def audit_witness(wit: SchurWitness, cfg: NumericsConfig = DEFAULTS) -> AuditReport:
+def audit_witness(wit: SchurWitness) -> AuditReport:
     """Audit a built witness on its own target set with the constant h = h_a."""
     K = wit.map.target_set
     ctx = check_interval_condition(K, wit.map.a)
-    return audit_bound(wit, lambda x: wit.h_a, K, ctx, wit.n, solve_equilibrium(K, cfg))
+    return audit_bound(wit, lambda x: wit.h_a, K, ctx, wit.n, solve_equilibrium(K))
 
 
-def counterexample_demo(n: int, cfg: NumericsConfig = DEFAULTS) -> AuditReport:
+def counterexample_demo(n: int) -> AuditReport:
     """Audit P_n = T_{n+1}'/(n+1) on [-2, 1] with a = 1, rho = 1.
 
     The local hypothesis holds with h(x) = 1/sqrt(1+x), the global one fails
@@ -297,7 +296,7 @@ def counterexample_demo(n: int, cfg: NumericsConfig = DEFAULTS) -> AuditReport:
         raise SetSpecError(f"counterexample needs n >= 1, got {n}")
     K = IntervalSet(((-2.0, 1.0),))
     ctx = check_interval_condition(K, 1.0, rho=1.0)
-    E = solve_equilibrium(K, cfg)
+    E = solve_equilibrium(K)
 
     def h(x: float) -> float:
         return 1.0 / math.sqrt(1.0 + x)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equipot import cli
+from equipot import cli, numerics
 
 
 def run_cli(args, capsys):
@@ -237,7 +237,7 @@ class TestExitCodes:
 
     def test_numeric_error_exit_3(self, capsys, monkeypatch):
         # starve the quadrature so it cannot converge
-        monkeypatch.setenv("EQUIPOT_CONFIG", '{"quad_max_nodes": 16}')
+        monkeypatch.setattr(numerics, "QUAD_MAX_NODES", 16)
         code, _, err = run_cli(
             ["capacity", "--set", '{"intervals":[[-2,0],[1,2]]}'], capsys
         )
@@ -247,10 +247,9 @@ class TestExitCodes:
     def test_invariant_violation_exit_4(self, tmp_path, capsys, monkeypatch):
         # a 2-node quadrature that instantly "converges" breaks the
         # balayage unit-mass audit
-        monkeypatch.setenv(
-            "EQUIPOT_CONFIG",
-            '{"quad_min_nodes": 2, "quad_max_nodes": 4, "quad_rel_tol": 1.0}',
-        )
+        monkeypatch.setattr(numerics, "QUAD_MIN_NODES", 2)
+        monkeypatch.setattr(numerics, "QUAD_MAX_NODES", 4)
+        monkeypatch.setattr(numerics, "QUAD_REL_TOL", 1.0)
         code, out, err = run_cli(
             ["balayage", "--x", "2", "--b", "-1", "--a", "1", "--t", "0"], capsys
         )

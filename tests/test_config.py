@@ -5,10 +5,11 @@ import json
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from equipot import SetSpecError, cli
-from equipot.config import DEFAULTS, NumericsConfig, load_config
+from equipot import SetSpecError, cli, numerics
+from equipot.config import DEFAULTS, NumericsConfig
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "equipot"
 
@@ -18,6 +19,7 @@ REMOVED = (
     "lp_feasibility_tol", "lp_gap_tol", "lp_grid_per_degree",
     "lp_validation_factor", "lp_exchange_tol",
     "density_edge_guard", "potential_probe_count",
+    "quad_min_nodes", "quad_max_nodes", "quad_rel_tol", "lp_exchange_rounds",
 )
 
 
@@ -35,10 +37,9 @@ def test_every_field_is_read():
     assert unread == [], f"NumericsConfig fields no module reads as cfg.<field>: {unread}"
 
 
-def test_the_six_fields():
+def test_the_two_fields():
     assert [f.name for f in dataclasses.fields(NumericsConfig)] == [
-        "quad_min_nodes", "quad_max_nodes", "quad_rel_tol",
-        "lp_exchange_rounds", "cantor_level_cap", "markov_degree_cap",
+        "cantor_level_cap", "markov_degree_cap",
     ]
 
 
@@ -53,7 +54,7 @@ def test_removed_key_refused(key, capsys, monkeypatch):
 @pytest.mark.parametrize("override,key", [
     ('{"cantor_level_cap": "3"}', "cantor_level_cap"),
     ('{"quad_max_nodes": null}', "quad_max_nodes"),
-    ('{"quad_max_nodes": 8}', "quad_max_nodes"),         # below quad_min_nodes
+    ('{"quad_max_nodes": 8}', "quad_max_nodes"),
     ('{"quad_min_nodes": 0}', "quad_min_nodes"),
     ('{"markov_degree_cap": true}', "markov_degree_cap"),
     ('{"lp_exchange_rounds": -1}', "lp_exchange_rounds"),
@@ -63,19 +64,33 @@ def test_removed_key_refused(key, capsys, monkeypatch):
     ('{"quad_rel_tol": "1e-12"}', "quad_rel_tol"),
 ])
 def test_bad_value_refused(override, key, capsys, monkeypatch):
+    # a former field is refused as an unknown key before its value is read
     code, out, err = capacity_with(override, capsys, monkeypatch)
     assert (code, out) == (2, "")
     rec = json.loads(err)
     assert rec["error"] == "parse" and rec["type"] == "SetSpecError"
     assert repr(key) in rec["message"]
+    assert rec["message"].startswith("unknown config keys") == (key in REMOVED)
 
 
-def test_starvation_settings_stay_valid():
-    env = {"EQUIPOT_CONFIG": '{"quad_min_nodes": 2, "quad_max_nodes": 4, "quad_rel_tol": 1.0}'}
-    cfg = load_config(env)
-    assert (cfg.quad_min_nodes, cfg.quad_max_nodes, cfg.quad_rel_tol) == (2, 4, 1.0)
+def test_starvation_settings_stay_valid(monkeypatch):
+    # the quadrature constants are read at each call, so starved values take
+    # effect without a reload: 2 nodes, then 4, where a tolerance of 1 settles
+    monkeypatch.setattr(numerics, "QUAD_MIN_NODES", 2)
+    monkeypatch.setattr(numerics, "QUAD_MAX_NODES", 4)
+    monkeypatch.setattr(numerics, "QUAD_REL_TOL", 1.0)
+    seen = []
+
+    def f(t, rows):
+        seen.append(len(t))
+        return np.exp(t)[None]
+
+    got = numerics._gauss_cheb_adaptive(f, -1.0, 1.0)[0]
+    assert seen == [2, 4]
+    assert got == pytest.approx(np.pi / 4 * np.sum(np.exp(np.cos(np.pi * np.arange(1, 8, 2) / 8))),
+                                rel=1e-15)
 
 
 def test_library_construction_checked_too():
-    with pytest.raises(SetSpecError, match="quad_max_nodes"):
-        dataclasses.replace(DEFAULTS, quad_max_nodes=DEFAULTS.quad_min_nodes - 1)
+    with pytest.raises(SetSpecError, match="markov_degree_cap"):
+        dataclasses.replace(DEFAULTS, markov_degree_cap=-1)

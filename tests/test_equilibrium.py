@@ -26,8 +26,7 @@ from equipot import (
     solve_equilibrium,
     to_record,
 )
-from equipot import equilibrium
-from equipot.config import DEFAULTS, NumericsConfig
+from equipot import equilibrium, numerics
 from equipot.equilibrium import q_value
 from equipot.numerics import EXPAND_MIN_NODES
 from conftest import random_interval_set
@@ -111,13 +110,12 @@ class TestGapRootSolver:
         assert len(r) == 255
         assert np.max(np.abs(r + r[::-1] - 1.0)) <= 1e-12
 
-    def test_unconverged_gap_quadrature_names_the_gap(self):
-        from equipot.config import NumericsConfig
-
+    def test_unconverged_gap_quadrature_names_the_gap(self, monkeypatch):
         K = IntervalSet(((0.0, 1.0), (1.5, 1.6), (3.0, 4.0)))
-        cfg = NumericsConfig(quad_min_nodes=2, quad_max_nodes=4)
+        monkeypatch.setattr(numerics, "QUAD_MIN_NODES", 2)
+        monkeypatch.setattr(numerics, "QUAD_MAX_NODES", 4)
         with pytest.raises(NumericsError, match=r"gap quadrature on \[1\.0, 1\.5\] .* 4 nodes"):
-            solve_equilibrium(K, cfg)
+            solve_equilibrium(K)
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-9])
     def test_unresolved_table_names_the_component_and_gap(self, gap):
@@ -174,16 +172,21 @@ def scaled(K, s):
 
 
 class TestQuadratureFloor:
-    """The gap doublings start at DEFAULTS.quad_min_nodes = 16 nodes; the
+    """The gap doublings start at numerics.QUAD_MIN_NODES = 16 nodes; the
     frame-local moments keep their stopping test scale-free, so the low
     floor gives the answers of a floor of 64 at any scale."""
 
-    FLOOR_64 = NumericsConfig(quad_min_nodes=64)
     SYM2 = IntervalSet(((-1.0, -0.5), (0.5, 1.0)))
 
     @staticmethod
-    def _agree(K, cap_rtol=1e-13, cfg=DEFAULTS):
-        got, want = solve_equilibrium(K, cfg), solve_equilibrium(K, TestQuadratureFloor.FLOOR_64)
+    def _solve_at_floor(K, floor):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "QUAD_MIN_NODES", floor)
+            return solve_equilibrium(K)
+
+    @staticmethod
+    def _agree(K, cap_rtol=1e-13, floor=numerics.QUAD_MIN_NODES):
+        got, want = (TestQuadratureFloor._solve_at_floor(K, f) for f in (floor, 64))
         lengths = np.array([g1 - g0 for g0, g1 in K.gaps()])
         # 1e-12 of the gap, plus two binary64 spacings of the root: a gap of
         # 3.8e-5 near 1 (Cantor level 7, ratio 0.2) is 3.5e11 spacings long
@@ -196,7 +199,7 @@ class TestQuadratureFloor:
     def test_low_floor_solves_at_extreme_scale(self, s):
         # int t g of a symmetric gap is rounding noise of size ~1e84 at scale
         # 1e100, which an absolute first moment let swamp the stopping test
-        self._agree(scaled(self.SYM2, s), cfg=NumericsConfig(quad_min_nodes=8))
+        self._agree(scaled(self.SYM2, s), floor=8)
 
     @pytest.mark.parametrize("N", [2, 3, 17, 64, 100, 128])
     @pytest.mark.parametrize("c", [1.01, 1.2, 3.0, 50.0])
@@ -217,7 +220,7 @@ class TestQuadratureFloor:
     def test_first_pass_settles_at_low_counts(self):
         K = cheb_image_roots(2.0, 64, 1.0, 0.0)[0]
         gaps = np.asarray(K.gaps()).reshape(-1, 2)
-        levels, _ = equilibrium._gap_means(K, gaps.mean(axis=1), DEFAULTS)
+        levels, _ = equilibrium._gap_means(K, gaps.mean(axis=1))
         groups = equilibrium._settled(levels)
         low = sum(rows.size for nodes, rows in groups if nodes.t.shape[1] <= 32)
         assert low >= 0.9 * len(gaps)
@@ -239,7 +242,7 @@ class TestSolveWork:
             return step(groups, lam, lo, hi)
 
         monkeypatch.setattr(equilibrium, "_newton_gap_step", counted)
-        roots, levels = equilibrium._solve_gap_roots(K, DEFAULTS)
+        roots, levels = equilibrium._solve_gap_roots(K)
         assert len(passes) <= 3
         # the pass the prediction skipped moves no root by more than 1e-12 of
         # its gap, plus two binary64 spacings of the root
@@ -250,9 +253,9 @@ class TestSolveWork:
     @pytest.mark.parametrize("K", [cheb_image_roots(50.0, 17, 1.0, 0.0)[0], cantor_set(7, 0.45),
                                    cantor_set(6)], ids=["cheb17", "cantor7", "cantor6"])
     def test_verifier_reuses_the_endpoint_sums_bit_for_bit(self, K):
-        roots, first = equilibrium._solve_gap_roots(K, DEFAULTS)
-        reused, mean = equilibrium._gap_means(K, roots, DEFAULTS, first)
-        fresh, want = equilibrium._gap_means(K, roots, DEFAULTS)
+        roots, first = equilibrium._solve_gap_roots(K)
+        reused, mean = equilibrium._gap_means(K, roots, first)
+        fresh, want = equilibrium._gap_means(K, roots)
         assert np.array_equal(mean, want)
         for a, b in zip(reused, fresh, strict=True):
             assert np.array_equal(a.idx, b.idx)
@@ -294,8 +297,8 @@ class TestGapVerifier:
     def _returning(monkeypatch, move):
         solve = equilibrium._solve_gap_roots
 
-        def patched(K, cfg):
-            roots, levels = solve(K, cfg)
+        def patched(K):
+            roots, levels = solve(K)
             return move(K, roots.copy()), levels
 
         monkeypatch.setattr(equilibrium, "_solve_gap_roots", patched)

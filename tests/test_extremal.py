@@ -190,28 +190,64 @@ class TestMarkovExtremal:
         assert r.overshoot <= EXCHANGE_TOL
         assert not r.grid_doubled
 
-    def test_overshoot_reports_an_unfinished_loop(self):
+    def test_overshoot_reports_an_unfinished_loop(self, monkeypatch):
         # from the (n + 1)-point seed, three rounds at n = 30 leave the
         # witness about 1e-7 above 1, below the validation grid's 1e-6
-        capped = dataclasses.replace(DEFAULTS, lp_exchange_rounds=3)
-        r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 30, capped)
+        monkeypatch.setattr(extremal, "EXCHANGE_ROUNDS", 3)
+        r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 30)
         assert r.exchange_rounds == 3
         assert r.overshoot > EXCHANGE_TOL
         # renormalised by its refined sup-norm, the value stays a lower bound;
         # the exact value grows like k^2 along n = 3k
         assert r.value < STALL3_VALUE * (30 / 24) ** 2 * (1.0 - 0.5 * r.overshoot)
 
+    @staticmethod
+    def _counted_solves(monkeypatch):
+        """A list that each _solve_once call appends to."""
+        solves, solve_once = [], extremal._solve_once
+        monkeypatch.setattr(extremal, "_solve_once",
+                            lambda *args: solves.append(1) or solve_once(*args))
+        return solves
+
     def test_round_cap_is_named_when_validation_fails(self, monkeypatch):
         # two rounds at n = 24 leave the witness above the validation grid's
         # 1e-6; a doubled seed under the same cap would not finish the loop
-        solves = []
-        solve_once = extremal._solve_once
-        monkeypatch.setattr(extremal, "_solve_once",
-                            lambda *args: solves.append(1) or solve_once(*args))
-        capped = dataclasses.replace(DEFAULTS, lp_exchange_rounds=2)
-        with pytest.raises(NumericsError, match=r"lp_exchange_rounds = 2 with overshoot \d"):
-            markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24, capped)
+        solves = self._counted_solves(monkeypatch)
+        monkeypatch.setattr(extremal, "EXCHANGE_ROUNDS", 2)
+        with pytest.raises(NumericsError, match=r"its cap of 2 rounds with overshoot \d"):
+            markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24)
         assert len(solves) == 1
+
+    @staticmethod
+    def _validation_overshoots(monkeypatch, times):
+        """The first ``times`` validation grids (M >= VALIDATION_PER_DEGREE
+        (n + 1)) report |P| = 1 + 1e-5; every other angle grid is left as it
+        is.  Returns the counted _solve_once calls."""
+        angle_values, seen = extremal._angle_values, []
+
+        def overshooting(evalP, K, n, M):
+            out = angle_values(evalP, K, n, M)
+            if M >= extremal.VALIDATION_PER_DEGREE * (n + 1):
+                seen.append(M)
+                if len(seen) <= times:
+                    out[0, 0] = 1.0 + 1e-5
+            return out
+
+        monkeypatch.setattr(extremal, "_angle_values", overshooting)
+        return TestMarkovExtremal._counted_solves(monkeypatch)
+
+    def test_failed_validation_doubles_the_grids(self, monkeypatch):
+        solves = self._validation_overshoots(monkeypatch, 1)
+        r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24)
+        assert r.grid_doubled and len(solves) == 2
+        assert r.value == pytest.approx(STALL3_VALUE, rel=1e-9)
+        assert r.overshoot <= EXCHANGE_TOL
+
+    def test_second_failed_validation_is_an_error(self, monkeypatch):
+        solves = self._validation_overshoots(monkeypatch, 2)
+        with pytest.raises(NumericsError, match="after one grid refinement at degree 24"):
+            markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24)
+        assert len(solves) == 2
 
     def test_single_interval_needs_no_lp_rows(self, E_unit, monkeypatch):
         # the n + 1 seed points of [-1, 1] are the interpolation nodes
@@ -240,6 +276,8 @@ def _refined_maxima_loop(evalP, K, n, per_degree=16):
         vals = np.abs(evalP(mid + half * np.cos(theta)))
         isloc = np.r_[True, vals[1:] >= vals[:-1]] & np.r_[vals[:-1] >= vals[1:], True]
         for j in np.nonzero(isloc)[0]:
+            if j and isloc[j - 1] and vals[j] == vals[j - 1]:
+                continue  # a run of tied maxima is polished from its first sample
             t0, h = theta[j], theta[1] - theta[0]
             for _ in range(3):
                 tt = np.clip(np.array([t0 - h, t0, t0 + h]), 0.0, np.pi)
@@ -339,6 +377,19 @@ class TestRefinedMaxima:
         assert len(xs) == len(want)
         assert np.allclose(xs, [x for x, _ in want], rtol=0.0, atol=1e-9 * (K.max - K.min))
         assert np.allclose(ms, [m for _, m in want], rtol=1e-13, atol=0.0)
+
+    def test_flat_p_keeps_one_maximum_per_component(self):
+        # every scan sample of a zero P ties with its neighbours; polishing
+        # each of them took 16,040 maxima and 161,402 points at n = 500
+        points = []
+
+        def zero(x):
+            points.append(len(x))
+            return np.zeros(len(x))
+
+        xs, ms = _refined_maxima(zero, SYM2, 500)
+        assert len(xs) <= SYM2.m and np.all(ms == 0.0)
+        assert sum(points) <= 1100
 
 
 def _on_angle_grid(K, M):
@@ -585,6 +636,11 @@ class TestBernsteinWalshAudit:
             P = Chebyshev(rng.standard_normal(11), domain=(-2.0, 1.0))
             worst = max(worst, bernstein_walsh_audit(E_wide, P, 2.0))
         assert worst <= 1.001
+
+    def test_both_audits_return_float(self, E_unit):
+        P = Chebyshev.basis(4)
+        assert type(bernstein_walsh_audit(E_unit, P, 2.0)) is float
+        assert type(bernstein_audit(E_unit, P, [0.3])) is float
 
     def test_rejects_point_in_set(self, E_unit):
         with pytest.raises(SetSpecError):
