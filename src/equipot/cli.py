@@ -530,7 +530,7 @@ def _error_record(kind: str, exc: Exception) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         return run(build_parser().parse_args(argv), load_config())
-    except (SetSpecError, json.JSONDecodeError) as exc:
+    except SetSpecError as exc:
         print(_error_record("parse", exc), file=sys.stderr)
         return EXIT_PARSE
     except NumericsError as exc:

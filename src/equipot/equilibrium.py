@@ -63,12 +63,15 @@ a component and G the smooth factor of w there, the component's
 contribution to U(x) = int log(1/|x-t|) w(t) dt is a closed-form series in
 the Chebyshev coefficients of G, valid for x inside the component, in a
 gap, or outside the set, with geometric convergence and no special handling
-of the log singularity.  Robin constant and capacity use the unit total
-mass of the equilibrium measure, not the tables' summed mass (which
-``EquilibriumData.mass`` still reports): the half-lengths enter in units of
-ell, a quarter of the hull's length, and log(1/ell) is added once with
-mass 1.  The summed mass is 1 only to about 1e-15, and its error times
-|log ell|, 230 at scale 1e100, would be the largest one in the capacity;
+of the log singularity.  The coefficients of all components are one
+zero-padded array, ``EquilibriumData.coeffs``, formed once per solve and
+read as it is by the potential and by the Markov probe's node quantiles.
+Robin constant and capacity use the unit total mass of the equilibrium
+measure, not the tables' summed mass (which ``EquilibriumData.mass``
+still reports): the half-lengths enter in units of ell, a quarter of the
+hull's length, and log(1/ell) is added once with mass 1.  The summed mass
+is 1 only to about 1e-15, and its error times |log ell|, 230 at scale
+1e100, would be the largest one in the capacity;
 the paired gap factors alone leave (3 T_17)^-1[-1,1] at scale 1e100 1.8e-13
 off its exact capacity, the two together make cap(alpha K) = |alpha| cap K
 hold to 1e-13 for |alpha| from 1e-100 to 1e100.  At scale near 1 the two
@@ -90,7 +93,7 @@ import numpy as np
 
 from . import numerics
 from .errors import NumericsError, SetSpecError
-from .interval_sets import EndpointContext, IntervalSet, outer_approx
+from .interval_sets import EndpointContext, IntervalSet, _component_frames, outer_approx
 from .numerics import EXPAND_MAX_NODES, _gauss_cheb_adaptive, chebyshev_expand
 
 # density is undefined within this fraction of its component's half-length
@@ -101,35 +104,24 @@ ROBIN_PROBE_COUNT = 5
 
 
 @dataclasses.dataclass(frozen=True)
-class ComponentTable:
-    """Chebyshev expansion of the smooth density factor on one component.
-
-    With t = mid + half*s, G(s) collects |q(t)| and the square roots of the
-    distances to all endpoints of the *other* components, so that
-    w(t) dt = G(s)/sqrt(1 - s^2) * half ds on the component.  The leading
-    coefficient carries the component's equilibrium mass.
-    """
-
-    mid: float
-    half: float
-    coeffs: tuple[float, ...]
-
-    @property
-    def mass(self) -> float:
-        return self.half * math.pi * self.coeffs[0]
-
-
-@dataclasses.dataclass(frozen=True)
 class EquilibriumData:
     """A solved set: roots of the gap polynomial, Robin constant, capacity,
-    total density mass, and per-component tables."""
+    total density mass, and the component tables ``coeffs``.
+
+    Row j of ``coeffs`` holds the Chebyshev coefficients of G on component
+    j, zero-padded to the longest row.  With t = mid + half*s on the
+    component, G(s) collects |q(t)| and the square roots of the distances
+    to all endpoints of the *other* components, so that w(t) dt =
+    G(s)/sqrt(1 - s^2) * half ds there; the component's equilibrium mass is
+    half*pi*c_0.
+    """
 
     set: IntervalSet
     roots: tuple[float, ...]
     robin: float
     cap: float
     mass: float
-    tables: tuple[ComponentTable, ...] = dataclasses.field(repr=False)
+    coeffs: np.ndarray = dataclasses.field(repr=False, compare=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -413,23 +405,26 @@ def solve_equilibrium(K: IntervalSet) -> EquilibriumData:
         raise SetSpecError("equilibrium needs all intervals non-degenerate; widen() first")
     roots, levels = _solve_gap_roots(K)
     _verify_gap_conditions(K, roots, levels)
-    tables = _component_tables(K, roots)
-    mass = float(sum(tab.mass for tab in tables))
-    robin = float(np.mean(_potential_from_tables(tables, np.asarray(_robin_probes(K)))))
+    coeffs = _component_tables(K, roots)
+    half = _component_frames(K)[3]
+    mass = sum((half * math.pi * coeffs[:, 0]).tolist())
+    robin = float(np.mean(_potential_from_tables(K, coeffs, _robin_probes(K))))
     cap = math.exp(-robin)
     return EquilibriumData(
         set=K, roots=tuple(float(r) for r in roots), robin=robin, cap=cap,
-        mass=mass, tables=tables,
+        mass=mass, coeffs=coeffs,
     )
 
 
-def _component_tables(K: IntervalSet, roots: np.ndarray) -> tuple[ComponentTable, ...]:
-    """Every component's table from one batched expansion: at each doubling
-    level the still-open components are sampled together, block by block
-    (``_log_factor``).  If the expansion does not resolve, the error names
-    the component left open at the last level next to the narrowest gap."""
+def _component_tables(K: IntervalSet, roots: np.ndarray) -> np.ndarray:
+    """Every component's table from one batched expansion, as the
+    zero-padded (K.m, terms) array of ``EquilibriumData.coeffs``: at each
+    doubling level the still-open components are sampled together, block
+    by block (``_log_factor``).  If the expansion does not resolve, the
+    error names the component left open at the last level next to the
+    narrowest gap."""
     ends = np.asarray(K.endpoints())
-    mid, half = (ends[::2] + ends[1::2]) / 2.0, (ends[1::2] - ends[::2]) / 2.0
+    _, _, mid, half = _component_frames(K)
     sampled = []
 
     def G(s, rows):
@@ -438,7 +433,7 @@ def _component_tables(K: IntervalSet, roots: np.ndarray) -> tuple[ComponentTable
         return np.exp(_log_factor(t, rows, roots, ends)) / (np.pi * half[rows, None])
 
     try:
-        coeffs = chebyshev_expand(G, -1.0, 1.0, count=K.m)
+        rows = chebyshev_expand(G, -1.0, 1.0, count=K.m)
     except NumericsError:
         gap = np.r_[np.inf, np.diff(ends)[1::2], np.inf]
         near = np.minimum(gap[:-1], gap[1:])[sampled[-1]]
@@ -447,25 +442,23 @@ def _component_tables(K: IntervalSet, roots: np.ndarray) -> tuple[ComponentTable
             f"density table of [{ends[2 * j]}, {ends[2 * j + 1]}] did not resolve at "
             f"{EXPAND_MAX_NODES} nodes next to a gap of width {near.min():.3e}"
         ) from None
-    return tuple(
-        ComponentTable(mid=float(a), half=float(h), coeffs=tuple(c.tolist()))
-        for a, h, c in zip(mid, half, coeffs)
-    )
+    coeffs = np.zeros((K.m, max(map(len, rows))))
+    for j, c in enumerate(rows):
+        coeffs[j, :len(c)] = c
+    return coeffs
 
 
-def _robin_probes(K: IntervalSet) -> list[float]:
-    """ROBIN_PROBE_COUNT deterministic interior points spread over the set."""
+def _robin_probes(K: IntervalSet) -> np.ndarray:
+    """ROBIN_PROBE_COUNT deterministic interior points spread over the set:
+    component midpoints, and with fewer components than probes, more
+    points inside the widest one."""
+    u, v, mid, half = _component_frames(K)
     if K.m >= ROBIN_PROBE_COUNT:
-        idx = np.unique(np.round(np.linspace(0, K.m - 1, ROBIN_PROBE_COUNT)).astype(int))
-        return [(K.intervals[j][0] + K.intervals[j][1]) / 2.0 for j in idx]
-    probes = [(u + v) / 2.0 for u, v in K.intervals]
-    widest = max(range(K.m), key=lambda j: K.intervals[j][1] - K.intervals[j][0])
-    u, v = K.intervals[widest]
-    mid, half = (u + v) / 2.0, (v - u) / 2.0
+        return mid[np.unique(np.round(np.linspace(0, K.m - 1, ROBIN_PROBE_COUNT)).astype(int))]
+    widest = np.argmax(v - u)
     extra = ROBIN_PROBE_COUNT - K.m
     angles = np.pi * np.arange(1, extra + 1) / (extra + 2)
-    probes.extend(mid + half * 0.8 * np.cos(angles))
-    return probes[:ROBIN_PROBE_COUNT]
+    return np.concatenate([mid, mid[widest] + half[widest] * 0.8 * np.cos(angles)])
 
 
 # ---------------------------------------------------------------------------
@@ -519,35 +512,33 @@ def omega_factor(E: EquilibriumData, a: float) -> float:
     return math.exp(lw - 0.5 * math.log(a - ends[2 * j])) / math.pi
 
 
-def _potential_from_tables(tables: Sequence[ComponentTable], x) -> np.ndarray:
-    """U at the points x (any shape) from the component tables.
+def _potential_from_tables(K: IntervalSet, coeffs: np.ndarray, x) -> np.ndarray:
+    """U at the points x (any shape) from the component tables ``coeffs``
+    of K (``EquilibriumData.coeffs``).
 
     With xi = (x - mid)/half, component j adds half pi sum_k c_k phi_k(xi)
     plus c_0 half pi log(1/half), where phi_k(xi) = (1/pi) int log(1/|xi -
     s|) T_k(s)/sqrt(1-s^2) ds has the closed forms log 2 (k = 0) and
     T_k(xi)/k inside [-1, 1], and, with log zeta = arccosh |xi| (zeta =
     |xi| + sqrt(xi^2 - 1)), log 2 - log zeta and sign(xi)^k zeta^-k / k
-    outside.  All components go in one zero-padded (components x terms)
-    coefficient matrix.  The half-lengths enter in units of ell, the
-    capacity of the hull (a quarter of its length), and log(1/ell) with the
-    unit mass of the equilibrium measure: the tables' summed mass would
+    outside.  All components go in one pass over the zero-padded
+    (components x terms) array.  The half-lengths enter in units of ell,
+    the capacity of the hull (a quarter of its length), and log(1/ell) with
+    the unit mass of the equilibrium measure: the tables' summed mass would
     multiply its own rounding by |log ell|, 230 at scale 1e100, while the
     capacity itself is near ell.
     """
-    C = np.zeros((len(tables), max(len(tab.coeffs) for tab in tables)))
-    for j, tab in enumerate(tables):
-        C[j, :len(tab.coeffs)] = tab.coeffs
-    mid = np.array([tab.mid for tab in tables])
-    half = np.array([tab.half for tab in tables])
+    _, _, mid, half = _component_frames(K)
     xi = (np.asarray(x, dtype=float)[..., None] - mid) / half
     inside = np.abs(xi) <= 1.0
     lz = np.arccosh(np.where(inside, 1.0, np.abs(xi)))
-    k = np.arange(1, C.shape[1])
+    k = np.arange(1, coeffs.shape[1])
     theta = np.arccos(np.clip(xi, -1.0, 1.0))[..., None]
     sign = np.where((xi[..., None] < 0) & (k % 2 == 1), -1.0, 1.0)
     phik = np.where(inside[..., None], np.cos(k * theta), sign * np.exp(-k * lz[..., None])) / k
     ell = ((mid + half).max() - (mid - half).min()) / 4.0
-    series = C[:, 0] * (math.log(2.0) - lz - np.log(half / ell)) + np.sum(C[:, 1:] * phik, axis=-1)
+    c0, ck = coeffs[:, 0], coeffs[:, 1:]
+    series = c0 * (math.log(2.0) - lz - np.log(half / ell)) + np.sum(ck * phik, axis=-1)
     return np.sum(half * math.pi * series, axis=-1) - math.log(ell)
 
 
@@ -555,7 +546,7 @@ def equilibrium_potential(E: EquilibriumData, x: float) -> float:
     """Logarithmic potential U(x) = int log(1/|x - t|) dnu(t), any real x."""
     if not math.isfinite(x):
         raise SetSpecError(f"potential needs finite x, got {x}")
-    return float(_potential_from_tables(E.tables, x))
+    return float(_potential_from_tables(E.set, E.coeffs, x))
 
 
 def green(E: EquilibriumData, z: float) -> float:
@@ -709,7 +700,6 @@ def density_table(
 ) -> list[tuple[float, float]]:
     """(t, w(t)) rows on interior arccos-spaced grids, one block per component."""
     theta = np.linspace(0.0, np.pi, points_per_component + 2)[1:-1]
-    ends = np.asarray(E.set.endpoints())
-    u, v = ends[::2, None], ends[1::2, None]
-    ts = ((u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta[::-1])).ravel()
+    _, _, mid, half = _component_frames(E.set)
+    ts = (mid[:, None] + half[:, None] * np.cos(theta[::-1])).ravel()
     return list(zip(ts.tolist(), density(E, ts).tolist()))

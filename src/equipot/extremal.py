@@ -52,9 +52,9 @@ import numpy as np
 from numpy.polynomial import Chebyshev
 
 from .config import DEFAULTS, NumericsConfig
-from .equilibrium import ComponentTable, EquilibriumData, density, green, omega_factor, solve_equilibrium
+from .equilibrium import EquilibriumData, density, green, omega_factor, solve_equilibrium
 from .errors import NumericsError, SetSpecError
-from .interval_sets import IntervalSet, check_interval_condition
+from .interval_sets import IntervalSet, _component_frames, check_interval_condition
 from .numerics import LPProblem, _dct1, _fast_len, lp_maximize
 
 # points per component and per unit of n + 1: the exchange loop's arccos
@@ -74,17 +74,17 @@ EXCHANGE_ROUNDS = 30
 # interpolation nodes at equilibrium quantiles
 
 
-def _quantiles(tables: Sequence[ComponentTable], comp: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Points x of component ``comp[i]`` with equilibrium mass ``levels[i]``
-    on [left end, x]: with x = mid + half*cos(phi) that mass is
+def _quantiles(K: IntervalSet, coeffs: np.ndarray, comp: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Points x of component ``comp[i]`` of K with equilibrium mass
+    ``levels[i]`` on [left end, x], from the component tables ``coeffs``
+    (``EquilibriumData.coeffs``): with x = mid + half*cos(phi) that mass is
     half*(c_0*(pi - phi) - sum_k c_k sin(k phi)/k), falling at the rate
     half*G(cos phi) > 0.  Newton steps from the arcsine quantile (c_0 alone),
     bisecting the bracket whenever a step would leave it, until every step
     is below 1e-10."""
-    L = max(len(tab.coeffs) for tab in tables)
-    c = np.array([tab.coeffs + (0.0,) * (L - len(tab.coeffs)) for tab in tables])[comp]
-    mid, half = np.array([(tab.mid, tab.half) for tab in tables])[comp].T
-    k = np.arange(1, L)
+    _, _, mid, half = _component_frames(K)
+    c, mid, half = coeffs[comp], mid[comp], half[comp]
+    k = np.arange(1, coeffs.shape[1])
     c0, ck, ck_k = c[:, 0], c[:, 1:], c[:, 1:] / k
     lo, hi = np.zeros(len(levels)), np.full(len(levels), np.pi)
     phi = np.pi * (1.0 - levels / (half * np.pi * c0))
@@ -109,7 +109,7 @@ def _interpolation_nodes(E: EquilibriumData, n: int) -> np.ndarray:
     at midpoint levels, which stay distinct and well spread.
     """
     total = n + 1
-    masses = np.array([tab.mass for tab in E.tables])
+    masses = _component_frames(E.set)[3] * math.pi * E.coeffs[:, 0]
     # shares rounded to 9 decimals, so that equal masses tie exactly
     # whatever rounding noise they carry
     raw = np.round(masses / masses.sum() * total, 9)
@@ -119,10 +119,10 @@ def _interpolation_nodes(E: EquilibriumData, n: int) -> np.ndarray:
         levels = masses.sum() * (np.arange(total) + 0.5) / total
         cum = np.concatenate([[0.0], np.cumsum(masses)])
         comp = np.searchsorted(cum, levels) - 1
-        return np.sort(_quantiles(E.tables, comp, levels - cum[comp]))
+        return np.sort(_quantiles(E.set, E.coeffs, comp, levels - cum[comp]))
     comp = np.repeat(np.arange(len(alloc)), alloc - 2)
     levels = np.concatenate([mass * np.arange(1, nj - 1) / (nj - 1) for mass, nj in zip(masses, alloc)])
-    return np.sort(np.concatenate([np.ravel(E.set.intervals), _quantiles(E.tables, comp, levels)]))
+    return np.sort(np.concatenate([np.ravel(E.set.intervals), _quantiles(E.set, E.coeffs, comp, levels)]))
 
 
 def _bary_weights(nodes: np.ndarray) -> np.ndarray:
@@ -197,9 +197,9 @@ def _arccos_grid(K: IntervalSet, per_component: int) -> np.ndarray:
     """``per_component`` arccos-spaced points on each component, clipped
     onto it, since mid -/+ half can round one ulp past an endpoint; all of
     them sorted, without repeats."""
+    u, v, mid, half = _component_frames(K)
     theta = np.linspace(0.0, np.pi, per_component)
-    return np.unique([np.clip((u + v) / 2.0 + (v - u) / 2.0 * np.cos(theta), u, v)
-                      for (u, v) in K.intervals])
+    return np.unique(np.clip(mid[:, None] + half[:, None] * np.cos(theta), u[:, None], v[:, None]))
 
 
 def _angle_values(evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: int, M: int) -> np.ndarray:
@@ -220,8 +220,7 @@ def _angle_values(evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: 
     # at least n + 2 angles, so that the series' last term is an inner one
     # of the padded DCT-I (its end terms carry half weight)
     M = _fast_len(max(M, n + 2) - 1) + 1
-    u, v = np.asarray(K.intervals).T
-    mid, half = (u + v) / 2.0, (v - u) / 2.0
+    u, v, mid, half = _component_frames(K)
     lobatto = np.cos(np.linspace(0.0, np.pi, n + 1))
     x = np.clip(mid[:, None] + half[:, None] * lobatto, u[:, None], v[:, None])
     vals = evalP(x.ravel()).reshape(K.m, n + 1)
@@ -244,8 +243,7 @@ def _refined_maxima(
     together.  A point that rounds past an endpoint is moved onto it, since
     |P| one ulp outside K can exceed its norm on K.
     """
-    u, v = np.asarray(K.intervals).T
-    mid, half = (u + v) / 2.0, (v - u) / 2.0
+    u, v, mid, half = _component_frames(K)
 
     def at(c: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.clip(mid[c] + half[c] * np.cos(t), u[c], v[c])

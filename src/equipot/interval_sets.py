@@ -15,6 +15,8 @@ import json
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .config import DEFAULTS, NumericsConfig
 from .errors import SetSpecError
 
@@ -88,6 +90,13 @@ class IntervalSet:
 
     def to_json(self) -> str:
         return json.dumps({"intervals": [[l, r] for l, r in self.intervals]})
+
+
+def _component_frames(K: IntervalSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, mid, half) arrays over the components [u, v] of K, with t =
+    mid + half*s the component's affine frame on s in [-1, 1]."""
+    u, v = np.asarray(K.intervals).T
+    return u, v, (u + v) / 2.0, (v - u) / 2.0
 
 
 @dataclasses.dataclass(frozen=True)

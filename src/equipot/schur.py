@@ -238,7 +238,7 @@ class AuditReport:
 
 def audit_bound(
     P: Callable[[np.ndarray], np.ndarray],
-    h: Callable[[float], float],
+    h: Callable[[np.ndarray], np.ndarray],
     K: IntervalSet,
     ctx: EndpointContext,
     n: int,
@@ -246,6 +246,9 @@ def audit_bound(
 ) -> AuditReport:
     """Audit one polynomial evaluator against both hypotheses and the bound.
 
+    h maps the array of run-up points to positive values (an array of the
+    same shape, or one value for all of them); it is called once more at
+    the float a for the bound threshold.
     P must have degree <= n: the growth sup-norm samples P as a cosine
     series of degree n on each component of K.
     """
@@ -254,7 +257,7 @@ def audit_bound(
     a = ctx.a
     xs = runup_grid(ctx, LOCAL_GRID_POINTS)
     Px = np.abs(np.asarray(P(xs), dtype=float))
-    hx = np.array([h(float(x)) for x in xs])
+    hx = np.broadcast_to(np.asarray(h(xs), dtype=float), xs.shape)
     if np.any(hx <= 0.0):
         raise SetSpecError("h must be positive on [a - rho, a]")
     local_margin = float(np.max(Px * np.sqrt(a - xs) / hx, initial=0.0))
@@ -263,7 +266,7 @@ def audit_bound(
     sup = _poly_norm_on_set(P, K, n)
     growth = sup ** (1.0 / n) if sup > 0 else 0.0
 
-    threshold = n * 2.0 * math.pi * h(a) * omega_factor(E, a)
+    threshold = n * 2.0 * math.pi * float(h(a)) * omega_factor(E, a)
     point = abs(float(np.asarray(P(np.array([a])), dtype=float)[0]))
     runup_sup = max(float(np.max(Px, initial=0.0)), point)
     return AuditReport(
@@ -297,8 +300,4 @@ def counterexample_demo(n: int) -> AuditReport:
     K = IntervalSet(((-2.0, 1.0),))
     ctx = check_interval_condition(K, 1.0, rho=1.0)
     E = solve_equilibrium(K)
-
-    def h(x: float) -> float:
-        return 1.0 / math.sqrt(1.0 + x)
-
-    return audit_bound(lambda x: h_poly(n, x), h, K, ctx, n, E)
+    return audit_bound(lambda x: h_poly(n, x), lambda x: 1.0 / np.sqrt(1.0 + x), K, ctx, n, E)

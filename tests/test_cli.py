@@ -280,6 +280,21 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_config_env_invalid_json(self, capsys, monkeypatch):
+        monkeypatch.setenv("EQUIPOT_CONFIG", "{bad")
+        code, out, err = run_cli(["capacity", "--set", '{"intervals":[[-1,1]]}'], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"].startswith("invalid JSON in EQUIPOT_CONFIG")
+
+    def test_config_file_not_an_object(self, capsys, monkeypatch, tmp_path):
+        # inline text that does not start with "{" names a file
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        monkeypatch.setenv("EQUIPOT_CONFIG", str(path))
+        code, out, err = run_cli(["capacity", "--set", '{"intervals":[[-1,1]]}'], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == "EQUIPOT_CONFIG must hold a JSON object"
+
 
 class TestRangeParsing:
     def test_arithmetic(self):

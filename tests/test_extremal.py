@@ -249,6 +249,33 @@ class TestMarkovExtremal:
             markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24)
         assert len(solves) == 2
 
+    # On [-1, 1] the LP on the nodes alone gives T_n, which every added row
+    # keeps feasible, so validation passes whatever the maxima report.
+
+    def test_out_of_points_ends_the_loop(self, E_unit, monkeypatch):
+        # |P| = 1.01 reported at K.max, an interpolation node already in the
+        # working set: no new point, so the first round ends the loop
+        monkeypatch.setattr(extremal, "_refined_maxima",
+                            lambda evalP, K, n: (np.array([K.max]), np.array([1.01])))
+        r = markov_extremal(E_unit, 1.0, 5)
+        assert r.exchange_rounds == 1
+        assert r.overshoot == pytest.approx(0.01, rel=1e-12)
+        assert r.value == pytest.approx(25 / 1.01, rel=1e-12)
+
+    def test_stall_ends_the_loop(self, E_unit, monkeypatch):
+        # |P| = 1.01 at a fresh point of K on every call: the first round
+        # sets the best, three more without a new best are the stall exit
+        calls = []
+
+        def fresh(evalP, K, n):
+            calls.append(1)
+            return np.array([-0.8 + 0.02 * len(calls)]), np.array([1.01])
+
+        monkeypatch.setattr(extremal, "_refined_maxima", fresh)
+        r = markov_extremal(E_unit, 1.0, 5)
+        assert r.exchange_rounds == 4 and len(calls) == 4
+        assert r.overshoot == pytest.approx(0.01, rel=1e-12)
+
     def test_single_interval_needs_no_lp_rows(self, E_unit, monkeypatch):
         # the n + 1 seed points of [-1, 1] are the interpolation nodes
         # themselves, so the LP has only its box bounds, whose optimum
@@ -291,21 +318,21 @@ def _refined_maxima_loop(evalP, K, n, per_degree=16):
     return out
 
 
-def bisection_quantiles(tab, levels):
-    """One component's quantiles by 60 bisection steps on the mass in angle:
-    the reference for the batched Newton solve."""
-    c = np.asarray(tab.coeffs)
+def bisection_quantiles(u, v, c, levels):
+    """Quantiles of the component [u, v] with table c by 60 bisection steps
+    on the mass in angle: the reference for the batched Newton solve."""
+    mid, half = (u + v) / 2.0, (v - u) / 2.0
     k = np.arange(1, len(c))
 
     def mass(phi):
-        return tab.half * (c[0] * (np.pi - phi) - np.sin(np.outer(phi, k)) @ (c[1:] / k))
+        return half * (c[0] * (np.pi - phi) - np.sin(np.outer(phi, k)) @ (c[1:] / k))
 
     lo, hi = np.zeros(len(levels)), np.full(len(levels), np.pi)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = mass(mid) < levels
-        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
-    return tab.mid + tab.half * np.cos(0.5 * (lo + hi))
+        centre = 0.5 * (lo + hi)
+        below = mass(centre) < levels
+        lo, hi = np.where(below, lo, centre), np.where(below, centre, hi)
+    return mid + half * np.cos(0.5 * (lo + hi))
 
 
 class TestInterpolationNodes:
@@ -314,11 +341,12 @@ class TestInterpolationNodes:
         E = solve_equilibrium(K)
         frac = np.arange(1, 40) / 40
         comp = np.repeat(np.arange(K.m), len(frac))
-        levels = np.concatenate([tab.mass * frac for tab in E.tables])
-        got = extremal._quantiles(E.tables, comp, levels)
-        for j, tab in enumerate(E.tables):
-            want = bisection_quantiles(tab, tab.mass * frac)
-            assert np.max(np.abs(got[comp == j] - want)) <= 1e-12 * tab.half
+        masses = [(v - u) / 2.0 * math.pi * c[0] for (u, v), c in zip(K.intervals, E.coeffs)]
+        levels = np.concatenate([mass * frac for mass in masses])
+        got = extremal._quantiles(K, E.coeffs, comp, levels)
+        for j, ((u, v), c) in enumerate(zip(K.intervals, E.coeffs)):
+            want = bisection_quantiles(u, v, c, masses[j] * frac)
+            assert np.max(np.abs(got[comp == j] - want)) <= 1e-12 * (v - u) / 2.0
 
     def test_exactly_n_plus_one_distinct_nodes(self):
         rng = np.random.default_rng(15)
