@@ -396,24 +396,30 @@ def markov_extremal(
     a: float,
     n: int,
     cfg: NumericsConfig = DEFAULTS,
-    objective_point: float | None = None,
 ) -> ExtremalResult:
     """Solve max |P'(a)| over degree <= n with |P| <= 1 on K = E.set.
 
     ``E`` is the solved equilibrium of K, which places the interpolation
     nodes.  The objective maximises P'(a) directly; by the P -> -P symmetry
     of the feasible set this equals the maximum of |P'(a)|.
-    ``objective_point`` moves the derivative functional off the
-    distinguished endpoint (used by the norm-equivalence probe); constraints
-    are unchanged.
     """
     _check_degrees([n], cfg)
-    K = E.set
-    check_interval_condition(K, a)
+    check_interval_condition(E.set, a)
     nodes = _interpolation_nodes(E, n)
     w = _bary_weights(nodes)
-    d = _deriv_row(nodes, w, a if objective_point is None else float(objective_point))
+    return _extremal_core(E.set, n, nodes, w, _deriv_row(nodes, w, a))
 
+
+def _extremal_core(
+    K: IntervalSet,
+    n: int,
+    nodes: np.ndarray,
+    w: np.ndarray,
+    d: np.ndarray,
+) -> ExtremalResult:
+    """max d . y over the nodal values y of P of degree <= n with |P| <= 1
+    on K, for the objective row d on the interpolation nodes and their
+    barycentric weights w; the witness is renormalised to sup-norm 1."""
     # seed grid and validation grid; one doubling of both allowed before
     # giving up, unless the loop ran out of rounds, which a denser seed
     # would not give back
@@ -483,16 +489,16 @@ def derivative_norm_probe(
     objective versus run-up-norm objective comparison."""
     if grid_points < 1:
         raise SetSpecError(f"grid_points must be at least 1, got {grid_points}")
+    _check_degrees([n], cfg)
     ctx = check_interval_condition(K, a)
     theta = np.linspace(0.0, np.pi, grid_points)
     probes = a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta)
-    E = solve_equilibrium(K)
-    at_a = markov_extremal(E, a, n, cfg).value
-    best = 0.0
-    for x in probes:
-        r = markov_extremal(E, a, n, cfg, objective_point=float(x))
-        best = max(best, r.value)
-    return at_a, best
+    # one node set and one weight vector serve every objective row
+    nodes = _interpolation_nodes(solve_equilibrium(K), n)
+    w = _bary_weights(nodes)
+    at_a, *rest = (_extremal_core(K, n, nodes, w, _deriv_row(nodes, w, float(x))).value
+                   for x in (a, *probes))
+    return at_a, max(rest)
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,16 @@ once it settles.
   gaps, each in one call, mapped onto [-1, 1] and taken in that reference
   variable, so the relative test means the same at any scale.
 * ``chebyshev_expand(f, u, v[, count])``: adaptively truncated Chebyshev
-  coefficients of smooth functions on [u, v], as the equilibrium solver
-  expands the density factors of all components together.  Chebyshev
-  series themselves are ``numpy.polynomial.Chebyshev``.
-* ``_dct1(x)``, ``_dct2(x)`` and ``_fast_len(n)``: the DCTs of types I and
-  II along the last axis, unnormalised as ``scipy.fft.dct``'s, computed by
-  ``numpy.fft.rfft`` (Makhoul, IEEE Trans. ASSP 28, 1980), and the smallest
-  11-smooth length >= n, as ``scipy.fft.next_fast_len``'s.  The DCT-I is
-  bit-identical to scipy's; the expansion uses the DCT-II, and the Markov
-  probe's angle grids the DCT-I.
+  coefficients of smooth functions on [u, v] from their values at the
+  Chebyshev-Lobatto points, as the equilibrium solver expands the density
+  factors of all components together.  Chebyshev series themselves are
+  ``numpy.polynomial.Chebyshev``.
+* ``_dct1(x)`` and ``_fast_len(n)``: the DCT-I along the last axis,
+  unnormalised as ``scipy.fft.dct``'s and bit-identical to it, computed by
+  ``numpy.fft.rfft`` of the even extension, and the smallest 11-smooth
+  length >= n, as ``scipy.fft.next_fast_len``'s.  The one DCT serves every
+  Chebyshev series from Lobatto samples: the expansion's coefficients and
+  the Markov probe's angle grids.
 * ``lp_maximize(LPProblem(objective, rows))``: max objective . y subject
   to |rows . y| <= 1 and |y_j| <= 1, the nodal-value LP of the extremal
   probe, each row one ranged HiGHS row -1 <= rows . y <= 1, with a
@@ -115,16 +116,6 @@ def _dct1(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1), axis=-1).real
 
 
-def _dct2(x: np.ndarray) -> np.ndarray:
-    """DCT-II along the last axis: the rfft of the even entries followed by
-    the odd ones reversed, turned by the quarter-sample twiddle; the upper
-    half of the output is the negated imaginary part of the lower half's."""
-    n = x.shape[-1]
-    v = np.concatenate([x[..., ::2], x[..., n - 1 - n % 2:0:-2]], axis=-1)
-    z = np.fft.rfft(v, axis=-1) * (2.0 * np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1)))
-    return np.concatenate([z.real, -z.imag[..., (n - 1) // 2:0:-1]], axis=-1)
-
-
 def _fast_len(n: int) -> int:
     """The smallest 11-smooth number >= n (and >= 1), a fast FFT length."""
     m = max(n, 1)
@@ -159,13 +150,14 @@ def chebyshev_expand(
     adaptively truncated; one coefficient array per function.
 
     f(t, rows) gives the functions numbered ``rows`` at the nodes t as a
-    (len(rows), len(t)) array.  Each function is interpolated at first-kind
-    nodes, doubling the count until the trailing quarter of its
-    coefficients is negligible relative to the largest one.  When the tail
-    stops shrinking between doublings it has hit the rounding floor of the
-    sampled values (the floor itself grows like sqrt(N)); the level with
-    the smaller tail is then accepted.  Trailing coefficients below the
-    accepted floor are dropped.
+    (len(rows), len(t)) array.  Each function is interpolated at the N + 1
+    Lobatto points mid + half cos(pi k / N), k = 0..N, its N + 1
+    coefficients taken by one DCT-I, doubling N until the trailing quarter
+    of its coefficients is negligible relative to the largest one.  When
+    the tail stops shrinking between doublings it has hit the rounding
+    floor of the sampled values (the floor itself grows like sqrt(N)); the
+    level with the smaller tail is then accepted.  Trailing coefficients
+    below the accepted floor are dropped.
     """
     if not v > u:
         raise SetSpecError(f"expansion interval needs u < v, got [{u}, {v}]")
@@ -175,11 +167,11 @@ def chebyshev_expand(
     best_c, best_tail = None, None
     N = EXPAND_MIN_NODES
     while True:
-        theta = (2.0 * np.arange(1, N + 1) - 1.0) * np.pi / (2.0 * N)
+        theta = np.arange(N + 1) * (np.pi / N)
         vals = np.asarray(f(mid + half * np.cos(theta), todo), dtype=float)
-        # discrete cosine transform at first-kind nodes
-        c = _dct2(vals) / N
-        c[:, 0] *= 0.5
+        # the end coefficients carry half the weight of the inner ones
+        c = _dct1(vals) / N
+        c[:, [0, N]] *= 0.5
         scale = np.max(np.abs(c), axis=1)
         tail = np.max(np.abs(c[:, -max(N // 4, 1):]), axis=1)
         # a zero function ends here too, as one zero coefficient

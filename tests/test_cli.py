@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -224,6 +225,21 @@ class TestExitCodes:
         rec = json.loads(err)
         assert rec["error"] == "parse" and str(path) in rec["message"]
         assert not list(tmp_path.rglob(".equipot-*"))
+
+    def test_full_disk_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the write fails at the rename, after the temporary file is written
+        def full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", full)
+        path = tmp_path / "c.json"
+        code, out, err = run_cli(["capacity", "--set", '{"intervals":[[-1,1]]}',
+                                  "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        rec = json.loads(err)
+        assert rec["error"] == "parse"
+        assert rec["message"] == f"cannot write {path}: No space left on device"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["schur-witness", "--n", "100", "--h-a", "nan"],
@@ -504,13 +520,21 @@ class TestArgumentErrors:
         "schur-witness": ["schur-witness", "--n", "100", "--format", "csv"],
     }
 
-    @pytest.mark.parametrize("points", ["-3", "0"])
+    @pytest.mark.parametrize("points", ["-3", "0", "abc"])
     @pytest.mark.parametrize("command", sorted(POINTS))
     def test_points_must_be_positive(self, command, points, capsys):
         code, out, err = run_cli([*self.POINTS[command], "--points", points], capsys)
         assert (code, out) == (2, "")
         rec = json.loads(err)
         assert rec["error"] == "parse" and "--points" in rec["message"]
+        assert f"expected a positive integer, got {points!r}" in rec["message"]
+
+    def test_empty_degree_list(self, capsys):
+        code, out, err = run_cli(["markov", "--set", '{"intervals":[[-1,1]]}', "--a", "1",
+                                  "--degrees", "5..3"], capsys)
+        assert (code, out) == (2, "")
+        rec = json.loads(err)
+        assert rec["error"] == "parse" and rec["message"] == "empty integer list"
 
     @pytest.mark.parametrize("spec,field", [
         ('{"intervals":[[0,"x"]]}', "intervals"),

@@ -117,6 +117,23 @@ class TestGapRootSolver:
         with pytest.raises(NumericsError, match=r"gap quadrature on \[1\.0, 1\.5\] .* 4 nodes"):
             solve_equilibrium(K)
 
+    def test_pass_cap_is_an_error(self, monkeypatch):
+        # steps of 1e-3 0.99^k of the gap with alternating sign shrink too
+        # slowly for the quadratic test and never grow; the asymmetric pair
+        # has its root off the gap midpoint, so the mean step leaves room
+        # for Newton steps
+        calls = []
+
+        def slow(groups, lam, lo, hi):
+            calls.append(1)
+            k = len(calls)
+            return lam + (-1) ** k * 1e-3 * 0.99 ** k * (hi - lo)
+
+        monkeypatch.setattr(equilibrium, "_newton_gap_step", slow)
+        with pytest.raises(NumericsError, match="did not converge in 300 passes"):
+            solve_equilibrium(IntervalSet(((-1.0, -0.5), (0.2, 1.0))))
+        assert len(calls) == 300
+
     @pytest.mark.parametrize("gap", [1e-6, 1e-9])
     def test_unresolved_table_names_the_component_and_gap(self, gap):
         K = IntervalSet(((-1.0, 0.0), (gap, 1.0)))
@@ -292,7 +309,7 @@ class TestSolveWork:
 
         monkeypatch.setattr(equilibrium, "chebyshev_expand", logged)
         solve_equilibrium(cantor_set(7, 0.37))
-        assert counts == [(EXPAND_MIN_NODES, 128)]
+        assert counts == [(EXPAND_MIN_NODES + 1, 128)]
 
     @pytest.mark.parametrize("s", [1e-100, 1e-14, 1e14, 1e100])
     def test_exact_capacity_at_extreme_scale(self, s):

@@ -276,6 +276,13 @@ class TestMarkovExtremal:
         assert r.exchange_rounds == 4 and len(calls) == 4
         assert r.overshoot == pytest.approx(0.01, rel=1e-12)
 
+    def test_degenerate_norm_is_an_error(self, E_unit, monkeypatch):
+        # maxima that report |P| = 0 leave nothing to renormalise by
+        monkeypatch.setattr(extremal, "_refined_maxima",
+                            lambda evalP, K, n: (np.array([K.max]), np.array([0.0])))
+        with pytest.raises(NumericsError, match=r"degenerate witness norm 0\.0 at degree 10"):
+            markov_extremal(E_unit, 1.0, 10)
+
     def test_single_interval_needs_no_lp_rows(self, E_unit, monkeypatch):
         # the n + 1 seed points of [-1, 1] are the interpolation nodes
         # themselves, so the LP has only its box bounds, whose optimum

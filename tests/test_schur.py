@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -132,7 +133,6 @@ class TestWitness:
         """H_m(T(x)) and the peaking factor as the witness evaluates them,
         against 50 digits at the float x, log-spaced toward both ends of
         every component."""
-        mpmath = pytest.importorskip("mpmath")
         wit = build_witness(imap, 1.0, 400, 0.05)
         m = wit.m
         xs = []
