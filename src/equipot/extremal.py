@@ -24,10 +24,13 @@ in this one form, nodes plus nodal values.
 
 The LP is solved on a small working set, not on a dense grid, in the manner
 of the barycentric Remez exchange (Pachon & Trefethen, BIT 49, 2009): by
-Caratheodory the optimum rests on at most n + 1 active points.  The set is
-seeded with an arccos-spaced grid of n + 1 points per component, less any
-that are interpolation nodes (on a single interval all of them are, and the
-LP starts with its box bounds alone); each exchange round appends the
+Caratheodory the optimum rests on at most n + 1 active points.  Extremal
+polynomials equioscillate at points spread like the equilibrium measure
+(Totik, Acta Math. 187, 2001), so the set is seeded with each component's
+ends and quantiles at mass steps of about 1/n, less any interpolation nodes
+(on a single interval all of them are, and the LP starts with its box
+bounds alone); on K = Q^{-1}[-1, 1] at n = k deg Q they are where T_k o Q
+reaches +-1, and one round suffices.  Each exchange round appends the
 witness's refined local maxima that overshoot, in order, so the set only
 grows and the LP value falls monotonically until the overshoot is below
 tolerance.  The rounds grow one LP in place: only the new points' Lagrange
@@ -57,11 +60,9 @@ from .errors import NumericsError, SetSpecError
 from .interval_sets import IntervalSet, _component_frames, check_interval_condition
 from .numerics import LPProblem, _dct1, _fast_len, lp_maximize
 
-# points per component and per unit of n + 1: the exchange loop's arccos
-# seed grid, which only starts the working set (the exchange adds the points
-# the witness needs), the coarse scan of the refined maxima, and the
-# witness's angle-domain validation grid
-SEED_PER_DEGREE = 1
+# points per component and per unit of n + 1: the coarse scan of the
+# refined maxima and the witness's angle-domain validation grid (the
+# exchange loop's seed is placed by the equilibrium, ``_quantile_seed``)
 SCAN_PER_DEGREE = 16
 VALIDATION_PER_DEGREE = 128
 # accepted overshoot of the exchange loop's witness above 1, and the loop's
@@ -101,6 +102,30 @@ def _quantiles(K: IntervalSet, coeffs: np.ndarray, comp: np.ndarray, levels: np.
     return mid + half * np.cos(phi)
 
 
+def _mass_shares(E: EquilibriumData, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """The equilibrium mass of each component of K, half*pi*c_0 of its table,
+    and its share of ``total``, rounded to 9 decimals so that equal masses
+    tie exactly and whole shares stay whole whatever rounding noise they carry."""
+    masses = _component_frames(E.set)[3] * math.pi * E.coeffs[:, 0]
+    return masses, np.round(masses / masses.sum() * total, 9)
+
+
+def _ends_and_quantiles(E: EquilibriumData, masses: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Each component's two ends plus its inner quantiles at ``steps[j]``
+    equal steps of its mass ``masses[j]``, sorted."""
+    comp = np.repeat(np.arange(len(steps)), steps - 1)
+    levels = np.concatenate([mass * np.arange(1, s) / s for mass, s in zip(masses, steps)])
+    return np.sort(np.concatenate([np.ravel(E.set.intervals), _quantiles(E.set, E.coeffs, comp, levels)]))
+
+
+def _quantile_seed(E: EquilibriumData, n: int) -> np.ndarray:
+    """The exchange loop's seed: ends and quantiles at max(1, ceil(n mu_j))
+    steps of each component j, mu_j its normalised mass.  On Q^{-1}[-1, 1]
+    at n = k deg Q these are exactly the points where T_k o Q is +-1."""
+    masses, shares = _mass_shares(E, n)
+    return _ends_and_quantiles(E, masses, np.maximum(np.ceil(shares).astype(int), 1))
+
+
 def _interpolation_nodes(E: EquilibriumData, n: int) -> np.ndarray:
     """Exactly n + 1 nodes at equilibrium quantiles, apportioned to the
     components by mass with largest remainders.  When every component's
@@ -109,10 +134,7 @@ def _interpolation_nodes(E: EquilibriumData, n: int) -> np.ndarray:
     at midpoint levels, which stay distinct and well spread.
     """
     total = n + 1
-    masses = _component_frames(E.set)[3] * math.pi * E.coeffs[:, 0]
-    # shares rounded to 9 decimals, so that equal masses tie exactly
-    # whatever rounding noise they carry
-    raw = np.round(masses / masses.sum() * total, 9)
+    masses, raw = _mass_shares(E, total)
     alloc = np.floor(raw).astype(int)
     alloc[np.argsort(alloc - raw, kind="stable")[: total - alloc.sum()]] += 1
     if alloc.min() < 2:
@@ -120,9 +142,7 @@ def _interpolation_nodes(E: EquilibriumData, n: int) -> np.ndarray:
         cum = np.concatenate([[0.0], np.cumsum(masses)])
         comp = np.searchsorted(cum, levels) - 1
         return np.sort(_quantiles(E.set, E.coeffs, comp, levels - cum[comp]))
-    comp = np.repeat(np.arange(len(alloc)), alloc - 2)
-    levels = np.concatenate([mass * np.arange(1, nj - 1) / (nj - 1) for mass, nj in zip(masses, alloc)])
-    return np.sort(np.concatenate([np.ravel(E.set.intervals), _quantiles(E.set, E.coeffs, comp, levels)]))
+    return _ends_and_quantiles(E, masses, alloc - 1)
 
 
 def _bary_weights(nodes: np.ndarray) -> np.ndarray:
@@ -191,15 +211,6 @@ def _deriv_row(nodes: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # grids and refined maxima
-
-
-def _arccos_grid(K: IntervalSet, per_component: int) -> np.ndarray:
-    """``per_component`` arccos-spaced points on each component, clipped
-    onto it, since mid -/+ half can round one ulp past an endpoint; all of
-    them sorted, without repeats."""
-    u, v, mid, half = _component_frames(K)
-    theta = np.linspace(0.0, np.pi, per_component)
-    return np.unique(np.clip(mid[:, None] + half[:, None] * np.cos(theta), u[:, None], v[:, None]))
 
 
 def _angle_values(evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: int, M: int) -> np.ndarray:
@@ -334,14 +345,8 @@ class MarkovStudy:
 # the probe
 
 
-def _solve_once(
-    K: IntervalSet,
-    n: int,
-    nodes: np.ndarray,
-    w: np.ndarray,
-    objective: np.ndarray,
-    grid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+def _solve_once(K: IntervalSet, n: int, nodes: np.ndarray, w: np.ndarray, objective: np.ndarray,
+                grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """Working-set LP plus exchange, seeded with ``grid``.
 
     One LP per call: each round appends its new points' rows to it, and
@@ -391,12 +396,7 @@ def _check_degrees(degrees: Sequence[int], cfg: NumericsConfig) -> None:
         raise SetSpecError(f"degree must lie in [1, {cfg.markov_degree_cap}], got {bad[0]}")
 
 
-def markov_extremal(
-    E: EquilibriumData,
-    a: float,
-    n: int,
-    cfg: NumericsConfig = DEFAULTS,
-) -> ExtremalResult:
+def markov_extremal(E: EquilibriumData, a: float, n: int, cfg: NumericsConfig = DEFAULTS) -> ExtremalResult:
     """Solve max |P'(a)| over degree <= n with |P| <= 1 on K = E.set.
 
     ``E`` is the solved equilibrium of K, which places the interpolation
@@ -407,24 +407,20 @@ def markov_extremal(
     check_interval_condition(E.set, a)
     nodes = _interpolation_nodes(E, n)
     w = _bary_weights(nodes)
-    return _extremal_core(E.set, n, nodes, w, _deriv_row(nodes, w, a))
+    return _extremal_core(E, n, nodes, w, _deriv_row(nodes, w, a))
 
 
-def _extremal_core(
-    K: IntervalSet,
-    n: int,
-    nodes: np.ndarray,
-    w: np.ndarray,
-    d: np.ndarray,
-) -> ExtremalResult:
+def _extremal_core(E: EquilibriumData, n: int, nodes: np.ndarray, w: np.ndarray,
+                   d: np.ndarray) -> ExtremalResult:
     """max d . y over the nodal values y of P of degree <= n with |P| <= 1
-    on K, for the objective row d on the interpolation nodes and their
-    barycentric weights w; the witness is renormalised to sup-norm 1."""
-    # seed grid and validation grid; one doubling of both allowed before
-    # giving up, unless the loop ran out of rounds, which a denser seed
-    # would not give back
+    on K = E.set, for the objective row d on the interpolation nodes and
+    their barycentric weights w; the witness is renormalised to sup-norm 1."""
+    K = E.set
+    # seed and validation grid; one doubling of both (the seed taken for
+    # degree 2n) allowed before giving up, unless the loop ran out of
+    # rounds, which a denser seed would not give back
     for doubling in (1, 2):
-        seed = _arccos_grid(K, doubling * SEED_PER_DEGREE * (n + 1))
+        seed = _quantile_seed(E, doubling * n)
         vals, xs, ms, rounds, capped = _solve_once(K, n, nodes, w, d, seed)
         check = _angle_values(lambda x: _bary_eval(x, nodes, w, vals), K, n,
                               doubling * VALIDATION_PER_DEGREE * (n + 1))
@@ -486,19 +482,21 @@ def derivative_norm_probe(
     cfg: NumericsConfig = DEFAULTS,
 ) -> tuple[float, float]:
     """(value at a, max value over a grid on [a - rho, a]) for the pointwise
-    objective versus run-up-norm objective comparison."""
+    objective versus run-up-norm objective comparison.  Each distinct point
+    is solved once: the grid's first point, at theta = 0, is a itself."""
     if grid_points < 1:
         raise SetSpecError(f"grid_points must be at least 1, got {grid_points}")
     _check_degrees([n], cfg)
     ctx = check_interval_condition(K, a)
     theta = np.linspace(0.0, np.pi, grid_points)
     probes = a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta)
-    # one node set and one weight vector serve every objective row
-    nodes = _interpolation_nodes(solve_equilibrium(K), n)
+    # one equilibrium, node set and weight vector serve every objective row
+    E = solve_equilibrium(K)
+    nodes = _interpolation_nodes(E, n)
     w = _bary_weights(nodes)
-    at_a, *rest = (_extremal_core(K, n, nodes, w, _deriv_row(nodes, w, float(x))).value
-                   for x in (a, *probes))
-    return at_a, max(rest)
+    xs, at = np.unique(np.r_[a, probes], return_inverse=True)
+    values = np.array([_extremal_core(E, n, nodes, w, _deriv_row(nodes, w, float(x))).value for x in xs])[at]
+    return float(values[0]), float(np.max(values[1:]))
 
 
 # ---------------------------------------------------------------------------

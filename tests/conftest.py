@@ -35,3 +35,11 @@ def random_interval_set(rng: np.random.Generator, max_components: int = 8,
         gaps = pts[2::2] - pts[1:-1:2]
         if np.all(lengths >= min_len) and (len(gaps) == 0 or np.all(gaps >= min_gap)):
             return IntervalSet(tuple(zip(pts[0::2], pts[1::2])))
+
+
+def arccos_grid(K: IntervalSet, per_component: int) -> np.ndarray:
+    """``per_component`` arccos-spaced points on each component, clipped onto
+    it (mid -/+ half can round one ulp past an end), sorted, without repeats."""
+    u, v = np.asarray(K.intervals).T
+    x = (u + v)[:, None] / 2.0 + (v - u)[:, None] / 2.0 * np.cos(np.linspace(0.0, np.pi, per_component))
+    return np.unique(np.clip(x, u[:, None], v[:, None]))

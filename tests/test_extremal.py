@@ -11,7 +11,6 @@ from equipot.extremal import (
     BARY_CHUNK,
     EXCHANGE_TOL,
     _angle_values,
-    _arccos_grid,
     _bary_eval,
     _bary_weights,
     _deriv_row,
@@ -27,6 +26,7 @@ from equipot import (
     bernstein_audit,
     bernstein_walsh_audit,
     cantor_set,
+    check_interval_condition,
     density,
     derivative_norm_probe,
     extremal,
@@ -36,7 +36,7 @@ from equipot import (
     solve_equilibrium,
     study_rows,
 )
-from conftest import random_interval_set
+from conftest import arccos_grid, random_interval_set
 
 UNIT = IntervalSet(((-1.0, 1.0),))
 SYM2 = IntervalSet(((-1.0, -0.5), (0.5, 1.0)))
@@ -52,6 +52,10 @@ STALL3 = IntervalSet((
 ))
 STALL3_A = 5.027806096813277
 STALL3_VALUE = 495.10042754509817
+
+# Three intervals that are no inverse image: the exchange loop takes four
+# or five rounds from the quantile seed at n = 30-40.
+THREE = IntervalSet(((-1.0, -0.6), (-0.3, 0.2), (0.5, 1.0)))
 
 # Two tiny components beside [-1, 1] with 7% and 10% of the equilibrium
 # mass: below n = 30 one of them has a share of fewer than two nodes.
@@ -89,7 +93,7 @@ def dense_grid_value(K, a, n, per_component=4000):
     Chebyshev basis of the hull: an upper bound close to the true value at
     low degree, independent of the nodal LP."""
     basis = [Chebyshev.basis(j, domain=(K.min, K.max)) for j in range(n + 1)]
-    A = np.array([b(_arccos_grid(K, per_component)) for b in basis]).T
+    A = np.array([b(arccos_grid(K, per_component)) for b in basis]).T
     res = linprog(-np.array([b.deriv()(a) for b in basis]), A_ub=np.vstack([A, -A]),
                   b_ub=np.ones(2 * len(A)), bounds=[(None, None)] * (n + 1), method="highs")
     assert res.status == 0
@@ -154,6 +158,36 @@ class TestMarkovExtremal:
         assert r.value == pytest.approx(k * k * dP, rel=1e-9)
         assert r.value <= k * k * dP * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("c,N,j", [(1.5, 2, 1), (2.0, 3, 1), (1.3, 4, 2), (2.7, 4, 1)])
+    @pytest.mark.parametrize("alpha,beta", [(0.75, -3.0), (-2.5, 7.0)])
+    def test_inverse_images_finish_in_one_round(self, c, N, j, alpha, beta):
+        # the quantile seed holds every alternation point of T_k o (c T_N).
+        # K is symmetric, so for alpha < 0 the right end of the image at
+        # |alpha| x + beta is that of the left end -x, where |P'| is the same.
+        # k = 1 is left out: c T_N itself is not always extremal at an inner
+        # end (1.3 T_4 at j = 2 falls 3% short).  The rounded frame moves
+        # the value by up to 2e-12 here; on the leftmost component of
+        # (1.7 T_4)^-1[-1, 1] a few ulps of the ends move it by 1e-10.
+        K, x, dP = cheb_image(c, N, j)
+        Ka = IntervalSet(tuple(sorted(tuple(sorted((alpha * u + beta, alpha * v + beta)))
+                                      for u, v in K.intervals)))
+        a = min((v for _, v in Ka.intervals), key=lambda v: abs(v - (abs(alpha) * x + beta)))
+        E = solve_equilibrium(Ka)
+        for k in range(2, 48 // N + 1):
+            r = markov_extremal(E, a, k * N)
+            assert r.exchange_rounds == 1 and not r.grid_doubled, k
+            assert r.value == pytest.approx(k * k * dP / abs(alpha), rel=1e-11), k
+
+    def test_no_highs_shortfall_on_a_two_interval_image(self):
+        # an affine image of (c T_2)^{-1}[-1, 1]: from an arccos seed, the
+        # third of six exchange LPs ended 1.7e-9 below the exact witness
+        # T_20 o Q; the exact value is from 40-digit mpmath
+        K = IntervalSet(((-3.7255354862771353, -2.834363526724945),
+                         (0.1003773079122352, 0.9915492674644253)))
+        r = markov_extremal(solve_equilibrium(K), -2.834363526724945, 40)
+        assert r.value == pytest.approx(688.5938857258008, rel=1e-12)
+        assert r.exchange_rounds == 1
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_shifted_t3_oracle(self, k):
         r = markov_extremal(solve_equilibrium(shifted_t3_image()), 1.0, 3 * k)
@@ -178,11 +212,14 @@ class TestMarkovExtremal:
         assert r.overshoot <= 1e-14
         assert r.value == pytest.approx(2e4 / (v - u), rel=1e-13)
 
-    @pytest.mark.parametrize("per", [2, 3, 101, 404, 12800])
-    def test_arccos_grid_stays_on_the_set(self, per):
+    @pytest.mark.parametrize("n", [1, 2, 3, 101, 404, 12800])
+    def test_quantile_seed_stays_on_the_set(self, n):
+        # the one-ulp set of test_maxima_stay_on_the_set: mid - half < u
         u, v = 3.9734183925361046, 4.7767355702191026
-        xs = _arccos_grid(IntervalSet(((u, v),)), per)
-        assert xs.min() == u and xs.max() == v
+        xs = extremal._quantile_seed(solve_equilibrium(IntervalSet(((u, v),))), n)
+        assert xs[0] == u and xs[-1] == v
+        assert np.all((u <= xs) & (xs <= v))
+        assert len(xs) == n + 1 and np.all(np.diff(xs) > 0.0)
 
     def test_no_stall_on_three_intervals(self):
         r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24)
@@ -191,15 +228,17 @@ class TestMarkovExtremal:
         assert not r.grid_doubled
 
     def test_overshoot_reports_an_unfinished_loop(self, monkeypatch):
-        # from the (n + 1)-point seed, three rounds at n = 30 leave the
-        # witness about 1e-7 above 1, below the validation grid's 1e-6
+        # three rounds at n = 40 leave the witness about 3e-8 above 1,
+        # below the validation grid's 1e-6
+        E = solve_equilibrium(THREE)
+        uncapped = markov_extremal(E, 1.0, 40).value
         monkeypatch.setattr(extremal, "EXCHANGE_ROUNDS", 3)
-        r = markov_extremal(solve_equilibrium(STALL3), STALL3_A, 30)
+        r = markov_extremal(E, 1.0, 40)
         assert r.exchange_rounds == 3
         assert r.overshoot > EXCHANGE_TOL
-        # renormalised by its refined sup-norm, the value stays a lower bound;
-        # the exact value grows like k^2 along n = 3k
-        assert r.value < STALL3_VALUE * (30 / 24) ** 2 * (1.0 - 0.5 * r.overshoot)
+        # renormalised by its refined sup-norm, the value stays a lower bound:
+        # below the uncapped value, itself a lower bound of the exact one
+        assert r.value < uncapped * (1.0 - 0.5 * r.overshoot)
 
     @staticmethod
     def _counted_solves(monkeypatch):
@@ -210,12 +249,12 @@ class TestMarkovExtremal:
         return solves
 
     def test_round_cap_is_named_when_validation_fails(self, monkeypatch):
-        # two rounds at n = 24 leave the witness above the validation grid's
+        # two rounds at n = 30 leave the witness above the validation grid's
         # 1e-6; a doubled seed under the same cap would not finish the loop
         solves = self._counted_solves(monkeypatch)
         monkeypatch.setattr(extremal, "EXCHANGE_ROUNDS", 2)
         with pytest.raises(NumericsError, match=r"its cap of 2 rounds with overshoot \d"):
-            markov_extremal(solve_equilibrium(STALL3), STALL3_A, 24)
+            markov_extremal(solve_equilibrium(THREE), 1.0, 30)
         assert len(solves) == 1
 
     @staticmethod
@@ -390,7 +429,7 @@ class TestScaleCovariance:
         Ks = IntervalSet(tuple((u * s, v * s) for u, v in SYM2.intervals))
         r = markov_extremal(solve_equilibrium(Ks), s, 40)
         assert r.value * s == pytest.approx(unit.value, rel=1e-10)
-        xs = _arccos_grid(SYM2, 50)
+        xs = arccos_grid(SYM2, 50)
         assert np.max(np.abs(r.evaluate(xs * s) - unit.evaluate(xs))) <= 1e-9
 
     @pytest.mark.parametrize("s", SCALES)
@@ -561,7 +600,7 @@ class TestBarycentricEvaluation:
         r = markov_extremal(solve_equilibrium(K), K.max, n)
         w = _bary_weights(r.nodes)
         rng = np.random.default_rng(n)
-        off = np.concatenate([_arccos_grid(K, 2 * BARY_CHUNK // K.m)]
+        off = np.concatenate([arccos_grid(K, 2 * BARY_CHUNK // K.m)]
                              + [rng.uniform(u, v, 500) for u, v in K.intervals])
         assert len(off) > 2 * BARY_CHUNK  # more than two blocks
         for values in (r.node_values, rng.uniform(-1.0, 1.0, n + 1)):
@@ -714,6 +753,24 @@ class TestNormEquivalenceProbe:
     def test_pointwise_vs_runup_norm(self):
         at_a, best = derivative_norm_probe(UNIT, 1.0, 40, grid_points=50)
         assert abs(best - at_a) / max(at_a, best) <= 0.01
+
+    def test_each_point_is_solved_once(self, monkeypatch):
+        # the grid's first point is a itself: 1 + grid_points objective
+        # rows, grid_points solves, and the values of one solve per row
+        K, a, n, grid_points = SYM2, 1.0, 12, 6
+        solves, core = [], extremal._extremal_core
+        monkeypatch.setattr(extremal, "_extremal_core",
+                            lambda *args: solves.append(1) or core(*args))
+        at_a, best = derivative_norm_probe(K, a, n, grid_points=grid_points)
+        assert len(solves) == grid_points
+        E = solve_equilibrium(K)
+        nodes = _interpolation_nodes(E, n)
+        w = _bary_weights(nodes)
+        rho = check_interval_condition(K, a).rho
+        probes = a - rho / 2.0 + (rho / 2.0) * np.cos(np.linspace(0.0, np.pi, grid_points))
+        assert probes[0] == a
+        want = [core(E, n, nodes, w, _deriv_row(nodes, w, float(x))).value for x in (a, *probes)]
+        assert at_a == want[0] and best == max(want[1:])
 
     @pytest.mark.parametrize("grid_points", [0, -1])
     def test_rejects_empty_grid(self, grid_points):

@@ -21,6 +21,7 @@ from equipot import (
     solve_equilibrium,
 )
 from equipot.schur import _cheb_u
+from conftest import arccos_grid
 
 
 class TestInverseImages:
@@ -238,11 +239,9 @@ class TestAuditBound:
         (affine_inverse_image(-2.0, 1.0), 300, 0.3),
     ])
     def test_growth_is_the_sup_over_the_sorted_grid(self, imap, n, eta):
-        from equipot.extremal import _arccos_grid
-
         wit = build_witness(imap, 1.3, n, eta)
         K = imap.target_set
-        sup = float(np.max(np.abs(wit(_arccos_grid(K, 64 * (n + 1))))))
+        sup = float(np.max(np.abs(wit(arccos_grid(K, 64 * (n + 1))))))
         assert audit_witness(wit).growth_estimate == sup ** (1.0 / n)
 
     def test_rejects_nonpositive_h(self):
