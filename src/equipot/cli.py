@@ -10,7 +10,7 @@ format is a parse error.
 Numbers round-trip binary64: csv has 17 significant digits, and json is
 ``json.dumps(record, indent=2, sort_keys=True)``.  Output files are
 written atomically (temp + rename), and byte-identical runs follow from
-identical configs.
+identical inputs.
 
 Exit codes: 0 success, 2 input/parse errors (argument errors, and an output
 path in a missing or unwritable directory, included; checked before any
@@ -33,7 +33,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import equilibrium, extremal, schur
-from .config import NumericsConfig, load_config, read_json_text
 from .errors import EquipotError, InvariantViolation, NumericsError, SetSpecError
 from .interval_sets import IntervalSet, check_interval_condition, from_spec
 
@@ -198,9 +197,12 @@ def _write_atomic(path: str, text: str) -> None:
 # argument parsing
 
 
-def parse_int_list(text: str) -> tuple[int, ...]:
+def parse_int_list(text: str, accept: range | None = None) -> tuple[int, ...]:
     """Comma-separated items; each an int, ``a..b`` or ``a..b:x2`` sweep
-    (a geometric sweep must start at 1 or above, or it would never end)."""
+    (a geometric sweep must start at 1 or above, or it would never end).
+    With ``accept``, the values the caller takes, a sweep stops at its first
+    value outside it: the caller refuses that value as it would have, and
+    1..10**10 is never expanded."""
 
     def to_int(s: str, msg: str) -> int:
         try:
@@ -218,6 +220,8 @@ def parse_int_list(text: str) -> tuple[int, ...]:
         lo_s, _, hi_s = lohi.partition("..")
         lo, hi = (to_int(s, f"bad range {item!r}") for s in (lo_s, hi_s))
         if not suffix:
+            if accept is not None and lo <= hi:
+                hi = min(hi, accept.stop) if lo in accept else lo
             out.extend(range(lo, hi + 1))
             continue
         if not suffix.startswith("x"):
@@ -230,6 +234,8 @@ def parse_int_list(text: str) -> tuple[int, ...]:
         v = lo
         while v <= hi:
             out.append(v)
+            if accept is not None and v not in accept:
+                break
             v *= factor
     if not out:
         raise SetSpecError("empty integer list")
@@ -246,8 +252,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_set(spec: str, cfg: NumericsConfig) -> IntervalSet:
-    return from_spec(read_json_text(spec, "set spec"), cfg)
+def _load_set(spec: str) -> IntervalSet:
+    """The set of ``--set``: inline JSON when it starts with ``{``, else
+    the path of a JSON file."""
+    text = spec.strip()
+    if not text.startswith("{"):
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SetSpecError(f"cannot read set spec file {text!r}: {exc}") from exc
+    return from_spec(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,8 +352,8 @@ class Output(NamedTuple):
     violation: str | None = None    # a broken run invariant, reported after delivery
 
 
-def _density(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
-    K = _load_set(ns.set, cfg)
+def _density(ns: argparse.Namespace) -> Output:
+    K = _load_set(ns.set)
     E = equilibrium.solve_equilibrium(K)
     rows = equilibrium.density_table(E, ns.points)
 
@@ -352,16 +367,16 @@ def _density(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
                   table=lambda: (("t", "density"), rows), plot=plot)
 
 
-def _omega(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
-    K = _load_set(ns.set, cfg)
+def _omega(ns: argparse.Namespace) -> Output:
+    K = _load_set(ns.set)
     E = equilibrium.solve_equilibrium(K)
     val = equilibrium.omega_factor(E, ns.a)
     return Output(record=lambda: {"a": ns.a, "omega": val},
                   table=lambda: (("a", "omega"), [(ns.a, val)]))
 
 
-def _capacity(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
-    K = _load_set(ns.set, cfg)
+def _capacity(ns: argparse.Namespace) -> Output:
+    K = _load_set(ns.set)
     E = equilibrium.solve_equilibrium(K)
     violation = (f"density mass {E.mass} deviates from 1 beyond 1e-9"
                  if abs(E.mass - 1.0) > 1e-9 else None)
@@ -370,15 +385,15 @@ def _capacity(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
                   violation=violation)
 
 
-def _green(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
-    K = _load_set(ns.set, cfg)
+def _green(ns: argparse.Namespace) -> Output:
+    K = _load_set(ns.set)
     E = equilibrium.solve_equilibrium(K)
     g = equilibrium.green(E, ns.z)
     violation = f"negative Green value {g} at {ns.z}" if g < -1e-9 else None
     return Output(record=lambda: {"z": ns.z, "green": g}, violation=violation)
 
 
-def _balayage(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
+def _balayage(ns: argparse.Namespace) -> Output:
     qy = equilibrium.BalayageQuery(x=ns.x, b=ns.b, a=ns.a)
     mass = equilibrium.balayage_mass(qy)
     limit = equilibrium.balayage_edge_limit(qy)
@@ -398,9 +413,10 @@ def _balayage(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
                   violation=violation)
 
 
-def _markov(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
-    K = _load_set(ns.set, cfg)
-    study = extremal.markov_study(K, ns.a, parse_int_list(ns.degrees), cfg)
+def _markov(ns: argparse.Namespace) -> Output:
+    K = _load_set(ns.set)
+    degrees = parse_int_list(ns.degrees, range(1, extremal.MARKOV_DEGREE_CAP + 1))
+    study = extremal.markov_study(K, ns.a, degrees)
     rows = extremal.study_rows(study)
     if ns.dump_witness:
         dump = {
@@ -430,7 +446,7 @@ def _markov(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
         plot=plot, violation=violation)
 
 
-def _schur_witness(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
+def _schur_witness(ns: argparse.Namespace) -> Output:
     imap = schur.quadratic_inverse_image(ns.alpha)
     wit = schur.build_witness(imap, ns.h_a, ns.n, ns.eta)
     report = schur.audit_witness(wit)
@@ -449,7 +465,7 @@ def _schur_witness(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
                   table=table, violation=violation)
 
 
-def _schur_counterexample(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
+def _schur_counterexample(ns: argparse.Namespace) -> Output:
     report = schur.counterexample_demo(ns.n)
     violation = None
     if not report.local_ok:
@@ -459,8 +475,8 @@ def _schur_counterexample(ns: argparse.Namespace, cfg: NumericsConfig) -> Output
     return Output(record=lambda: {"n": ns.n, "report": report.to_dict()}, violation=violation)
 
 
-def _converge(ns: argparse.Namespace, cfg: NumericsConfig) -> Output:
-    K = _load_set(ns.set, cfg)
+def _converge(ns: argparse.Namespace) -> Output:
+    K = _load_set(ns.set)
     ctx = check_interval_condition(K, ns.a)
     table = equilibrium.outer_convergence_study(K, ctx, parse_int_list(ns.m_values))
     drops = [f"omega not nondecreasing along the filtration: m={m1}:{v1} > m={m2}:{v2}"
@@ -500,13 +516,13 @@ def _check_writable(path: str) -> None:
         raise SetSpecError(f"cannot write {path}: directory {folder} is not writable")
 
 
-def run(ns: argparse.Namespace, cfg: NumericsConfig) -> int:
+def run(ns: argparse.Namespace) -> int:
     """Run a parsed command, deliver the requested format to ``--out`` or
     stdout, then raise InvariantViolation if the result broke a run invariant."""
     for path in (ns.out, getattr(ns, "dump_witness", None)):
         if path:
             _check_writable(path)
-    out = _COMMANDS[ns.command][0](ns, cfg)
+    out = _COMMANDS[ns.command][0](ns)
     if ns.format == "csv":
         text = to_csv(*out.table())
     elif ns.format == "svg":
@@ -529,7 +545,7 @@ def _error_record(kind: str, exc: Exception) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        return run(build_parser().parse_args(argv), load_config())
+        return run(build_parser().parse_args(argv))
     except SetSpecError as exc:
         print(_error_record("parse", exc), file=sys.stderr)
         return EXIT_PARSE

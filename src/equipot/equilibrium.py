@@ -410,6 +410,11 @@ def solve_equilibrium(K: IntervalSet) -> EquilibriumData:
     mass = sum((half * math.pi * coeffs[:, 0]).tolist())
     robin = float(np.mean(_potential_from_tables(K, coeffs, _robin_probes(K))))
     cap = math.exp(-robin)
+    if not all(map(math.isfinite, (robin, cap, mass))):
+        raise NumericsError(
+            f"equilibrium not finite (cap {cap}, robin {robin}, mass {mass}): pi/2 times a "
+            f"component's length and the hull's length must stay below {np.finfo(float).max:.6g}"
+        )
     return EquilibriumData(
         set=K, roots=tuple(float(r) for r in roots), robin=robin, cap=cap,
         mass=mass, coeffs=coeffs,

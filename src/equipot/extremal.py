@@ -38,11 +38,13 @@ rows are formed and appended, and the LP's own HiGHS model re-solves warm
 from its last basis.  The witness itself is evaluated matrix-free by the
 barycentric formula, and on fine grids in angle: on each component it is a
 cosine series of degree n, so its values at the n + 1 Lobatto angles give
-its values at M equispaced angles by two DCT-Is.  Two certificates stay
+its values at M equispaced angles by two DCT-Is.  Two checks stay
 independent of the working set: the witness is validated on such a grid
 of 128*(n+1) angles per component (one doubling of the seed and of that
-grid is allowed), and it is finally renormalised by its refined sup-norm,
-so the reported value is a certified lower bound.
+grid is allowed), and it is finally renormalised by its refined sup-norm
+S, from the DCT scan and a parabola polish of each peak.  The reported value
+is a lower bound whenever S is the witness's true sup on K; the scan can
+miss a peak, so this is not yet a certificate (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from .config import DEFAULTS, NumericsConfig
 from .equilibrium import EquilibriumData, density, green, omega_factor, solve_equilibrium
 from .errors import NumericsError, SetSpecError
 from .interval_sets import IntervalSet, _component_frames, check_interval_condition
@@ -69,6 +70,8 @@ VALIDATION_PER_DEGREE = 128
 # round cap (read at each solve)
 EXCHANGE_TOL = 1e-9
 EXCHANGE_ROUNDS = 30
+# largest degree a probe accepts (read at each call)
+MARKOV_DEGREE_CAP = 120
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +306,14 @@ def _apart(x: np.ndarray, pts: np.ndarray, sep: float) -> np.ndarray:
 class ExtremalResult:
     """One degree of the extremal probe.
 
-    ``value`` is |P'(a)| of the final normalised witness, a certified lower
-    bound for the continuum optimum; ``ratio`` = value / degree**2.  The
-    witness is its values ``node_values`` at the ascending interpolation
-    ``nodes``; ``evaluate`` applies the barycentric formula to them (Berrut
-    & Trefethen, SIAM Rev. 46, 2004), which stays accurate on K at high
-    degree, where coefficients in a global basis of the hull do not.
+    ``value`` is |P'(a)| of the final witness divided by its refined
+    sup-norm S, a lower bound for the continuum optimum whenever S is the
+    witness's true sup on K (the scan can miss a peak; ROADMAP item 3);
+    ``ratio`` = value / degree**2.  The witness is its values
+    ``node_values`` at the ascending interpolation ``nodes``; ``evaluate``
+    applies the barycentric formula to them (Berrut & Trefethen, SIAM Rev.
+    46, 2004), which stays accurate on K at high degree, where coefficients
+    in a global basis of the hull do not.
     ``overshoot`` is the worst |P| - 1 on K of the exchange loop's final
     witness before renormalisation; above ``EXCHANGE_TOL`` it shows that
     the loop stalled, ran out of new points or hit its round cap.
@@ -390,20 +395,20 @@ def _solve_once(K: IntervalSet, n: int, nodes: np.ndarray, w: np.ndarray, object
     return vals, xs, ms, rounds, capped
 
 
-def _check_degrees(degrees: Sequence[int], cfg: NumericsConfig) -> None:
-    bad = [n for n in degrees if not 1 <= n <= cfg.markov_degree_cap]
+def _check_degrees(degrees: Sequence[int]) -> None:
+    bad = [n for n in degrees if not 1 <= n <= MARKOV_DEGREE_CAP]
     if bad:
-        raise SetSpecError(f"degree must lie in [1, {cfg.markov_degree_cap}], got {bad[0]}")
+        raise SetSpecError(f"degree must lie in [1, {MARKOV_DEGREE_CAP}], got {bad[0]}")
 
 
-def markov_extremal(E: EquilibriumData, a: float, n: int, cfg: NumericsConfig = DEFAULTS) -> ExtremalResult:
+def markov_extremal(E: EquilibriumData, a: float, n: int) -> ExtremalResult:
     """Solve max |P'(a)| over degree <= n with |P| <= 1 on K = E.set.
 
     ``E`` is the solved equilibrium of K, which places the interpolation
     nodes.  The objective maximises P'(a) directly; by the P -> -P symmetry
     of the feasible set this equals the maximum of |P'(a)|.
     """
-    _check_degrees([n], cfg)
+    _check_degrees([n])
     check_interval_condition(E.set, a)
     nodes = _interpolation_nodes(E, n)
     w = _bary_weights(nodes)
@@ -455,38 +460,27 @@ def _extremal_core(E: EquilibriumData, n: int, nodes: np.ndarray, w: np.ndarray,
     )
 
 
-def markov_study(
-    K: IntervalSet,
-    a: float,
-    degrees: Sequence[int],
-    cfg: NumericsConfig = DEFAULTS,
-) -> MarkovStudy:
+def markov_study(K: IntervalSet, a: float, degrees: Sequence[int]) -> MarkovStudy:
     """Per-degree extremal results against the equilibrium limit constant.
     Every degree is checked before the equilibrium solve."""
     degs = [int(n) for n in degrees]
-    _check_degrees(degs, cfg)
+    _check_degrees(degs)
     if any(n2 <= n1 for n1, n2 in zip(degs, degs[1:])):
         raise SetSpecError("degrees must be strictly increasing")
     E = solve_equilibrium(K)
     limit = 2.0 * math.pi**2 * omega_factor(E, a) ** 2
-    rows = tuple(markov_extremal(E, a, n, cfg) for n in degs)
+    rows = tuple(markov_extremal(E, a, n) for n in degs)
     flagged = tuple(r.degree for r in rows if r.ratio > limit * 1.02)
     return MarkovStudy(set=K, a=a, rows=rows, limit_constant=limit, flagged=flagged)
 
 
-def derivative_norm_probe(
-    K: IntervalSet,
-    a: float,
-    n: int,
-    grid_points: int = 50,
-    cfg: NumericsConfig = DEFAULTS,
-) -> tuple[float, float]:
+def derivative_norm_probe(K: IntervalSet, a: float, n: int, grid_points: int = 50) -> tuple[float, float]:
     """(value at a, max value over a grid on [a - rho, a]) for the pointwise
     objective versus run-up-norm objective comparison.  Each distinct point
     is solved once: the grid's first point, at theta = 0, is a itself."""
     if grid_points < 1:
         raise SetSpecError(f"grid_points must be at least 1, got {grid_points}")
-    _check_degrees([n], cfg)
+    _check_degrees([n])
     ctx = check_interval_condition(K, a)
     theta = np.linspace(0.0, np.pi, grid_points)
     probes = a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta)

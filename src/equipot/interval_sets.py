@@ -17,8 +17,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULTS, NumericsConfig
 from .errors import SetSpecError
+
+# largest Cantor level a spec may ask for: 2**12 components (read at each call)
+CANTOR_LEVEL_CAP = 12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,7 +98,8 @@ def _component_frames(K: IntervalSet) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """(u, v, mid, half) arrays over the components [u, v] of K, with t =
     mid + half*s the component's affine frame on s in [-1, 1]."""
     u, v = np.asarray(K.intervals).T
-    return u, v, (u + v) / 2.0, (v - u) / 2.0
+    # halve before adding: u + v overflows for ends near the float limit
+    return u, v, u / 2.0 + v / 2.0, v / 2.0 - u / 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,21 +211,19 @@ def outer_approx(K: IntervalSet, ctx: EndpointContext, m: int) -> IntervalSet:
     return IntervalSet(tuple(intervals))
 
 
-def cantor_set(
-    level: int, ratio: float = 1.0 / 3.0, cfg: NumericsConfig = DEFAULTS
-) -> IntervalSet:
+def cantor_set(level: int, ratio: float = 1.0 / 3.0) -> IntervalSet:
     """Level-``level`` prefractal of the [0, 1] Cantor construction.
 
     Each interval of length L is replaced by its two end subintervals of
     length ratio*L; the result has 2**level intervals.  Levels above
-    ``cfg.cantor_level_cap`` are rejected.
+    ``CANTOR_LEVEL_CAP`` are rejected.
     """
     if not 0 < ratio < 0.5:
         raise SetSpecError(f"cantor ratio must lie in (0, 1/2), got {ratio}")
     if level < 0:
         raise SetSpecError(f"cantor level must be >= 0, got {level}")
-    if level > cfg.cantor_level_cap:
-        raise SetSpecError(f"cantor level {level} exceeds the cap {cfg.cantor_level_cap}")
+    if level > CANTOR_LEVEL_CAP:
+        raise SetSpecError(f"cantor level {level} exceeds the cap {CANTOR_LEVEL_CAP}")
     intervals = [(0.0, 1.0)]
     for _ in range(level):
         nxt = []
@@ -264,12 +265,12 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def from_spec(spec: str | dict, cfg: NumericsConfig = DEFAULTS) -> IntervalSet:
+def from_spec(spec: str | dict) -> IntervalSet:
     """Build a set from its JSON specification.
 
     Accepted forms: ``{"intervals": [[l, r], ...]}`` and
     ``{"cantor": {"level": n, "ratio": r}}`` (ratio defaults to 1/3; the
-    level is capped by ``cfg.cantor_level_cap``).
+    level is capped by ``CANTOR_LEVEL_CAP``).
     """
     if isinstance(spec, str):
         try:
@@ -295,5 +296,5 @@ def from_spec(spec: str | dict, cfg: NumericsConfig = DEFAULTS) -> IntervalSet:
             raise SetSpecError(f"'cantor' field 'level' must be an integer, got {level!r}")
         if not _is_number(ratio):
             raise SetSpecError(f"'cantor' field 'ratio' must be a number, got {ratio!r}")
-        return cantor_set(level, float(ratio), cfg)
+        return cantor_set(level, float(ratio))
     raise SetSpecError("set spec needs an 'intervals' or 'cantor' field")

@@ -2,6 +2,8 @@ import errno
 import json
 import math
 import os
+import re
+import resource
 import stat
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equipot import cli, numerics
+from equipot import SetSpecError, cli, extremal, interval_sets, numerics
 
 
 def run_cli(args, capsys):
@@ -282,34 +284,12 @@ class TestExitCodes:
         assert len(out_path.read_text().splitlines()) == 11
 
     def test_cantor_level_cap_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("EQUIPOT_CONFIG", '{"cantor_level_cap": 3}')
+        monkeypatch.setattr(interval_sets, "CANTOR_LEVEL_CAP", 3)
         code, _, err = run_cli(
             ["capacity", "--set", '{"cantor":{"level":4,"ratio":0.3333333333333333}}'], capsys
         )
         assert code == 2
         assert "exceeds the cap 3" in json.loads(err)["message"]
-
-    def test_bad_config_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("EQUIPOT_CONFIG", '{"nonsense_key": 1}')
-        code, _, err = run_cli(
-            ["capacity", "--set", '{"intervals":[[-1,1]]}'], capsys
-        )
-        assert code == 2
-
-    def test_config_env_invalid_json(self, capsys, monkeypatch):
-        monkeypatch.setenv("EQUIPOT_CONFIG", "{bad")
-        code, out, err = run_cli(["capacity", "--set", '{"intervals":[[-1,1]]}'], capsys)
-        assert (code, out) == (2, "")
-        assert json.loads(err)["message"].startswith("invalid JSON in EQUIPOT_CONFIG")
-
-    def test_config_file_not_an_object(self, capsys, monkeypatch, tmp_path):
-        # inline text that does not start with "{" names a file
-        path = tmp_path / "config.json"
-        path.write_text("[1, 2]")
-        monkeypatch.setenv("EQUIPOT_CONFIG", str(path))
-        code, out, err = run_cli(["capacity", "--set", '{"intervals":[[-1,1]]}'], capsys)
-        assert (code, out) == (2, "")
-        assert json.loads(err)["message"] == "EQUIPOT_CONFIG must hold a JSON object"
 
 
 class TestRangeParsing:
@@ -322,10 +302,27 @@ class TestRangeParsing:
     def test_mixed_commas(self):
         assert cli.parse_int_list("1,4..6,10") == (1, 4, 5, 6, 10)
 
+    @pytest.mark.parametrize("text,want", [
+        ("1..1000000", (*range(1, 11), 11)),
+        ("0..1000000", (0,)),
+        ("-1000000..5", (-1000000,)),
+        ("20..30", (20,)),
+        ("3,4..6,9..12", (3, 4, 5, 6, 9, 10, 11)),
+        ("20..3", ()),
+        ("1..1000000:x2", (1, 2, 4, 8, 16)),
+        ("3..1000000:x3", (3, 9, 27)),
+    ])
+    def test_sweep_stops_at_first_refused_value(self, text, want):
+        # the refused value itself is kept, so the caller's message names
+        # the same first offender as for the whole expansion
+        if want:
+            assert cli.parse_int_list(text, range(1, 11)) == want
+        else:
+            with pytest.raises(SetSpecError, match="empty integer list"):
+                cli.parse_int_list(text, range(1, 11))
+
     @pytest.mark.parametrize("bad", ["", "a", "1..b", "2..8:y2", "2..8:x1", "0..8:x2", "-1..8:x2"])
     def test_rejects(self, bad):
-        from equipot import SetSpecError
-
         with pytest.raises(SetSpecError):
             cli.parse_int_list(bad)
 
@@ -347,8 +344,6 @@ class TestSvg:
         assert svg.count("<polyline") == 1
 
     def test_rejects_empty(self):
-        from equipot import SetSpecError
-
         with pytest.raises(SetSpecError):
             cli.emit_svg([])
         with pytest.raises(SetSpecError):
@@ -480,7 +475,7 @@ class TestJsonEncoding:
     @pytest.mark.parametrize("command", list(TestFormatMatrix.ARGS))
     def test_every_command_record(self, command):
         ns = cli.build_parser().parse_args([command, *TestFormatMatrix.ARGS[command]])
-        rec = cli._COMMANDS[command][0](ns, cli.load_config()).record()
+        rec = cli._COMMANDS[command][0](ns).record()
         assert cli.to_json(rec) == self.reference(rec)
 
     def test_synthetic_record(self):
@@ -536,6 +531,28 @@ class TestArgumentErrors:
         rec = json.loads(err)
         assert rec["error"] == "parse" and rec["message"] == "empty integer list"
 
+    def test_huge_degree_sweep_refused_at_once(self):
+        # 1..10**10 is never expanded: under a 2 GiB address-space limit its
+        # expansion would end in a MemoryError, not in the degree record
+        argv = ["markov", "--set", '{"intervals":[[-1,1]]}', "--a", "1",
+                "--degrees", "1..10000000000"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-m", "equipot.cli", *argv],
+                             capture_output=True, text=True, env=env, timeout=60,
+                             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                   (2**31, 2**31)))
+        assert (run.returncode, run.stdout) == (2, "")
+        assert json.loads(run.stderr) == {"error": "parse", "type": "SetSpecError",
+                                          "message": "degree must lie in [1, 120], got 121"}
+
+    def test_degree_cap_read_at_each_call(self, capsys, monkeypatch):
+        monkeypatch.setattr(extremal, "MARKOV_DEGREE_CAP", 4)
+        code, out, err = run_cli(["markov", "--set", '{"intervals":[[-1,1]]}', "--a", "1",
+                                  "--degrees", "2..1000000"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == "degree must lie in [1, 4], got 5"
+
     @pytest.mark.parametrize("spec,field", [
         ('{"intervals":[[0,"x"]]}', "intervals"),
         ('{"intervals":[[0,null]]}', "intervals"),
@@ -559,23 +576,17 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert "start at 1 or above" in json.loads(err)["message"]
 
-    @pytest.mark.parametrize("use_env", [False, True], ids=["set-spec", "config"])
-    def test_unreadable_json_file_named(self, tmp_path, use_env, capsys, monkeypatch):
-        missing = str(tmp_path / "missing.json")
-        spec = '{"intervals":[[-1,1]]}'
-        if use_env:
-            monkeypatch.setenv("EQUIPOT_CONFIG", missing)
-        else:
-            spec = missing
-        code, out, err = run_cli(["capacity", "--set", spec], capsys)
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["set-spec", "directory"])
+    def test_unreadable_json_file_named(self, tmp_path, name, capsys):
+        path = str(tmp_path / name)
+        code, out, err = run_cli(["capacity", "--set", path], capsys)
         assert (code, out) == (2, "")
-        want = "EQUIPOT_CONFIG file" if use_env else "set spec file"
-        assert f"cannot read {want} {missing!r}" in json.loads(err)["message"]
+        assert f"cannot read set spec file {path!r}" in json.loads(err)["message"]
 
     def test_cached_parser_parses_each_call_afresh(self, capsys, monkeypatch):
         assert cli.build_parser() is cli.build_parser()
         seen = []
-        monkeypatch.setattr(cli, "run", lambda ns, cfg: seen.append(vars(ns)) or 0)
+        monkeypatch.setattr(cli, "run", lambda ns: seen.append(vars(ns)) or 0)
         spec = '{"intervals":[[-1,1]]}'
         codes = [cli.main(argv) for argv in (
             ["density", "--set", spec, "--points", "3", "--format", "csv", "--out", "t.csv"],
@@ -635,10 +646,9 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def test_only_the_lp_imports_scipy(monkeypatch):
+def test_only_the_lp_imports_scipy():
     """A command that runs no LP loads no scipy module; markov loads
     scipy.optimize at its first LP."""
-    monkeypatch.delenv("EQUIPOT_CONFIG", raising=False)
     args = TestFormatMatrix.ARGS
     plain = [[command, *argv] for command, argv in args.items() if command != "markov"]
     batches = [plain, [["markov", *args["markov"]]]]
@@ -650,3 +660,11 @@ def test_only_the_lp_imports_scipy(monkeypatch):
     assert got["codes"] == [0] * (len(plain) + 1)
     assert got["loaded"][0] == []
     assert "scipy.optimize" in got["loaded"][1]
+
+
+def test_no_module_reads_the_environment():
+    """Nothing a run computes depends on an environment variable."""
+    src = Path(cli.__file__).parent
+    readers = [p.name for p in sorted(src.glob("*.py"))
+               if re.search(r"\b(environ|getenv)\b", p.read_text())]
+    assert readers == []

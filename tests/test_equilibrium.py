@@ -576,6 +576,19 @@ class TestPotentialCapacityGreen:
         # |z| + sqrt(z^2 - 1) too near the top of the float range
         assert green(E_unit, z) == pytest.approx(math.log(2.0) + math.log(abs(z)), rel=1e-14)
 
+    def test_capacity_near_the_float_limit(self):
+        # mid and half are formed without u + v, which overflows here
+        E = solve_equilibrium(IntervalSet(((1e308, 1.7e308),)))
+        assert E.cap == pytest.approx(1.75e307, rel=1e-13)
+        assert E.mass == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("pairs", [((-1e308, 1e308),), ((1e307, 2e307), (3e307, 1.7e308))],
+                             ids=["hull-overflows", "component-overflows"])
+    def test_non_finite_equilibrium_is_an_error(self, pairs):
+        # the tables' pi * half overflows before the check, so warnings are off
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match="not finite"):
+            solve_equilibrium(IntervalSet(pairs))
+
 
 class TestBalayage:
     def test_kernel_value(self):

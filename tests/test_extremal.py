@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 from numpy.polynomial import Chebyshev
 from scipy.optimize import linprog
 
-from equipot.config import DEFAULTS
 from equipot.extremal import (
     BARY_CHUNK,
     EXCHANGE_TOL,
@@ -576,10 +574,12 @@ class TestApart:
 class TestHighDegree:
     """n = 240, beyond the default degree cap of 120."""
 
-    CFG = dataclasses.replace(DEFAULTS, markov_degree_cap=240)
+    @pytest.fixture(autouse=True)
+    def raise_cap(self, monkeypatch):
+        monkeypatch.setattr(extremal, "MARKOV_DEGREE_CAP", 240)
 
     def check(self, K, a, exact):
-        r = markov_extremal(solve_equilibrium(K), a, 240, self.CFG)
+        r = markov_extremal(solve_equilibrium(K), a, 240)
         assert exact * (1.0 - 1e-7) <= r.value <= exact * (1.0 + 1e-12)
         assert not r.grid_doubled
         assert len(r.nodes) == 241

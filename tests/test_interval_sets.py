@@ -1,17 +1,16 @@
-import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from equipot.config import DEFAULTS
 from equipot import (
     IntervalSet,
     SetSpecError,
     cantor_set,
     check_interval_condition,
     from_spec,
+    interval_sets,
     is_subset,
     normalize,
     outer_approx,
@@ -159,13 +158,13 @@ class TestCantor:
         with pytest.raises(SetSpecError):
             cantor_set(*bad)
 
-    def test_level_cap_from_config(self):
-        cfg = dataclasses.replace(DEFAULTS, cantor_level_cap=3)
-        assert cantor_set(3, 1 / 3, cfg).m == 8
+    def test_level_cap_read_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(interval_sets, "CANTOR_LEVEL_CAP", 3)
+        assert cantor_set(3, 1 / 3).m == 8
         with pytest.raises(SetSpecError, match="cap 3"):
-            cantor_set(4, 1 / 3, cfg)
+            cantor_set(4, 1 / 3)
         with pytest.raises(SetSpecError, match="cap 3"):
-            from_spec({"cantor": {"level": 4}}, cfg)
+            from_spec({"cantor": {"level": 4}})
 
 
 class TestSubsetAndWiden:

@@ -123,6 +123,23 @@ class TestQuadrature:
         with pytest.raises(NumericsError, match="of integrand 1 on"):
             _gauss_cheb_adaptive(f, -1.0, 1.0, count=2)
 
+    def test_starvation_settings_stay_valid(self, monkeypatch):
+        # the quadrature constants are read at each call, so starved values take
+        # effect without a reload: 2 nodes, then 4, where a tolerance of 1 settles
+        monkeypatch.setattr(numerics, "QUAD_MIN_NODES", 2)
+        monkeypatch.setattr(numerics, "QUAD_MAX_NODES", 4)
+        monkeypatch.setattr(numerics, "QUAD_REL_TOL", 1.0)
+        seen = []
+
+        def f(t, rows):
+            seen.append(len(t))
+            return np.exp(t)[None]
+
+        got = _gauss_cheb_adaptive(f, -1.0, 1.0)[0]
+        assert seen == [2, 4]
+        assert got == pytest.approx(np.pi / 4 * np.sum(np.exp(np.cos(np.pi * np.arange(1, 8, 2) / 8))),
+                                    rel=1e-15)
+
 
 class TestChebyshevExpand:
     def test_exact_low_degree(self):
@@ -435,8 +452,7 @@ class TestHighsPrivateApi:
         for name in ("col_value", "row_dual", "col_dual"):
             assert hasattr(sol, name), name
 
-    def test_markov_stdout_is_the_record(self, capsys, monkeypatch):
-        monkeypatch.delenv("EQUIPOT_CONFIG", raising=False)
+    def test_markov_stdout_is_the_record(self, capsys):
         argv = ["markov", "--set", '{"intervals":[[-1,-0.5],[0.5,1]]}', "--a", "1",
                 "--degrees", "10,20"]
         assert cli.main(argv) == 0
