@@ -478,7 +478,8 @@ def _schur_counterexample(ns: argparse.Namespace) -> Output:
 def _converge(ns: argparse.Namespace) -> Output:
     K = _load_set(ns.set)
     ctx = check_interval_condition(K, ns.a)
-    table = equilibrium.outer_convergence_study(K, ctx, parse_int_list(ns.m_values))
+    ms = parse_int_list(ns.m_values, range(2, sys.maxsize))
+    table = equilibrium.outer_convergence_study(K, ctx, ms)
     drops = [f"omega not nondecreasing along the filtration: m={m1}:{v1} > m={m2}:{v2}"
              for (m1, v1), (m2, v2) in zip(table, table[1:]) if v2 < v1 - 1e-9]
     return Output(

@@ -65,7 +65,8 @@ the Chebyshev coefficients of G, valid for x inside the component, in a
 gap, or outside the set, with geometric convergence and no special handling
 of the log singularity.  The coefficients of all components are one
 zero-padded array, ``EquilibriumData.coeffs``, formed once per solve and
-read as it is by the potential and by the Markov probe's node quantiles.
+read here alone: by the potential, the component masses and the quantiles
+that place the Markov probe's nodes (``_quantiles``).
 Robin constant and capacity use the unit total mass of the equilibrium
 measure, not the tables' summed mass (which ``EquilibriumData.mass``
 still reports): the half-lengths enter in units of ell, a quarter of the
@@ -106,14 +107,15 @@ ROBIN_PROBE_COUNT = 5
 @dataclasses.dataclass(frozen=True)
 class EquilibriumData:
     """A solved set: roots of the gap polynomial, Robin constant, capacity,
-    total density mass, and the component tables ``coeffs``.
+    total density mass, the component tables ``coeffs`` and masses ``masses``.
 
     Row j of ``coeffs`` holds the Chebyshev coefficients of G on component
     j, zero-padded to the longest row.  With t = mid + half*s on the
     component, G(s) collects |q(t)| and the square roots of the distances
     to all endpoints of the *other* components, so that w(t) dt =
-    G(s)/sqrt(1 - s^2) * half ds there; the component's equilibrium mass is
-    half*pi*c_0.
+    G(s)/sqrt(1 - s^2) * half ds there; the component's equilibrium mass
+    ``masses[j]`` is half*pi*c_0.  Only this module reads the tables; the
+    others take masses from ``masses`` and quantiles from ``_quantiles``.
     """
 
     set: IntervalSet
@@ -122,6 +124,7 @@ class EquilibriumData:
     cap: float
     mass: float
     coeffs: np.ndarray = dataclasses.field(repr=False, compare=False)
+    masses: np.ndarray = dataclasses.field(repr=False, compare=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -405,11 +408,13 @@ def solve_equilibrium(K: IntervalSet) -> EquilibriumData:
         raise SetSpecError("equilibrium needs all intervals non-degenerate; widen() first")
     roots, levels = _solve_gap_roots(K)
     _verify_gap_conditions(K, roots, levels)
-    coeffs = _component_tables(K, roots)
-    half = _component_frames(K)[3]
-    mass = sum((half * math.pi * coeffs[:, 0]).tolist())
-    robin = float(np.mean(_potential_from_tables(K, coeffs, _robin_probes(K))))
-    cap = math.exp(-robin)
+    with np.errstate(all="ignore"):  # pi * half overflows near the float limit; checked below
+        coeffs = _component_tables(K, roots)
+        half = _component_frames(K)[3]
+        masses = half * math.pi * coeffs[:, 0]
+        mass = sum(masses.tolist())
+        robin = float(np.mean(_potential_from_tables(K, coeffs, _robin_probes(K))))
+        cap = math.exp(-robin)
     if not all(map(math.isfinite, (robin, cap, mass))):
         raise NumericsError(
             f"equilibrium not finite (cap {cap}, robin {robin}, mass {mass}): pi/2 times a "
@@ -417,7 +422,7 @@ def solve_equilibrium(K: IntervalSet) -> EquilibriumData:
         )
     return EquilibriumData(
         set=K, roots=tuple(float(r) for r in roots), robin=robin, cap=cap,
-        mass=mass, coeffs=coeffs,
+        mass=mass, coeffs=coeffs, masses=masses,
     )
 
 
@@ -545,6 +550,32 @@ def _potential_from_tables(K: IntervalSet, coeffs: np.ndarray, x) -> np.ndarray:
     c0, ck = coeffs[:, 0], coeffs[:, 1:]
     series = c0 * (math.log(2.0) - lz - np.log(half / ell)) + np.sum(ck * phik, axis=-1)
     return np.sum(half * math.pi * series, axis=-1) - math.log(ell)
+
+
+def _quantiles(E: EquilibriumData, comp: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Points x of component ``comp[i]`` of E.set with equilibrium mass
+    ``levels[i]`` on [left end, x]: with x = mid + half*cos(phi) that mass is
+    half*(c_0*(pi - phi) - sum_k c_k sin(k phi)/k), falling at the rate
+    half*G(cos phi) > 0.  Newton steps from the arcsine quantile (c_0 alone),
+    bisecting the bracket whenever a step would leave it, until every step
+    is below 1e-10."""
+    _, _, mid, half = _component_frames(E.set)
+    c, mid, half = E.coeffs[comp], mid[comp], half[comp]
+    k = np.arange(1, E.coeffs.shape[1])
+    c0, ck, ck_k = c[:, 0], c[:, 1:], c[:, 1:] / k
+    lo, hi = np.zeros(len(levels)), np.full(len(levels), np.pi)
+    phi = np.pi * (1.0 - levels / E.masses[comp])
+    for _ in range(100):
+        kphi = phi[:, None] * k
+        excess = half * (c0 * (np.pi - phi) - (np.sin(kphi) * ck_k).sum(axis=1)) - levels
+        rate = half * (c0 + (np.cos(kphi) * ck).sum(axis=1))
+        lo, hi = np.where(excess > 0.0, phi, lo), np.where(excess > 0.0, hi, phi)
+        new = phi + excess / rate
+        new = np.where((new < lo) | (new > hi), 0.5 * (lo + hi), new)
+        phi, step = new, np.max(np.abs(new - phi), initial=0.0)
+        if step <= 1e-10:
+            break
+    return mid + half * np.cos(phi)
 
 
 def equilibrium_potential(E: EquilibriumData, x: float) -> float:
@@ -681,23 +712,20 @@ def outer_convergence_study(
 # export
 
 
-def to_record(E: EquilibriumData, a: float | None = None) -> dict:
-    """JSON-ready record {set, roots, cap, robin, mass[, omega]}.
+def to_record(E: EquilibriumData) -> dict:
+    """JSON-ready record {set, roots, cap, robin, mass}.
 
     ``roots`` are the gap-polynomial roots, one per bounded gap; q itself is
     their monic product (see ``q_value``), whose monomial coefficients are
     numerically meaningless beyond a few dozen gaps.
     """
-    rec = {
+    return {
         "set": {"intervals": [[l, r] for l, r in E.set.intervals]},
         "roots": list(E.roots),
         "cap": E.cap,
         "robin": E.robin,
         "mass": E.mass,
     }
-    if a is not None:
-        rec["omega"] = {"a": a, "value": omega_factor(E, a)}
-    return rec
 
 
 def density_table(

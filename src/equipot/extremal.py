@@ -12,15 +12,16 @@ ratios and flags any excursion above that envelope.
 
 Numerical core: polynomials are parametrised by their values at exactly
 n + 1 interpolation nodes at equilibrium quantiles, shared out to the
-components by mass with largest remainders (all component endpoints
-included when each gets two or more).  On a union of intervals any fixed
-global polynomial basis explodes in the gaps - Chebyshev coefficients of
-the hull grow like exp(n * g_K inside the gap) and are unusable in double
-precision beyond degree ~40 - while equilibrium-distributed nodal values
-keep every constraint row bounded by a small Lebesgue constant at all
-tested degrees.  No node test has an absolute tolerance, so results follow
-the set's affine covariance at any scale.  Each result carries its witness
-in this one form, nodes plus nodal values.
+components by mass with largest remainders (all component endpoints included
+when each gets two or more); masses and quantiles come from
+``EquilibriumData.masses`` and ``equilibrium._quantiles``.  On a union of
+intervals any fixed global polynomial basis explodes in the gaps - Chebyshev
+coefficients of the hull grow like exp(n * g_K inside the gap) and are
+unusable in double precision beyond degree ~40 - while
+equilibrium-distributed nodal values keep every constraint row bounded by a
+small Lebesgue constant at all tested degrees.  No node test has an absolute
+tolerance, so results follow the set's affine covariance at any scale.  Each
+result carries its witness in this one form, nodes plus nodal values.
 
 The LP is solved on a small working set, not on a dense grid, in the manner
 of the barycentric Remez exchange (Pachon & Trefethen, BIT 49, 2009): by
@@ -56,7 +57,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from .equilibrium import EquilibriumData, density, green, omega_factor, solve_equilibrium
+from .equilibrium import EquilibriumData, _quantiles, density, green, omega_factor, solve_equilibrium
 from .errors import NumericsError, SetSpecError
 from .interval_sets import IntervalSet, _component_frames, check_interval_condition
 from .numerics import LPProblem, _dct1, _fast_len, lp_maximize
@@ -78,55 +79,25 @@ MARKOV_DEGREE_CAP = 120
 # interpolation nodes at equilibrium quantiles
 
 
-def _quantiles(K: IntervalSet, coeffs: np.ndarray, comp: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Points x of component ``comp[i]`` of K with equilibrium mass
-    ``levels[i]`` on [left end, x], from the component tables ``coeffs``
-    (``EquilibriumData.coeffs``): with x = mid + half*cos(phi) that mass is
-    half*(c_0*(pi - phi) - sum_k c_k sin(k phi)/k), falling at the rate
-    half*G(cos phi) > 0.  Newton steps from the arcsine quantile (c_0 alone),
-    bisecting the bracket whenever a step would leave it, until every step
-    is below 1e-10."""
-    _, _, mid, half = _component_frames(K)
-    c, mid, half = coeffs[comp], mid[comp], half[comp]
-    k = np.arange(1, coeffs.shape[1])
-    c0, ck, ck_k = c[:, 0], c[:, 1:], c[:, 1:] / k
-    lo, hi = np.zeros(len(levels)), np.full(len(levels), np.pi)
-    phi = np.pi * (1.0 - levels / (half * np.pi * c0))
-    for _ in range(100):
-        kphi = phi[:, None] * k
-        excess = half * (c0 * (np.pi - phi) - (np.sin(kphi) * ck_k).sum(axis=1)) - levels
-        rate = half * (c0 + (np.cos(kphi) * ck).sum(axis=1))
-        lo, hi = np.where(excess > 0.0, phi, lo), np.where(excess > 0.0, hi, phi)
-        new = phi + excess / rate
-        new = np.where((new < lo) | (new > hi), 0.5 * (lo + hi), new)
-        phi, step = new, np.max(np.abs(new - phi), initial=0.0)
-        if step <= 1e-10:
-            break
-    return mid + half * np.cos(phi)
+def _mass_shares(E: EquilibriumData, total: int) -> np.ndarray:
+    """Each component's share of ``total`` by mass, rounded to 9 decimals:
+    equal masses tie exactly, whole shares stay whole despite rounding noise."""
+    return np.round(E.masses / E.masses.sum() * total, 9)
 
 
-def _mass_shares(E: EquilibriumData, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """The equilibrium mass of each component of K, half*pi*c_0 of its table,
-    and its share of ``total``, rounded to 9 decimals so that equal masses
-    tie exactly and whole shares stay whole whatever rounding noise they carry."""
-    masses = _component_frames(E.set)[3] * math.pi * E.coeffs[:, 0]
-    return masses, np.round(masses / masses.sum() * total, 9)
-
-
-def _ends_and_quantiles(E: EquilibriumData, masses: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def _ends_and_quantiles(E: EquilibriumData, steps: np.ndarray) -> np.ndarray:
     """Each component's two ends plus its inner quantiles at ``steps[j]``
-    equal steps of its mass ``masses[j]``, sorted."""
+    equal steps of its mass ``E.masses[j]``, sorted."""
     comp = np.repeat(np.arange(len(steps)), steps - 1)
-    levels = np.concatenate([mass * np.arange(1, s) / s for mass, s in zip(masses, steps)])
-    return np.sort(np.concatenate([np.ravel(E.set.intervals), _quantiles(E.set, E.coeffs, comp, levels)]))
+    levels = np.concatenate([mass * np.arange(1, s) / s for mass, s in zip(E.masses, steps)])
+    return np.sort(np.concatenate([np.ravel(E.set.intervals), _quantiles(E, comp, levels)]))
 
 
 def _quantile_seed(E: EquilibriumData, n: int) -> np.ndarray:
     """The exchange loop's seed: ends and quantiles at max(1, ceil(n mu_j))
     steps of each component j, mu_j its normalised mass.  On Q^{-1}[-1, 1]
     at n = k deg Q these are exactly the points where T_k o Q is +-1."""
-    masses, shares = _mass_shares(E, n)
-    return _ends_and_quantiles(E, masses, np.maximum(np.ceil(shares).astype(int), 1))
+    return _ends_and_quantiles(E, np.maximum(np.ceil(_mass_shares(E, n)).astype(int), 1))
 
 
 def _interpolation_nodes(E: EquilibriumData, n: int) -> np.ndarray:
@@ -137,15 +108,15 @@ def _interpolation_nodes(E: EquilibriumData, n: int) -> np.ndarray:
     at midpoint levels, which stay distinct and well spread.
     """
     total = n + 1
-    masses, raw = _mass_shares(E, total)
+    raw = _mass_shares(E, total)
     alloc = np.floor(raw).astype(int)
     alloc[np.argsort(alloc - raw, kind="stable")[: total - alloc.sum()]] += 1
     if alloc.min() < 2:
-        levels = masses.sum() * (np.arange(total) + 0.5) / total
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
+        levels = E.masses.sum() * (np.arange(total) + 0.5) / total
+        cum = np.concatenate([[0.0], np.cumsum(E.masses)])
         comp = np.searchsorted(cum, levels) - 1
-        return np.sort(_quantiles(E.set, E.coeffs, comp, levels - cum[comp]))
-    return _ends_and_quantiles(E, masses, alloc - 1)
+        return np.sort(_quantiles(E, comp, levels - cum[comp]))
+    return _ends_and_quantiles(E, alloc - 1)
 
 
 def _bary_weights(nodes: np.ndarray) -> np.ndarray:

@@ -197,6 +197,27 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["density"], ["omega", "--a", "A"], ["capacity"],
+                                         ["green", "--z", "0"],
+                                         ["markov", "--a", "A", "--degrees", "4"],
+                                         ["converge", "--a", "A", "--m", "2"]],
+                             ids=lambda c: c[0])
+    @pytest.mark.parametrize("pairs", [[[-1e308, 1e308]], [[1e307, 2e307], [3e307, 1.7e308]]],
+                             ids=["hull-overflows", "component-overflows"])
+    def test_set_near_the_float_limit_one_record(self, command, pairs, capsys):
+        # the solve's overflow warns of nothing (the suite turns warnings into
+        # errors): its one stderr line is the record naming the float limit
+        argv = [pairs[-1][1] if arg == "A" else arg for arg in command]
+        code, out, err = run_cli([*map(str, argv), "--set", json.dumps({"intervals": pairs})],
+                                 capsys)
+        assert out == "" and len(err.splitlines()) == 1
+        rec = json.loads(err)
+        if command[0] == "converge" and pairs[0][0] < 0:
+            # refused before the solve: the run-up length a - (-1e308) overflows
+            assert (code, rec["error"]) == (2, "parse")
+        else:
+            assert (code, rec["error"]) == (3, "numeric") and "not finite" in rec["message"]
+
     @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
     def test_balayage_non_finite_source_exit_2(self, x, capsys):
         code, out, err = run_cli(
@@ -531,20 +552,32 @@ class TestArgumentErrors:
         rec = json.loads(err)
         assert rec["error"] == "parse" and rec["message"] == "empty integer list"
 
-    def test_huge_degree_sweep_refused_at_once(self):
-        # 1..10**10 is never expanded: under a 2 GiB address-space limit its
-        # expansion would end in a MemoryError, not in the degree record
-        argv = ["markov", "--set", '{"intervals":[[-1,1]]}', "--a", "1",
-                "--degrees", "1..10000000000"]
+    @staticmethod
+    def run_capped(argv):
+        """The CLI in a process under a 2 GiB address-space limit, where
+        expanding a sweep of 10**10 values ends in a MemoryError."""
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
                    OPENBLAS_NUM_THREADS="1")
-        run = subprocess.run([sys.executable, "-m", "equipot.cli", *argv],
-                             capture_output=True, text=True, env=env, timeout=60,
-                             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
-                                                                   (2**31, 2**31)))
+        return subprocess.run([sys.executable, "-m", "equipot.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                    (2**31, 2**31)))
+
+    def test_huge_degree_sweep_refused_at_once(self):
+        # 1..10**10 is never expanded
+        run = self.run_capped(["markov", "--set", '{"intervals":[[-1,1]]}', "--a", "1",
+                               "--degrees", "1..10000000000"])
         assert (run.returncode, run.stdout) == (2, "")
         assert json.loads(run.stderr) == {"error": "parse", "type": "SetSpecError",
                                           "message": "degree must lie in [1, 120], got 121"}
+
+    def test_negative_m_sweep_refused_at_once(self):
+        # -10**10..5 stops at its first value, which the study refuses
+        run = self.run_capped(["converge", "--set", '{"intervals":[[-1,1]]}', "--a", "1",
+                               "--m", "-10000000000..5"])
+        assert (run.returncode, run.stdout) == (2, "")
+        rec = json.loads(run.stderr)
+        assert rec["error"] == "parse" and "outer approximant needs m >= 2" in rec["message"]
 
     def test_degree_cap_read_at_each_call(self, capsys, monkeypatch):
         monkeypatch.setattr(extremal, "MARKOV_DEGREE_CAP", 4)

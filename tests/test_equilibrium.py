@@ -200,6 +200,58 @@ class TestGapRootSolver:
         assert self._peak_bytes(K) > self.MEMORY_BUDGET
 
 
+def bisection_quantiles(u, v, c, levels):
+    """Quantiles of the component [u, v] with table c by 60 bisection steps
+    on the mass in angle: the reference for the batched Newton solve."""
+    mid, half = (u + v) / 2.0, (v - u) / 2.0
+    k = np.arange(1, len(c))
+
+    def mass(phi):
+        return half * (c[0] * (np.pi - phi) - np.sin(np.outer(phi, k)) @ (c[1:] / k))
+
+    lo, hi = np.zeros(len(levels)), np.full(len(levels), np.pi)
+    for _ in range(60):
+        centre = 0.5 * (lo + hi)
+        below = mass(centre) < levels
+        lo, hi = np.where(below, lo, centre), np.where(below, centre, hi)
+    return mid + half * np.cos(0.5 * (lo + hi))
+
+
+
+
+class TestMassesAndQuantiles:
+    @pytest.mark.parametrize("N", range(2, 9))
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (-2.5, 0.5), (3.0, -10.0), (1e-100, 0.0),
+                                            (-1e100, 3e100)])
+    def test_masses_of_chebyshev_images(self, N, alpha, beta):
+        # each component of (c T_N)^{-1}[-1, 1] carries mass 1/N exactly
+        K, _ = cheb_image_roots(1.5, N, alpha, beta)
+        E = solve_equilibrium(K)
+        assert E.masses.shape == (N,)
+        assert np.max(np.abs(E.masses - 1.0 / N)) <= 1e-13
+        assert E.mass == sum(E.masses.tolist())
+
+    @pytest.mark.parametrize("K", [
+        IntervalSet(((-1.0, 1.0),)),
+        IntervalSet(((-1.0, -0.5), (0.5, 1.0))),
+        # an inverse image of a scaled T_3
+        IntervalSet(((4.8422185492259695, 5.027806096813277), (5.713331410216814, 6.084506505391428),
+                     (6.770031818794964, 6.955619366382272))),
+        # two tiny components beside [-1, 1]
+        IntervalSet(((-1.0, 1.0), (1.5, 1.5001), (2.0, 2.0001))),
+        cantor_set(3),
+    ])
+    def test_quantiles_match_bisection(self, K):
+        E = solve_equilibrium(K)
+        frac = np.arange(1, 40) / 40
+        comp = np.repeat(np.arange(K.m), len(frac))
+        levels = np.concatenate([mass * frac for mass in E.masses])
+        got = equilibrium._quantiles(E, comp, levels)
+        for j, ((u, v), c) in enumerate(zip(K.intervals, E.coeffs)):
+            want = bisection_quantiles(u, v, c, E.masses[j] * frac)
+            assert np.max(np.abs(got[comp == j] - want)) <= 1e-12 * (v - u) / 2.0
+
+
 def scaled(K, s):
     return IntervalSet(tuple((u * s, v * s) for u, v in K.intervals))
 
@@ -585,8 +637,9 @@ class TestPotentialCapacityGreen:
     @pytest.mark.parametrize("pairs", [((-1e308, 1e308),), ((1e307, 2e307), (3e307, 1.7e308))],
                              ids=["hull-overflows", "component-overflows"])
     def test_non_finite_equilibrium_is_an_error(self, pairs):
-        # the tables' pi * half overflows before the check, so warnings are off
-        with np.errstate(all="ignore"), pytest.raises(NumericsError, match="not finite"):
+        # the tables' pi * half overflows before the check, which names the
+        # limit; the solve itself warns of no overflow
+        with pytest.raises(NumericsError, match="not finite"):
             solve_equilibrium(IntervalSet(pairs))
 
 
@@ -764,11 +817,12 @@ class TestCrossFormulaAndExport:
     def test_record_roundtrip(self, E_asym2):
         import json
 
-        rec = to_record(E_asym2, a=2.0)
+        rec = to_record(E_asym2)
         parsed = json.loads(json.dumps(rec))
         assert parsed == rec
+        assert sorted(rec) == ["cap", "mass", "robin", "roots", "set"]
         assert rec["roots"] == [pytest.approx(ASYM2_LAMBDA, abs=1e-12)]
-        assert rec["omega"]["value"] == pytest.approx(0.16680551683915835, rel=1e-10)
+        assert omega_factor(E_asym2, 2.0) == pytest.approx(0.16680551683915835, rel=1e-10)
 
     def test_density_table_masses(self, E_sym2):
         rows = density_table(E_sym2, points_per_component=50)

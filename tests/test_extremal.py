@@ -362,36 +362,7 @@ def _refined_maxima_loop(evalP, K, n, per_degree=16):
     return out
 
 
-def bisection_quantiles(u, v, c, levels):
-    """Quantiles of the component [u, v] with table c by 60 bisection steps
-    on the mass in angle: the reference for the batched Newton solve."""
-    mid, half = (u + v) / 2.0, (v - u) / 2.0
-    k = np.arange(1, len(c))
-
-    def mass(phi):
-        return half * (c[0] * (np.pi - phi) - np.sin(np.outer(phi, k)) @ (c[1:] / k))
-
-    lo, hi = np.zeros(len(levels)), np.full(len(levels), np.pi)
-    for _ in range(60):
-        centre = 0.5 * (lo + hi)
-        below = mass(centre) < levels
-        lo, hi = np.where(below, lo, centre), np.where(below, centre, hi)
-    return mid + half * np.cos(0.5 * (lo + hi))
-
-
 class TestInterpolationNodes:
-    @pytest.mark.parametrize("K", [UNIT, SYM2, STALL3, SPECKS, cantor_set(3)])
-    def test_quantiles_match_bisection(self, K):
-        E = solve_equilibrium(K)
-        frac = np.arange(1, 40) / 40
-        comp = np.repeat(np.arange(K.m), len(frac))
-        masses = [(v - u) / 2.0 * math.pi * c[0] for (u, v), c in zip(K.intervals, E.coeffs)]
-        levels = np.concatenate([mass * frac for mass in masses])
-        got = extremal._quantiles(K, E.coeffs, comp, levels)
-        for j, ((u, v), c) in enumerate(zip(K.intervals, E.coeffs)):
-            want = bisection_quantiles(u, v, c, masses[j] * frac)
-            assert np.max(np.abs(got[comp == j] - want)) <= 1e-12 * (v - u) / 2.0
-
     def test_exactly_n_plus_one_distinct_nodes(self):
         rng = np.random.default_rng(15)
         sets = [random_interval_set(rng) for _ in range(60)] + [cantor_set(3), cantor_set(5), SPECKS]
