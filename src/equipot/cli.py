@@ -34,7 +34,7 @@ import numpy as np
 
 from . import equilibrium, extremal, schur
 from .errors import EquipotError, InvariantViolation, NumericsError, SetSpecError
-from .interval_sets import IntervalSet, check_interval_condition, from_spec
+from .interval_sets import IntervalSet, _frame, check_interval_condition, from_spec, runup_grid
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -400,8 +400,8 @@ def _balayage(ns: argparse.Namespace) -> Output:
     violation = (f"balayage mass {mass} deviates from 1 beyond 1e-9"
                  if abs(mass - 1.0) > 1e-9 else None)
     if ns.t is None:
-        theta = np.linspace(0.0, np.pi, ns.points + 2)[1:-1]
-        ts = (ns.b + ns.a) / 2.0 + (ns.a - ns.b) / 2.0 * np.cos(theta[::-1])
+        mid, half = _frame(ns.b, ns.a)
+        ts = mid + half * np.cos(np.linspace(0.0, np.pi, ns.points + 2)[-2:0:-1])
     else:
         ts = np.array([ns.t])
     rows = list(zip(ts.tolist(), equilibrium.balayage_density(qy, ts).tolist()))
@@ -453,7 +453,7 @@ def _schur_witness(ns: argparse.Namespace) -> Output:
 
     def table():
         # witness evaluation table on the run-up interval: x, P(x), h/sqrt(a-x)
-        xs = schur.runup_grid(check_interval_condition(imap.target_set, imap.a), ns.points)
+        xs = runup_grid(check_interval_condition(imap.target_set, imap.a), ns.points)
         bound = ns.h_a / np.sqrt(imap.a - xs)
         return ("x", "witness", "local_bound"), list(zip(xs.tolist(), wit(xs).tolist(),
                                                          bound.tolist()))

@@ -94,7 +94,7 @@ import numpy as np
 
 from . import numerics
 from .errors import NumericsError, SetSpecError
-from .interval_sets import EndpointContext, IntervalSet, _component_frames, outer_approx
+from .interval_sets import EndpointContext, IntervalSet, _component_frames, _frame, _gap_frames, outer_approx
 from .numerics import EXPAND_MAX_NODES, _gauss_cheb_adaptive, chebyshev_expand
 
 # density is undefined within this fraction of its component's half-length
@@ -136,9 +136,11 @@ class BalayageQuery:
     a: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.x, self.b, self.a)):
+        # a non-finite x, b or a makes a difference non-finite too
+        if not all(map(math.isfinite, (self.a - self.b, self.x - self.a, self.x - self.b))):
             raise SetSpecError(
-                f"balayage needs finite x, b and a, got x={self.x}, b={self.b}, a={self.a}"
+                f"balayage needs finite x, b and a whose differences stay below the float limit "
+                f"{np.finfo(float).max:.6g}, got x={self.x}, b={self.b}, a={self.a}"
             )
         if not self.b < self.a:
             raise SetSpecError(f"balayage target needs b < a, got [{self.b}, {self.a}]")
@@ -228,18 +230,18 @@ class _GapNodes:
 
 
 def _gap_nodes(
-    gaps: np.ndarray, ends: np.ndarray, idx: np.ndarray, s: np.ndarray,
+    gaps: tuple, ends: np.ndarray, idx: np.ndarray, s: np.ndarray,
     prior: _GapNodes | None = None,
 ) -> _GapNodes:
-    """The reference nodes s in [-1, 1] mapped onto each gap in ``idx``; gap
-    k lies between ends[2k + 1] and ends[2k + 2].  ``prior``, nodes of an
-    earlier doubling at the same count, is returned as it is when it holds
-    the same gaps: its endpoint sums are the same function of the same
-    nodes, so bit-identical."""
+    """The reference nodes s in [-1, 1] mapped onto each gap in ``idx`` by the
+    frames ``gaps`` of ``_gap_frames``; gap k lies between ends[2k + 1] and
+    ends[2k + 2].  ``prior``, nodes of an earlier doubling at the same count,
+    is returned as it is when it holds the same gaps: its endpoint sums are
+    the same function of the same nodes, so bit-identical."""
     if prior is not None and np.array_equal(prior.idx, idx):
         return prior
-    g0, g1 = gaps[idx, 0, None], gaps[idx, 1, None]
-    t = (g0 + g1) / 2.0 + (g1 - g0) / 2.0 * s
+    _, _, mid, half = gaps
+    t = mid[idx, None] + half[idx, None] * s
     own = np.stack([2 * idx + 1, 2 * idx + 2], axis=1)
     return _GapNodes(idx, t, -0.5 * _log_dist(t, ends, own))
 
@@ -264,7 +266,7 @@ def _gap_means(
     earlier doubling on K, whose endpoint sums are reused (``_gap_nodes``).
     Returns the nodes of every level, the gaps it sampled, and the means.
     """
-    gaps = np.asarray(K.gaps()).reshape(-1, 2)
+    gaps = g0, g1, mid, half = _gap_frames(K)
     ends = np.asarray(K.endpoints())
     by_count = {nodes.t.shape[1]: nodes for nodes in prior}
     levels: list[_GapNodes] = []
@@ -281,15 +283,13 @@ def _gap_means(
         return np.stack([s * g, g], axis=1)
 
     try:
-        m1, m0 = _gauss_cheb_adaptive(moments, -1.0, 1.0, count=len(gaps)).T
+        m1, m0 = _gauss_cheb_adaptive(moments, count=mid.size).T
     except NumericsError:
-        open_gaps = levels[-1].idx
-        g0, g1 = gaps[open_gaps[0]]
+        k = levels[-1].idx
         raise NumericsError(
-            f"gap quadrature on [{g0}, {g1}] did not converge at QUAD_MAX_NODES = "
-            f"{numerics.QUAD_MAX_NODES} nodes ({open_gaps.size} gaps unsettled)"
+            f"gap quadrature on [{g0[k[0]]}, {g1[k[0]]}] did not converge at QUAD_MAX_NODES = "
+            f"{numerics.QUAD_MAX_NODES} nodes ({k.size} gaps unsettled)"
         ) from None
-    mid, half = gaps.mean(axis=1), (gaps[:, 1] - gaps[:, 0]) / 2.0
     return levels, mid + half * (m1 / m0)
 
 
@@ -357,9 +357,7 @@ def _solve_gap_roots(K: IntervalSet) -> tuple[np.ndarray, list[_GapNodes]]:
     is below the floor the pass that would only confirm it is skipped.
     The first step is a mean step and predicts nothing.
     """
-    gaps = np.asarray(K.gaps()).reshape(-1, 2)
-    lo, hi = gaps[:, 0], gaps[:, 1]
-    mid = (lo + hi) / 2.0
+    lo, hi, mid, _ = _gap_frames(K)
     if not mid.size:
         return mid, []
     # the first pass, a mean step from the midpoints, fixes the node counts
@@ -394,9 +392,9 @@ def _verify_gap_conditions(K: IntervalSet, roots: np.ndarray, prior: Sequence[_G
     """
     if not roots.size:
         return
-    gaps = np.asarray(K.gaps()).reshape(-1, 2)
+    g0, g1 = _gap_frames(K)[:2]
     _, mean = _gap_means(K, roots, prior)
-    resid = np.abs(mean - roots) / (gaps[:, 1] - gaps[:, 0])
+    resid = np.abs(mean - roots) / (g1 - g0)
     k = int(np.argmax(resid))
     if not resid[k] <= 5e-10:
         raise NumericsError(f"gap condition residual {resid[k]:.2e} in gap {k}")
@@ -410,8 +408,7 @@ def solve_equilibrium(K: IntervalSet) -> EquilibriumData:
     _verify_gap_conditions(K, roots, levels)
     with np.errstate(all="ignore"):  # pi * half overflows near the float limit; checked below
         coeffs = _component_tables(K, roots)
-        half = _component_frames(K)[3]
-        masses = half * math.pi * coeffs[:, 0]
+        masses = _component_frames(K)[3] * math.pi * coeffs[:, 0]  # half pi c_0
         mass = sum(masses.tolist())
         robin = float(np.mean(_potential_from_tables(K, coeffs, _robin_probes(K))))
         cap = math.exp(-robin)
@@ -443,7 +440,7 @@ def _component_tables(K: IntervalSet, roots: np.ndarray) -> np.ndarray:
         return np.exp(_log_factor(t, rows, roots, ends)) / (np.pi * half[rows, None])
 
     try:
-        rows = chebyshev_expand(G, -1.0, 1.0, count=K.m)
+        rows = chebyshev_expand(G, count=K.m)
     except NumericsError:
         gap = np.r_[np.inf, np.diff(ends)[1::2], np.inf]
         near = np.minimum(gap[:-1], gap[1:])[sampled[-1]]
@@ -496,8 +493,8 @@ def density(E: EquilibriumData, t: float):
     above = np.searchsorted(ends, t_arr, side="right")
     outside = above % 2 == 0
     j = np.clip((above - 1) // 2, 0, E.set.m - 1)
-    u, v = ends[2 * j], ends[2 * j + 1]
-    near = np.minimum(t_arr - u, v - t_arr) <= DENSITY_EDGE_GUARD * (v - u) / 2.0
+    u, v, _, half = (f[j] for f in _component_frames(E.set))
+    near = np.minimum(t_arr - u, v - t_arr) <= DENSITY_EDGE_GUARD * half
     bad = outside | near
     if np.any(bad):
         raise SetSpecError(
@@ -602,9 +599,10 @@ def green(E: EquilibriumData, z: float) -> float:
 
 
 def _balayage_kernel(x, t, b, a):
-    """Density at t of the balayage of a unit mass at x onto [b, a]; x or t may be an array."""
-    return np.sqrt(np.abs(x - b) * np.abs(x - a)) / (
-        np.pi * np.abs(t - x) * np.sqrt(np.abs(t - a) * np.abs(t - b)))
+    """Density at t of the balayage of a unit mass at x onto [b, a]; x or t may be an
+    array.  Roots and quotients are taken alone: a product of distances can overflow."""
+    return (np.sqrt(np.abs(x - b)) / np.abs(t - x) * np.sqrt(np.abs(x - a))
+            / np.sqrt(np.abs(t - a)) / np.sqrt(np.abs(t - b)) / np.pi)
 
 
 def balayage_density(qy: BalayageQuery, t) -> float:
@@ -619,19 +617,23 @@ def balayage_density(qy: BalayageQuery, t) -> float:
 
 def balayage_edge_limit(qy: BalayageQuery) -> float:
     """lim_{t -> a-} sqrt(a - t) * balayage_density(qy, t)."""
-    x, b, a = qy.x, qy.b, qy.a
-    return math.sqrt(abs(x - b)) / (math.pi * math.sqrt(abs(x - a) * abs(a - b)))
+    return math.sqrt(abs(qy.x - qy.b)) / math.sqrt(abs(qy.x - qy.a)) / math.sqrt(qy.a - qy.b) / math.pi
 
 
 def balayage_mass(qy: BalayageQuery) -> float:
     """Total swept mass; 1 for any admissible query (regression check)."""
     x, b, a = qy.x, qy.b, qy.a
-    num = math.sqrt(abs(x - b) * abs(x - a))
+    mid, half = _frame(b, a)
+    rb, ra = math.sqrt(abs(x - b)), math.sqrt(abs(x - a))
 
-    def f(t, rows):
-        return (num / (np.pi * np.abs(t - x)))[None]
+    def f(s, rows):
+        return (rb / np.abs(mid + half * s - x) * ra / np.pi)[None]
 
-    return float(_gauss_cheb_adaptive(f, b, a)[0])
+    try:
+        return float(_gauss_cheb_adaptive(f)[0])
+    except NumericsError:
+        raise NumericsError(f"balayage quadrature on [{b}, {a}] did not converge at "
+                            f"QUAD_MAX_NODES = {numerics.QUAD_MAX_NODES} nodes") from None
 
 
 def decomposition_residual(E: EquilibriumData, ctx: EndpointContext, t: float) -> float:
@@ -654,7 +656,7 @@ def decomposition_residual(E: EquilibriumData, ctx: EndpointContext, t: float) -
     hu, hv = E.set.intervals[home]
     comp = np.array([j for j in range(E.set.m) if j != home] + [home] * (hu < b), dtype=int)
     lo, hi = ends[2 * comp], np.where(comp == home, b, ends[2 * comp + 1])
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    mid, half = _frame(lo, hi)
 
     def f(s, rows):
         x = mid[rows, None] + half[rows, None] * s
@@ -663,7 +665,7 @@ def decomposition_residual(E: EquilibriumData, ctx: EndpointContext, t: float) -
         out[cut] *= np.sqrt((b - x[cut]) / (hv - x[cut]))
         return out
 
-    correction = float(np.sum(_gauss_cheb_adaptive(f, -1.0, 1.0, count=comp.size)))
+    correction = float(np.sum(_gauss_cheb_adaptive(f, count=comp.size)))
     rhs = 1.0 / (np.pi * math.sqrt((t - b) * (a - t))) - correction
     return float(abs(density(E, t) - rhs))
 

@@ -59,7 +59,7 @@ from numpy.polynomial import Chebyshev
 
 from .equilibrium import EquilibriumData, _quantiles, density, green, omega_factor, solve_equilibrium
 from .errors import NumericsError, SetSpecError
-from .interval_sets import IntervalSet, _component_frames, check_interval_condition
+from .interval_sets import IntervalSet, _component_frames, check_interval_condition, runup_grid
 from .numerics import LPProblem, _dct1, _fast_len, lp_maximize
 
 # points per component and per unit of n + 1: the coarse scan of the
@@ -446,22 +446,20 @@ def markov_study(K: IntervalSet, a: float, degrees: Sequence[int]) -> MarkovStud
 
 
 def derivative_norm_probe(K: IntervalSet, a: float, n: int, grid_points: int = 50) -> tuple[float, float]:
-    """(value at a, max value over a grid on [a - rho, a]) for the pointwise
-    objective versus run-up-norm objective comparison.  Each distinct point
-    is solved once: the grid's first point, at theta = 0, is a itself."""
+    """(value at a, max value over a and the grid_points - 1 points of the
+    run-up grid) for the pointwise versus run-up-norm objective comparison;
+    each distinct point is solved once."""
     if grid_points < 1:
         raise SetSpecError(f"grid_points must be at least 1, got {grid_points}")
     _check_degrees([n])
     ctx = check_interval_condition(K, a)
-    theta = np.linspace(0.0, np.pi, grid_points)
-    probes = a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta)
     # one equilibrium, node set and weight vector serve every objective row
     E = solve_equilibrium(K)
     nodes = _interpolation_nodes(E, n)
     w = _bary_weights(nodes)
-    xs, at = np.unique(np.r_[a, probes], return_inverse=True)
+    xs, at = np.unique(np.r_[a, runup_grid(ctx, grid_points - 1)], return_inverse=True)
     values = np.array([_extremal_core(E, n, nodes, w, _deriv_row(nodes, w, float(x))).value for x in xs])[at]
-    return float(values[0]), float(np.max(values[1:]))
+    return float(values[0]), float(np.max(values))
 
 
 # ---------------------------------------------------------------------------

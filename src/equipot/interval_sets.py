@@ -2,10 +2,10 @@
 
 An ``IntervalSet`` is the universal set model of the toolkit: an ordered
 tuple of pairwise disjoint closed intervals.  This module provides
-construction (normalisation of raw pairs, Cantor-type prefractal
-generators), the endpoint/free-gap check that every downstream computation
-relies on, the gap-filling outer approximants used in convergence studies,
-and exact subset decisions.
+construction (raw pairs, Cantor-type prefractals), every interval frame
+(``_frame``), the endpoint/free-gap check and run-up grid that downstream
+computations rely on, the gap-filling outer approximants used in
+convergence studies, and exact subset decisions.
 """
 
 from __future__ import annotations
@@ -94,12 +94,23 @@ class IntervalSet:
         return json.dumps({"intervals": [[l, r] for l, r in self.intervals]})
 
 
+def _frame(u, v):
+    """(mid, half) of [u, v], float or array ends: t = mid + half*s maps s in
+    [-1, 1] onto [u, v].  Every frame is formed here, halving before adding
+    (u + v overflows near the float limit)."""
+    return u / 2.0 + v / 2.0, v / 2.0 - u / 2.0
+
+
 def _component_frames(K: IntervalSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(u, v, mid, half) arrays over the components [u, v] of K, with t =
-    mid + half*s the component's affine frame on s in [-1, 1]."""
+    """(u, v, mid, half) arrays over the components [u, v] of K."""
     u, v = np.asarray(K.intervals).T
-    # halve before adding: u + v overflows for ends near the float limit
-    return u, v, u / 2.0 + v / 2.0, v / 2.0 - u / 2.0
+    return (u, v, *_frame(u, v))
+
+
+def _gap_frames(K: IntervalSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(g0, g1, mid, half) arrays over the bounded gaps (g0, g1) of K."""
+    g0, g1 = np.asarray(K.gaps()).reshape(-1, 2).T
+    return (g0, g1, *_frame(g0, g1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,6 +129,13 @@ class EndpointContext:
             raise SetSpecError("endpoint context values must be finite")
         if self.rho <= 0:
             raise SetSpecError(f"rho must be positive, got {self.rho}")
+
+
+def runup_grid(ctx: EndpointContext, points: int) -> np.ndarray:
+    """``points`` arccos-spaced points of the run-up interval [a - rho, a),
+    ascending; a itself is left out."""
+    theta = np.linspace(0.0, np.pi, points + 1)[1:]
+    return (ctx.a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta))[::-1]
 
 
 def normalize(raw: Iterable[Sequence[float]]) -> IntervalSet:

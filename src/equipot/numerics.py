@@ -1,23 +1,24 @@
 """Shared numeric kernels: quadrature, expansion and LP.
 
-The two adaptive kernels take a batch of functions in one calling
-convention: ``f(t, rows)`` gives the functions numbered ``rows`` (indices
-into range(count), ``count`` 1 by default) at the nodes t, one leading row
-each, and every function stops doubling by its own rule, no longer sampled
-once it settles.
+The two adaptive kernels work on the reference interval [-1, 1] only, in
+one calling convention: ``f(s, rows)`` gives the functions numbered
+``rows`` (indices into range(count), ``count`` 1 by default) at the nodes
+s in [-1, 1], one leading row each, and every function stops doubling by
+its own rule, no longer sampled once it settles.  Callers map s onto
+their intervals by ``interval_sets._frame``, so the relative tests mean
+the same at any scale.
 
-* ``_gauss_cheb_adaptive(f, u, v[, count])``: Gauss-Chebyshev sums of
-  int_u^v f(t) / sqrt((t-u)(v-t)) dt for smooth f (the inverse-square-root
+* ``_gauss_cheb_adaptive(f[, count])``: Gauss-Chebyshev sums of
+  int_-1^1 f(s) / sqrt(1 - s^2) ds for smooth f (the inverse-square-root
   endpoint singularities are absorbed by the weight), with node doubling
   from ``QUAD_MIN_NODES`` = 16 up to ``QUAD_MAX_NODES`` until successive
   estimates agree to ``QUAD_REL_TOL`` relative to the largest component of
   each integrand.  ``balayage_mass`` integrates one function;
   ``decomposition_residual`` integrates its pieces of the set, and the
   equilibrium solver's first gap pass and gap verifier the moments of all
-  gaps, each in one call, mapped onto [-1, 1] and taken in that reference
-  variable, so the relative test means the same at any scale.
-* ``chebyshev_expand(f, u, v[, count])``: adaptively truncated Chebyshev
-  coefficients of smooth functions on [u, v] from their values at the
+  gaps, each in one call.
+* ``chebyshev_expand(f[, count])``: adaptively truncated Chebyshev
+  coefficients of smooth functions of s from their values at the
   Chebyshev-Lobatto points, as the equilibrium solver expands the density
   factors of all components together.  Chebyshev series themselves are
   ``numpy.polynomial.Chebyshev``.
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import NumericsError, SetSpecError
+from .errors import NumericsError
 
 if TYPE_CHECKING:
     from scipy.optimize._highspy._core import _Highs
@@ -63,31 +64,24 @@ QUAD_REL_TOL = 1e-13
 
 
 def _gauss_cheb_adaptive(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    u: float,
-    v: float,
-    count: int = 1,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], count: int = 1
 ) -> np.ndarray:
-    """int_u^v f(t)/sqrt((t-u)(v-t)) dt of ``count`` integrands by
+    """int_-1^1 f(s)/sqrt(1 - s^2) ds of ``count`` integrands by
     Gauss-Chebyshev sums.
 
-    f(t, rows) gives the integrands numbered ``rows`` at the nodes t as a
-    (len(rows), N) or (len(rows), k, N) array; the result has shape (count,)
-    or (count, k).  Each integrand's node count doubles from QUAD_MIN_NODES
-    until the sup-change between its successive estimates falls below
-    QUAD_REL_TOL relative to its largest component magnitude; the sum is
-    exact for polynomial f of degree < 2N at N nodes.
+    f(s, rows) gives the integrands numbered ``rows`` at the nodes s in
+    [-1, 1] as a (len(rows), N) or (len(rows), k, N) array; the result has
+    shape (count,) or (count, k).  Each integrand's node count doubles from
+    QUAD_MIN_NODES until the sup-change between its successive estimates
+    falls below QUAD_REL_TOL relative to its largest component magnitude;
+    the sum is exact for polynomial f of degree < 2N at N nodes.
     """
-    if not v > u:
-        raise SetSpecError(f"integration interval needs u < v, got [{u}, {v}]")
-    mid, half = (u + v) / 2.0, (v - u) / 2.0
     todo = np.arange(count)
     out = prev = None
     N = QUAD_MIN_NODES
     while N <= QUAD_MAX_NODES:
         theta = (2.0 * np.arange(1, N + 1) - 1.0) * np.pi / (2.0 * N)
-        t = mid + half * np.cos(theta)
-        est = np.asarray(f(t, todo), dtype=float).sum(axis=-1) * (np.pi / N)
+        est = np.asarray(f(np.cos(theta), todo), dtype=float).sum(axis=-1) * (np.pi / N)
         if prev is not None:
             axes = tuple(range(1, est.ndim))
             scale = np.maximum(np.abs(est).max(axis=axes), np.abs(prev).max(axis=axes))
@@ -101,7 +95,7 @@ def _gauss_cheb_adaptive(
         prev = est
         N *= 2
     raise NumericsError(
-        f"endpoint-singular quadrature of integrand {todo[0]} on [{u}, {v}] did not "
+        f"endpoint-singular quadrature of integrand {todo[0]} on [-1, 1] did not "
         f"converge at {QUAD_MAX_NODES} nodes; last estimate {np.ravel(est[0])[:4]}"
     )
 
@@ -141,17 +135,14 @@ def _truncate_coeffs(c: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def chebyshev_expand(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    u: float,
-    v: float,
-    count: int = 1,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], count: int = 1
 ) -> list[np.ndarray]:
-    """Chebyshev coefficients of ``count`` smooth functions on [u, v],
+    """Chebyshev coefficients of ``count`` smooth functions on [-1, 1],
     adaptively truncated; one coefficient array per function.
 
-    f(t, rows) gives the functions numbered ``rows`` at the nodes t as a
-    (len(rows), len(t)) array.  Each function is interpolated at the N + 1
-    Lobatto points mid + half cos(pi k / N), k = 0..N, its N + 1
+    f(s, rows) gives the functions numbered ``rows`` at the nodes s in
+    [-1, 1] as a (len(rows), len(s)) array.  Each function is interpolated
+    at the N + 1 Lobatto points cos(pi k / N), k = 0..N, its N + 1
     coefficients taken by one DCT-I, doubling N until the trailing quarter
     of its coefficients is negligible relative to the largest one.  When
     the tail stops shrinking between doublings it has hit the rounding
@@ -159,16 +150,13 @@ def chebyshev_expand(
     level with the smaller tail is then accepted.  Trailing coefficients
     below the accepted floor are dropped.
     """
-    if not v > u:
-        raise SetSpecError(f"expansion interval needs u < v, got [{u}, {v}]")
-    mid, half = (u + v) / 2.0, (v - u) / 2.0
     out: list = [None] * count
     todo = np.arange(count)
     best_c, best_tail = None, None
     N = EXPAND_MIN_NODES
     while True:
         theta = np.arange(N + 1) * (np.pi / N)
-        vals = np.asarray(f(mid + half * np.cos(theta), todo), dtype=float)
+        vals = np.asarray(f(np.cos(theta), todo), dtype=float)
         # the end coefficients carry half the weight of the inner ones
         c = _dct1(vals) / N
         c[:, [0, N]] *= 0.5
@@ -189,7 +177,7 @@ def chebyshev_expand(
         if N >= EXPAND_MAX_NODES:
             r = np.flatnonzero(~done)[0]
             raise NumericsError(
-                f"Chebyshev expansion of function {todo[r]} on [{u}, {v}] did not resolve at "
+                f"Chebyshev expansion of function {todo[r]} on [-1, 1] did not resolve at "
                 f"{EXPAND_MAX_NODES} nodes (tail {tail[r]:.3e} vs scale {scale[r]:.3e})"
             )
         todo, best_c, best_tail = todo[~done], c[~done], tail[~done]

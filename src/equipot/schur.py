@@ -40,7 +40,7 @@ import numpy as np
 from .equilibrium import EquilibriumData, omega_factor, solve_equilibrium
 from .errors import SetSpecError
 from .extremal import _poly_norm_on_set
-from .interval_sets import EndpointContext, IntervalSet, check_interval_condition
+from .interval_sets import EndpointContext, IntervalSet, _frame, check_interval_condition, runup_grid
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,7 +140,7 @@ def peaking_poly(K: IntervalSet, a: float, d: int) -> Callable:
         raise SetSpecError(f"peaking degree must be >= 1, got {d}")
     if a != K.max:
         raise SetSpecError(f"peaking point {a} must be the maximum of the set")
-    c = (K.min + a) / 2.0
+    c = _frame(K.min, a)[0]
     if a == c:
         raise SetSpecError("set is a single point; no peaking polynomial")
 
@@ -197,13 +197,6 @@ def build_witness(map: InverseImageMap, h_a: float, n: int, eta: float) -> Schur
     if wit.degree > n:
         raise SetSpecError(f"witness degree {wit.degree} exceeds budget {n}")
     return wit
-
-
-def runup_grid(ctx: EndpointContext, points: int) -> np.ndarray:
-    """``points`` arccos-spaced points of the run-up interval [a - rho, a),
-    ascending; a itself is left out."""
-    theta = np.linspace(0.0, np.pi, points + 1)[1:]
-    return (ctx.a - ctx.rho / 2.0 + (ctx.rho / 2.0) * np.cos(theta))[::-1]
 
 
 # points of the run-up grid on which the local hypothesis is audited

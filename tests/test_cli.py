@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equipot import SetSpecError, cli, extremal, interval_sets, numerics
+from equipot import SetSpecError, cli, equilibrium, extremal, interval_sets, numerics
 
 
 def run_cli(args, capsys):
@@ -217,6 +217,43 @@ class TestExitCodes:
             assert (code, rec["error"]) == (2, "parse")
         else:
             assert (code, rec["error"]) == (3, "numeric") and "not finite" in rec["message"]
+
+    @pytest.mark.parametrize("command", [["density"], ["omega", "--a", "1.7e308"], ["capacity"],
+                                         ["green", "--z", "1.3e308"],
+                                         ["markov", "--a", "1.7e308", "--degrees", "4"],
+                                         ["converge", "--a", "1.7e308", "--m", "2"]],
+                             ids=lambda c: c[0])
+    def test_set_near_the_float_limit_solves(self, command, capsys):
+        # every frame (components, gaps, Robin probes) is formed without
+        # u + v, which overflows here; the capacity is 1e308 sqrt(0.1) / 2
+        pairs = [[1e308, 1.2e308], [1.5e308, 1.7e308]]
+        code, out, err = run_cli([*command, "--set", json.dumps({"intervals": pairs})], capsys)
+        assert (code, err) == (0, "")
+        if command[0] == "capacity":
+            assert json.loads(out)["cap"] == pytest.approx(1e308 * math.sqrt(0.1) / 2.0,
+                                                           rel=1e-13)
+
+    def test_balayage_near_the_float_limit(self, capsys):
+        # |x - b| |x - a| and pi |t - x| overflow; their roots and quotients do not
+        code, out, err = run_cli(["balayage", "--x", "1.75e308", "--b", "1e308", "--a", "1.7e308",
+                                  "--t", "1.5e308"], capsys)
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        assert abs(rec["mass"] - 1.0) <= 1e-9
+        # the kernel scales as 1/alpha, the edge limit as 1/sqrt(alpha)
+        at_one = equilibrium.BalayageQuery(x=1.75, b=1.0, a=1.7)
+        assert rec["density"] == pytest.approx(
+            equilibrium.balayage_density(at_one, 1.5) / 1e308, rel=1e-13)
+        assert rec["edge_limit"] == pytest.approx(
+            equilibrium.balayage_edge_limit(at_one) / 1e154, rel=1e-13)
+
+    def test_balayage_distance_overflow_exit_2(self, capsys):
+        # a - b = 2e308 is refused for its overflow, not as a source inside
+        code, out, err = run_cli(["balayage", "--x", "-1.5e308", "--b", "-1e308", "--a", "1e308"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        rec = json.loads(err)
+        assert rec["error"] == "parse" and "float limit" in rec["message"]
 
     @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
     def test_balayage_non_finite_source_exit_2(self, x, capsys):

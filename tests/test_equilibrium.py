@@ -353,11 +353,11 @@ class TestSolveWork:
         counts = []
         expand = equilibrium.chebyshev_expand
 
-        def logged(f, u, v, count=1):
-            def g(t, rows):
-                counts.append((len(t), len(rows)))
-                return f(t, rows)
-            return expand(g, u, v, count)
+        def logged(f, count=1):
+            def g(s, rows):
+                counts.append((len(s), len(rows)))
+                return f(s, rows)
+            return expand(g, count)
 
         monkeypatch.setattr(equilibrium, "chebyshev_expand", logged)
         solve_equilibrium(cantor_set(7, 0.37))
@@ -476,8 +476,7 @@ class TestBatchedStages:
             others = ends[(ends != u) & (ends != v)]
             want, = chebyshev_expand(
                 lambda s, rows: np.exp(log_weight(mid + half * s, roots, others))[None]
-                / (np.pi * half),
-                -1.0, 1.0)
+                / (np.pi * half))
             n = max(len(got), len(want))
             diff = np.pad(got, (0, n - len(got))) - np.pad(want, (0, n - len(want)))
             assert np.max(np.abs(diff)) <= 1e-13 * abs(want[0])
@@ -629,10 +628,14 @@ class TestPotentialCapacityGreen:
         assert green(E_unit, z) == pytest.approx(math.log(2.0) + math.log(abs(z)), rel=1e-14)
 
     def test_capacity_near_the_float_limit(self):
-        # mid and half are formed without u + v, which overflows here
-        E = solve_equilibrium(IntervalSet(((1e308, 1.7e308),)))
-        assert E.cap == pytest.approx(1.75e307, rel=1e-13)
-        assert E.mass == pytest.approx(1.0, rel=1e-13)
+        # the frames of components and gaps are formed without u + v, which
+        # overflows here; a symmetric pair [-beta, -alpha] u [alpha, beta]
+        # has capacity sqrt(beta^2 - alpha^2) / 2
+        for pairs, cap in [(((1e308, 1.7e308),), 1.75e307),
+                           (((1e308, 1.2e308), (1.5e308, 1.7e308)), 1e308 * math.sqrt(0.1) / 2.0)]:
+            E = solve_equilibrium(IntervalSet(pairs))
+            assert E.cap == pytest.approx(cap, rel=1e-13)
+            assert E.mass == pytest.approx(1.0, rel=1e-13)
 
     @pytest.mark.parametrize("pairs", [((-1e308, 1e308),), ((1e307, 2e307), (3e307, 1.7e308))],
                              ids=["hull-overflows", "component-overflows"])
@@ -656,8 +659,10 @@ class TestBalayage:
         assert balayage_density(qy, 0.5) == pytest.approx(want, rel=1e-14)
 
     def test_mass_preserved(self):
-        for x in (2.0, -3.0, 1.0 + 1e-3, 100.0):
-            qy = BalayageQuery(x=x, b=-1.0, a=1.0)
+        # the last query's |x - b| |x - a| and pi |t - x| overflow
+        for x, b, a in ((2.0, -1.0, 1.0), (-3.0, -1.0, 1.0), (1.0 + 1e-3, -1.0, 1.0),
+                        (100.0, -1.0, 1.0), (1.75e308, 1e308, 1.7e308)):
+            qy = BalayageQuery(x=x, b=b, a=a)
             assert balayage_mass(qy) == pytest.approx(1.0, abs=1e-9)
 
     def test_edge_limit_value(self):
@@ -685,6 +690,11 @@ class TestBalayage:
         with pytest.raises(SetSpecError):
             balayage_density(BalayageQuery(x=2.0, b=-1.0, a=1.0), 1.5)
 
+    def test_mass_nonconvergence_names_the_interval(self):
+        # a source 1e-9 of the length beyond a makes a near pole
+        with pytest.raises(NumericsError, match=r"balayage quadrature on \[2\.0, 5\.0\]"):
+            balayage_mass(BalayageQuery(x=5.0 + 3e-9, b=2.0, a=5.0))
+
     @pytest.mark.parametrize("t", [math.nan, [0.0, math.nan], math.inf])
     def test_density_rejects_non_finite_point(self, t):
         with pytest.raises(SetSpecError, match="strictly inside"):
@@ -693,6 +703,8 @@ class TestBalayage:
     @pytest.mark.parametrize("x,b,a", [
         (math.nan, -1.0, 1.0), (math.inf, -1.0, 1.0), (-math.inf, -1.0, 1.0),
         (2.0, -math.inf, 1.0), (2.0, -1.0, math.nan),
+        # finite ends whose a - b, x - b or x - a overflows
+        (-1.5e308, -1e308, 1e308), (1e308, -1e308, -5e307), (-1e308, 5e307, 1e308),
     ])
     def test_rejects_non_finite(self, x, b, a):
         with pytest.raises(SetSpecError, match="finite"):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -16,12 +17,12 @@ from scipy.optimize._highspy._core import HighsModelStatus
 from equipot import (
     LPProblem,
     NumericsError,
-    SetSpecError,
     chebyshev_expand,
     h_poly,
     lp_maximize,
 )
 from equipot import cli, numerics
+from equipot.interval_sets import _frame
 from equipot.numerics import _gauss_cheb_adaptive
 
 
@@ -40,13 +41,23 @@ def test_every_export_is_called():
 
 
 def quad(f, u, v):
-    """The integral of one integrand f(t), through the (t, rows) convention."""
-    return float(_gauss_cheb_adaptive(lambda t, rows: f(t)[None], u, v)[0])
+    """int_u^v f(t)/sqrt((t-u)(v-t)) dt of one integrand f(t), through the
+    (s, rows) convention on [-1, 1] and the frame of [u, v]."""
+    mid, half = _frame(u, v)
+    return float(_gauss_cheb_adaptive(lambda s, rows: f(mid + half * s)[None])[0])
 
 
 def expand(f, u, v):
-    """The coefficients of one function f(t), through the (t, rows) convention."""
-    return chebyshev_expand(lambda t, rows: f(t)[None], u, v)[0]
+    """The Chebyshev coefficients of one function f(t) on [u, v], through
+    the (s, rows) convention on [-1, 1] and the frame of [u, v]."""
+    mid, half = _frame(u, v)
+    return chebyshev_expand(lambda s, rows: f(mid + half * s)[None])[0]
+
+
+@pytest.mark.parametrize("kernel", [_gauss_cheb_adaptive, chebyshev_expand])
+def test_kernels_take_no_interval(kernel):
+    # both work on the reference interval [-1, 1]; callers map their own
+    assert list(inspect.signature(kernel).parameters) == ["f", "count"]
 
 
 class TestQuadrature:
@@ -83,10 +94,6 @@ class TestQuadrature:
         got = quad(np.exp, -1, 1)
         assert got == pytest.approx(math.pi * i0(1.0), rel=1e-12)
 
-    def test_bad_interval(self):
-        with pytest.raises(SetSpecError):
-            quad(np.exp, 1.0, 1.0)
-
     def test_nonconvergence_reported(self):
         # a kink inside the interval only converges algebraically
         with pytest.raises(NumericsError):
@@ -101,14 +108,16 @@ class TestQuadrature:
     def test_batch_is_each_integrand_alone(self):
         seen = []
 
-        def f(t, rows):
-            seen.append((len(t), tuple(rows)))
-            return np.stack([self.INTEGRANDS[r](t) for r in rows])
+        mid, half = _frame(-2.0, 3.0)
 
-        got = _gauss_cheb_adaptive(f, -2.0, 3.0, count=len(self.INTEGRANDS))
+        def f(s, rows):
+            seen.append((len(s), tuple(rows)))
+            return np.stack([self.INTEGRANDS[r](mid + half * s) for r in rows])
+
+        got = _gauss_cheb_adaptive(f, count=len(self.INTEGRANDS))
         assert got.shape == (3, 2)
         for g, one in zip(got, self.INTEGRANDS):
-            alone = _gauss_cheb_adaptive(lambda t, rows: one(t)[None], -2.0, 3.0)
+            alone = _gauss_cheb_adaptive(lambda s, rows: one(mid + half * s)[None])
             assert np.array_equal(g, alone[0])
         # an integrand is sampled until it settles, and not after: only the
         # oscillating one needs more than the first two levels
@@ -117,11 +126,11 @@ class TestQuadrature:
         assert [n for n, _ in seen] == [numerics.QUAD_MIN_NODES << j for j in range(len(seen))]
 
     def test_batch_names_the_unconverged_integrand(self):
-        def f(t, rows):
-            return np.vstack([np.exp(t), np.abs(t) ** 0.1])[rows]
+        def f(s, rows):
+            return np.vstack([np.exp(s), np.abs(s) ** 0.1])[rows]
 
-        with pytest.raises(NumericsError, match="of integrand 1 on"):
-            _gauss_cheb_adaptive(f, -1.0, 1.0, count=2)
+        with pytest.raises(NumericsError, match=r"of integrand 1 on \[-1, 1\]"):
+            _gauss_cheb_adaptive(f, count=2)
 
     def test_starvation_settings_stay_valid(self, monkeypatch):
         # the quadrature constants are read at each call, so starved values take
@@ -131,11 +140,11 @@ class TestQuadrature:
         monkeypatch.setattr(numerics, "QUAD_REL_TOL", 1.0)
         seen = []
 
-        def f(t, rows):
-            seen.append(len(t))
-            return np.exp(t)[None]
+        def f(s, rows):
+            seen.append(len(s))
+            return np.exp(s)[None]
 
-        got = _gauss_cheb_adaptive(f, -1.0, 1.0)[0]
+        got = _gauss_cheb_adaptive(f)[0]
         assert seen == [2, 4]
         assert got == pytest.approx(np.pi / 4 * np.sum(np.exp(np.cos(np.pi * np.arange(1, 8, 2) / 8))),
                                     rel=1e-15)
@@ -163,11 +172,13 @@ class TestChebyshevExpand:
     def test_batch_is_each_function_alone(self):
         seen = []
 
-        def f(t, rows):
-            seen.append((len(t), tuple(rows)))
-            return np.vstack([self.FUNCTIONS[r](t) for r in rows])
+        mid, half = _frame(-2.0, 3.0)
 
-        got = chebyshev_expand(f, -2.0, 3.0, count=len(self.FUNCTIONS))
+        def f(s, rows):
+            seen.append((len(s), tuple(rows)))
+            return np.vstack([self.FUNCTIONS[r](mid + half * s) for r in rows])
+
+        got = chebyshev_expand(f, count=len(self.FUNCTIONS))
         for g, one in zip(got, self.FUNCTIONS):
             want = expand(one, -2.0, 3.0)
             assert len(g) == len(want)
@@ -177,11 +188,11 @@ class TestChebyshevExpand:
         assert seen == [((64 << j) + 1, (0, 1, 2, 3) if j == 0 else (1,)) for j in range(len(seen))]
 
     def test_batch_names_the_unresolved_function(self):
-        def f(t, rows):
-            return np.vstack([np.exp(t), np.abs(t)])[rows]
+        def f(s, rows):
+            return np.vstack([np.exp(s), np.abs(s)])[rows]
 
-        with pytest.raises(NumericsError, match="function 1 on"):
-            chebyshev_expand(f, -1.0, 1.0, count=2)
+        with pytest.raises(NumericsError, match=r"function 1 on \[-1, 1\]"):
+            chebyshev_expand(f, count=2)
 
 
 class TestFftKernels:
