@@ -35,8 +35,8 @@ reaches +-1, and one round suffices.  Each exchange round appends the
 witness's refined local maxima that overshoot, in order, so the set only
 grows and the LP value falls monotonically until the overshoot is below
 tolerance.  The rounds grow one LP in place: only the new points' Lagrange
-rows are formed and appended, and the LP's own HiGHS model re-solves warm
-from its last basis.  The witness itself is evaluated matrix-free by the
+rows are formed and appended, and the LP re-solves from the basis it kept
+at its last optimum.  The witness itself is evaluated matrix-free by the
 barycentric formula, and on fine grids in angle: on each component it is a
 cosine series of degree n, so its values at the n + 1 Lobatto angles give
 its values at M equispaced angles by two DCT-Is.  Two checks stay
@@ -326,7 +326,7 @@ def _solve_once(K: IntervalSet, n: int, nodes: np.ndarray, w: np.ndarray, object
     """Working-set LP plus exchange, seeded with ``grid``.
 
     One LP per call: each round appends its new points' rows to it, and
-    HiGHS re-solves it warm from its last basis.  Returns (node values,
+    the dual simplex re-solves it from the basis it kept.  Returns (node values,
     then x and |P(x)| at the refined maxima of that witness, rounds, and
     whether the loop stopped at ``EXCHANGE_ROUNDS``).
     """

@@ -30,28 +30,24 @@ the same at any scale.
   the Markov probe's angle grids.
 * ``lp_maximize(LPProblem(objective, rows))``: max objective . y subject
   to |rows . y| <= 1 and |y_j| <= 1, the nodal-value LP of the extremal
-  probe, each row one ranged HiGHS row -1 <= rows . y <= 1, with a
-  two-rung ladder (the warm HiGHS model, then ``linprog``) and a
-  duality-gap audit.  The caller drives semi-infinite refinement by
-  growing one problem with ``add_rows``: the problem keeps its HiGHS
-  model, which takes only the new rows and re-solves from the last basis.
-  The LP backend (``_Highs``, ``HighsModelStatus`` and ``linprog``, from
-  ``scipy.optimize``) is bound by the first LP, or by the first lookup of
-  one of those names on this module, and a bound name is never re-bound:
-  a command that runs no LP imports no scipy.
+  probe, by a dense bounded dual simplex in numpy (``_dual_simplex``),
+  with scipy's ``linprog`` as the one last rung and a duality-gap audit.
+  The caller drives semi-infinite refinement by growing one problem with
+  ``add_rows``: the problem keeps its last optimal basis, which the new
+  rows leave dual feasible, and re-solves from it.  ``linprog`` is bound
+  on its first use, or by the first lookup of that name on this module,
+  and a bound name is never re-bound: an LP the simplex solves imports no
+  scipy.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .errors import NumericsError
-
-if TYPE_CHECKING:
-    from scipy.optimize._highspy._core import _Highs
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -196,88 +192,107 @@ class LPProblem:
     nodes and ``rows`` the Lagrange basis at the working-set points, so the
     box bounds say |P| <= 1 at the nodes and every variable is bounded.
     The problem grows in place: ``add_rows`` appends rows, and the problem
-    keeps its HiGHS model between ``lp_maximize`` calls, so a re-solve adds
-    only the new rows and starts from the last basis.
+    keeps its last optimal basis between ``lp_maximize`` calls, which the
+    appended rows leave dual feasible, so a re-solve starts from it.
     """
 
     objective: np.ndarray
     rows: np.ndarray
-    _model: _Highs | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    _basis: tuple | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def add_rows(self, new: np.ndarray) -> None:
         self.rows = np.vstack([self.rows, new])
 
 
-# the LP backend, bound by the first LP (or the first lookup of one of these
-# names on the module): importing scipy.optimize costs more than most
-# commands that run no LP
-_LP_BACKEND = ("_Highs", "HighsModelStatus", "linprog")
-
-
-def _bind_lp_backend() -> None:
-    """Bind each LP backend name that is not bound yet; a bound one, the
-    real class or a stand-in set in its place, is left as it is."""
-    names = globals()
-    if all(name in names for name in _LP_BACKEND):
-        return
-    from scipy.optimize import linprog
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-
-    for name, value in zip(_LP_BACKEND, (_Highs, HighsModelStatus, linprog)):
-        names.setdefault(name, value)
-
-
 def __getattr__(name: str):
-    if name in _LP_BACKEND:
-        _bind_lp_backend()
-        return globals()[name]
+    # scipy's ``linprog``, the last rung, bound on first use: importing
+    # scipy.optimize costs more than most LPs; a bound name (the real
+    # function or a stand-in set in its place) is never re-bound
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return globals().setdefault(name, linprog)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# HiGHS options: tight feasibility tolerances, and no presolve, which on
-# these dense rows takes longer than the cold solve it precedes (a warm
-# re-solve skips it anyway); accepted duality gap, relative to
-# max(1, |value|)
-LP_FEASIBILITY_TOL = 1e-10
+# largest violation |a . y| - 1 the simplex accepts, and its pivot cap;
+# accepted duality gap, relative to max(1, |value|)
+LP_FEASIBILITY_TOL = 1e-13
+LP_PIVOT_CAP = 5000
 LP_GAP_TOL = 1e-9
-_HIGHS_OPTIONS = {"output_flag": False,
-                  "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
-                  "dual_feasibility_tolerance": LP_FEASIBILITY_TOL,
-                  "presolve": "off"}
 
 
-def _highs_rung(problem: LPProblem, cost: np.ndarray, rows: np.ndarray):
-    """Solve on the problem's HiGHS model (built with the cost on first use)
-    with the rows it lacks appended as ranged rows -1 <= row . y <= 1, kept
-    only when it solves; returns (y, duals), or None when HiGHS ends in any
-    status but optimal."""
-    h, problem._model = problem._model, None
-    if h is None:
-        h = _Highs()
-        for key, val in _HIGHS_OPTIONS.items():
-            h.setOptionValue(key, val)
-        h.addVars(len(cost), np.full(len(cost), -1.0), np.full(len(cost), 1.0))
-        h.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
-    new = rows[h.getNumRow():]
-    k, n = new.shape
-    if k:
-        h.addRows(k, np.full(k, -1.0), np.full(k, 1.0), k * n,
-                  np.arange(0, k * n, n, dtype=np.int32),
-                  np.tile(np.arange(n, dtype=np.int32), k), new.ravel())
-    h.run()
-    if h.getModelStatus() != HighsModelStatus.kOptimal:
-        return None
-    problem._model = h
-    sol = h.getSolution()
-    return np.array(sol.col_value), np.concatenate([sol.row_dual, sol.col_dual])
+def _replace_row(inv: np.ndarray, i: int, alpha: np.ndarray) -> None:
+    """Update the basis inverse in place for row i of the basis replaced by
+    the row whose coordinates in the basis rows are alpha (rank 1)."""
+    col = inv[:, i] / alpha[i]
+    inv -= np.outer(col, alpha)
+    inv[:, i] = col
+
+
+def _dual_simplex(A: np.ndarray, d: np.ndarray, basis: tuple[np.ndarray, ...]):
+    """max d . y subject to |A y| <= 1 by the bounded dual simplex, from a
+    basis (rows of A, the bound +-1 each is held at, and the inverse of
+    those rows) whose duals lambda = A_B^-T d have the signs of their
+    bounds.
+
+    The vertex is y = A_B^-1 signs and d . y = sum |lambda|.  The most
+    violated row enters at the bound it breaks (after a degenerate pivot
+    the first violated row, with ties of the ratio test going to the
+    first row: Bland's rule); the ratio test picks the basis row whose
+    dual reaches zero first, among near ties the one with the largest
+    pivot.  The inverse takes one rank-1 update per pivot and is formed
+    afresh every 32 pivots and before the answer.  Returns (y, lambda,
+    basis), or None at ``LP_PIVOT_CAP`` pivots, when no basis row can
+    leave, or when y breaks one of its own basis rows.
+    """
+    idx, sgn, inv = (x.copy() for x in basis)
+    B = A[idx]
+    since, bland = 0, False
+    for _ in range(LP_PIVOT_CAP + 1):
+        # one step of iterative refinement: with nearly parallel rows in
+        # the basis, inv alone leaves residuals of cond(B) ulps
+        y = inv @ sgn
+        y += inv @ (sgn - B @ y)
+        Ay = A @ y
+        viol = np.abs(Ay)
+        viol[idx] = 0.0
+        c = int((viol > 1.0 + LP_FEASIBILITY_TOL).argmax() if bland else viol.argmax())
+        if viol[c] <= 1.0 + LP_FEASIBILITY_TOL:
+            if since:
+                inv, since = np.linalg.inv(B), 0
+                continue
+            if np.abs(Ay[idx]).max() > 1.0 + LP_FEASIBILITY_TOL:
+                return None
+            lam = d @ inv
+            return y, lam + (d - lam @ B) @ inv, (idx, sgn, inv)
+        t = 1.0 if Ay[c] > 0.0 else -1.0
+        alpha = A[c] @ inv
+        # the duals move as lambda - theta t alpha while lambda_c = theta t
+        step = t * sgn * alpha
+        room = np.maximum(sgn * (d @ inv), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = room / step
+        ratio[step <= 1e-9 * np.abs(alpha).max()] = np.inf
+        theta = ratio.min()
+        if not theta < np.inf:
+            return None
+        tie = np.flatnonzero(ratio <= theta * (1.0 + 1e-9) + 1e-300)
+        i = int(tie[idx[tie].argmin()] if bland else tie[step[tie].argmax()])
+        bland = room[i] <= 1e-14 * room.max()
+        _replace_row(inv, i, alpha)
+        idx[i], sgn[i], B[i], since = c, t, A[c], since + 1
+        if since == 32:
+            inv, since = np.linalg.inv(B), 0
+    return None
 
 
 def _linprog_rung(cost: np.ndarray, rows: np.ndarray):
     """Solve with scipy's public ``linprog``, each row stacked twice as
     rows . y <= 1 and -rows . y <= 1, without presolve; None on failure."""
-    res = linprog(cost, A_ub=np.vstack([rows, -rows]), b_ub=np.ones(2 * len(rows)),
-                  bounds=[(-1.0, 1.0)] * len(cost), method="highs",
-                  options={"presolve": False})
+    res = __getattr__("linprog")(
+        cost, A_ub=np.vstack([rows, -rows]), b_ub=np.ones(2 * len(rows)),
+        bounds=[(-1.0, 1.0)] * len(cost), method="highs", options={"presolve": False})
     if res.status != 0:
         return None
     return np.asarray(res.x, dtype=float), np.concatenate(
@@ -287,21 +302,30 @@ def _linprog_rung(cost: np.ndarray, rows: np.ndarray):
 def lp_maximize(problem: LPProblem) -> tuple[float, np.ndarray]:
     """Solve the finite sup-norm LP; returns (value, maximiser).
 
-    HiGHS sees the objective scaled to max-modulus 1, since its dual
-    feasibility tolerance is absolute.  The ladder has two rungs: the
-    problem's own HiGHS model at tight feasibility tolerances, re-solving
-    warm from its last basis; on a solver failure, ``linprog`` without
-    presolve from scratch.
+    The objective is scaled to max-modulus 1.  The dual simplex starts from
+    the problem's last optimal basis, or cold from the box vertex
+    y = sign(objective), whose basis is the box rows; when it fails
+    (pivot cap, singular basis, or an answer that breaks a row by more
+    than ``LP_FEASIBILITY_TOL``), ``linprog`` without presolve solves
+    from scratch.
     """
-    _bind_lp_backend()
     d = np.asarray(problem.objective, dtype=float)
     scale = float(np.max(np.abs(d))) or 1.0
     cost = -d / scale
     rows = np.ascontiguousarray(problem.rows, dtype=float)
-    out = _highs_rung(problem, cost, rows) or _linprog_rung(cost, rows)
-    if out is None:
-        raise NumericsError("LP solver failed on every rung of the ladder")
-    y, duals = out
+    n = len(d)
+    basis = problem._basis or (np.arange(n), np.where(d < 0.0, -1.0, 1.0), np.eye(n))
+    try:
+        out = _dual_simplex(np.vstack([np.eye(n), rows]), -cost, basis)
+    except np.linalg.LinAlgError:
+        out = None
+    if out is not None:
+        y, duals, problem._basis = out
+    else:
+        out = _linprog_rung(cost, rows)
+        if out is None:
+            raise NumericsError("LP solver failed on every rung of the ladder")
+        y, duals = out
     value = float(d @ y)
     # duality gap audit: with every row and variable bounded by -1 and 1,
     # the dual objective of the minimisation is -sum |dual|, whichever

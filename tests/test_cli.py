@@ -716,20 +716,40 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def test_only_the_lp_imports_scipy():
-    """A command that runs no LP loads no scipy module; markov loads
-    scipy.optimize at its first LP."""
+def test_no_command_imports_scipy():
+    """No command loads a scipy module: not one of the format matrix, nor
+    markov on the (c T_N)^-1[-1, 1] of the benchmark's markov workload at
+    its degrees, whose LPs the dual simplex solves without the linprog rung."""
     args = TestFormatMatrix.ARGS
-    plain = [[command, *argv] for command, argv in args.items() if command != "markov"]
-    batches = [plain, [["markov", *args["markov"]]]]
+    plain = [[command, *argv] for command, argv in args.items()]
+    # (2 T_N)^-1[-1, 1]: N theta in [k pi + phi, (k + 1) pi - phi] for
+    # x = cos(theta), phi = arccos(1/2); a is the right end of its leftmost
+    # component (the interval's for N = 1)
+    phi, markov = math.acos(0.5), []
+    for N, degrees in {1: "50,100", 2: "24,40", 3: "18,30", 4: "20,24"}.items():
+        K = sorted([math.cos(((k + 1) * math.pi - phi) / N), math.cos((k * math.pi + phi) / N)]
+                   for k in range(N))
+        markov.append(["markov", "--set", json.dumps({"intervals": K}), "--a", repr(K[0][1]),
+                       "--degrees", degrees])
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps(batches)],
+    run = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps([plain, markov])],
                          capture_output=True, text=True, env=env, check=True)
     got = json.loads(run.stdout.splitlines()[-1])
-    assert {argv[0] for argv in plain} == set(cli._COMMANDS) - {"markov"}
-    assert got["codes"] == [0] * (len(plain) + 1)
-    assert got["loaded"][0] == []
-    assert "scipy.optimize" in got["loaded"][1]
+    assert {argv[0] for argv in plain} == set(cli._COMMANDS)
+    assert got["codes"] == [0] * (len(plain) + len(markov))
+    assert got["loaded"] == [[], []]
+
+
+def test_markov_stdout_is_the_record(capsys):
+    argv = ["markov", "--set", '{"intervals":[[-1,-0.5],[0.5,1]]}', "--a", "1",
+            "--degrees", "10,20"]
+    assert cli.main(argv) == 0
+    record = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "equipot.cli", *argv],
+                         capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == record
+    assert json.loads(run.stdout)["rows"]
 
 
 def test_no_module_reads_the_environment():

@@ -51,6 +51,12 @@ STALL3 = IntervalSet((
 STALL3_A = 5.027806096813277
 STALL3_VALUE = 495.10042754509817
 
+# An affine image of (c T_2)^-1[-1, 1] = Q^-1[-1, 1], Q quadratic, and its
+# inner end a: T_20 o Q is extremal there at n = 40.
+IMAGE2 = IntervalSet(((-3.7255354862771353, -2.834363526724945),
+                      (0.1003773079122352, 0.9915492674644253)))
+IMAGE2_A = -2.834363526724945
+
 # Three intervals that are no inverse image: the exchange loop takes four
 # or five rounds from the quantile seed at n = 30-40.
 THREE = IntervalSet(((-1.0, -0.6), (-0.3, 0.2), (0.5, 1.0)))
@@ -177,14 +183,37 @@ class TestMarkovExtremal:
             assert r.value == pytest.approx(k * k * dP / abs(alpha), rel=1e-11), k
 
     def test_no_highs_shortfall_on_a_two_interval_image(self):
-        # an affine image of (c T_2)^{-1}[-1, 1]: from an arccos seed, the
-        # third of six exchange LPs ended 1.7e-9 below the exact witness
-        # T_20 o Q; the exact value is from 40-digit mpmath
-        K = IntervalSet(((-3.7255354862771353, -2.834363526724945),
-                         (0.1003773079122352, 0.9915492674644253)))
-        r = markov_extremal(solve_equilibrium(K), -2.834363526724945, 40)
+        # from an arccos seed, HiGHS ended the third of six exchange LPs
+        # 1.7e-9 below the exact witness T_20 o Q; the exact value is from
+        # 40-digit mpmath
+        r = markov_extremal(solve_equilibrium(IMAGE2), IMAGE2_A, 40)
         assert r.value == pytest.approx(688.5938857258008, rel=1e-12)
         assert r.exchange_rounds == 1
+
+    def test_no_exchange_lp_ends_below_the_exact_witness(self, monkeypatch):
+        # the exchange from the arccos seed of 4(n + 1) points per component,
+        # where HiGHS ended the third LP 1.7e-9 short: the witness
+        # T_20 o Q has |P| <= 1 on K, so it satisfies every row of every LP
+        # up to rounding, and no LP value may fall below its own
+        (u0, v0), (u1, v1) = IMAGE2.intervals
+        mid, g, h = (u0 + v1) / 2.0, (u1 - v0) / 2.0, (v1 - u0) / 2.0
+        n, E = 40, solve_equilibrium(IMAGE2)
+        nodes = _interpolation_nodes(E, n)
+        w = _bary_weights(nodes)
+        d = _deriv_row(nodes, w, IMAGE2_A)
+        witness = d @ Chebyshev.basis(20)(2.0 * ((nodes - mid) ** 2 - g * g) / (h * h - g * g) - 1.0)
+        assert witness == pytest.approx(688.5938857258008, rel=1e-13)
+        values = []
+
+        def recorded(problem):
+            out = lp_maximize(problem)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(extremal, "lp_maximize", recorded)
+        extremal._solve_once(IMAGE2, n, nodes, w, d, arccos_grid(IMAGE2, 4 * (n + 1)))
+        assert len(values) >= 3
+        assert min(values) >= witness * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_shifted_t3_oracle(self, k):

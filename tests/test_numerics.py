@@ -1,10 +1,6 @@
 import inspect
-import json
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import mpmath
@@ -12,7 +8,6 @@ import numpy as np
 import pytest
 import scipy.fft
 from scipy.optimize import linprog
-from scipy.optimize._highspy._core import HighsModelStatus
 
 from equipot import (
     LPProblem,
@@ -21,9 +16,17 @@ from equipot import (
     h_poly,
     lp_maximize,
 )
-from equipot import cli, numerics
+from equipot import IntervalSet, numerics, solve_equilibrium
+from equipot.extremal import (
+    _bary_weights,
+    _deriv_row,
+    _extremal_core,
+    _interpolation_nodes,
+    _lagrange_rows,
+)
 from equipot.interval_sets import _frame
 from equipot.numerics import _gauss_cheb_adaptive
+from conftest import random_interval_set
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "equipot"
@@ -363,33 +366,42 @@ class TestLP:
         value, y = lp_maximize(prob)  # the audit passes on the real duals
         assert value > 0.0
         assert (np.max(np.abs(y)) > 1.0 - 1e-9) == box
-        prob = LPProblem(prob.objective, prob.rows)  # a fresh problem builds a model
+        real = numerics._dual_simplex
 
-        class DoubledDuals(numerics._Highs):
-            def getSolution(self):
-                sol = super().getSolution()
-                sol.row_dual = [2.0 * v for v in sol.row_dual]
-                sol.col_dual = [2.0 * v for v in sol.col_dual]
-                return sol
+        def doubled_duals(*args):
+            y, duals, basis = real(*args)
+            return y, 2.0 * duals, basis
 
-        monkeypatch.setattr(numerics, "_Highs", DoubledDuals)
+        monkeypatch.setattr(numerics, "_dual_simplex", doubled_duals)
         with pytest.raises(NumericsError, match="duality gap"):
             lp_maximize(prob)
 
 
-class FailingHighs(numerics._Highs):
-    """A HiGHS model whose runs end at the iteration limit."""
+def count_pivots(monkeypatch) -> list:
+    """Count the simplex's pivots: one rank-1 update of the basis inverse each."""
+    pivots, real = [], numerics._replace_row
+    monkeypatch.setattr(numerics, "_replace_row", lambda *args: pivots.append(1) or real(*args))
+    return pivots
 
-    def getModelStatus(self):
-        return HighsModelStatus.kIterationLimit
+
+def cold_value(prob: LPProblem) -> float:
+    """The LP's value by scipy's ``linprog`` from scratch, at feasibility
+    tolerances tighter than its default 1e-7, which moves values by 1e-8."""
+    rows = prob.rows
+    res = linprog(-prob.objective, A_ub=np.vstack([rows, -rows]), b_ub=np.ones(2 * len(rows)),
+                  bounds=[(-1.0, 1.0)] * len(prob.objective), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return float(prob.objective @ res.x)
 
 
 class TestLPLadder:
-    """Rungs: the warm model at tight tolerances, then ``linprog`` without
+    """Rungs: the dual simplex from the kept basis, then ``linprog`` without
     presolve."""
 
-    # 0: the model answers; 2: every HiGHS model fails and linprog answers;
-    # 3: linprog fails too
+    # 0: the simplex answers; 2: the simplex hits its pivot cap and linprog
+    # answers; 3: linprog fails too
     @pytest.mark.parametrize("failing", [0, 2, 3])
     def test_next_rung_answers(self, monkeypatch, failing):
         points = np.cos(np.linspace(0, np.pi, 200))
@@ -405,7 +417,7 @@ class TestLPLadder:
 
         monkeypatch.setattr(numerics, "linprog", counted_linprog)
         if failing:
-            monkeypatch.setattr(numerics, "_Highs", FailingHighs)
+            monkeypatch.setattr(numerics, "LP_PIVOT_CAP", 0)
         prob = nodal_lp(FIRST_KIND5, points)
         if failing == 3:
             with pytest.raises(NumericsError, match="LP solver failed"):
@@ -415,61 +427,143 @@ class TestLPLadder:
             assert value == pytest.approx(expected, rel=1e-9)
             assert np.max(np.abs(prob.rows @ y)) <= 1.0 + 1e-9
         assert len(calls) == (failing >= 2)
-        # only a model that solved is kept for a later solve
-        assert (prob._model is not None) == (failing == 0)
+        # only an optimal basis of the simplex is kept for a later solve
+        assert (prob._basis is not None) == (failing == 0)
+
+    def test_box_vertex_needs_no_pivot(self, monkeypatch):
+        # with no rows the start y = sign(objective) is the answer, even at
+        # a pivot cap of 0
+        monkeypatch.setattr(numerics, "LP_PIVOT_CAP", 0)
+        pivots = count_pivots(monkeypatch)
+        d = np.array([3.0, -1.0, 0.0, 2.5])
+        value, y = lp_maximize(LPProblem(d, np.empty((0, 4))))
+        assert (value, y.tolist(), pivots) == (6.5, [1.0, -1.0, 1.0, 1.0], [])
 
     def test_warm_rounds_match_cold_solves(self, monkeypatch):
-        """One working set grown over four rounds on one HiGHS model."""
-        models = []
-
-        class Counted(numerics._Highs):
-            def __init__(self):
-                super().__init__()
-                models.append(self)
-
-        monkeypatch.setattr(numerics, "_Highs", Counted)
+        """One working set grown over four rounds, each re-solved from the
+        basis the last round kept, in fewer pivots than a cold solve."""
+        pivots, starts, real = count_pivots(monkeypatch), [], numerics._dual_simplex
+        monkeypatch.setattr(numerics, "_dual_simplex",
+                            lambda A, d, basis: starts.append(basis) or real(A, d, basis))
         nodes = np.cos((2 * np.arange(11) + 1) * np.pi / 22)
         rng = np.random.default_rng(7)
         batches = [np.cos(np.linspace(0, np.pi, 15))] + [rng.uniform(-1, 1, 30) for _ in range(3)]
-        prob, values = nodal_lp(nodes, batches[0]), []
+        prob, values, kept = nodal_lp(nodes, batches[0]), [], None
         for k, pts in enumerate(batches):
             if k:
                 prob.add_rows(nodal_lp(nodes, pts).rows)
             rows = prob.rows
+            pivots.clear()
             value, y = lp_maximize(prob)
-            assert prob._model is not None
-            cold = linprog(-prob.objective, A_ub=np.vstack([rows, -rows]),
-                           b_ub=np.ones(2 * len(rows)), bounds=[(-1.0, 1.0)] * len(nodes),
-                           method="highs")
-            assert cold.status == 0
-            assert value == pytest.approx(prob.objective @ cold.x, rel=1e-9)
+            warm = len(pivots)
+            assert prob._basis is not None
+            if k:
+                assert starts[-1] is kept
+                pivots.clear()
+                assert lp_maximize(LPProblem(prob.objective, rows))[0] == pytest.approx(value, rel=1e-12)
+                assert warm < len(pivots), k
+            kept = prob._basis
+            assert value == pytest.approx(cold_value(prob), rel=1e-9)
             assert np.max(np.abs(rows @ y)) <= 1.0 + 1e-9
             assert np.max(np.abs(y)) <= 1.0 + 1e-9
             values.append(value)
-        assert len(models) == 1
         assert all(b <= a * (1.0 + 1e-9) for a, b in zip(values, values[1:]))
         assert values[0] > values[-1] * (1.0 + 1e-3)  # the rounds moved the LP
 
 
-class TestHighsPrivateApi:
-    """``lp_maximize`` drives scipy's private HiGHS class; a scipy that moves
-    or renames any of it fails here rather than at a first Markov probe."""
+def assert_matches_linprog(prob: LPProblem) -> tuple[float, np.ndarray]:
+    """Solve, and check the value against a cold ``linprog`` solve (1e-9
+    relative, absolute when it is 0) and the answer's feasibility."""
+    value, y = lp_maximize(prob)
+    assert value == pytest.approx(cold_value(prob), rel=1e-9, abs=1e-12)
+    assert np.max(np.abs(prob.rows @ y), initial=0.0) <= 1.0 + 1e-9
+    assert np.max(np.abs(y)) <= 1.0 + 1e-9
+    return value, y
 
-    def test_methods_used(self):
-        for name in ("addVars", "addRows", "changeColsCost", "run", "getModelStatus",
-                     "getSolution", "setOptionValue", "getOptionValue", "getNumRow", "getNumCol"):
-            assert callable(getattr(numerics._Highs, name, None)), name
-        sol = numerics._Highs().getSolution()
-        for name in ("col_value", "row_dual", "col_dual"):
-            assert hasattr(sol, name), name
 
-    def test_markov_stdout_is_the_record(self, capsys):
-        argv = ["markov", "--set", '{"intervals":[[-1,-0.5],[0.5,1]]}', "--a", "1",
-                "--degrees", "10,20"]
-        assert cli.main(argv) == 0
-        record = capsys.readouterr().out
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        run = subprocess.run([sys.executable, "-m", "equipot.cli", *argv],
-                             capture_output=True, text=True, env=env, check=True)
-        assert run.stdout == record
-        assert json.loads(run.stdout)["rows"]
+def probe_lp(K: IntervalSet, n: int, points: np.ndarray, a: float) -> LPProblem:
+    """The Markov probe's LP on K: nodal values at its n + 1 interpolation
+    nodes, the objective P'(a), and the Lagrange rows at ``points``."""
+    nodes = _interpolation_nodes(solve_equilibrium(K), n)
+    w = _bary_weights(nodes)
+    return LPProblem(_deriv_row(nodes, w, a), _lagrange_rows(points, nodes, w))
+
+
+# K = [-1, -1/2] u [1/2, 1] = Q^-1[-1, 1], Q = (8x^2 - 5)/3: T_k o Q is
+# extremal at a = 1 for n = 2k, with value 16 k^2 / 3 and n + 2 tied maxima
+SYM2 = IntervalSet(((-1.0, -0.5), (0.5, 1.0)))
+
+
+def sym2_maxima(k: int) -> np.ndarray:
+    x = np.sqrt((3.0 * np.cos(np.arange(k + 1) * np.pi / k) + 5.0) / 8.0)
+    return np.sort(np.concatenate([-x, x]))
+
+
+class TestDualSimplexOracle:
+    """The dual simplex against ``linprog`` on the probe's LPs and on the
+    degenerate inputs where a hand-written simplex cycles."""
+
+    # (degree, rows) at the corners of the range, then drawn from it
+    @pytest.mark.parametrize("seed", range(12))
+    def test_probe_lps_on_random_unions(self, seed):
+        rng = np.random.default_rng(seed)
+        K = random_interval_set(rng, max_components=4)
+        corners = [(1, 0), (1, 600), (120, 0), (120, 600)]
+        n, count = corners[seed] if seed < 4 else rng.integers((1, 0), (121, 601))
+        comp = rng.integers(0, K.m, count)
+        u, v = np.asarray(K.intervals)[comp].T
+        prob = probe_lp(K, n, u + (v - u) * rng.random(len(comp)), K.max)
+        assert_matches_linprog(prob)
+
+    def test_duplicate_rows(self):
+        prob = nodal_lp(FIRST_KIND5, np.cos(np.linspace(0, np.pi, 40)))
+        value, _ = assert_matches_linprog(prob)
+        twice = LPProblem(prob.objective, np.vstack([prob.rows, prob.rows, prob.rows[::-1]]))
+        assert assert_matches_linprog(twice)[0] == pytest.approx(value, rel=1e-12)
+
+    def test_rows_equal_to_box_rows(self):
+        prob = nodal_lp(FIRST_KIND5, np.cos(np.linspace(0, np.pi, 40)))
+        value, _ = assert_matches_linprog(prob)
+        box = np.vstack([np.eye(6), -np.eye(6)])
+        for rows in (np.vstack([box, prob.rows]), np.vstack([prob.rows, box])):
+            assert assert_matches_linprog(LPProblem(prob.objective, rows))[0] == pytest.approx(
+                value, rel=1e-12)
+
+    def test_zero_objective_entries(self):
+        prob = nodal_lp(FIRST_KIND5, np.cos(np.linspace(0, np.pi, 60)))
+        for zero in ([0], [2, 3], [0, 1, 4, 5]):
+            d = prob.objective.copy()
+            d[zero] = 0.0
+            assert_matches_linprog(LPProblem(d, prob.rows))
+
+    def test_zero_objective(self):
+        prob = nodal_lp(FIRST_KIND5, np.cos(np.linspace(0, np.pi, 60)))
+        value, _ = assert_matches_linprog(LPProblem(np.zeros(6), prob.rows))
+        assert value == 0.0
+
+    @pytest.mark.parametrize("k", [1, 5, 20, 40])
+    def test_tied_maxima_of_two_symmetric_intervals(self, k):
+        # rows at all n + 2 maxima, the four ends among them, which are
+        # interpolation nodes, so their rows equal box rows
+        prob = probe_lp(SYM2, 2 * k, sym2_maxima(k), 1.0)
+        value, _ = assert_matches_linprog(prob)
+        assert value == pytest.approx(16.0 * k * k / 3.0, rel=1e-12)
+
+    def test_ill_conditioned_bases_of_an_interior_objective(self, monkeypatch):
+        # P'(0.61) on [-1, 1] at n = 40: the exchange appends maxima next to
+        # earlier points, so the late bases hold nearly parallel rows (cond
+        # up to 2.6e5), where y = inv @ signs alone misprices the rows; the
+        # simplex then cycled (4992 pivots on one warm re-solve) or broke
+        # a basis row and fell back to linprog
+        pivots = count_pivots(monkeypatch)
+
+        def no_linprog(*args, **kwargs):
+            raise AssertionError("the simplex fell back to linprog")
+
+        monkeypatch.setattr(numerics, "linprog", no_linprog)
+        E = solve_equilibrium(IntervalSet(((-1.0, 1.0),)))
+        nodes = _interpolation_nodes(E, 40)
+        w = _bary_weights(nodes)
+        r = _extremal_core(E, 40, nodes, w, _deriv_row(nodes, w, 0.61))
+        assert r.exchange_rounds >= 10 and r.overshoot <= 1e-9
+        assert len(pivots) < 2000
