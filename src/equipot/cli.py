@@ -369,6 +369,7 @@ def _density(ns: argparse.Namespace) -> Output:
 
 def _omega(ns: argparse.Namespace) -> Output:
     K = _load_set(ns.set)
+    check_interval_condition(K, ns.a)  # a wrong a is refused before the solve
     E = equilibrium.solve_equilibrium(K)
     val = equilibrium.omega_factor(E, ns.a)
     return Output(record=lambda: {"a": ns.a, "omega": val},

@@ -94,7 +94,8 @@ import numpy as np
 
 from . import numerics
 from .errors import NumericsError, SetSpecError
-from .interval_sets import EndpointContext, IntervalSet, _component_frames, _frame, _gap_frames, outer_approx
+from .interval_sets import (EndpointContext, IntervalSet, _component_frames, _frame, _gap_frames,
+                            check_interval_condition, outer_approx)
 from .numerics import EXPAND_MAX_NODES, _gauss_cheb_adaptive, chebyshev_expand
 
 # density is undefined within this fraction of its component's half-length
@@ -509,11 +510,8 @@ def density(E: EquilibriumData, t: float):
 
 def omega_factor(E: EquilibriumData, a: float) -> float:
     """Edge factor Omega(K, a) = lim_{t -> a-} w(t) sqrt(a - t) at a right endpoint."""
-    rights = [r for _, r in E.set.intervals]
-    if a not in rights:
-        raise SetSpecError(f"{a} is not a right endpoint of the set")
+    j = check_interval_condition(E.set, a).component
     ends = np.asarray(E.set.endpoints())
-    j = rights.index(a)
     # w(t) sqrt(a - t) -> G(a) sqrt(half / 2) on [a_j, a], half = (a - a_j) / 2
     lw = _log_factor(np.array([[a]]), np.array([j]), np.asarray(E.roots), ends)[0, 0]
     return math.exp(lw - 0.5 * math.log(a - ends[2 * j])) / math.pi
@@ -598,11 +596,11 @@ def green(E: EquilibriumData, z: float) -> float:
 # balayage
 
 
-def _balayage_kernel(x, t, b, a):
-    """Density at t of the balayage of a unit mass at x onto [b, a]; x or t may be an
-    array.  Roots and quotients are taken alone: a product of distances can overflow."""
-    return (np.sqrt(np.abs(x - b)) / np.abs(t - x) * np.sqrt(np.abs(x - a))
-            / np.sqrt(np.abs(t - a)) / np.sqrt(np.abs(t - b)) / np.pi)
+def _balayage_kernel(xb, xa, tx, ta, tb):
+    """Density at t of the balayage of a unit mass at x onto [b, a], from the
+    distances |x - b|, |x - a|, |t - x|, a - t and t - b (floats or arrays).
+    Roots and quotients are taken alone: a product of distances can overflow."""
+    return np.sqrt(xb) / tx * np.sqrt(xa) / np.sqrt(ta) / np.sqrt(tb) / np.pi
 
 
 def balayage_density(qy: BalayageQuery, t) -> float:
@@ -611,7 +609,8 @@ def balayage_density(qy: BalayageQuery, t) -> float:
     # written so that nan fails it too
     if not np.all((t_arr > qy.b) & (t_arr < qy.a)):
         raise SetSpecError(f"density point must lie strictly inside [{qy.b}, {qy.a}]")
-    out = _balayage_kernel(qy.x, t_arr, qy.b, qy.a)
+    x, b, a = qy.x, qy.b, qy.a
+    out = _balayage_kernel(abs(x - b), abs(x - a), np.abs(t_arr - x), a - t_arr, t_arr - b)
     return out if t_arr.ndim else float(out)
 
 
@@ -621,16 +620,26 @@ def balayage_edge_limit(qy: BalayageQuery) -> float:
 
 
 def balayage_mass(qy: BalayageQuery) -> float:
-    """Total swept mass; 1 for any admissible query (regression check)."""
-    x, b, a = qy.x, qy.b, qy.a
-    mid, half = _frame(b, a)
-    rb, ra = math.sqrt(abs(x - b)), math.sqrt(abs(x - a))
+    """Total swept mass; 1 for any admissible query (regression check).
 
-    def f(s, rows):
-        return (rb / np.abs(mid + half * s - x) * ra / np.pi)[None]
+    With t = mid + half*s and x = mid + half*xi, the integral is taken in
+    tau, s = (tau - r)/(1 - r tau) with r = -1/xi, which cancels the pole at
+    x.  With P = |x - a|, Q = |x - b|, L = a - b and h = (P(1 - tau) + Q(1 +
+    tau))/2: a - t = L P(1 - tau)/2h, t - b = L Q(1 + tau)/2h, |x - t| = PQ/h
+    and dt/dtau = L PQ/2h^2, no distance taken from t."""
+    x, b, a = qy.x, qy.b, qy.a
+    P, Q, L = abs(x - a), abs(x - b), a - b
+
+    def f(tau, rows):
+        lo, hi = P * ((1.0 - tau) / 2.0), Q * ((1.0 + tau) / 2.0)
+        h = lo + hi
+        bal = _balayage_kernel(Q, P, P * (Q / h), L * (lo / h), L * (hi / h))
+        # times dt/dtau sqrt(1 - tau^2), whose L alone could overflow
+        return (bal * L / 2.0 * ((P / h) * (Q / h) * np.sqrt((1.0 - tau) * (1.0 + tau))))[None]
 
     try:
-        return float(_gauss_cheb_adaptive(f)[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # subnormal distances: refused
+            return float(_gauss_cheb_adaptive(f)[0])
     except NumericsError:
         raise NumericsError(f"balayage quadrature on [{b}, {a}] did not converge at "
                             f"QUAD_MAX_NODES = {numerics.QUAD_MAX_NODES} nodes") from None
@@ -652,17 +661,18 @@ def decomposition_residual(E: EquilibriumData, ctx: EndpointContext, t: float) -
     if not (b < t < a):
         raise SetSpecError(f"probe {t} must lie in (a - rho, a) = ({b}, {a})")
     roots, ends = np.asarray(E.roots), np.asarray(E.set.endpoints())
-    home = E.set.component_of(a)
-    hu, hv = E.set.intervals[home]
-    comp = np.array([j for j in range(E.set.m) if j != home] + [home] * (hu < b), dtype=int)
+    home = ctx.component
+    hu = E.set.intervals[home][0]
+    comp = np.array([j for j in range(E.set.m) if j != home] + [home] * int(hu < b), dtype=int)
     lo, hi = ends[2 * comp], np.where(comp == home, b, ends[2 * comp + 1])
     mid, half = _frame(lo, hi)
 
     def f(s, rows):
         x = mid[rows, None] + half[rows, None] * s
-        out = _balayage_kernel(x, t, b, a) * np.exp(_log_factor(x, comp[rows], roots, ends)) / np.pi
+        bal = _balayage_kernel(np.abs(x - b), np.abs(x - a), np.abs(t - x), a - t, t - b)
+        out = bal * np.exp(_log_factor(x, comp[rows], roots, ends)) / np.pi
         cut = comp[rows] == home
-        out[cut] *= np.sqrt((b - x[cut]) / (hv - x[cut]))
+        out[cut] *= np.sqrt((b - x[cut]) / (a - x[cut]))
         return out
 
     correction = float(np.sum(_gauss_cheb_adaptive(f, count=comp.size)))
@@ -685,11 +695,8 @@ def edge_limit_profile(
         raise SetSpecError("offsets must be positive")
     if any(d2 >= d1 for d1, d2 in zip(offs, offs[1:])):
         raise SetSpecError("offsets must be strictly decreasing")
-    home = E.set.component_of(a)
-    hu, hv = E.set.intervals[home]
-    if hv != a:
-        raise SetSpecError(f"{a} is not the right endpoint of its component")
-    if offs and offs[0] >= hv - hu:
+    hu = E.set.intervals[check_interval_condition(E.set, a).component][0]
+    if offs and offs[0] >= a - hu:
         raise SetSpecError("largest offset leaves the component interval")
     return [(d, density(E, a - d) * math.sqrt(d)) for d in offs]
 
@@ -698,16 +705,10 @@ def outer_convergence_study(
     K: IntervalSet, ctx: EndpointContext, m_list: Sequence[int]
 ) -> list[tuple[int, float]]:
     """Omega(K_m^+, a) along the outer filtration; nondecreasing in m.
-    Every m is checked before the first solve."""
-    ms = [int(m) for m in m_list]
-    if ms and min(ms) < 2:
-        raise SetSpecError(f"outer approximant needs m >= 2, got {min(ms)}")
-    out = []
-    for m in ms:
-        Km = outer_approx(K, ctx, m)
-        Em = solve_equilibrium(Km)
-        out.append((m, omega_factor(Em, ctx.a)))
-    return out
+    Every approximant is built, and so every m checked, before the first
+    solve."""
+    approximants = [(int(m), outer_approx(K, ctx, int(m))) for m in m_list]
+    return [(m, omega_factor(solve_equilibrium(Km), ctx.a)) for m, Km in approximants]
 
 
 # ---------------------------------------------------------------------------

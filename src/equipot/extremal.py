@@ -433,11 +433,12 @@ def _extremal_core(E: EquilibriumData, n: int, nodes: np.ndarray, w: np.ndarray,
 
 def markov_study(K: IntervalSet, a: float, degrees: Sequence[int]) -> MarkovStudy:
     """Per-degree extremal results against the equilibrium limit constant.
-    Every degree is checked before the equilibrium solve."""
+    Every degree, and the endpoint a, is checked before the equilibrium solve."""
     degs = [int(n) for n in degrees]
     _check_degrees(degs)
     if any(n2 <= n1 for n1, n2 in zip(degs, degs[1:])):
         raise SetSpecError("degrees must be strictly increasing")
+    check_interval_condition(K, a)
     E = solve_equilibrium(K)
     limit = 2.0 * math.pi**2 * omega_factor(E, a) ** 2
     rows = tuple(markov_extremal(E, a, n) for n in degs)

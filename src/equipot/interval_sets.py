@@ -5,7 +5,9 @@ tuple of pairwise disjoint closed intervals.  This module provides
 construction (raw pairs, Cantor-type prefractals), every interval frame
 (``_frame``), the endpoint/free-gap check and run-up grid that downstream
 computations rely on, the gap-filling outer approximants used in
-convergence studies, and exact subset decisions.
+convergence studies, and exact subset decisions.  ``check_interval_condition``
+alone searches K for the component [u_j, a] of a right endpoint a; every
+endpoint quantity reads j and rho from the ``EndpointContext`` it returns.
 """
 
 from __future__ import annotations
@@ -80,13 +82,6 @@ class IntervalSet:
     def contains(self, x: float) -> bool:
         return any(l <= x <= r for l, r in self.intervals)
 
-    def component_of(self, x: float) -> int:
-        """Index of the interval containing x; raises if x is in a gap."""
-        for j, (l, r) in enumerate(self.intervals):
-            if l <= x <= r:
-                return j
-        raise SetSpecError(f"{x} is not in the set")
-
     def has_degenerate(self) -> bool:
         return any(l == r for l, r in self.intervals)
 
@@ -118,11 +113,13 @@ class EndpointContext:
     """A distinguished right endpoint ``a`` with its free-gap radius.
 
     ``rho`` certifies that [a - 2*rho, a] lies inside the set while
-    (a, a + 2*rho) misses it entirely.
+    (a, a + 2*rho) misses it entirely; ``component`` is the index j of the
+    component [u_j, a].  Made by ``check_interval_condition`` only.
     """
 
     a: float
     rho: float
+    component: int
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and math.isfinite(self.rho)):
@@ -169,31 +166,26 @@ def check_interval_condition(
     """Validate ``a`` as a right endpoint of K and compute its gap radius.
 
     Returns the maximal rho with [a - 2*rho, a] inside K and (a, a + 2*rho)
-    outside it.  The first clause caps 2*rho at the length of the interval
-    ending at ``a``; the second caps it at the distance to the next interval
-    (no cap when ``a`` is the global maximum).  A smaller ``rho`` may be
+    outside it: the half-length (``_frame``) of the component [u_j, a], or
+    of the gap after it if that is smaller.  A smaller ``rho`` may be
     supplied explicitly and is then checked against both clauses.
     """
-    idx = None
-    for j, (_, r) in enumerate(K.intervals):
-        if r == a:
-            idx = j
-            break
-    if idx is None:
+    j = next((j for j, (_, r) in enumerate(K.intervals) if r == a), None)
+    if j is None:
         raise SetSpecError(f"{a} is not a right endpoint of the set")
-    left, right = K.intervals[idx]
-    if left == right:
+    left = K.intervals[j][0]
+    if left == a:
         raise SetSpecError(f"endpoint {a} belongs to a degenerate interval")
-    rho_max = (right - left) / 2.0
-    if idx + 1 < K.m:
-        rho_max = min(rho_max, (K.intervals[idx + 1][0] - a) / 2.0)
+    rho_max = _frame(left, a)[1]
+    if j + 1 < K.m:
+        rho_max = min(rho_max, _frame(a, K.intervals[j + 1][0])[1])
     if rho is None:
-        return EndpointContext(a=a, rho=rho_max)
+        return EndpointContext(a=a, rho=rho_max, component=j)
     if rho > rho_max:
         raise SetSpecError(
             f"rho={rho} violates the interval condition at {a}; maximal rho is {rho_max}"
         )
-    return EndpointContext(a=a, rho=float(rho))
+    return EndpointContext(a=a, rho=float(rho), component=j)
 
 
 def outer_approx(K: IntervalSet, ctx: EndpointContext, m: int) -> IntervalSet:
@@ -210,23 +202,11 @@ def outer_approx(K: IntervalSet, ctx: EndpointContext, m: int) -> IntervalSet:
     if len(gaps) <= m - 1:
         return K
     order = sorted(range(len(gaps)), key=lambda i: (-(gaps[i][1] - gaps[i][0]), gaps[i][0]))
-    keep: list[int] = []
-    free = next((i for i, (g0, _) in enumerate(gaps) if g0 == ctx.a), None)
-    if free is not None:
-        keep.append(free)
-    for i in order:
-        if len(keep) == m - 1:
-            break
-        if i not in keep:
-            keep.append(i)
-    keep_set = sorted(keep)
-    intervals: list[tuple[float, float]] = []
-    start = K.intervals[0][0]
-    for i in keep_set:
-        intervals.append((start, gaps[i][0]))
-        start = gaps[i][1]
-    intervals.append((start, K.intervals[-1][1]))
-    return IntervalSet(tuple(intervals))
+    # gap j lies right of component j, so gap ctx.component is the free one
+    keep = [ctx.component] if ctx.component < len(gaps) else []
+    keep += [i for i in order if i != ctx.component][:m - 1 - len(keep)]
+    ends = [K.min] + [e for i in sorted(keep) for e in gaps[i]] + [K.max]
+    return IntervalSet(tuple(zip(ends[::2], ends[1::2])))
 
 
 def cantor_set(level: int, ratio: float = 1.0 / 3.0) -> IntervalSet:

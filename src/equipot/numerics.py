@@ -289,14 +289,21 @@ def _dual_simplex(A: np.ndarray, d: np.ndarray, basis: tuple[np.ndarray, ...]):
 
 def _linprog_rung(cost: np.ndarray, rows: np.ndarray):
     """Solve with scipy's public ``linprog``, each row stacked twice as
-    rows . y <= 1 and -rows . y <= 1, without presolve; None on failure."""
+    rows . y <= 1 and -rows . y <= 1, without presolve, at HiGHS's tightest
+    feasibility tolerances (its default 1e-7 let rows break by 1e-7); None
+    on failure or when the answer breaks a row or a bound by more."""
+    tol = 1e-10
     res = __getattr__("linprog")(
         cost, A_ub=np.vstack([rows, -rows]), b_ub=np.ones(2 * len(rows)),
-        bounds=[(-1.0, 1.0)] * len(cost), method="highs", options={"presolve": False})
+        bounds=[(-1.0, 1.0)] * len(cost), method="highs",
+        options={"presolve": False, "primal_feasibility_tolerance": tol,
+                 "dual_feasibility_tolerance": tol})
     if res.status != 0:
         return None
-    return np.asarray(res.x, dtype=float), np.concatenate(
-        [res.ineqlin.marginals, res.upper.marginals, res.lower.marginals])
+    y = np.asarray(res.x, dtype=float)
+    if max(np.max(np.abs(rows @ y), initial=0.0), np.max(np.abs(y))) > 1.0 + tol:
+        return None
+    return y, np.concatenate([res.ineqlin.marginals, res.upper.marginals, res.lower.marginals])
 
 
 def lp_maximize(problem: LPProblem) -> tuple[float, np.ndarray]:

@@ -232,12 +232,12 @@ class AuditReport:
 def audit_bound(
     P: Callable[[np.ndarray], np.ndarray],
     h: Callable[[np.ndarray], np.ndarray],
-    K: IntervalSet,
     ctx: EndpointContext,
     n: int,
     E: EquilibriumData,
 ) -> AuditReport:
-    """Audit one polynomial evaluator against both hypotheses and the bound.
+    """Audit one polynomial evaluator against both hypotheses and the bound
+    on K = E.set, at the endpoint ``ctx`` of K.
 
     h maps the array of run-up points to positive values (an array of the
     same shape, or one value for all of them); it is called once more at
@@ -256,7 +256,7 @@ def audit_bound(
     local_margin = float(np.max(Px * np.sqrt(a - xs) / hx, initial=0.0))
     local_ok = local_margin <= 1.0 + 1e-9
 
-    sup = _poly_norm_on_set(P, K, n)
+    sup = _poly_norm_on_set(P, E.set, n)
     growth = sup ** (1.0 / n) if sup > 0 else 0.0
 
     threshold = n * 2.0 * math.pi * float(h(a)) * omega_factor(E, a)
@@ -278,7 +278,7 @@ def audit_witness(wit: SchurWitness) -> AuditReport:
     """Audit a built witness on its own target set with the constant h = h_a."""
     K = wit.map.target_set
     ctx = check_interval_condition(K, wit.map.a)
-    return audit_bound(wit, lambda x: wit.h_a, K, ctx, wit.n, solve_equilibrium(K))
+    return audit_bound(wit, lambda x: wit.h_a, ctx, wit.n, solve_equilibrium(K))
 
 
 def counterexample_demo(n: int) -> AuditReport:
@@ -293,4 +293,4 @@ def counterexample_demo(n: int) -> AuditReport:
     K = IntervalSet(((-2.0, 1.0),))
     ctx = check_interval_condition(K, 1.0, rho=1.0)
     E = solve_equilibrium(K)
-    return audit_bound(lambda x: h_poly(n, x), lambda x: 1.0 / np.sqrt(1.0 + x), K, ctx, n, E)
+    return audit_bound(lambda x: h_poly(n, x), lambda x: 1.0 / np.sqrt(1.0 + x), ctx, n, E)

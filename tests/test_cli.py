@@ -91,6 +91,14 @@ class TestCommands:
         assert code == 0
         assert out == f"t,balayage_density\n0,{cli.fmt(rec['density'])}\n"
 
+    @pytest.mark.parametrize("x", ["1.00001", "-1.00001", "1.000000000003", "-1.000000000003"])
+    def test_balayage_source_near_the_interval(self, x, capsys):
+        # the swept density's pole at x is within 5e-6 of the length of [b, a]
+        code, out, err = run_cli(["balayage", f"--x={x}", "--b", "-1", "--a", "1", "--t", "0"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["mass"] - 1.0) <= 1e-12
+
     def test_schur_counterexample(self, capsys):
         code, out, _ = run_cli(["schur-counterexample", "--n", "50"], capsys)
         assert code == 0
@@ -197,6 +205,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["omega"], ["markov", "--degrees", "5"],
+                                         ["converge", "--m", "2"]], ids=lambda c: c[0])
+    def test_not_an_endpoint_refused_before_the_solve(self, command, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            pytest.fail("the set was solved before its endpoint was checked")
+
+        monkeypatch.setattr(equilibrium, "solve_equilibrium", no_solve)
+        monkeypatch.setattr(extremal, "solve_equilibrium", no_solve)
+        code, out, err = run_cli([*command, "--set", '{"cantor":{"level":9}}', "--a", "0.3"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "parse", "type": "SetSpecError",
+                                   "message": "0.3 is not a right endpoint of the set"}
+
     @pytest.mark.parametrize("command", [["density"], ["omega", "--a", "A"], ["capacity"],
                                          ["green", "--z", "0"],
                                          ["markov", "--a", "A", "--degrees", "4"],
@@ -212,11 +234,7 @@ class TestExitCodes:
                                  capsys)
         assert out == "" and len(err.splitlines()) == 1
         rec = json.loads(err)
-        if command[0] == "converge" and pairs[0][0] < 0:
-            # refused before the solve: the run-up length a - (-1e308) overflows
-            assert (code, rec["error"]) == (2, "parse")
-        else:
-            assert (code, rec["error"]) == (3, "numeric") and "not finite" in rec["message"]
+        assert (code, rec["error"]) == (3, "numeric") and "not finite" in rec["message"]
 
     @pytest.mark.parametrize("command", [["density"], ["omega", "--a", "1.7e308"], ["capacity"],
                                          ["green", "--z", "1.3e308"],
@@ -321,11 +339,10 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "numeric"
 
     def test_invariant_violation_exit_4(self, tmp_path, capsys, monkeypatch):
-        # a 2-node quadrature that instantly "converges" breaks the
-        # balayage unit-mass audit
-        monkeypatch.setattr(numerics, "QUAD_MIN_NODES", 2)
-        monkeypatch.setattr(numerics, "QUAD_MAX_NODES", 4)
-        monkeypatch.setattr(numerics, "QUAD_REL_TOL", 1.0)
+        # a kernel scaled by 1.5 breaks the balayage unit-mass audit (the
+        # mass integrand is constant, so no quadrature setting can)
+        kernel = equilibrium._balayage_kernel
+        monkeypatch.setattr(equilibrium, "_balayage_kernel", lambda *d: 1.5 * kernel(*d))
         code, out, err = run_cli(
             ["balayage", "--x", "2", "--b", "-1", "--a", "1", "--t", "0"], capsys
         )
@@ -400,6 +417,21 @@ class TestSvg:
         # Markov ratios on [-1, 1] differ in the last bits; the tick loop must end
         svg = cli.emit_svg([("r", [5.0, 6.0], [1.0000000000000007, 1.0000000000000002])])
         assert svg.count("<polyline") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["markov", "--set", '{"intervals":[[-1,1]]}', "--a", "1", "--degrees", "5"],
+        ["converge", "--set", '{"intervals":[[-1,1]]}', "--a", "1", "--m", "2"],
+    ], ids=["markov-one-degree", "converge-one-m"])
+    def test_one_point_series(self, argv, capsys):
+        # one degree or one m leaves no x range (the converge point no y
+        # range either): each is widened to 1 about its value, so the point
+        # sits mid-axis, at 60 + (640 - 60 - 20) / 2
+        code, out, err = run_cli([*argv, "--format", "svg"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("<svg") and "nan" not in out and "inf" not in out
+        assert re.search(r'<polyline points="340\.000,', out)
+        if argv[0] == "converge":
+            assert '<polyline points="340.000,227.500"' in out
 
     def test_rejects_empty(self):
         with pytest.raises(SetSpecError):

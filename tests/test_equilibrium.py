@@ -598,6 +598,12 @@ class TestPotentialCapacityGreen:
         assert green(E_unit, 2.0) == pytest.approx(math.log(2 + math.sqrt(3)), abs=1e-8)
         assert green(E_unit, -2.0) == pytest.approx(math.log(2 + math.sqrt(3)), abs=1e-8)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_point(self, E_unit, x):
+        for f in (equilibrium_potential, green):
+            with pytest.raises(SetSpecError, match="finite x"):
+                f(E_unit, x)
+
     def test_green_zero_on_set(self, E_unit, E_sym2):
         for E, pts in ((E_unit, (-0.7, 0.0, 0.9)), (E_sym2, (-0.8, 0.6, 0.99))):
             for x in pts:
@@ -659,11 +665,14 @@ class TestBalayage:
         assert balayage_density(qy, 0.5) == pytest.approx(want, rel=1e-14)
 
     def test_mass_preserved(self):
-        # the last query's |x - b| |x - a| and pi |t - x| overflow
+        # the sources 2e-5 to 6e-12 from [-1, 1] put the density's pole that
+        # close; the last query's |x - b| |x - a| and pi |t - x| overflow
         for x, b, a in ((2.0, -1.0, 1.0), (-3.0, -1.0, 1.0), (1.0 + 1e-3, -1.0, 1.0),
-                        (100.0, -1.0, 1.0), (1.75e308, 1e308, 1.7e308)):
+                        (1.0 + 2e-5, -1.0, 1.0), (1.0 + 2e-8, -1.0, 1.0), (1.0 + 6e-12, -1.0, 1.0),
+                        (-1.0 - 2e-5, -1.0, 1.0), (-1.0 - 2e-8, -1.0, 1.0), (-1.0 - 6e-12, -1.0, 1.0),
+                        (100.0, -1.0, 1.0), (1e6, -1.0, 1.0), (1.75e308, 1e308, 1.7e308)):
             qy = BalayageQuery(x=x, b=b, a=a)
-            assert balayage_mass(qy) == pytest.approx(1.0, abs=1e-9)
+            assert balayage_mass(qy) == pytest.approx(1.0, abs=1e-12)
 
     def test_edge_limit_value(self):
         # (1/pi) sqrt(3)/sqrt(2); the defining limit of the kernel confirms it
@@ -690,10 +699,11 @@ class TestBalayage:
         with pytest.raises(SetSpecError):
             balayage_density(BalayageQuery(x=2.0, b=-1.0, a=1.0), 1.5)
 
-    def test_mass_nonconvergence_names_the_interval(self):
-        # a source 1e-9 of the length beyond a makes a near pole
-        with pytest.raises(NumericsError, match=r"balayage quadrature on \[2\.0, 5\.0\]"):
-            balayage_mass(BalayageQuery(x=5.0 + 3e-9, b=2.0, a=5.0))
+    def test_mass_nonconvergence_names_the_interval(self, monkeypatch):
+        # one doubling level leaves no second estimate to agree with
+        monkeypatch.setattr(numerics, "QUAD_MAX_NODES", numerics.QUAD_MIN_NODES)
+        with pytest.raises(NumericsError, match=r"balayage quadrature on \[2\.0, 5\.0\] .* = 16 nodes"):
+            balayage_mass(BalayageQuery(x=7.0, b=2.0, a=5.0))
 
     @pytest.mark.parametrize("t", [math.nan, [0.0, math.nan], math.inf])
     def test_density_rejects_non_finite_point(self, t):
@@ -716,6 +726,9 @@ class TestDecomposition:
         ctx = check_interval_condition(E_unit.set, 1.0)  # rho = 1
         for t in (0.05, 0.3, 0.5, 0.9, 0.99):
             assert decomposition_residual(E_unit, ctx, t) < 1e-8
+        for t in (0.0, -0.5, 1.0, math.nan):
+            with pytest.raises(SetSpecError, match=r"must lie in \(a - rho, a\)"):
+                decomposition_residual(E_unit, ctx, t)
 
     def test_two_interval(self, E_sym2):
         ctx = check_interval_condition(E_sym2.set, 1.0)  # rho = 0.25
@@ -724,7 +737,9 @@ class TestDecomposition:
             assert decomposition_residual(E_sym2, ctx, float(t)) < 1e-6
 
     @pytest.mark.parametrize("K", [IntervalSet(((-3.0, -2.0), (-1.0, 0.5), (2.0, 2.25))),
-                                   cantor_set(3, 0.3)], ids=["three", "cantor3"])
+                                   cantor_set(3, 0.3),
+                                   IntervalSet(tuple(map(tuple, np.array([[-3.0, -2.0], [-1.0, 0.5]]))))],
+                             ids=["three", "cantor3", "numpy-ends"])
     def test_every_right_endpoint(self, K):
         # the correction integral runs over components on both sides of
         # the home one, and over the home one cut at b
@@ -767,6 +782,9 @@ class TestEdgeProfile:
             edge_limit_profile(E_unit, 0.5, [])
 
     def test_validates_offsets(self, E_unit):
+        for offsets in ([1e-2, 0.0], [-1e-3]):
+            with pytest.raises(SetSpecError, match="offsets must be positive"):
+                edge_limit_profile(E_unit, 1.0, offsets)
         with pytest.raises(SetSpecError):
             edge_limit_profile(E_unit, 1.0, [1e-3, 1e-2])
         with pytest.raises(SetSpecError):

@@ -63,12 +63,17 @@ class TestIntervalCondition:
     def test_not_an_endpoint(self):
         with pytest.raises(SetSpecError):
             check_interval_condition(IntervalSet(((-1.0, 1.0),)), 0.0)
+        with pytest.raises(SetSpecError, match="degenerate"):
+            check_interval_condition(IntervalSet(((0.0, 0.0), (1.0, 2.0))), 0.0)
 
     def test_rho_override_checked(self):
         K = IntervalSet(((-1.0, 1.0),))
         assert check_interval_condition(K, 1.0, rho=0.5).rho == 0.5
         with pytest.raises(SetSpecError):
             check_interval_condition(K, 1.0, rho=1.5)
+        for rho in (0.0, -0.5):
+            with pytest.raises(SetSpecError, match="rho must be positive"):
+                check_interval_condition(K, 1.0, rho=rho)
 
     def test_maximality_both_clauses(self):
         rng = np.random.default_rng(11)
@@ -79,7 +84,8 @@ class TestIntervalCondition:
             rho = ctx.rho
             # clause 1: [a - 2 rho, a] inside K
             assert K.contains(a - 2 * rho + 1e-12)
-            j = K.component_of(a)
+            j = ctx.component
+            assert K.intervals[j][1] == a
             assert K.intervals[j][0] <= a - 2 * rho + 1e-12
             # clause 2: (a, a + 2 rho) misses K
             assert not any(l < a + 2 * rho - 1e-12 and r > a for l, r in K.intervals[j + 1:])
@@ -208,7 +214,7 @@ class TestJson:
         assert K.intervals == ((0.1, 0.30000000000000004),)
 
     @pytest.mark.parametrize("bad", ["not json", "{}", '{"intervals": [[1]]}',
-                                     '{"cantor": {}}'])
+                                     '{"cantor": {}}', "[[-1, 1]]"])
     def test_rejects(self, bad):
         with pytest.raises(SetSpecError):
             from_spec(bad)

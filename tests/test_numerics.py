@@ -401,8 +401,8 @@ class TestLPLadder:
     presolve."""
 
     # 0: the simplex answers; 2: the simplex hits its pivot cap and linprog
-    # answers; 3: linprog fails too
-    @pytest.mark.parametrize("failing", [0, 2, 3])
+    # answers; 3: linprog fails too; 4: linprog's answer breaks a row by 2e-10
+    @pytest.mark.parametrize("failing", [0, 2, 3, 4])
     def test_next_rung_answers(self, monkeypatch, failing):
         points = np.cos(np.linspace(0, np.pi, 200))
         expected, _ = lp_maximize(nodal_lp(FIRST_KIND5, points))
@@ -413,13 +413,15 @@ class TestLPLadder:
             calls.append(res.status)
             if failing == 3:
                 res.status = 4
+            if failing == 4:
+                res.x = res.x * (1.0 + 2e-10)
             return res
 
         monkeypatch.setattr(numerics, "linprog", counted_linprog)
         if failing:
             monkeypatch.setattr(numerics, "LP_PIVOT_CAP", 0)
         prob = nodal_lp(FIRST_KIND5, points)
-        if failing == 3:
+        if failing >= 3:
             with pytest.raises(NumericsError, match="LP solver failed"):
                 lp_maximize(prob)
         else:
@@ -429,6 +431,27 @@ class TestLPLadder:
         assert len(calls) == (failing >= 2)
         # only an optimal basis of the simplex is kept for a later solve
         assert (prob._basis is not None) == (failing == 0)
+
+    def test_last_rung_on_exchange_lps(self, monkeypatch):
+        """The LPs of the exchange for P'(0.61) on [-1, 1] at n = 40, up to
+        608 rows: at HiGHS's default tolerance 1e-7 its answers broke rows
+        by 9.9e-8 and were 1.9e-8 above the optimum."""
+        from equipot import extremal
+
+        lps, real = [], extremal.lp_maximize
+        monkeypatch.setattr(extremal, "lp_maximize",
+                            lambda prob: lps.append((prob.objective, prob.rows.copy())) or real(prob))
+        E = solve_equilibrium(IntervalSet(((-1.0, 1.0),)))
+        nodes = _interpolation_nodes(E, 40)
+        w = _bary_weights(nodes)
+        _extremal_core(E, 40, nodes, w, _deriv_row(nodes, w, 0.61))
+        assert len(lps) > 10
+        for d, rows in lps:
+            y, _ = numerics._linprog_rung(-d / np.max(np.abs(d)), rows)
+            assert np.max(np.abs(rows @ y), initial=0.0) <= 1.0 + 1e-10
+            assert np.max(np.abs(y)) <= 1.0 + 1e-10
+            value = real(LPProblem(d, rows))[0]
+            assert d @ y == pytest.approx(value, rel=1e-10)
 
     def test_box_vertex_needs_no_pivot(self, monkeypatch):
         # with no rows the start y = sign(objective) is the answer, even at

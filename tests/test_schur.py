@@ -227,7 +227,7 @@ class TestAuditBound:
         ctx = check_interval_condition(K, 1.0)
         E = solve_equilibrium(K)
         rep = audit_bound(lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                          lambda x: 1.0, K, ctx, 10, E)
+                          lambda x: 1.0, ctx, 10, E)
         assert rep.local_ok
         assert rep.growth_estimate == 0.0
         assert rep.norm_ratio == 0.0 and rep.point_ratio == 0.0
@@ -250,7 +250,7 @@ class TestAuditBound:
         E = solve_equilibrium(K)
         with pytest.raises(SetSpecError):
             audit_bound(lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                        lambda x: -1.0, K, ctx, 10, E)
+                        lambda x: -1.0, ctx, 10, E)
 
     def test_rejects_degree_zero(self):
         K = IntervalSet(((-1.0, 1.0),))
@@ -258,7 +258,7 @@ class TestAuditBound:
         E = solve_equilibrium(K)
         with pytest.raises(SetSpecError, match="degree n"):
             audit_bound(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                        lambda x: 1.0, K, ctx, 0, E)
+                        lambda x: 1.0, ctx, 0, E)
 
 
 class TestCounterexample:
