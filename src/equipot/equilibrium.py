@@ -58,6 +58,24 @@ tables resolve at the expansion's first node count.  The density keeps
 w_{alpha K}(alpha t) |alpha| = w_K(t) to 5.3e-15 for |alpha| from 1e-100
 to 1e100; unpaired log-distance sums were up to 1.4e-13 off.
 
+``_log_factor`` forms every difference in the frame of its row, (off - x) +
+scale s with x a root or an endpoint.  The component tables and the
+decomposition residual sample each piece from its exact left end u, as
+(u - x) + half (1 + s): a node carries the rounding of its distance to x,
+not of |mid|, and no rounded midpoint u/2 + v/2 shifts the piece.  So
+alpha K + beta resolves at the node count of K (Cantor level 7, ratio
+0.37, at -1.3 K + 6: one level of 65 nodes, where nodes mid + half s took
+65, 129 and 257), and the tables' summed mass is 1 to 6e-16 at |beta| =
+6.4-8.4, where the rounded midpoints left 1.6e-14.  The density and Omega
+pass their points as ``off`` with scale 0, where the difference is exactly
+t - x.  The gap sweep (``_gap_nodes``, ``_newton_rows`` and the verifier)
+still forms t - x at nodes mid + half s, so its roots carry the rounding of
+|mid|: up to 3e-12 of a gap's width at |beta| = 6.4-8.4, which moves the
+capacity of a shifted set by up to 5e-14.  It moves to the local frame
+once the benchmark's far-shift probes are checked against the rounded set
+they solve: their closed form is 7.6e-8 off at beta = 1e9, so a sweep that
+solved them would be scored incorrect.
+
 The logarithmic potential is evaluated spectrally: with t = mid + half*s on
 a component and G the smooth factor of w there, the component's
 contribution to U(x) = int log(1/|x-t|) w(t) dt is a closed-form series in
@@ -95,7 +113,7 @@ import numpy as np
 from . import numerics
 from .errors import NumericsError, SetSpecError
 from .interval_sets import (EndpointContext, IntervalSet, _component_frames, _frame, _gap_frames,
-                            check_interval_condition, outer_approx)
+                            check_interval_condition, outer_approximants)
 from .numerics import EXPAND_MAX_NODES, _gauss_cheb_adaptive, chebyshev_expand
 
 # density is undefined within this fraction of its component's half-length
@@ -188,10 +206,21 @@ def _log_dist(t: np.ndarray, cols: np.ndarray, own: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_factor(t: np.ndarray, comp: np.ndarray, roots: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """log(pi half G) at t (rows x nodes), row r on component j = comp[r]:
-    G is the smooth factor of the density there, |q| over the square roots
-    of the distances to the endpoints of the other components.
+def _log_factor(
+    off: np.ndarray, scale: np.ndarray, s: np.ndarray,
+    comp: np.ndarray, roots: np.ndarray, ends: np.ndarray,
+) -> np.ndarray:
+    """log(pi half G) at t = off_r + scale_r s_n (rows x nodes), row r on
+    component j = comp[r]: G is the smooth factor of the density there, |q|
+    over the square roots of the distances to the endpoints of the other
+    components.
+
+    Every difference is formed in the frame of its row, (off_r - x) +
+    scale_r s_n with x a root or an endpoint, so a node carries the
+    rounding of its distance to x, not of |off_r|.  Samplers pass the exact
+    left end u of each piece as ``off``, its half-length as ``scale`` and
+    1 + s as ``s``; points are passed as ``off`` with scale 0 and s = [0],
+    where the difference is exactly t - x.
 
     The log is summed gap by gap: gap k, between b_k and a_{k+1}, adds
     log(|t - lam_k| / sqrt|(t - b_k)(t - a_{k+1})|), which is dimensionless
@@ -202,13 +231,14 @@ def _log_factor(t: np.ndarray, comp: np.ndarray, roots: np.ndarray, ends: np.nda
     by block, with the three differences of a block in GAP_CHUNK elements.
     """
     lo, hi = ends[1:-1:2], ends[2::2]
-    out = np.empty(t.shape)
-    for rs, ns in _blocks(t.shape[0], t.shape[1], 3 * roots.size):
-        j, tb = comp[rs], t[rs, ns, None]
-        d, dl, dh = tb - roots, tb - lo, tb - hi
+    out = np.empty((off.size, s.size))
+    for rs, ns in _blocks(off.size, s.size, 3 * roots.size):
+        j, o = comp[rs], off[rs, None]
+        hs = (scale[rs, None] * s[ns])[..., None]
+        d, dl, dh = (o - roots)[:, None] + hs, (o - lo)[:, None] + hs, (o - hi)[:, None] + hs
         left, right = np.flatnonzero(j > 0), np.flatnonzero(j < roots.size)
-        dh[left, :, j[left] - 1] = tb[left, :, 0] - ends[0]
-        dl[right, :, j[right]] = tb[right, :, 0] - ends[-1]
+        dh[left, :, j[left] - 1] = (o[left] - ends[0]) + hs[left, :, 0]
+        dl[right, :, j[right]] = (o[right] - ends[-1]) + hs[right, :, 0]
         dl = np.divide(d, dl, out=dl)
         dl *= np.divide(d, dh, out=dh)
         out[rs, ns] = 0.5 * np.sum(np.log(np.abs(dl, out=dl), out=dl), axis=2)
@@ -428,17 +458,18 @@ def _component_tables(K: IntervalSet, roots: np.ndarray) -> np.ndarray:
     """Every component's table from one batched expansion, as the
     zero-padded (K.m, terms) array of ``EquilibriumData.coeffs``: at each
     doubling level the still-open components are sampled together, block
-    by block (``_log_factor``).  If the expansion does not resolve, the
-    error names the component left open at the last level next to the
-    narrowest gap."""
+    by block (``_log_factor``), at t = u + half (1 + s) from each
+    component's left end u.  If the expansion does not resolve, the error
+    names the component left open at the last level next to the narrowest
+    gap."""
     ends = np.asarray(K.endpoints())
-    _, _, mid, half = _component_frames(K)
+    u, _, _, half = _component_frames(K)
     sampled = []
 
     def G(s, rows):
         sampled.append(rows)
-        t = mid[rows, None] + half[rows, None] * s
-        return np.exp(_log_factor(t, rows, roots, ends)) / (np.pi * half[rows, None])
+        lw = _log_factor(u[rows], half[rows], 1.0 + s, rows, roots, ends)
+        return np.exp(lw) / (np.pi * half[rows, None])
 
     try:
         rows = chebyshev_expand(G, count=K.m)
@@ -503,7 +534,7 @@ def density(E: EquilibriumData, t: float):
             f"component (guard {DENSITY_EDGE_GUARD} of its half-length)"
         )
     # w = exp(log(pi half G)) / (pi sqrt((t - u)(v - t))) on component j
-    lw = _log_factor(t_arr[:, None], j, np.asarray(E.roots), ends)[:, 0]
+    lw = _log_factor(t_arr, np.zeros(t_arr.size), np.zeros(1), j, np.asarray(E.roots), ends)[:, 0]
     out = np.exp(lw) / (np.pi * np.sqrt(t_arr - u) * np.sqrt(v - t_arr))
     return out if np.ndim(t) else float(out[0])
 
@@ -513,7 +544,8 @@ def omega_factor(E: EquilibriumData, a: float) -> float:
     j = check_interval_condition(E.set, a).component
     ends = np.asarray(E.set.endpoints())
     # w(t) sqrt(a - t) -> G(a) sqrt(half / 2) on [a_j, a], half = (a - a_j) / 2
-    lw = _log_factor(np.array([[a]]), np.array([j]), np.asarray(E.roots), ends)[0, 0]
+    zero = np.zeros(1)
+    lw = _log_factor(np.array([a]), zero, zero, np.array([j]), np.asarray(E.roots), ends)[0, 0]
     return math.exp(lw - 0.5 * math.log(a - ends[2 * j])) / math.pi
 
 
@@ -626,9 +658,16 @@ def balayage_mass(qy: BalayageQuery) -> float:
     tau, s = (tau - r)/(1 - r tau) with r = -1/xi, which cancels the pole at
     x.  With P = |x - a|, Q = |x - b|, L = a - b and h = (P(1 - tau) + Q(1 +
     tau))/2: a - t = L P(1 - tau)/2h, t - b = L Q(1 + tau)/2h, |x - t| = PQ/h
-    and dt/dtau = L PQ/2h^2, no distance taken from t."""
+    and dt/dtau = L PQ/2h^2, no distance taken from t.
+
+    The integrand is scale-free, so P, Q and L are taken in units of an
+    even power of two near sqrt(L max(P, Q)): no distance is subnormal and
+    no density overflows when the set sits near 1e-300, and elsewhere
+    every step rounds as it does in absolute units."""
     x, b, a = qy.x, qy.b, qy.a
     P, Q, L = abs(x - a), abs(x - b), a - b
+    k = -2 * ((math.frexp(L)[1] + math.frexp(max(P, Q))[1]) // 4)
+    P, Q, L = math.ldexp(P, k), math.ldexp(Q, k), math.ldexp(L, k)
 
     def f(tau, rows):
         lo, hi = P * ((1.0 - tau) / 2.0), Q * ((1.0 + tau) / 2.0)
@@ -665,12 +704,13 @@ def decomposition_residual(E: EquilibriumData, ctx: EndpointContext, t: float) -
     hu = E.set.intervals[home][0]
     comp = np.array([j for j in range(E.set.m) if j != home] + [home] * int(hu < b), dtype=int)
     lo, hi = ends[2 * comp], np.where(comp == home, b, ends[2 * comp + 1])
-    mid, half = _frame(lo, hi)
+    half = _frame(lo, hi)[1]
 
     def f(s, rows):
-        x = mid[rows, None] + half[rows, None] * s
+        # sampled from the exact left end: no rounded midpoint shifts a piece
+        x = lo[rows, None] + half[rows, None] * (1.0 + s)
         bal = _balayage_kernel(np.abs(x - b), np.abs(x - a), np.abs(t - x), a - t, t - b)
-        out = bal * np.exp(_log_factor(x, comp[rows], roots, ends)) / np.pi
+        out = bal * np.exp(_log_factor(lo[rows], half[rows], 1.0 + s, comp[rows], roots, ends)) / np.pi
         cut = comp[rows] == home
         out[cut] *= np.sqrt((b - x[cut]) / (a - x[cut]))
         return out
@@ -705,10 +745,11 @@ def outer_convergence_study(
     K: IntervalSet, ctx: EndpointContext, m_list: Sequence[int]
 ) -> list[tuple[int, float]]:
     """Omega(K_m^+, a) along the outer filtration; nondecreasing in m.
-    Every approximant is built, and so every m checked, before the first
-    solve."""
-    approximants = [(int(m), outer_approx(K, ctx, int(m))) for m in m_list]
-    return [(m, omega_factor(solve_equilibrium(Km), ctx.a)) for m, Km in approximants]
+    Every m is checked before the first solve; the approximants are then
+    built and solved one at a time."""
+    ms = [int(m) for m in m_list]
+    return [(m, omega_factor(solve_equilibrium(Km), ctx.a))
+            for m, Km in zip(ms, outer_approximants(K, ctx, ms))]
 
 
 # ---------------------------------------------------------------------------

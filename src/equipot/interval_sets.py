@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -196,17 +196,32 @@ def outer_approx(K: IntervalSet, ctx: EndpointContext, m: int) -> IntervalSet:
     bounded.  The result contains K and has at most m intervals.  K is
     returned unchanged when it has m - 1 or fewer bounded gaps.
     """
-    if m < 2:
-        raise SetSpecError(f"outer approximant needs m >= 2, got {m}")
+    return next(outer_approximants(K, ctx, [m]))
+
+
+def outer_approximants(
+    K: IntervalSet, ctx: EndpointContext, ms: Sequence[int]
+) -> Iterator[IntervalSet]:
+    """``outer_approx(K, ctx, m)`` for each m of ``ms``, built one at a time
+    as they are drawn.  Every m is checked, and the gaps sorted once, before
+    the first is built."""
+    ms = [int(m) for m in ms]
+    bad = next((m for m in ms if m < 2), None)
+    if bad is not None:
+        raise SetSpecError(f"outer approximant needs m >= 2, got {bad}")
     gaps = K.gaps()
-    if len(gaps) <= m - 1:
-        return K
     order = sorted(range(len(gaps)), key=lambda i: (-(gaps[i][1] - gaps[i][0]), gaps[i][0]))
     # gap j lies right of component j, so gap ctx.component is the free one
-    keep = [ctx.component] if ctx.component < len(gaps) else []
-    keep += [i for i in order if i != ctx.component][:m - 1 - len(keep)]
-    ends = [K.min] + [e for i in sorted(keep) for e in gaps[i]] + [K.max]
-    return IntervalSet(tuple(zip(ends[::2], ends[1::2])))
+    free = [ctx.component] if ctx.component < len(gaps) else []
+    order = free + [i for i in order if i != ctx.component]
+
+    def build(m: int) -> IntervalSet:
+        if len(gaps) <= m - 1:
+            return K
+        ends = [K.min] + [e for i in sorted(order[:m - 1]) for e in gaps[i]] + [K.max]
+        return IntervalSet(tuple(zip(ends[::2], ends[1::2])))
+
+    return map(build, ms)
 
 
 def cantor_set(level: int, ratio: float = 1.0 / 3.0) -> IntervalSet:

@@ -5,8 +5,9 @@ one calling convention: ``f(s, rows)`` gives the functions numbered
 ``rows`` (indices into range(count), ``count`` 1 by default) at the nodes
 s in [-1, 1], one leading row each, and every function stops doubling by
 its own rule, no longer sampled once it settles.  Callers map s onto
-their intervals by ``interval_sets._frame``, so the relative tests mean
-the same at any scale.
+their intervals by ``interval_sets._frame`` (the equilibrium tables and
+the decomposition residual from each interval's left end u, as u + half
+(1 + s)), so the relative tests mean the same at any scale.
 
 * ``_gauss_cheb_adaptive(f[, count])``: Gauss-Chebyshev sums of
   int_-1^1 f(s) / sqrt(1 - s^2) ds for smooth f (the inverse-square-root

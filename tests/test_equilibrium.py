@@ -349,19 +349,41 @@ class TestSolveWork:
         shared = [a for a in reused if any(a is p for p in first)]
         assert len(shared) >= 2
 
-    def test_tables_resolve_at_the_first_node_count(self, monkeypatch):
+    @staticmethod
+    def _table_levels(monkeypatch, *sets):
+        """(solve, expansion levels as (nodes, components)) of each set."""
         counts = []
         expand = equilibrium.chebyshev_expand
 
         def logged(f, count=1):
             def g(s, rows):
-                counts.append((len(s), len(rows)))
+                counts[-1].append((len(s), len(rows)))
                 return f(s, rows)
             return expand(g, count)
 
         monkeypatch.setattr(equilibrium, "chebyshev_expand", logged)
-        solve_equilibrium(cantor_set(7, 0.37))
+        solves = []
+        for K in sets:
+            counts.append([])
+            solves.append(solve_equilibrium(K))
+        return solves, counts
+
+    def test_tables_resolve_at_the_first_node_count(self, monkeypatch):
+        _, (counts,) = self._table_levels(monkeypatch, cantor_set(7, 0.37))
         assert counts == [(EXPAND_MIN_NODES + 1, 128)]
+
+    def test_affine_image_tables_resolve_at_the_first_node_count(self, monkeypatch):
+        # sampled at mid + half s in absolute coordinates, -1.3 K + 6 took
+        # 65, 129 and 257 nodes through the rounding of |mid|; sampled from
+        # each component's left end it resolves at the first level, as K does
+        K = cantor_set(7, 0.37)
+        image = IntervalSet(tuple(sorted((-1.3 * v + 6.0, -1.3 * u + 6.0) for u, v in K.intervals)))
+        (E, E_image), counts = self._table_levels(monkeypatch, K, image)
+        assert counts == [[(EXPAND_MIN_NODES + 1, 128)]] * 2
+        # the image's endpoints are rounded at |beta| = 6, by up to 4e-13 of a
+        # component's length, and its gap roots are solved at nodes mid +
+        # half s: its masses differ from K's by up to 1.5e-14
+        assert np.max(np.abs(E.masses - E_image.masses[::-1])) <= 5e-14
 
     @pytest.mark.parametrize("s", [1e-100, 1e-14, 1e14, 1e100])
     def test_exact_capacity_at_extreme_scale(self, s):
@@ -463,19 +485,22 @@ class TestBatchedStages:
     def test_tables_match_one_at_a_time(self, name):
         from equipot.numerics import chebyshev_expand
 
-        def log_weight(t, roots, ends):
-            # unpaired reference: sum log|t - lam| - 1/2 sum log|t - e|
-            return (np.sum(np.log(np.abs(t[:, None] - roots)), axis=1)
-                    - 0.5 * np.sum(np.log(np.abs(t[:, None] - ends)), axis=1))
+        def log_weight(u, half, s, roots, ends):
+            # unpaired reference: sum log|t - lam| - 1/2 sum log|t - e| at
+            # t = u + half (1 + s), each distance formed from the left end
+            # as (u - x) + half (1 + s), as the tables form it
+            def dist(x):
+                return np.abs((u - x)[None, :] + half * (1.0 + s)[:, None])
+            return np.sum(np.log(dist(roots)), axis=1) - 0.5 * np.sum(np.log(dist(ends)), axis=1)
 
         K = self.SETS[name]()
         E = solve_equilibrium(K)
         roots, ends = np.asarray(E.roots), np.asarray(K.endpoints())
         for (u, v), got in zip(K.intervals, E.coeffs):
-            mid, half = (u + v) / 2.0, (v - u) / 2.0
+            half = (v - u) / 2.0
             others = ends[(ends != u) & (ends != v)]
             want, = chebyshev_expand(
-                lambda s, rows: np.exp(log_weight(mid + half * s, roots, others))[None]
+                lambda s, rows: np.exp(log_weight(u, half, s, roots, others))[None]
                 / (np.pi * half))
             n = max(len(got), len(want))
             diff = np.pad(got, (0, n - len(got))) - np.pad(want, (0, n - len(want)))
@@ -666,11 +691,14 @@ class TestBalayage:
 
     def test_mass_preserved(self):
         # the sources 2e-5 to 6e-12 from [-1, 1] put the density's pole that
-        # close; the last query's |x - b| |x - a| and pi |t - x| overflow
+        # close; the 1.7e308 query's |x - b| |x - a| and pi |t - x| overflow;
+        # the last two lie a subnormal 6e-312 from [-1e-300, 1e-300], where
+        # the density in absolute units overflows
         for x, b, a in ((2.0, -1.0, 1.0), (-3.0, -1.0, 1.0), (1.0 + 1e-3, -1.0, 1.0),
                         (1.0 + 2e-5, -1.0, 1.0), (1.0 + 2e-8, -1.0, 1.0), (1.0 + 6e-12, -1.0, 1.0),
                         (-1.0 - 2e-5, -1.0, 1.0), (-1.0 - 2e-8, -1.0, 1.0), (-1.0 - 6e-12, -1.0, 1.0),
-                        (100.0, -1.0, 1.0), (1e6, -1.0, 1.0), (1.75e308, 1e308, 1.7e308)):
+                        (100.0, -1.0, 1.0), (1e6, -1.0, 1.0), (1.75e308, 1e308, 1.7e308),
+                        (1.000000000006e-300, -1e-300, 1e-300), (-1.000000000006e-300, -1e-300, 1e-300)):
             qy = BalayageQuery(x=x, b=b, a=a)
             assert balayage_mass(qy) == pytest.approx(1.0, abs=1e-12)
 
@@ -806,6 +834,27 @@ class TestMonotonicityAndConvergence:
         ctx = check_interval_condition(E_sym2.set, 1.0)
         with pytest.raises(SetSpecError, match="m >= 2, got 1"):
             outer_convergence_study(E_sym2.set, ctx, [2, 4, 1])
+
+    def test_approximants_built_one_at_a_time(self, monkeypatch):
+        from equipot import interval_sets
+
+        K = cantor_set(4, 1 / 3)
+        ctx = check_interval_condition(K, 1.0)
+        built, solved = [], []
+
+        class Counted(IntervalSet):
+            def __post_init__(self):
+                built.append(self.m)
+                super().__post_init__()
+
+        def solve(Km):
+            solved.append(len(built))
+            return solve_equilibrium(Km)
+
+        monkeypatch.setattr(interval_sets, "IntervalSet", Counted)
+        monkeypatch.setattr(equilibrium, "solve_equilibrium", solve)
+        outer_convergence_study(K, ctx, [2, 3, 4])
+        assert built == [2, 3, 4] and solved == [1, 2, 3]
 
     def test_cantor4_filtration(self):
         K = cantor_set(4, 1 / 3)
