@@ -66,12 +66,15 @@ def to_json(obj) -> str:
 def _indented(obj, pad: str) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) starting at indentation ``pad``.
 
-    The indenting encoder is pure Python, so a numeric table (non-empty rows
-    of int or float) goes through the compact C encoder and is re-indented
-    by string replacement: no number token contains ", " or "], [".
+    The indenting encoder is pure Python, so a flat list of int or float,
+    and a numeric table (non-empty rows of them), go through the compact C
+    encoder and are re-indented by string replacement: no number token
+    contains ", " or "], [".
     """
     inner = pad + "  "
     if isinstance(obj, (list, tuple)) and obj:
+        if {type(v) for v in obj} <= {int, float}:
+            return f"[\n{inner}" + json.dumps(obj)[1:-1].replace(", ", f",\n{inner}") + f"\n{pad}]"
         if (all(isinstance(row, (list, tuple)) and row for row in obj)
                 and {type(v) for row in obj for v in row} <= {int, float}):
             cells = json.dumps(obj)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{inner}  ")
@@ -479,7 +482,8 @@ def _schur_counterexample(ns: argparse.Namespace) -> Output:
 def _converge(ns: argparse.Namespace) -> Output:
     K = _load_set(ns.set)
     ctx = check_interval_condition(K, ns.a)
-    ms = parse_int_list(ns.m_values, range(2, sys.maxsize))
+    # a sweep stops at its first m >= K.m: that approximant is K itself
+    ms = parse_int_list(ns.m_values, range(2, K.m))
     table = equilibrium.outer_convergence_study(K, ctx, ms)
     drops = [f"omega not nondecreasing along the filtration: m={m1}:{v1} > m={m2}:{v2}"
              for (m1, v1), (m2, v2) in zip(table, table[1:]) if v2 < v1 - 1e-9]

@@ -17,7 +17,7 @@ endpoints that do not bound gap k, the gap conditions read
 Freezing the other roots turns H_k = 0 into a weighted mean lambda_k =
 int t g_k / int g_k, which always lands inside the gap; that mean step is
 the globaliser.  It makes the first pass, which also fixes each gap's
-Gauss-Chebyshev node count, and it replaces any Newton component that
+Chebyshev-Lobatto level, and it replaces any Newton component that
 leaves its gap.  The Newton passes solve H = 0 with the Jacobian
 dH_k/dlambda_k = -int g_k and dH_k/dlambda_j = -int (t - lambda_k) g_k /
 (t - lambda_j), all gaps in one chunked pass that forms each block's
@@ -32,19 +32,26 @@ gap, M1 = int s g_k and M0 = int g_k, and lambda_k = mid + half M1/M0.
 Since |M1| <= M0, the doubling's stopping test weighs both moments on the
 scale of M0, at any scale of the set; an absolute first moment int t g_k
 of a symmetric gap at scale 1e100 is rounding noise of about 1e84 that
-swamps it.  The doublings start at ``numerics.QUAD_MIN_NODES`` = 16:
-most gap integrands settle at 32 nodes.
+swamps it.  The doublings start at ``numerics.QUAD_MIN_NODES`` = 16, the
+17 Lobatto points cos(pi k / 16), and each one adds only the points the
+level before lacks: most gap integrands settle at level 32, 33 points.
 
 The endpoint factor of g_k does not depend on the roots, so it is formed
-once per solve: the first pass forms it for all gaps of a doubling level
-at once and keeps every level, the Newton passes read the rows of the
-node counts that pass settled, and the verifier takes a first-pass level
-as it is wherever it samples the same gaps at the same count.  The
-verifier otherwise recomputes every gap mean at the final roots, in one
-batched doubling of its own (its own node counts and row scales), and
-refuses a root more than 5e-10 of its gap away from its mean.  Both gap
-doublings are one call of ``_gauss_cheb_adaptive`` over all gaps, and the
-component tables one call of ``chebyshev_expand`` over all components.
+once per solve, at each point once: the first pass keeps one block per
+level, the points it added on the gaps it sampled and their endpoint
+sums.  The Newton passes take, for each gap, the union of its blocks up
+to the level where it settled, with that level's Lobatto weights pi / N
+(halved at s = +-1), and scale each row at its s = 0 point.  The verifier
+takes a first-pass block as it is wherever it samples the same gaps at
+the same level.  It otherwise recomputes every gap mean at the final
+roots, in one batched doubling of its own (its own levels and row
+scales), and refuses a root more than 5e-10 of its gap away from its
+mean.  Both gap doublings are one call of ``_gauss_cheb_adaptive`` over
+all gaps, and the component tables one call of ``chebyshev_expand`` over
+all components, whose first level of 33 points resolves the tables of
+Cantor prefractals and polynomial inverse images of 64-128 components
+(but the two outer ones of (c T_N)^-1[-1, 1] with c near 1.2, which take
+the 32 points of the next level too).
 
 Products over roots and endpoints are accumulated in log space, so density
 and gap-polynomial values stay well scaled at any number of components;
@@ -64,9 +71,10 @@ decomposition residual sample each piece from its exact left end u, as
 (u - x) + half (1 + s): a node carries the rounding of its distance to x,
 not of |mid|, and no rounded midpoint u/2 + v/2 shifts the piece.  So
 alpha K + beta resolves at the node count of K (Cantor level 7, ratio
-0.37, at -1.3 K + 6: one level of 65 nodes, where nodes mid + half s took
-65, 129 and 257), and the tables' summed mass is 1 to 6e-16 at |beta| =
-6.4-8.4, where the rounded midpoints left 1.6e-14.  The density and Omega
+0.37, at -1.3 K + 6: one level of 33 points, where nodes mid + half s
+took 65, 129 and 257 from a first level of 65), and the tables' summed
+mass is 1 to 6e-16 at |beta| = 6.4-8.4, where the rounded midpoints left
+1.6e-14.  The density and Omega
 pass their points as ``off`` with scale 0, where the difference is exactly
 t - x.  The gap sweep (``_gap_nodes``, ``_newton_rows`` and the verifier)
 still forms t - x at nodes mid + half s, so its roots carry the rounding of
@@ -186,14 +194,12 @@ def _blocks(rows: int, n: int, cols: int):
             yield slice(a, a + per_row), slice(b, b + per_node)
 
 
-def _diff_blocks(t: np.ndarray, cols: np.ndarray, own: np.ndarray, rows: np.ndarray | None = None):
-    """(row slice, node slice, t - cols_j) over the rows ``rows`` of t (rows
-    x nodes; all of them by default) in blocks of about GAP_CHUNK elements,
-    with 1 in the columns own[r] of row r.  The row slice indexes ``rows``."""
-    for rs, ns in _blocks(t.shape[0] if rows is None else rows.size, t.shape[1], cols.size):
-        r = rs if rows is None else rows[rs]
-        d = t[r, ns, None] - cols
-        d[np.arange(d.shape[0])[:, None], :, own[r]] = 1.0
+def _diff_blocks(t: np.ndarray, cols: np.ndarray, own: np.ndarray):
+    """(row slice, node slice, t - cols_j) over t (rows x nodes) in blocks of
+    about GAP_CHUNK elements, with 1 in the columns own[r] of row r."""
+    for rs, ns in _blocks(t.shape[0], t.shape[1], cols.size):
+        d = t[rs, ns, None] - cols
+        d[np.arange(d.shape[0])[:, None], :, own[rs]] = 1.0
         yield rs, ns, d
 
 
@@ -247,16 +253,18 @@ def _log_factor(
 
 @dataclasses.dataclass(frozen=True)
 class _GapNodes:
-    """Gauss-Chebyshev nodes of a set of gaps that share one node count.
+    """Reference nodes s in [-1, 1] on a set of gaps: the block of points one
+    Lobatto level adds, or the union of a gap's blocks up to a level.
 
     ``ends_lw`` is -1/2 sum log|t - e| over the endpoints that do not bound
     the node's gap.  It does not depend on the roots: the Newton passes
-    reuse the one the first pass formed, and the verifier reuses a level of
-    the first pass that holds the same gaps at the same count.
+    reuse the one the first pass formed, and the verifier reuses a block of
+    the first pass that holds the same gaps at the same level.
     """
 
     idx: np.ndarray      # (g,) gap indices, increasing
-    t: np.ndarray        # (g, n) nodes
+    s: np.ndarray        # (n,) reference nodes
+    t: np.ndarray        # (g, n) nodes mid + half s
     ends_lw: np.ndarray  # (g, n)
 
 
@@ -266,15 +274,15 @@ def _gap_nodes(
 ) -> _GapNodes:
     """The reference nodes s in [-1, 1] mapped onto each gap in ``idx`` by the
     frames ``gaps`` of ``_gap_frames``; gap k lies between ends[2k + 1] and
-    ends[2k + 2].  ``prior``, nodes of an earlier doubling at the same count,
-    is returned as it is when it holds the same gaps: its endpoint sums are
-    the same function of the same nodes, so bit-identical."""
+    ends[2k + 2].  ``prior``, the block of an earlier doubling at the same
+    level, is returned as it is when it holds the same gaps: its endpoint
+    sums are the same function of the same nodes, so bit-identical."""
     if prior is not None and np.array_equal(prior.idx, idx):
         return prior
     _, _, mid, half = gaps
     t = mid[idx, None] + half[idx, None] * s
     own = np.stack([2 * idx + 1, 2 * idx + 2], axis=1)
-    return _GapNodes(idx, t, -0.5 * _log_dist(t, ends, own))
+    return _GapNodes(idx, s, t, -0.5 * _log_dist(t, ends, own))
 
 
 def _gap_log_g(nodes: _GapNodes, lam: np.ndarray) -> np.ndarray:
@@ -293,19 +301,20 @@ def _gap_means(
     [-1, 1] the gap's reference variable, and the mean is mid + half M1/M0.
     Since |M1| <= M0, the stopping rule weighs both moments on the scale of
     M0 wherever the set sits and however large it is.  Rows are scaled by
-    their largest log g at the first level.  ``prior`` are the levels of an
+    their largest log g at the first level.  ``prior`` are the blocks of an
     earlier doubling on K, whose endpoint sums are reused (``_gap_nodes``).
-    Returns the nodes of every level, the gaps it sampled, and the means.
+    Returns one block per level, the points it added on the gaps it
+    sampled, and the means.
     """
     gaps = g0, g1, mid, half = _gap_frames(K)
     ends = np.asarray(K.endpoints())
-    by_count = {nodes.t.shape[1]: nodes for nodes in prior}
     levels: list[_GapNodes] = []
     shift = None
 
     def moments(s, rows):
         nonlocal shift
-        nodes = _gap_nodes(gaps, ends, rows, s, by_count.get(s.size))
+        same = prior[len(levels)] if len(levels) < len(prior) else None
+        nodes = _gap_nodes(gaps, ends, rows, s, same)
         levels.append(nodes)
         lw = _gap_log_g(nodes, lam)
         if shift is None:
@@ -325,50 +334,60 @@ def _gap_means(
 
 
 def _settled(levels: list[_GapNodes]) -> list[tuple[_GapNodes, np.ndarray]]:
-    """(level, rows): the rows of each level whose gaps settle there, the
-    last level that samples them; indices into the level, not copies."""
-    later = [b.idx for b in levels[1:]] + [np.empty(0, dtype=int)]
-    groups = [(a, np.flatnonzero(~np.isin(a.idx, b))) for a, b in zip(levels, later)]
-    return [(nodes, rows) for nodes, rows in groups if rows.size]
+    """(nodes, weights) for each level at which some gaps settle, the last
+    level that samples them: the union of those gaps' blocks up to it, and
+    that level's Lobatto weights pi / N, halved at the ends s = +-1."""
+    out = []
+    for i, level in enumerate(levels):
+        idx = level.idx[~np.isin(level.idx, levels[i + 1].idx)] if i + 1 < len(levels) else level.idx
+        if not idx.size:
+            continue
+        # every earlier block samples these gaps too, at increasing indices
+        blocks = [(b, np.searchsorted(b.idx, idx)) for b in levels[:i + 1]]
+        s = np.concatenate([b.s for b, _ in blocks])
+        t = np.concatenate([b.t[r] for b, r in blocks], axis=1)
+        ends_lw = np.concatenate([b.ends_lw[r] for b, r in blocks], axis=1)
+        w = np.full(s.size, np.pi / (s.size - 1))
+        w[np.abs(s) == 1.0] *= 0.5
+        out.append((_GapNodes(idx, s, t, ends_lw), w))
+    return out
 
 
-def _newton_rows(nodes: _GapNodes, rows: np.ndarray, lam: np.ndarray):
-    """One batched Gauss-Chebyshev pass over the gaps of the rows ``rows``
-    of ``nodes``, rows scaled at their central node: per gap M0 = int g,
-    the residual H = int (t - lam_k) g and the Jacobian rows dH_k/dlam_j,
-    -M0_k on the diagonal and -int (t - lam_k) g / (t - lam_j) off it.  Each block's differences
-    t - lam_j give both log g and the reciprocals, so the row scale must be
+def _newton_rows(nodes: _GapNodes, w: np.ndarray, lam: np.ndarray):
+    """One batched pass of the weights ``w`` over the gaps of ``nodes``, rows
+    scaled at the node s = 0: per gap M0 = int g, the residual H = int (t -
+    lam_k) g and the Jacobian rows dH_k/dlam_j, -M0_k on the diagonal and
+    -int (t - lam_k) g / (t - lam_j) off it.  Each block's differences t -
+    lam_j give both log g and the reciprocals, so the row scale must be
     known before the first block: g is smooth and positive on its gap, and
     its central value stands in for its largest."""
-    idx, c = nodes.idx[rows], nodes.t.shape[1] // 2
-    central = _GapNodes(idx, nodes.t[rows, c:c + 1], nodes.ends_lw[rows, c:c + 1])
+    idx, c = nodes.idx, int(np.argmin(np.abs(nodes.s)))
+    central = _GapNodes(idx, nodes.s[c:c + 1], nodes.t[:, c:c + 1], nodes.ends_lw[:, c:c + 1])
     shift = _gap_log_g(central, lam)
-    m0, h, J = np.zeros(rows.size), np.zeros(rows.size), np.zeros((rows.size, lam.size))
-    for gs, ns, d in _diff_blocks(nodes.t, lam, nodes.idx[:, None], rows):
-        ad, r = np.abs(d), rows[gs]
-        lw = nodes.ends_lw[r, ns] + np.sum(np.log(ad, out=ad), axis=2)
-        g = np.exp(lw - shift[gs])
-        ug = (nodes.t[r, ns] - lam[idx[gs], None]) * g
+    m0, h, J = np.zeros(idx.size), np.zeros(idx.size), np.zeros((idx.size, lam.size))
+    for gs, ns, d in _diff_blocks(nodes.t, lam, idx[:, None]):
+        ad = np.abs(d)
+        lw = nodes.ends_lw[gs, ns] + np.sum(np.log(ad, out=ad), axis=2)
+        g = np.exp(lw - shift[gs]) * w[ns]
+        ug = (nodes.t[gs, ns] - lam[idx[gs], None]) * g
         m0[gs] += g.sum(axis=1)
         h[gs] += ug.sum(axis=1)
         J[gs] -= np.matmul(ug[:, None, :], np.reciprocal(d, out=d))[:, 0, :]
-    J[np.arange(rows.size), idx] = -m0
-    w = np.pi / nodes.t.shape[1]
-    return w * m0, w * h, w * J
+    J[np.arange(idx.size), idx] = -m0
+    return m0, h, J
 
 
 def _newton_gap_step(
     groups: list[tuple[_GapNodes, np.ndarray]],
     lam: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 ) -> np.ndarray:
-    """Newton step on H(lam) = 0 over the (level, rows) groups of
+    """Newton step on H(lam) = 0 over the (nodes, weights) groups of
     ``_settled``; a component that leaves its gap, or all of them when J is
     singular, takes the weighted-mean step instead."""
     G = lam.size
     H, M0, J = np.empty(G), np.empty(G), np.empty((G, G))
-    for nodes, rows in groups:
-        k = nodes.idx[rows]
-        M0[k], H[k], J[k] = _newton_rows(nodes, rows, lam)
+    for nodes, w in groups:
+        M0[nodes.idx], H[nodes.idx], J[nodes.idx] = _newton_rows(nodes, w, lam)
     mean = lam + H / M0
     try:
         new = lam - np.linalg.solve(J, H)
@@ -391,7 +410,7 @@ def _solve_gap_roots(K: IntervalSet) -> tuple[np.ndarray, list[_GapNodes]]:
     lo, hi, mid, _ = _gap_frames(K)
     if not mid.size:
         return mid, []
-    # the first pass, a mean step from the midpoints, fixes the node counts
+    # the first pass, a mean step from the midpoints, fixes the levels
     levels, lam = _gap_means(K, mid)
     groups = _settled(levels)
     max_passes = 300
@@ -658,23 +677,26 @@ def balayage_mass(qy: BalayageQuery) -> float:
     tau, s = (tau - r)/(1 - r tau) with r = -1/xi, which cancels the pole at
     x.  With P = |x - a|, Q = |x - b|, L = a - b and h = (P(1 - tau) + Q(1 +
     tau))/2: a - t = L P(1 - tau)/2h, t - b = L Q(1 + tau)/2h, |x - t| = PQ/h
-    and dt/dtau = L PQ/2h^2, no distance taken from t.
+    and dt/dtau = L PQ/2h^2, no distance taken from t.  The quadrature
+    weight's sqrt((1 - tau)(1 + tau)) cancels in closed form against
+    sqrt(a - t) sqrt(t - b) = (L/2h) sqrt(PQ) sqrt((1 - tau)(1 + tau)), so
+    the integrand is finite at tau = +-1.
 
-    The integrand is scale-free, so P, Q and L are taken in units of an
-    even power of two near sqrt(L max(P, Q)): no distance is subnormal and
-    no density overflows when the set sits near 1e-300, and elsewhere
-    every step rounds as it does in absolute units."""
+    The integrand, with L cancelled, is scale-free, so P and Q are taken
+    in units of an even power of two near sqrt(L max(P, Q)): no distance is
+    subnormal and no density overflows when the set sits near 1e-300, and
+    elsewhere every step rounds as it does in absolute units."""
     x, b, a = qy.x, qy.b, qy.a
     P, Q, L = abs(x - a), abs(x - b), a - b
     k = -2 * ((math.frexp(L)[1] + math.frexp(max(P, Q))[1]) // 4)
-    P, Q, L = math.ldexp(P, k), math.ldexp(Q, k), math.ldexp(L, k)
+    P, Q = math.ldexp(P, k), math.ldexp(Q, k)
 
     def f(tau, rows):
-        lo, hi = P * ((1.0 - tau) / 2.0), Q * ((1.0 + tau) / 2.0)
-        h = lo + hi
-        bal = _balayage_kernel(Q, P, P * (Q / h), L * (lo / h), L * (hi / h))
-        # times dt/dtau sqrt(1 - tau^2), whose L alone could overflow
-        return (bal * L / 2.0 * ((P / h) * (Q / h) * np.sqrt((1.0 - tau) * (1.0 + tau))))[None]
+        h = P * ((1.0 - tau) / 2.0) + Q * ((1.0 + tau) / 2.0)
+        # the density times sqrt((a - t)(t - b)), times dt/dtau = L PQ/2h^2
+        # and over sqrt((a - t)(t - b)) / sqrt(1 - tau^2) = L sqrt(PQ)/2h
+        bal = _balayage_kernel(Q, P, P * (Q / h), 1.0, 1.0)
+        return (bal * ((P / h) * (Q / h)) * (h / np.sqrt(P) / np.sqrt(Q)))[None]
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # subnormal distances: refused
@@ -707,8 +729,11 @@ def decomposition_residual(E: EquilibriumData, ctx: EndpointContext, t: float) -
     half = _frame(lo, hi)[1]
 
     def f(s, rows):
-        # sampled from the exact left end: no rounded midpoint shifts a piece
+        # sampled from the exact left end: no rounded midpoint shifts a
+        # piece; x is clipped to the piece's right end (b on the cut piece,
+        # where sqrt(b - x) must not go negative), which s = 1 may round past
         x = lo[rows, None] + half[rows, None] * (1.0 + s)
+        x = np.minimum(x, hi[rows, None])
         bal = _balayage_kernel(np.abs(x - b), np.abs(x - a), np.abs(t - x), a - t, t - b)
         out = bal * np.exp(_log_factor(lo[rows], half[rows], 1.0 + s, comp[rows], roots, ends)) / np.pi
         cut = comp[rows] == home

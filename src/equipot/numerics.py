@@ -9,19 +9,26 @@ their intervals by ``interval_sets._frame`` (the equilibrium tables and
 the decomposition residual from each interval's left end u, as u + half
 (1 + s)), so the relative tests mean the same at any scale.
 
-* ``_gauss_cheb_adaptive(f[, count])``: Gauss-Chebyshev sums of
+* ``_gauss_cheb_adaptive(f[, count])``: nested Chebyshev-Lobatto sums of
   int_-1^1 f(s) / sqrt(1 - s^2) ds for smooth f (the inverse-square-root
-  endpoint singularities are absorbed by the weight), with node doubling
-  from ``QUAD_MIN_NODES`` = 16 up to ``QUAD_MAX_NODES`` until successive
-  estimates agree to ``QUAD_REL_TOL`` relative to the largest component of
-  each integrand.  ``balayage_mass`` integrates one function;
+  endpoint singularities are absorbed by the weight).  Level N is the
+  trapezoid rule in angle: the points cos(pi k / N), k = 0..N, each
+  weighted pi / N with the two end weights halved, exact to degree 2N - 1,
+  so every integrand must be finite at s = +-1.  The levels nest: from
+  ``QUAD_MIN_NODES`` = 16 (17 points) each doubling up to
+  ``QUAD_MAX_NODES`` evaluates only the N points the level before lacks,
+  until successive estimates agree to ``QUAD_REL_TOL`` relative to the
+  largest component of each integrand; a non-finite estimate never
+  settles.  ``balayage_mass`` integrates one function;
   ``decomposition_residual`` integrates its pieces of the set, and the
   equilibrium solver's first gap pass and gap verifier the moments of all
   gaps, each in one call.
 * ``chebyshev_expand(f[, count])``: adaptively truncated Chebyshev
   coefficients of smooth functions of s from their values at the
   Chebyshev-Lobatto points, as the equilibrium solver expands the density
-  factors of all components together.  Chebyshev series themselves are
+  factors of all components together.  It starts at ``EXPAND_MIN_NODES`` =
+  32 (33 points) and nests its levels as the quadrature does: a doubling
+  samples only the odd points.  Chebyshev series themselves are
   ``numpy.polynomial.Chebyshev``.
 * ``_dct1(x)`` and ``_fast_len(n)``: the DCT-I along the last axis,
   unnormalised as ``scipy.fft.dct``'s and bit-identical to it, computed by
@@ -53,43 +60,60 @@ from .errors import NumericsError
 # ---------------------------------------------------------------------------
 # quadrature
 
-# Gauss-Chebyshev quadrature: node range and the relative change between
+# Chebyshev-Lobatto quadrature: level range and the relative change between
 # successive estimates that settles an integrand; read at each call
 QUAD_MIN_NODES = 16
 QUAD_MAX_NODES = 1 << 16
 QUAD_REL_TOL = 1e-13
 
 
+def _lobatto_new(N: int, first: bool) -> np.ndarray:
+    """The Lobatto points cos(pi k / N) of level N that the level N / 2 does
+    not hold: all N + 1 of them at the first level, the N / 2 of odd k after."""
+    k = np.arange(N + 1) if first else np.arange(1, N, 2)
+    return np.cos(k * (np.pi / N))
+
+
 def _gauss_cheb_adaptive(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], count: int = 1
 ) -> np.ndarray:
-    """int_-1^1 f(s)/sqrt(1 - s^2) ds of ``count`` integrands by
-    Gauss-Chebyshev sums.
+    """int_-1^1 f(s)/sqrt(1 - s^2) ds of ``count`` integrands by nested
+    Chebyshev-Lobatto sums.
 
     f(s, rows) gives the integrands numbered ``rows`` at the nodes s in
-    [-1, 1] as a (len(rows), N) or (len(rows), k, N) array; the result has
-    shape (count,) or (count, k).  Each integrand's node count doubles from
-    QUAD_MIN_NODES until the sup-change between its successive estimates
-    falls below QUAD_REL_TOL relative to its largest component magnitude;
-    the sum is exact for polynomial f of degree < 2N at N nodes.
+    [-1, 1] as a (len(rows), n) or (len(rows), k, n) array, finite at s =
+    +-1; the result has shape (count,) or (count, k).  Level N is the
+    trapezoid rule in angle, the points cos(pi k / N), k = 0..N, each
+    weighted pi / N with the two end weights halved, exact for polynomial f
+    of degree < 2N.  The first level N = QUAD_MIN_NODES samples all N + 1
+    points; each doubling samples only the N new points cos(pi (2k + 1) /
+    2N) and keeps the sums, est_2N = est_N / 2 + (pi / 2N) sum f(new).  An
+    integrand settles when the sup-change between its successive estimates
+    falls below QUAD_REL_TOL relative to its largest component magnitude; a
+    non-finite estimate never settles.
     """
     todo = np.arange(count)
-    out = prev = None
+    out = est = None
     N = QUAD_MIN_NODES
     while N <= QUAD_MAX_NODES:
-        theta = (2.0 * np.arange(1, N + 1) - 1.0) * np.pi / (2.0 * N)
-        est = np.asarray(f(np.cos(theta), todo), dtype=float).sum(axis=-1) * (np.pi / N)
-        if prev is not None:
-            axes = tuple(range(1, est.ndim))
-            scale = np.maximum(np.abs(est).max(axis=axes), np.abs(prev).max(axis=axes))
-            done = (scale == 0.0) | (np.abs(est - prev).max(axis=axes) <= QUAD_REL_TOL * scale)
-            out[todo[done]] = est[done]
-            todo, est = todo[~done], est[~done]
-            if not todo.size:
-                return out
-        else:
-            out = np.empty((count,) + est.shape[1:])
-        prev = est
+        first = est is None
+        vals = np.asarray(f(_lobatto_new(N, first), todo), dtype=float)
+        # an overflowing sum, or inf - inf, makes an estimate that never settles
+        with np.errstate(over="ignore", invalid="ignore"):
+            if first:
+                # the end points s = 1 and s = -1 carry half weight
+                est = (vals[..., 1:-1].sum(axis=-1) + 0.5 * (vals[..., 0] + vals[..., -1])) * (np.pi / N)
+                out = np.empty((count,) + est.shape[1:])
+            else:
+                prev, est = est, 0.5 * est + vals.sum(axis=-1) * (np.pi / N)
+                axes = tuple(range(1, est.ndim))
+                scale = np.maximum(np.abs(est).max(axis=axes), np.abs(prev).max(axis=axes))
+                change = np.abs(est - prev).max(axis=axes)
+                done = np.isfinite(scale) & ((scale == 0.0) | (change <= QUAD_REL_TOL * scale))
+                out[todo[done]] = est[done]
+                todo, est = todo[~done], est[~done]
+                if not todo.size:
+                    return out
         N *= 2
     raise NumericsError(
         f"endpoint-singular quadrature of integrand {todo[0]} on [-1, 1] did not "
@@ -121,7 +145,7 @@ def _fast_len(n: int) -> int:
 
 
 # Chebyshev expansion: node range and the relative size of a negligible tail
-EXPAND_MIN_NODES = 64
+EXPAND_MIN_NODES = 32
 EXPAND_MAX_NODES = 1 << 13
 EXPAND_TAIL_TOL = 1e-14
 
@@ -140,20 +164,26 @@ def chebyshev_expand(
     f(s, rows) gives the functions numbered ``rows`` at the nodes s in
     [-1, 1] as a (len(rows), len(s)) array.  Each function is interpolated
     at the N + 1 Lobatto points cos(pi k / N), k = 0..N, its N + 1
-    coefficients taken by one DCT-I, doubling N until the trailing quarter
-    of its coefficients is negligible relative to the largest one.  When
-    the tail stops shrinking between doublings it has hit the rounding
-    floor of the sampled values (the floor itself grows like sqrt(N)); the
-    level with the smaller tail is then accepted.  Trailing coefficients
-    below the accepted floor are dropped.
+    coefficients taken by one DCT-I, doubling N from EXPAND_MIN_NODES until
+    the trailing quarter of its coefficients is negligible relative to the
+    largest one.  The levels nest: a doubling keeps the samples of level N
+    as the even k of level 2N and samples only the N odd k.  When the tail
+    stops shrinking between doublings it has hit the rounding floor of the
+    sampled values (the floor itself grows like sqrt(N)); the level with the
+    smaller tail is then accepted.  Trailing coefficients below the accepted
+    floor are dropped.
     """
     out: list = [None] * count
     todo = np.arange(count)
-    best_c, best_tail = None, None
+    vals = best_c = best_tail = None
     N = EXPAND_MIN_NODES
     while True:
-        theta = np.arange(N + 1) * (np.pi / N)
-        vals = np.asarray(f(np.cos(theta), todo), dtype=float)
+        new = np.asarray(f(_lobatto_new(N, vals is None), todo), dtype=float)
+        if vals is None:
+            vals = new
+        else:
+            vals, kept = np.empty((todo.size, N + 1)), vals
+            vals[:, ::2], vals[:, 1::2] = kept, new
         # the end coefficients carry half the weight of the inner ones
         c = _dct1(vals) / N
         c[:, [0, N]] *= 0.5
@@ -177,7 +207,7 @@ def chebyshev_expand(
                 f"Chebyshev expansion of function {todo[r]} on [-1, 1] did not resolve at "
                 f"{EXPAND_MAX_NODES} nodes (tail {tail[r]:.3e} vs scale {scale[r]:.3e})"
             )
-        todo, best_c, best_tail = todo[~done], c[~done], tail[~done]
+        todo, vals, best_c, best_tail = todo[~done], vals[~done], c[~done], tail[~done]
         N *= 2
 
 

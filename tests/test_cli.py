@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equipot import SetSpecError, cli, equilibrium, extremal, interval_sets, numerics
+from equipot import SetSpecError, cli, equilibrium, extremal, interval_sets, numerics, solve_equilibrium
 
 
 def run_cli(args, capsys):
@@ -585,6 +585,26 @@ class TestJsonEncoding:
         for part in rec.values():
             assert cli.to_json(part) == self.reference(part)
 
+    def test_flat_number_lists(self, monkeypatch):
+        # a flat list of int or float is one compact encoding, a capacity
+        # record's 127 roots included; a list that holds a bool is not
+        roots = solve_equilibrium(interval_sets.cantor_set(7, 0.37)).roots
+        rec = {"roots": list(roots), "cap": 0.25, "ints": [3, -1, 0, 2**70],
+                "edges": [-0.0, 1e308, -1e308, 5e-324, 0.1], "mixed": [1, 2.5, -0.0],
+                "bools": [1.0, True, 0, False]}
+        assert len(rec["roots"]) == 127
+        assert cli.to_json(rec) == self.reference(rec)
+        for part in rec.values():
+            assert cli.to_json(part) == self.reference(part)
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: calls.append(a[0]) or dumps(*a, **k))
+        cli.to_json(rec["roots"])
+        assert calls == [rec["roots"]]
+        calls.clear()
+        cli.to_json(rec["bools"])
+        assert calls == rec["bools"]
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
@@ -647,6 +667,18 @@ class TestArgumentErrors:
         assert (run.returncode, run.stdout) == (2, "")
         rec = json.loads(run.stderr)
         assert rec["error"] == "parse" and "outer approximant needs m >= 2" in rec["message"]
+
+    def test_m_sweep_stops_at_the_set_itself(self):
+        # 2..10**10 stops at its first m >= K.m, whose approximant is K: every
+        # later row would repeat Omega(K)
+        spec = '{"intervals":[[-1,-0.6],[-0.4,0],[0.2,0.5],[0.7,1]]}'
+        run = self.run_capped(["converge", "--set", spec, "--a", "1", "--m", "2..10000000000",
+                               "--format", "csv"])
+        assert (run.returncode, run.stderr) == (0, "")
+        rows = [line.split(",") for line in run.stdout.strip().splitlines()[1:]]
+        assert [int(m) for m, _ in rows] == [2, 3, 4]
+        K = interval_sets.IntervalSet(tuple(map(tuple, json.loads(spec)["intervals"])))
+        assert float(rows[-1][1]) == equilibrium.omega_factor(equilibrium.solve_equilibrium(K), 1.0)
 
     def test_degree_cap_read_at_each_call(self, capsys, monkeypatch):
         monkeypatch.setattr(extremal, "MARKOV_DEGREE_CAP", 4)

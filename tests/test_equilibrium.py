@@ -307,7 +307,8 @@ class TestQuadratureFloor:
         gaps = np.asarray(K.gaps()).reshape(-1, 2)
         levels, _ = equilibrium._gap_means(K, gaps.mean(axis=1))
         groups = equilibrium._settled(levels)
-        low = sum(rows.size for nodes, rows in groups if nodes.t.shape[1] <= 32)
+        # a gap settled at level 32 holds its 17 + 16 nested Lobatto points
+        low = sum(nodes.idx.size for nodes, _ in groups if nodes.t.shape[1] <= 33)
         assert low >= 0.9 * len(gaps)
 
 
@@ -384,6 +385,56 @@ class TestSolveWork:
         # component's length, and its gap roots are solved at nodes mid +
         # half s: its masses differ from K's by up to 1.5e-14
         assert np.max(np.abs(E.masses - E_image.masses[::-1])) <= 5e-14
+
+    def test_first_pass_evaluates_each_gap_point_once(self):
+        # the nested levels of -1.3 K + 6, K Cantor level 7 at ratio 0.37:
+        # 127 gaps at 17 and 16 points, then 31, 7 and 3 of them at 32, 64
+        # and 128 new points, 6,015 in all; the Gauss-Chebyshev levels of
+        # 16, 32, 64, 128 and 256 nodes, none shared, took 9,744
+        K = cantor_set(7, 0.37)
+        image = IntervalSet(tuple(sorted((-1.3 * v + 6.0, -1.3 * u + 6.0) for u, v in K.intervals)))
+        mid = np.asarray(image.gaps()).mean(axis=1)
+        levels, _ = equilibrium._gap_means(image, mid)
+        assert sum(nodes.t.size for nodes in levels) <= 6100
+        for nodes in levels:
+            assert np.unique(nodes.s).size == nodes.s.size
+        assert np.unique(np.concatenate([nodes.s for nodes in levels])).size == sum(
+            nodes.s.size for nodes in levels)
+        # Newton takes each gap's blocks up to its level, weighted pi / N
+        # with the ends halved: the weights of a level sum to pi
+        for nodes, w in equilibrium._settled(levels):
+            assert nodes.t.shape == nodes.ends_lw.shape == (nodes.idx.size, w.size)
+            assert w.sum() == pytest.approx(np.pi, rel=1e-15)
+
+    WORKLOAD_SETS = {
+        "cantor6-0.30": (cantor_set(6, 0.3), -3.7, 9.3),
+        "cantor6-0.35": (cantor_set(6, 0.35), 0.5, -9.9),
+        "cantor7-0.35": (cantor_set(7, 0.35), 1.0, 0.0),
+        "cantor7-0.40": (cantor_set(7, 0.4), -3.7, 9.3),
+        "cheb96-1.25": (cheb_image_roots(1.25, 96, 1.0, 0.0)[0], 0.5, -9.9),
+        "cheb128-1.25": (cheb_image_roots(1.25, 128, 1.0, 0.0)[0], -3.7, 9.3),
+        "cheb112-2.1": (cheb_image_roots(2.1, 112, 1.0, 0.0)[0], 1.0, 0.0),
+        "cheb128-3.0": (cheb_image_roots(3.0, 128, 1.0, 0.0)[0], 0.5, -9.9),
+    }
+
+    @pytest.mark.parametrize("name", list(WORKLOAD_SETS))
+    def test_workload_tables_resolve_at_33_points(self, name, monkeypatch):
+        # the capacity benchmark's sets: 64- and 128-component Cantor sets at
+        # ratios 0.3-0.4 and inverse images of c T_N, N = 96-128, c = 1.2-3
+        # (c near 1.2 in the next test), on frames |alpha| 0.5-4, |beta| <= 10
+        K, alpha, beta = self.WORKLOAD_SETS[name]
+        image = IntervalSet(tuple(sorted(tuple(sorted((alpha * u + beta, alpha * v + beta)))
+                                         for u, v in K.intervals)))
+        _, (counts,) = self._table_levels(monkeypatch, image)
+        assert counts == [(33, K.m)]
+
+    def test_outer_tables_of_narrow_gap_images_take_one_more_block(self, monkeypatch):
+        # at c = 1.2, the low end of the benchmark's range, the tables of the
+        # two outer components need 26 terms and so the 32 points level 64 adds
+        K = cheb_image_roots(1.2, 104, 3.3, -1.7)[0]
+        (E,), (counts,) = self._table_levels(monkeypatch, K)
+        assert counts == [(33, 104), (32, 2)]
+        assert E.coeffs.shape == (104, 26)
 
     @pytest.mark.parametrize("s", [1e-100, 1e-14, 1e14, 1e100])
     def test_exact_capacity_at_extreme_scale(self, s):

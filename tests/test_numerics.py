@@ -123,10 +123,12 @@ class TestQuadrature:
             alone = _gauss_cheb_adaptive(lambda s, rows: one(mid + half * s)[None])
             assert np.array_equal(g, alone[0])
         # an integrand is sampled until it settles, and not after: only the
-        # oscillating one needs more than the first two levels
+        # oscillating one needs more than the first two levels, whose N + 1
+        # points are followed by the N new points of each doubling
         assert [rows for _, rows in seen[:2]] == [(0, 1, 2)] * 2
         assert all(rows == (1,) for _, rows in seen[2:]) and len(seen) > 2
-        assert [n for n, _ in seen] == [numerics.QUAD_MIN_NODES << j for j in range(len(seen))]
+        N = numerics.QUAD_MIN_NODES
+        assert [n for n, _ in seen] == [N + 1] + [N << j for j in range(len(seen) - 1)]
 
     def test_batch_names_the_unconverged_integrand(self):
         def f(s, rows):
@@ -137,7 +139,8 @@ class TestQuadrature:
 
     def test_starvation_settings_stay_valid(self, monkeypatch):
         # the quadrature constants are read at each call, so starved values take
-        # effect without a reload: 2 nodes, then 4, where a tolerance of 1 settles
+        # effect without a reload: levels 2 and 4, the 3 Lobatto points of the
+        # first and the 2 new ones of the second, where a tolerance of 1 settles
         monkeypatch.setattr(numerics, "QUAD_MIN_NODES", 2)
         monkeypatch.setattr(numerics, "QUAD_MAX_NODES", 4)
         monkeypatch.setattr(numerics, "QUAD_REL_TOL", 1.0)
@@ -148,9 +151,53 @@ class TestQuadrature:
             return np.exp(s)[None]
 
         got = _gauss_cheb_adaptive(f)[0]
-        assert seen == [2, 4]
-        assert got == pytest.approx(np.pi / 4 * np.sum(np.exp(np.cos(np.pi * np.arange(1, 8, 2) / 8))),
-                                    rel=1e-15)
+        assert seen == [3, 2]
+        inner = np.sum(np.exp(np.cos(np.pi * np.arange(1, 4) / 4)))
+        assert got == pytest.approx(np.pi / 4 * (inner + np.cosh(1.0)), rel=1e-15)
+
+    def test_each_level_samples_only_new_points(self):
+        # f sees the N + 1 Lobatto points of the first level and then only
+        # the points each doubling adds; together they are the Lobatto set
+        # of the last level, each point sampled once
+        calls = []
+
+        def f(s, rows):
+            calls.append(s)
+            return np.cos(40.0 * s)[None]
+
+        _gauss_cheb_adaptive(f)
+        got = np.concatenate(calls)
+        N = numerics.QUAD_MIN_NODES << (len(calls) - 1)
+        assert len(calls) > 2 and len(got) == N + 1
+        assert np.array_equal(np.sort(got), np.sort(np.cos(np.arange(N + 1) * (np.pi / N))))
+
+    @pytest.mark.parametrize("N", [2, 4, 16])
+    def test_level_is_exact_to_degree_2N_minus_1(self, N, monkeypatch):
+        # a tolerance of 1 settles at the second level, N, whose rule
+        # integrates T_j exactly for j < 2N: pi for j = 0 and 0 above; it
+        # sees T_2N as the constant 1
+        monkeypatch.setattr(numerics, "QUAD_MIN_NODES", N // 2)
+        monkeypatch.setattr(numerics, "QUAD_REL_TOL", 1.0)
+        j = np.arange(2 * N + 1)
+
+        def f(s, rows):
+            return np.cos(j[:, None] * np.arccos(s))[None]
+
+        got = _gauss_cheb_adaptive(f)[0]
+        assert got[0] == pytest.approx(np.pi, rel=1e-15)
+        assert np.max(np.abs(got[1:-1])) <= 1e-14
+        assert got[-1] == pytest.approx(np.pi, rel=1e-14)
+
+    def test_non_finite_estimate_never_settles(self):
+        # exp(800 (1 - T_16^2)) is 1 at the 17 points of level 16 and
+        # overflows at the 16 that level 32 adds: an infinite estimate must
+        # not pass for a converged one, whatever the estimate before it
+        def f(s, rows):
+            with np.errstate(over="ignore"):
+                return np.exp(800.0 * (1.0 - np.cos(16.0 * np.arccos(s)) ** 2))[None]
+
+        with pytest.raises(NumericsError, match=r"of integrand 0 .* last estimate \[inf\]"):
+            _gauss_cheb_adaptive(f)
 
 
 class TestChebyshevExpand:
@@ -186,9 +233,29 @@ class TestChebyshevExpand:
             want = expand(one, -2.0, 3.0)
             assert len(g) == len(want)
             assert np.allclose(g, want, rtol=0.0, atol=1e-15 * np.max(np.abs(want)))
-        # a function is sampled until it settles, and not after: only the
-        # Runge function needs more than the first 64 + 1 Lobatto points
-        assert seen == [((64 << j) + 1, (0, 1, 2, 3) if j == 0 else (1,)) for j in range(len(seen))]
+        # a function is sampled until it settles, and not after: the
+        # exponential needs the 64 + 1 Lobatto points, only the Runge function
+        # more, and each doubling samples only the 32 << j points the last
+        # level lacks
+        assert seen[:2] == [(33, (0, 1, 2, 3)), (32, (1, 3))] and len(seen) > 2
+        assert seen[2:] == [(64 << j, (1,)) for j in range(len(seen) - 2)]
+
+    def test_each_level_samples_only_new_points(self):
+        # the Runge function takes several doublings; each samples only the
+        # odd points of its level, and the union is the last level's set
+        calls = []
+
+        def f(s, rows):
+            calls.append(s)
+            return (1.0 / (1.0 + 25.0 * s * s))[None]
+
+        c, = chebyshev_expand(f)
+        got = np.concatenate(calls)
+        N = numerics.EXPAND_MIN_NODES << (len(calls) - 1)
+        assert len(calls) > 2 and len(got) == N + 1
+        assert np.array_equal(np.sort(got), np.sort(np.cos(np.arange(N + 1) * (np.pi / N))))
+        s = np.linspace(-1.0, 1.0, 101)
+        assert np.max(np.abs(np.polynomial.chebyshev.chebval(s, c) - 1.0 / (1.0 + 25.0 * s * s))) < 1e-13
 
     def test_batch_names_the_unresolved_function(self):
         def f(s, rows):
