@@ -7,10 +7,7 @@ from .interval_sets import (
     cantor_set,
     check_interval_condition,
     from_spec,
-    is_subset,
     normalize,
-    outer_approx,
-    widen,
 )
 from .numerics import (
     LPProblem,
@@ -31,7 +28,6 @@ from .equilibrium import (
     green,
     omega_factor,
     outer_convergence_study,
-    q_value,
     solve_equilibrium,
     to_record,
 )

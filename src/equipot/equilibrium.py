@@ -453,7 +453,7 @@ def _verify_gap_conditions(K: IntervalSet, roots: np.ndarray, prior: Sequence[_G
 def solve_equilibrium(K: IntervalSet) -> EquilibriumData:
     """Solve for the equilibrium measure of K."""
     if K.has_degenerate():
-        raise SetSpecError("equilibrium needs all intervals non-degenerate; widen() first")
+        raise SetSpecError("equilibrium needs all intervals non-degenerate")
     roots, levels = _solve_gap_roots(K)
     _verify_gap_conditions(K, roots, levels)
     with np.errstate(all="ignore"):  # pi * half overflows near the float limit; checked below
@@ -512,7 +512,8 @@ def _robin_probes(K: IntervalSet) -> np.ndarray:
     points inside the widest one."""
     u, v, mid, half = _component_frames(K)
     if K.m >= ROBIN_PROBE_COUNT:
-        return mid[np.unique(np.round(np.linspace(0, K.m - 1, ROBIN_PROBE_COUNT)).astype(int))]
+        # steps of at least 1 round to distinct, increasing indices
+        return mid[np.round(np.linspace(0, K.m - 1, ROBIN_PROBE_COUNT)).astype(int)]
     widest = np.argmax(v - u)
     extra = ROBIN_PROBE_COUNT - K.m
     angles = np.pi * np.arange(1, extra + 1) / (extra + 2)
@@ -521,14 +522,6 @@ def _robin_probes(K: IntervalSet) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # pointwise evaluation
-
-
-def q_value(E: EquilibriumData, t: float) -> float:
-    """Signed gap-polynomial value, stable at any degree; the sign is the
-    parity of the roots above t."""
-    r, none = np.asarray(E.roots), np.empty((1, 0), dtype=int)
-    sign = -1.0 if np.sum(r > t) % 2 else 1.0
-    return sign * float(np.exp(_log_dist(np.array([[t]]), r, none)[0, 0]))
 
 
 def density(E: EquilibriumData, t: float):
@@ -671,7 +664,9 @@ def balayage_edge_limit(qy: BalayageQuery) -> float:
 
 
 def balayage_mass(qy: BalayageQuery) -> float:
-    """Total swept mass; 1 for any admissible query (regression check).
+    """Total swept mass, 1 for any admissible query.  After the cancellation
+    below the integrand is 1/pi at every node: the value checks the change of
+    variable, but ``_balayage_kernel`` only at a - t = t - b = 1.
 
     With t = mid + half*s and x = mid + half*xi, the integral is taken in
     tau, s = (tau - r)/(1 - r tau) with r = -1/xi, which cancels the pole at
@@ -785,8 +780,8 @@ def to_record(E: EquilibriumData) -> dict:
     """JSON-ready record {set, roots, cap, robin, mass}.
 
     ``roots`` are the gap-polynomial roots, one per bounded gap; q itself is
-    their monic product (see ``q_value``), whose monomial coefficients are
-    numerically meaningless beyond a few dozen gaps.
+    their monic product, whose monomial coefficients are numerically
+    meaningless beyond a few dozen gaps.
     """
     return {
         "set": {"intervals": [[l, r] for l, r in E.set.intervals]},

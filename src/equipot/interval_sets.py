@@ -4,8 +4,8 @@ An ``IntervalSet`` is the universal set model of the toolkit: an ordered
 tuple of pairwise disjoint closed intervals.  This module provides
 construction (raw pairs, Cantor-type prefractals), every interval frame
 (``_frame``), the endpoint/free-gap check and run-up grid that downstream
-computations rely on, the gap-filling outer approximants used in
-convergence studies, and exact subset decisions.  ``check_interval_condition``
+computations rely on, and the gap-filling outer approximants used in
+convergence studies.  ``check_interval_condition``
 alone searches K for the component [u_j, a] of a right endpoint a; every
 endpoint quantity reads j and rho from the ``EndpointContext`` it returns.
 """
@@ -67,12 +67,6 @@ class IntervalSet:
         """All 2m endpoints in increasing order."""
         return [e for pair in self.intervals for e in pair]
 
-    def lengths(self) -> list[float]:
-        return [r - l for l, r in self.intervals]
-
-    def total_length(self) -> float:
-        return sum(self.lengths())
-
     def gaps(self) -> list[tuple[float, float]]:
         """The bounded complementary gaps (right_j, left_{j+1})."""
         return [
@@ -84,9 +78,6 @@ class IntervalSet:
 
     def has_degenerate(self) -> bool:
         return any(l == r for l, r in self.intervals)
-
-    def to_json(self) -> str:
-        return json.dumps({"intervals": [[l, r] for l, r in self.intervals]})
 
 
 def _frame(u, v):
@@ -188,23 +179,15 @@ def check_interval_condition(
     return EndpointContext(a=a, rho=float(rho), component=j)
 
 
-def outer_approx(K: IntervalSet, ctx: EndpointContext, m: int) -> IntervalSet:
-    """Fill all but m - 1 bounded gaps of K, keeping the free gap at ctx.a.
-
-    Retained gaps are chosen by descending length (leftmost wins ties); the
-    gap immediately to the right of ``ctx.a`` is always retained when it is
-    bounded.  The result contains K and has at most m intervals.  K is
-    returned unchanged when it has m - 1 or fewer bounded gaps.
-    """
-    return next(outer_approximants(K, ctx, [m]))
-
-
 def outer_approximants(
     K: IntervalSet, ctx: EndpointContext, ms: Sequence[int]
 ) -> Iterator[IntervalSet]:
-    """``outer_approx(K, ctx, m)`` for each m of ``ms``, built one at a time
-    as they are drawn.  Every m is checked, and the gaps sorted once, before
-    the first is built."""
+    """For each m of ``ms``, K with all but m - 1 bounded gaps filled, built
+    one at a time as they are drawn: it contains K and has at most m
+    intervals.  The longest gaps are kept (the leftmost wins a tie), and the
+    free gap to the right of ``ctx.a`` always is; K is returned unchanged
+    when it has at most m - 1 gaps.  Every m is checked, and the gaps sorted
+    once, before the first is built."""
     ms = [int(m) for m in ms]
     bad = next((m for m in ms if m < 2), None)
     if bad is not None:
@@ -246,31 +229,6 @@ def cantor_set(level: int, ratio: float = 1.0 / 3.0) -> IntervalSet:
             nxt.append((r - ratio * L, r))
         intervals = nxt
     return IntervalSet(tuple(intervals))
-
-
-def is_subset(K: IntervalSet, S: IntervalSet) -> bool:
-    """Exact point-set decision K <= S by interval arithmetic."""
-    j = 0
-    for l, r in K.intervals:
-        while j < S.m and S.intervals[j][1] < l:
-            j += 1
-        if j == S.m or not (S.intervals[j][0] <= l and r <= S.intervals[j][1]):
-            return False
-    return True
-
-
-def widen(K: IntervalSet, eps: float) -> IntervalSet:
-    """Replace each degenerate interval [x, x] by [x - eps/2, x + eps/2].
-
-    Non-degenerate intervals are untouched; collisions created by widening
-    are merged.
-    """
-    if eps <= 0:
-        raise SetSpecError(f"widen needs eps > 0, got {eps}")
-    pairs = [
-        (l - eps / 2, r + eps / 2) if l == r else (l, r) for l, r in K.intervals
-    ]
-    return normalize(pairs)
 
 
 def _is_number(x) -> bool:

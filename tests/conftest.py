@@ -43,3 +43,14 @@ def arccos_grid(K: IntervalSet, per_component: int) -> np.ndarray:
     u, v = np.asarray(K.intervals).T
     x = (u + v)[:, None] / 2.0 + (v - u)[:, None] / 2.0 * np.cos(np.linspace(0.0, np.pi, per_component))
     return np.unique(np.clip(x, u[:, None], v[:, None]))
+
+
+def is_subset(K: IntervalSet, S: IntervalSet) -> bool:
+    """Exact point-set decision K <= S by interval arithmetic."""
+    j = 0
+    for l, r in K.intervals:
+        while j < S.m and S.intervals[j][1] < l:
+            j += 1
+        if j == S.m or not (S.intervals[j][0] <= l and r <= S.intervals[j][1]):
+            return False
+    return True

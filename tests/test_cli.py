@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -12,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equipot import SetSpecError, cli, equilibrium, extremal, interval_sets, numerics, solve_equilibrium
+from equipot import (SetSpecError, cli, equilibrium, extremal, interval_sets, numerics, schur,
+                     solve_equilibrium)
 
 
 def run_cli(args, capsys):
@@ -357,6 +359,17 @@ class TestExitCodes:
         )
         assert (code, out) == (4, "")
         assert len(out_path.read_text().splitlines()) == 11
+        # schur-counterexample's two invariants, broken by stand-in reports
+        real = schur.counterexample_demo(10)
+        for change, message in (({"local_ok": False}, "should satisfy the local hypothesis"),
+                                ({"point_ratio": 1.0}, "point ratio 1.0 should exceed 1")):
+            stand_in = dataclasses.replace(real, **change)
+            monkeypatch.setattr(schur, "counterexample_demo", lambda n, r=stand_in: r)
+            code, out, err = run_cli(["schur-counterexample", "--n", "10"], capsys)
+            assert code == 4
+            assert json.loads(out)["report"] == stand_in.to_dict()
+            assert json.loads(err)["error"] == "invariant"
+            assert message in json.loads(err)["message"]
 
     def test_cantor_level_cap_override(self, capsys, monkeypatch):
         monkeypatch.setattr(interval_sets, "CANTOR_LEVEL_CAP", 3)
@@ -765,7 +778,7 @@ def test_output_file_mode_follows_umask(tmp_path, capsys, umask, mode):
 
 
 # run in a fresh interpreter: each argv list of argv[1] through cli.main, then
-# print the exit codes and the scipy modules loaded after each list
+# print the exit codes and the scipy and numpy.ma modules loaded after each list
 FRESH_RUNS = """
 import contextlib, io, json, sys
 from equipot import cli
@@ -775,15 +788,17 @@ for batch in json.loads(sys.argv[1]):
     for argv in batch:
         with contextlib.redirect_stdout(io.StringIO()):
             codes.append(cli.main(argv))
-    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    loaded.append(sorted(m for m in sys.modules
+                         if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def test_no_command_imports_scipy():
-    """No command loads a scipy module: not one of the format matrix, nor
-    markov on the (c T_N)^-1[-1, 1] of the benchmark's markov workload at
-    its degrees, whose LPs the dual simplex solves without the linprog rung."""
+    """No command loads a scipy or numpy.ma module: not one of the format
+    matrix (its converge solves a set of 8 components), nor markov on the
+    (c T_N)^-1[-1, 1] of the benchmark's markov workload at its degrees,
+    whose LPs the dual simplex solves without the linprog rung."""
     args = TestFormatMatrix.ARGS
     plain = [[command, *argv] for command, argv in args.items()]
     # (2 T_N)^-1[-1, 1]: N theta in [k pi + phi, (k + 1) pi - phi] for

@@ -21,13 +21,12 @@ from equipot import (
     equilibrium_potential,
     green,
     omega_factor,
-    outer_approx,
     outer_convergence_study,
     solve_equilibrium,
     to_record,
 )
 from equipot import equilibrium, numerics
-from equipot.equilibrium import q_value
+from equipot.interval_sets import outer_approximants
 from equipot.numerics import EXPAND_MIN_NODES
 from conftest import random_interval_set
 
@@ -68,9 +67,9 @@ class TestSolve:
             if K.has_degenerate():
                 continue
             E = solve_equilibrium(K)
+            assert len(E.roots) == K.m - 1
             for (g0, g1), lam in zip(K.gaps(), E.roots):
                 assert g0 < lam < g1
-                assert q_value(E, g0) * q_value(E, g1) < 0
 
 
 def cheb_image_roots(c, N, alpha, beta):
@@ -753,6 +752,29 @@ class TestBalayage:
             qy = BalayageQuery(x=x, b=b, a=a)
             assert balayage_mass(qy) == pytest.approx(1.0, abs=1e-12)
 
+    def test_density_integrates_to_the_swept_mass(self):
+        # balayage_mass's integrand is 1/pi at every node, so it checks the
+        # kernel only at a - t = t - b = 1.  Here balayage_density itself is
+        # integrated over inner pieces of [b, a] by numpy's Gauss-Legendre
+        # rule, against the closed form of the mass between t and the end f
+        # away from x: (2/pi) arctan sqrt(|x - e| |t - f| / (|x - f| |e - t|)),
+        # e the end next to x
+        b, a = -0.7, 1.3
+        s, w = np.polynomial.legendre.leggauss(200)
+        for e, f, side in ((a, b, 1.0), (b, a, -1.0)):
+            for lengths in (1e-5, 1e-2, 1.0, 1e3, 1e6):
+                x = e + side * lengths * (a - b)
+                qy = BalayageQuery(x=x, b=b, a=a)
+
+                def far_mass(t):
+                    r = abs(x - e) * abs(t - f) / (abs(x - f) * abs(e - t))
+                    return 2.0 / math.pi * math.atan(math.sqrt(r))
+
+                for t1, t2 in ((-0.6, -0.1), (-0.1, 0.7), (0.7, 1.2)):
+                    mid, half = (t1 + t2) / 2.0, (t2 - t1) / 2.0
+                    got = half * np.dot(w, balayage_density(qy, mid + half * s))
+                    assert got == pytest.approx(abs(far_mass(t2) - far_mass(t1)), rel=1e-12)
+
     def test_edge_limit_value(self):
         # (1/pi) sqrt(3)/sqrt(2); the defining limit of the kernel confirms it
         qy = BalayageQuery(x=2.0, b=-1.0, a=1.0)
@@ -775,6 +797,9 @@ class TestBalayage:
     def test_rejects_source_inside(self):
         with pytest.raises(SetSpecError):
             BalayageQuery(x=0.5, b=-1.0, a=1.0)
+        for b in (1.0, 1.5):
+            with pytest.raises(SetSpecError, match="needs b < a"):
+                BalayageQuery(x=2.0, b=b, a=1.0)
         with pytest.raises(SetSpecError):
             balayage_density(BalayageQuery(x=2.0, b=-1.0, a=1.0), 1.5)
 
@@ -925,7 +950,7 @@ class TestMonotonicityAndConvergence:
                 continue
             a = K.max
             ctx = check_interval_condition(K, a)
-            S = outer_approx(K, ctx, 2)
+            S = next(outer_approximants(K, ctx, [2]))
             if S == K:
                 continue
             om_K = omega_factor(solve_equilibrium(K), a)

@@ -52,6 +52,8 @@ class TestInverseImages:
         assert imap(1.0) == 1.0 and imap(-2.0) == -1.0
         assert imap.slope == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert imap.slope == 2.0 / 3.0
+        with pytest.raises(SetSpecError, match="u < v"):
+            affine_inverse_image(1.0, 1.0)
 
     def test_rejects_bad_alpha(self):
         for alpha in (0.0, 1.0, -0.3, 2.0):
@@ -67,6 +69,8 @@ class TestHPoly:
 
     def test_h0_is_one(self):
         assert h_poly(0, 0.3) == 1.0
+        with pytest.raises(SetSpecError, match="m >= 0"):
+            h_poly(-1, 0.5)
 
     def test_interior_bound(self):
         ws = np.cos(np.linspace(0.05, 0.95, 200) * np.pi)
@@ -97,6 +101,8 @@ class TestPeaking:
             peaking_poly(IntervalSet(((-1.0, 1.0),)), 0.5, 3)
         with pytest.raises(SetSpecError):
             peaking_poly(IntervalSet(((-1.0, 1.0),)), 1.0, 0)
+        with pytest.raises(SetSpecError, match="single point"):
+            peaking_poly(IntervalSet(((1.0, 1.0),)), 1.0, 3)
 
 
 class TestWitness:
@@ -268,6 +274,8 @@ class TestCounterexample:
             want = ((n + 1) / n) / math.sqrt(2.0 / 3.0)
             assert rep.point_ratio == pytest.approx(want, rel=1e-9)
             assert rep.point_ratio > 1.0
+        with pytest.raises(SetSpecError, match="n >= 1"):
+            counterexample_demo(0)
 
     def test_local_hypothesis_holds(self):
         rep = counterexample_demo(120)
