@@ -23,7 +23,6 @@ from .equilibrium import (
     decomposition_residual,
     density,
     density_table,
-    edge_limit_profile,
     equilibrium_potential,
     green,
     omega_factor,

@@ -66,22 +66,22 @@ w_{alpha K}(alpha t) |alpha| = w_K(t) to 5.3e-15 for |alpha| from 1e-100
 to 1e100; unpaired log-distance sums were up to 1.4e-13 off.
 
 ``_log_factor`` forms every difference in the frame of its row, (off - x) +
-scale s with x a root or an endpoint.  The component tables and the
-decomposition residual sample each piece from its exact left end u, as
-(u - x) + half (1 + s): a node carries the rounding of its distance to x,
-not of |mid|, and no rounded midpoint u/2 + v/2 shifts the piece.  So
-alpha K + beta resolves at the node count of K (Cantor level 7, ratio
-0.37, at -1.3 K + 6: one level of 33 points, where nodes mid + half s
-took 65, 129 and 257 from a first level of 65), and the tables' summed
-mass is 1 to 6e-16 at |beta| = 6.4-8.4, where the rounded midpoints left
-1.6e-14.  The density and Omega
-pass their points as ``off`` with scale 0, where the difference is exactly
-t - x.  The gap sweep (``_gap_nodes``, ``_newton_rows`` and the verifier)
-still forms t - x at nodes mid + half s, so its roots carry the rounding of
-|mid|: up to 3e-12 of a gap's width at |beta| = 6.4-8.4, which moves the
-capacity of a shifted set by up to 5e-14.  It moves to the local frame
-once the benchmark's far-shift probes are checked against the rounded set
-they solve: their closed form is 7.6e-8 off at beta = 1e9, so a sweep that
+h with x a root or an endpoint and h the node's offset from off.  The
+component tables and the decomposition residual sample each piece from
+its exact left end u, with h = half (1 + s): a node carries the rounding
+of its distance to x, not of |mid|, and no rounded midpoint u/2 + v/2
+shifts the piece.  So alpha K + beta resolves at the node count of K
+(Cantor level 7, ratio 0.37, at -1.3 K + 6: one level of 33 points, where
+nodes mid + half s took 65, 129 and 257 from a first level of 65), and the
+tables' summed mass is 1 to 6e-16 at |beta| = 6.4-8.4, where the rounded
+midpoints left 1.6e-14.  The density and Omega pass their points as
+``off`` and no offsets, where the difference is exactly t - x.  The gap
+sweep (``_gap_nodes``, ``_newton_rows`` and the verifier) still forms t -
+x at nodes mid + half s, so its roots carry the rounding of |mid|: up to
+3e-12 of a gap's width at |beta| = 6.4-8.4, which moves the capacity of a
+shifted set by up to 5e-14.  It moves to the local frame once the
+benchmark's far-shift probes are checked against the rounded set they
+solve: their closed form is 7.6e-8 off at beta = 1e9, so a sweep that
 solved them would be scored incorrect.
 
 The logarithmic potential is evaluated spectrally: with t = mid + half*s on
@@ -106,8 +106,8 @@ forms differ by (mass - 1) log ell, a few 1e-14 of the capacity.
 
 Also here: the explicit point-mass balayage kernel onto an interval, its
 edge limit, the density decomposition residual on the run-up interval
-[a - rho, a], edge-limit profiles, and the outer-approximant convergence
-study for the edge factor.
+[a - rho, a], and the outer-approximant convergence study for the edge
+factor.
 """
 
 from __future__ import annotations
@@ -213,20 +213,18 @@ def _log_dist(t: np.ndarray, cols: np.ndarray, own: np.ndarray) -> np.ndarray:
 
 
 def _log_factor(
-    off: np.ndarray, scale: np.ndarray, s: np.ndarray,
-    comp: np.ndarray, roots: np.ndarray, ends: np.ndarray,
+    off: np.ndarray, h: np.ndarray | None, comp: np.ndarray, roots: np.ndarray, ends: np.ndarray,
 ) -> np.ndarray:
-    """log(pi half G) at t = off_r + scale_r s_n (rows x nodes), row r on
-    component j = comp[r]: G is the smooth factor of the density there, |q|
-    over the square roots of the distances to the endpoints of the other
-    components.
+    """log(pi half G) at t = off_r + h_rn (rows x nodes), row r on component
+    j = comp[r]: G is the smooth factor of the density there, |q| over the
+    square roots of the distances to the endpoints of the other components.
 
-    Every difference is formed in the frame of its row, (off_r - x) +
-    scale_r s_n with x a root or an endpoint, so a node carries the
-    rounding of its distance to x, not of |off_r|.  Samplers pass the exact
-    left end u of each piece as ``off``, its half-length as ``scale`` and
-    1 + s as ``s``; points are passed as ``off`` with scale 0 and s = [0],
-    where the difference is exactly t - x.
+    Every difference is formed in the frame of its row, (off_r - x) + h_rn
+    with x a root or an endpoint, so a node carries the rounding of its
+    distance to x, not of |off_r|.  Samplers pass the exact left end u of
+    each piece as ``off`` and the offsets half (1 + s) as ``h``; points are
+    passed as ``off`` with h None, one node each, where the difference is
+    exactly t - x.
 
     The log is summed gap by gap: gap k, between b_k and a_{k+1}, adds
     log(|t - lam_k| / sqrt|(t - b_k)(t - a_{k+1})|), which is dimensionless
@@ -236,15 +234,16 @@ def _log_factor(
     swapped for a_0 and b_{m-1}, the outer ends that no pair holds.  Block
     by block, with the three differences of a block in GAP_CHUNK elements.
     """
-    lo, hi = ends[1:-1:2], ends[2::2]
-    out = np.empty((off.size, s.size))
-    for rs, ns in _blocks(off.size, s.size, 3 * roots.size):
+    lo, hi, outer = ends[1:-1:2], ends[2::2], ends[[0, -1]]
+    out = np.empty((off.size, 1 if h is None else h.shape[1]))
+    for rs, ns in _blocks(*out.shape, 3 * roots.size):
         j, o = comp[rs], off[rs, None]
-        hs = (scale[rs, None] * s[ns])[..., None]
-        d, dl, dh = (o - roots)[:, None] + hs, (o - lo)[:, None] + hs, (o - hi)[:, None] + hs
+        # (off_r - x) + h_rn for the roots, the low and high gap ends and the two outer ends
+        d, dl, dh, do = ((o - x)[:, None] if h is None else (o - x)[:, None] + h[rs, ns, None]
+                         for x in (roots, lo, hi, outer))
         left, right = np.flatnonzero(j > 0), np.flatnonzero(j < roots.size)
-        dh[left, :, j[left] - 1] = (o[left] - ends[0]) + hs[left, :, 0]
-        dl[right, :, j[right]] = (o[right] - ends[-1]) + hs[right, :, 0]
+        dh[left, :, j[left] - 1] = do[left, :, 0]
+        dl[right, :, j[right]] = do[right, :, 1]
         dl = np.divide(d, dl, out=dl)
         dl *= np.divide(d, dh, out=dh)
         out[rs, ns] = 0.5 * np.sum(np.log(np.abs(dl, out=dl), out=dl), axis=2)
@@ -285,12 +284,6 @@ def _gap_nodes(
     return _GapNodes(idx, s, t, -0.5 * _log_dist(t, ends, own))
 
 
-def _gap_log_g(nodes: _GapNodes, lam: np.ndarray) -> np.ndarray:
-    """log g_k at the nodes: g_k = |R_k| W, R_k the product over all roots
-    but the k-th and W the weight over all endpoints but the gap's own."""
-    return nodes.ends_lw + _log_dist(nodes.t, lam, nodes.idx[:, None])
-
-
 def _gap_means(
     K: IntervalSet, lam: np.ndarray, prior: Sequence[_GapNodes] = ()
 ) -> tuple[list[_GapNodes], np.ndarray]:
@@ -316,7 +309,8 @@ def _gap_means(
         same = prior[len(levels)] if len(levels) < len(prior) else None
         nodes = _gap_nodes(gaps, ends, rows, s, same)
         levels.append(nodes)
-        lw = _gap_log_g(nodes, lam)
+        # log g_k = log |R_k| W, the weight of gap k's condition
+        lw = nodes.ends_lw + _log_dist(nodes.t, lam, rows[:, None])
         if shift is None:
             shift = lw.max(axis=1)
         g = np.exp(lw - shift[rows, None])
@@ -362,8 +356,7 @@ def _newton_rows(nodes: _GapNodes, w: np.ndarray, lam: np.ndarray):
     known before the first block: g is smooth and positive on its gap, and
     its central value stands in for its largest."""
     idx, c = nodes.idx, int(np.argmin(np.abs(nodes.s)))
-    central = _GapNodes(idx, nodes.s[c:c + 1], nodes.t[:, c:c + 1], nodes.ends_lw[:, c:c + 1])
-    shift = _gap_log_g(central, lam)
+    shift = nodes.ends_lw[:, c:c + 1] + _log_dist(nodes.t[:, c:c + 1], lam, idx[:, None])
     m0, h, J = np.zeros(idx.size), np.zeros(idx.size), np.zeros((idx.size, lam.size))
     for gs, ns, d in _diff_blocks(nodes.t, lam, idx[:, None]):
         ad = np.abs(d)
@@ -487,7 +480,7 @@ def _component_tables(K: IntervalSet, roots: np.ndarray) -> np.ndarray:
 
     def G(s, rows):
         sampled.append(rows)
-        lw = _log_factor(u[rows], half[rows], 1.0 + s, rows, roots, ends)
+        lw = _log_factor(u[rows], half[rows, None] * (1.0 + s), rows, roots, ends)
         return np.exp(lw) / (np.pi * half[rows, None])
 
     try:
@@ -546,7 +539,7 @@ def density(E: EquilibriumData, t: float):
             f"component (guard {DENSITY_EDGE_GUARD} of its half-length)"
         )
     # w = exp(log(pi half G)) / (pi sqrt((t - u)(v - t))) on component j
-    lw = _log_factor(t_arr, np.zeros(t_arr.size), np.zeros(1), j, np.asarray(E.roots), ends)[:, 0]
+    lw = _log_factor(t_arr, None, j, np.asarray(E.roots), ends)[:, 0]
     out = np.exp(lw) / (np.pi * np.sqrt(t_arr - u) * np.sqrt(v - t_arr))
     return out if np.ndim(t) else float(out[0])
 
@@ -556,8 +549,7 @@ def omega_factor(E: EquilibriumData, a: float) -> float:
     j = check_interval_condition(E.set, a).component
     ends = np.asarray(E.set.endpoints())
     # w(t) sqrt(a - t) -> G(a) sqrt(half / 2) on [a_j, a], half = (a - a_j) / 2
-    zero = np.zeros(1)
-    lw = _log_factor(np.array([a]), zero, zero, np.array([j]), np.asarray(E.roots), ends)[0, 0]
+    lw = _log_factor(np.array([a]), None, np.array([j]), np.asarray(E.roots), ends)[0, 0]
     return math.exp(lw - 0.5 * math.log(a - ends[2 * j])) / math.pi
 
 
@@ -727,10 +719,10 @@ def decomposition_residual(E: EquilibriumData, ctx: EndpointContext, t: float) -
         # sampled from the exact left end: no rounded midpoint shifts a
         # piece; x is clipped to the piece's right end (b on the cut piece,
         # where sqrt(b - x) must not go negative), which s = 1 may round past
-        x = lo[rows, None] + half[rows, None] * (1.0 + s)
-        x = np.minimum(x, hi[rows, None])
+        h = half[rows, None] * (1.0 + s)
+        x = np.minimum(lo[rows, None] + h, hi[rows, None])
         bal = _balayage_kernel(np.abs(x - b), np.abs(x - a), np.abs(t - x), a - t, t - b)
-        out = bal * np.exp(_log_factor(lo[rows], half[rows], 1.0 + s, comp[rows], roots, ends)) / np.pi
+        out = bal * np.exp(_log_factor(lo[rows], h, comp[rows], roots, ends)) / np.pi
         cut = comp[rows] == home
         out[cut] *= np.sqrt((b - x[cut]) / (a - x[cut]))
         return out
@@ -742,23 +734,6 @@ def decomposition_residual(E: EquilibriumData, ctx: EndpointContext, t: float) -
 
 # ---------------------------------------------------------------------------
 # studies
-
-
-def edge_limit_profile(
-    E: EquilibriumData,
-    a: float,
-    offsets: Sequence[float],
-) -> list[tuple[float, float]]:
-    """Table of (delta, w(a - delta) * sqrt(delta)) for empirical rate checks."""
-    offs = [float(d) for d in offsets]
-    if any(d <= 0 for d in offs):
-        raise SetSpecError("offsets must be positive")
-    if any(d2 >= d1 for d1, d2 in zip(offs, offs[1:])):
-        raise SetSpecError("offsets must be strictly decreasing")
-    hu = E.set.intervals[check_interval_condition(E.set, a).component][0]
-    if offs and offs[0] >= a - hu:
-        raise SetSpecError("largest offset leaves the component interval")
-    return [(d, density(E, a - d) * math.sqrt(d)) for d in offs]
 
 
 def outer_convergence_study(

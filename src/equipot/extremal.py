@@ -60,7 +60,7 @@ from numpy.polynomial import Chebyshev
 from .equilibrium import EquilibriumData, _quantiles, density, green, omega_factor, solve_equilibrium
 from .errors import NumericsError, SetSpecError
 from .interval_sets import IntervalSet, _component_frames, check_interval_condition, runup_grid
-from .numerics import LPProblem, _dct1, _fast_len, lp_maximize
+from .numerics import LPProblem, _lobatto_new, _lobatto_resample, lp_maximize
 
 # points per component and per unit of n + 1: the coarse scan of the
 # refined maxima and the witness's angle-domain validation grid (the
@@ -190,31 +190,14 @@ def _deriv_row(nodes: np.ndarray, w: np.ndarray, x: float) -> np.ndarray:
 def _angle_values(evalP: Callable[[np.ndarray], np.ndarray], K: IntervalSet, n: int, M: int) -> np.ndarray:
     """Values of a polynomial P of degree <= n at the M equispaced angles
     theta = linspace(0, pi, M) of every component, x = mid + half*cos(theta):
-    an (m, M) array, M raised so that M - 1 is a fast FFT length: the
-    smallest 11-smooth number >= max(M, n + 2) - 1, ``numerics._fast_len``.
-
-    On each component P is a cosine series of degree n in theta.  P is
-    evaluated only at the n + 1 Lobatto angles pi*k/n of every component;
-    a DCT-I of those values gives the series, and a DCT-I of the series
-    zero-padded to M terms gives its values on the fine grid.  The DCTs
-    run on the values scaled by the power of two that brings their largest
-    modulus into [1/2, 1), which changes no bit of a finite result but keeps
-    sums near the top of the float range finite; an inf among the values
-    leaves its row nan.
+    an (m, M) array, M raised so that M - 1 is a fast FFT length.  On each
+    component P is a cosine series of degree n in theta: it is evaluated
+    only at the n + 1 Lobatto angles pi*k/n, and ``numerics._lobatto_resample``
+    takes those values to the fine grid by two DCT-Is.
     """
-    # at least n + 2 angles, so that the series' last term is an inner one
-    # of the padded DCT-I (its end terms carry half weight)
-    M = _fast_len(max(M, n + 2) - 1) + 1
     u, v, mid, half = _component_frames(K)
-    lobatto = np.cos(np.linspace(0.0, np.pi, n + 1))
-    x = np.clip(mid[:, None] + half[:, None] * lobatto, u[:, None], v[:, None])
-    vals = evalP(x.ravel()).reshape(K.m, n + 1)
-    e = np.frexp(np.max(np.abs(vals)))[1]
-    series = np.zeros((K.m, M))
-    series[:, : n + 1] = _dct1(np.ldexp(vals, -e)) / (2 * n)
-    # the Lobatto end term enters the forward DCT-I with half the weight of an inner one
-    series[:, n] /= 2.0
-    return np.ldexp(_dct1(series), e)
+    x = np.clip(mid[:, None] + half[:, None] * _lobatto_new(n, True), u[:, None], v[:, None])
+    return _lobatto_resample(evalP(x.ravel()).reshape(K.m, n + 1), M)
 
 
 def _refined_maxima(

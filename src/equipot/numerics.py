@@ -34,8 +34,10 @@ the decomposition residual from each interval's left end u, as u + half
   unnormalised as ``scipy.fft.dct``'s and bit-identical to it, computed by
   ``numpy.fft.rfft`` of the even extension, and the smallest 11-smooth
   length >= n, as ``scipy.fft.next_fast_len``'s.  The one DCT serves every
-  Chebyshev series from Lobatto samples: the expansion's coefficients and
-  the Markov probe's angle grids.
+  Chebyshev series from Lobatto samples: the expansion's coefficients, and
+  ``_lobatto_resample(vals, M)``, which takes a cosine series from its
+  values at the n + 1 Lobatto angles to M equispaced ones, the Markov
+  probe's angle grids.  No other module reads the three.
 * ``lp_maximize(LPProblem(objective, rows))``: max objective . y subject
   to |rows . y| <= 1 and |y_j| <= 1, the nodal-value LP of the extremal
   probe, by a dense bounded dual simplex in numpy (``_dual_simplex``),
@@ -142,6 +144,28 @@ def _fast_len(n: int) -> int:
         if r == 1:
             return m
         m += 1
+
+
+def _lobatto_resample(vals: np.ndarray, M: int) -> np.ndarray:
+    """The cosine series of degree n that takes the values ``vals`` at the
+    n + 1 Lobatto angles pi k / n (row by row), at the M equispaced angles
+    linspace(0, pi, M), M raised so that M - 1 is the smallest 11-smooth
+    number >= max(M, n + 2) - 1 (``_fast_len``).  A DCT-I of the values
+    gives the series, and a DCT-I of the series zero-padded to M terms its
+    values.  The DCTs run on the values scaled by the power of two that
+    brings their largest modulus into [1/2, 1), which changes no bit of a
+    finite result but keeps sums near the top of the float range finite;
+    an inf among the values leaves its row nan."""
+    n = vals.shape[-1] - 1
+    # at least n + 2 angles, so that the series' last term is an inner one
+    # of the padded DCT-I (its end terms carry half weight)
+    M = _fast_len(max(M, n + 2) - 1) + 1
+    e = np.frexp(np.max(np.abs(vals)))[1]
+    series = np.zeros(vals.shape[:-1] + (M,))
+    series[..., : n + 1] = _dct1(np.ldexp(vals, -e)) / (2 * n)
+    # the Lobatto end term enters the forward DCT-I with half the weight of an inner one
+    series[..., n] /= 2.0
+    return np.ldexp(_dct1(series), e)
 
 
 # Chebyshev expansion: node range and the relative size of a negligible tail

@@ -145,6 +145,17 @@ class TestCommands:
         assert rec["omega"] == pytest.approx(1 / (math.pi * math.sqrt(2)), rel=1e-12)
         assert not list(tmp_path.glob(".equipot-*"))
 
+    def test_output_file_atomic_on_other_errors(self, tmp_path, monkeypatch):
+        # an error that is no OSError propagates as it is, and the temporary
+        # file beside the target goes with it
+        def broken(src, dst):
+            raise RuntimeError("rename interrupted")
+
+        monkeypatch.setattr(os, "replace", broken)
+        with pytest.raises(RuntimeError, match="rename interrupted"):
+            cli._write_atomic(str(tmp_path / "omega.json"), "{}")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("a", ["-1.5e-05", "-3E-7", "-.25", "-0.5"])
     def test_negative_values_in_any_float_form(self, a, capsys):
         # a right endpoint below zero, passed as the separate token repr(a) gives

@@ -17,7 +17,6 @@ from equipot import (
     decomposition_residual,
     density,
     density_table,
-    edge_limit_profile,
     equilibrium_potential,
     green,
     omega_factor,
@@ -861,38 +860,29 @@ class TestDecomposition:
             assert runup >= density(E_sym2, float(t))
 
 
+def edge_profile(E, a, offsets):
+    """(d, w(a - d) sqrt d) over the offsets d: the edge-limit profile."""
+    return [(d, density(E, a - d) * d**0.5) for d in offsets]
+
+
 class TestEdgeProfile:
     def test_unit_interval_rate(self, E_unit):
         offsets = [10.0**-k for k in range(2, 9)]
-        table = edge_limit_profile(E_unit, 1.0, offsets)
+        table = edge_profile(E_unit, 1.0, offsets)
         om = omega_factor(E_unit, 1.0)
         for delta, val in table:
             # analytic profile is 1/(pi sqrt(2 - delta)): linear error in delta
             assert abs(val - om) <= 0.6 * delta
 
     def test_monotone_single_interval(self, E_unit):
-        table = edge_limit_profile(E_unit, 1.0, [10.0**-k for k in range(1, 8)])
+        table = edge_profile(E_unit, 1.0, [10.0**-k for k in range(1, 8)])
         vals = [v for _, v in table]
         assert all(v2 <= v1 for v1, v2 in zip(vals, vals[1:]))
 
     def test_two_interval_matches_omega(self, E_sym2):
-        table = edge_limit_profile(E_sym2, 1.0, [1e-6, 1e-8])
+        table = edge_profile(E_sym2, 1.0, [1e-6, 1e-8])
         om = omega_factor(E_sym2, 1.0)
         assert abs(table[-1][1] - om) < 1e-6
-
-    def test_empty_offsets(self, E_unit):
-        assert edge_limit_profile(E_unit, 1.0, []) == []
-        with pytest.raises(SetSpecError, match="right endpoint"):
-            edge_limit_profile(E_unit, 0.5, [])
-
-    def test_validates_offsets(self, E_unit):
-        for offsets in ([1e-2, 0.0], [-1e-3]):
-            with pytest.raises(SetSpecError, match="offsets must be positive"):
-                edge_limit_profile(E_unit, 1.0, offsets)
-        with pytest.raises(SetSpecError):
-            edge_limit_profile(E_unit, 1.0, [1e-3, 1e-2])
-        with pytest.raises(SetSpecError):
-            edge_limit_profile(E_unit, 1.0, [5.0])
 
 
 class TestMonotonicityAndConvergence:

@@ -78,6 +78,8 @@ class TestIntervalCondition:
         for rho in (0.0, -0.5):
             with pytest.raises(SetSpecError, match="rho must be positive"):
                 check_interval_condition(K, 1.0, rho=rho)
+        with pytest.raises(SetSpecError, match="must be finite"):
+            check_interval_condition(K, 1.0, rho=float("nan"))
 
     def test_maximality_both_clauses(self):
         rng = np.random.default_rng(11)

@@ -34,7 +34,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "equipot"
 
 # paper checks that only the tests run until a command reaches them
 PAPER_CHECKS = ("affine_inverse_image", "bernstein_audit", "bernstein_walsh_audit",
-                "decomposition_residual", "derivative_norm_probe", "edge_limit_profile")
+                "decomposition_residual", "derivative_norm_probe")
 
 
 def test_every_export_is_called():
@@ -54,6 +54,24 @@ def test_every_export_is_called():
                     for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))}
             used |= refs - {getattr(top, "name", None)}  # not the function or class it defines
     assert sorted(names - used) == sorted(PAPER_CHECKS)
+
+
+def test_dct_kernels_stay_in_numerics():
+    """Only ``numerics`` reads the DCT-I and its FFT length: every other
+    module resamples through ``numerics._lobatto_resample``.  Read as syntax
+    trees, imports included; a name in a docstring is no use."""
+    private = {"_dct1", "_fast_len"}
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ({node.id} if isinstance(node, ast.Name) else
+                     {node.attr} if isinstance(node, ast.Attribute) else
+                     {a.name for a in node.names} if isinstance(node, ast.ImportFrom) else set())
+            if names & private:
+                readers.add(f"{path.name}:{node.lineno}")
+    assert not readers
 
 
 def quad(f, u, v):
